@@ -210,6 +210,7 @@ def cmd_certify(args) -> int:
     model = problem.model
     controller = problem.controller
     result: dict
+    metadata = None
     if args.method == "qc":
         if controller is None:
             raise SchemaError("qc certification needs a controller")
@@ -220,9 +221,11 @@ def cmd_certify(args) -> int:
                   "verdict": "PASS" if cert.feasible else
                   ("INDETERMINATE" if cert.status == "indeterminate"
                    else "FAIL")}
+        metadata = {"iterations": cert.iterations, "reason": cert.reason}
         if cert.status == "indeterminate":
             print(json.dumps(result, indent=2, sort_keys=True))
-            raise IndeterminateError("feasibility undecided at iteration cap")
+            raise IndeterminateError(
+                f"feasibility undecided ({cert.reason})")
     elif args.method in ("window", "bendixson", "dcgain"):
         if model.name != "brunton2":
             raise SchemaError(f"{args.method} applies to the brunton2 model")
@@ -269,7 +272,7 @@ def cmd_certify(args) -> int:
                           {"problem": str(args.problem),
                            "method": args.method, "seed": args.seed,
                            "samples": args.samples},
-                          result)
+                          result, metadata)
     print(json.dumps(payload["result"], indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -1,13 +1,13 @@
 """Dense LMI feasibility and the quadratic-constraint stability machinery.
 
-The engine minimizes the maximum (scaled, margin-shifted) top eigenvalue of
-a family of affine symmetric blocks by a proximal spectral bundle method:
-cutting planes come from top-eigenvector subgradients, the prox step solves
-a small simplex-constrained dual QP, and serious/null steps adapt the prox
-parameter.  On top of it sit the structured Lyapunov analysis for lossless
-nonlinearities, state-feedback synthesis, output-feedback existence via the
-projection lemma, and controller reconstruction from a completed Lyapunov
-matrix.
+The engine minimizes the worst scaled, margin-shifted top eigenvalue t of
+a family of affine symmetric blocks, a small dense SDP, by a primal-dual
+interior-point method (HKM directions, Mehrotra predictor-corrector).  Each
+verdict carries a witness checked apart from the solver: a point y for
+"feasible", a Farkas matrix X for "infeasible".  On top of it sit the
+structured Lyapunov analysis for lossless nonlinearities, state-feedback
+synthesis, output-feedback existence via the projection lemma, and
+controller reconstruction from a completed Lyapunov matrix.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from .errors import DimensionError, PreconditionError
 from .linalg import spectral_abscissa
 from .loop import ControllerRealization, assemble_closed_loop
 from .statespace import StateSpace
-from .subgrad import lambda_max_subgradient
 
 __all__ = [
     "LmiBlock",
     "LmiProblem",
-    "BundleOptions",
     "FeasibilityResult",
     "QcCertificate",
     "sdp_feasibility",
@@ -132,22 +130,20 @@ def strict_margin(F0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Spectral bundle engine
+# Primal-dual interior-point engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BundleOptions:
-    max_iter: int = 4000
-    rounds: int = 4
-    bundle_size: int = 40
-    prox_t: float = 1.0
-    t_min: float = 1e-9
-    t_max: float = 1e7
-    serious_frac: float = 0.1
-    stat_tol: float = 1e-10
-    interior_push: float = 0.02
-    box_limit: float = 1e8
-    cuts_per_eval: int = 3
+#: stop once every scaled block sits this far inside its cone
+_INTERIOR_PUSH = 0.02
+_MAX_ITER = 60
+#: fraction of the distance to the cone boundary taken per step
+_STEP_FRACTION = 0.95
+#: absolute tolerance on the equalities <F_i, X> = 0 of a Farkas certificate
+_CERT_TOL = 1e-10
+#: eigenvalue floor of a Farkas certificate (trace 1): rounding on a face
+_PSD_TOL = 1e-12
+#: Gauss-Newton steps that polish a certificate on a face of the cone
+_FACE_STEPS = 16
 
 
 @dataclass
@@ -157,200 +153,221 @@ class FeasibilityResult:
     margin: float               # max over blocks of lambda_max(S_b(y))
     block_values: dict
     iterations: int
+    reason: str                 # why the engine stopped (see sdp_feasibility)
+    certificate: list | None    # Farkas blocks X_b for "infeasible", else None
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    tau = css[rho - 1] / rho
-    return np.clip(v - tau, 0.0, None)
+def _coefficient_stack(problem: LmiProblem, variables) -> list:
+    """Per block, the coefficients of ``variables`` as a (k, d, d) array
+    (zeros where a block omits a variable)."""
+    out = []
+    for blk in problem.blocks:
+        zero = np.zeros_like(blk.F0)
+        out.append(np.stack([zero if blk.coeffs[i] is None else blk.coeffs[i]
+                             for i in variables]))
+    return out
 
 
-def _solve_prox_dual(cuts_c, cuts_g, center, t):
-    """max over the simplex of sum l_j (c_j + g_j.center) - t/2 |G l|^2.
+def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
+    """Largest alpha with X + alpha dX positive semidefinite (X > 0)."""
+    Linv = np.linalg.inv(np.linalg.cholesky(X))
+    lam = np.linalg.eigvalsh(Linv @ dX @ Linv.T)[0]
+    return math.inf if lam >= 0 else -1.0 / lam
 
-    Solved by FISTA with restart; the bundle stays small so this dominates
-    nothing.
+
+def _predictor_corrector(A, rhs, X, Z):
+    """One Mehrotra predictor-corrector step with HKM directions: (dX, dz,
+    alpha_p, alpha_d), or None when Z is numerically singular.  The Schur
+    complement M_ij = sum_b tr(A_i X A_j Z^-1) is pseudo-inverted, so
+    linearly dependent variables take the least-norm step."""
+    try:
+        Zinv = [np.linalg.inv(np.linalg.cholesky(Zb)) for Zb in Z]
+    except np.linalg.LinAlgError:
+        return None
+    Zinv = [L.T @ L for L in Zinv]
+    M = sum(Ab.reshape(len(Ab), -1) @ (Xb @ Ab @ Zi).reshape(len(Ab), -1).T
+            for Ab, Xb, Zi in zip(A, X, Zinv))
+    Minv = np.linalg.pinv(0.5 * (M + M.T), hermitian=True)
+
+    def direction(R):
+        """Newton step towards X Z = R, symmetrized (HKM)."""
+        RZi = [Rb @ Zi for Rb, Zi in zip(R, Zinv)]
+        dz = Minv @ (rhs - sum(Ab.reshape(len(Ab), -1) @ W.ravel()
+                               for Ab, W in zip(A, RZi)))
+        dZ = [-np.tensordot(dz, Ab, 1) for Ab in A]
+        dX = [RZ - Xb - Xb @ dZb @ Zi
+              for RZ, Xb, dZb, Zi in zip(RZi, X, dZ, Zinv)]
+        dX = [0.5 * (D + D.T) for D in dX]
+        try:
+            a_p = min(_max_step(Xb, D) for Xb, D in zip(X, dX))
+            a_d = min(_max_step(Zb, D) for Zb, D in zip(Z, dZ))
+        except np.linalg.LinAlgError:
+            a_p = a_d = 0.0
+        return dX, dz, dZ, a_p, a_d
+
+    N = sum(len(Xb) for Xb in X)
+    mu = sum(np.vdot(Xb, Zb) for Xb, Zb in zip(X, Z)) / N
+    dX, _, dZ, a_p, a_d = direction([np.zeros_like(Xb) for Xb in X])
+    a_p, a_d = min(1.0, a_p), min(1.0, a_d)
+    mu_aff = sum(np.vdot(Xb + a_p * D, Zb + a_d * E)
+                 for Xb, D, Zb, E in zip(X, dX, Z, dZ)) / N
+    sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+    dX, dz, _, a_p, a_d = direction(
+        [sigma * mu * np.eye(len(D)) - D @ E for D, E in zip(dX, dZ)])
+    return (dX, dz, min(1.0, _STEP_FRACTION * a_p),
+            min(1.0, _STEP_FRACTION * a_d))
+
+
+def _interior_point(problem: LmiProblem, active, y0):
+    """Minimize t subject to (S_b(y) + margin_b I)/scale_b <= t I; returns
+    (y, certificate or None, iterations, stop reason).
+
+    This is the dual max -t s.t. Z = C - sum_i z_i A_i >= 0, z = (y, t),
+    C_b = -(F0_b + margin_b I)/scale_b, A_{b,i} = F_{b,i}/scale_b and
+    A_{b,t} = -I, of min <C, X> s.t. tr X = 1, <A_{.,i}, X> = 0, X >= 0; a
+    primal X with <C, X> < 0 is a candidate Farkas certificate.  Starts
+    from X = I/N (infeasible) and t = max_b lambda_max + 1 (feasible).
     """
-    b = cuts_c + cuts_g @ center
-    gram = cuts_g @ cuts_g.T
-    J = len(b)
-    lam = np.full(J, 1.0 / J)
-    lip = t * max(np.linalg.norm(gram, 2), 1e-300) + 1e-300
-    z = lam.copy()
-    theta_m = 1.0
-    for _ in range(2000):
-        grad = t * (gram @ z) - b
-        new = _project_simplex(z - grad / lip)
-        theta_p = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta_m ** 2))
-        z = new + ((theta_m - 1.0) / theta_p) * (new - lam)
-        if (new - lam) @ grad > 0:  # restart on non-monotone step
-            z = new
-            theta_p = 1.0
-        moved = np.max(np.abs(new - lam))
-        lam = new
-        theta_m = theta_p
-        if moved < 1e-14:
+    blocks = problem.blocks
+    scales = [max(1.0, float(np.linalg.norm(b.F0, 2))) for b in blocks]
+    dims = [b.F0.shape[0] for b in blocks]
+    N = sum(dims)
+    C = [-(b.F0 + b.margin * np.eye(d)) / s
+         for b, d, s in zip(blocks, dims, scales)]
+    A = [np.concatenate([F / s, -np.eye(d)[None]])
+         for F, d, s in zip(_coefficient_stack(problem, active), dims, scales)]
+    rhs = np.zeros(len(active) + 1)
+    rhs[-1] = -1.0
+
+    def slack(z):
+        return [Cb - np.tensordot(z, Ab, 1) for Cb, Ab in zip(C, A)]
+
+    y = np.asarray(y0, dtype=float).copy()
+    z = np.append(y[active], 0.0)
+    z[-1] = max(-np.linalg.eigvalsh(Zb)[0] for Zb in slack(z)) + 1.0
+    Z = slack(z)
+    X = [np.eye(d) / N for d in dims]
+    for it in range(_MAX_ITER + 1):
+        y[active] = z[:-1]
+        if z[-1] <= -_INTERIOR_PUSH:
+            return y, None, it, "interior"  # verified by the caller
+        gap = sum(np.vdot(Xb, Zb) for Xb, Zb in zip(X, Z))
+        if sum(np.vdot(Cb, Xb) for Cb, Xb in zip(C, X)) < 0:
+            W = [Xb / s for Xb, s in zip(X, scales)]
+            total = sum(np.trace(Wb) for Wb in W)
+            cert = _farkas_certificate(problem, [Wb / total for Wb in W],
+                                       math.sqrt(max(gap, 0.0) / N))
+            if cert is not None:
+                return y, cert, it, "farkas certificate"
+        if it == _MAX_ITER:
             break
-    return lam
+        step = None
+        if gap > 1e-12 * (1.0 + abs(z[-1])):  # else converged with t near 0
+            step = _predictor_corrector(A, rhs, X, Z)
+        if step is None or max(step[2], step[3]) < 1e-10:
+            return y, None, it, "stalled"
+        dX, dz, a_p, a_d = step
+        X = [Xb + a_p * D for Xb, D in zip(X, dX)]
+        z = z + a_d * dz
+        Z = slack(z)
+    return y, None, _MAX_ITER, "iteration cap"
 
 
-class _MaxEigObjective:
-    """f(y) = max over blocks of (lambda_max(S_b(y)) + margin_b)/scale_b."""
+def _farkas_certificate(problem: LmiProblem, W, face_tol: float):
+    """A checked Farkas certificate near the primal iterate W, or None.
 
-    def __init__(self, problem: LmiProblem):
-        self.problem = problem
-        self.scales = [max(1.0, float(np.linalg.norm(b.F0, 2)))
-                       for b in problem.blocks]
-
-    def __call__(self, y):
-        worst = -math.inf
-        cuts = []
-        raw = {}
-        for blk, scale in zip(self.problem.blocks, self.scales):
-            S = blk.value(y)
-            val, V = lambda_max_subgradient(S)
-            raw[blk.name or f"block{len(raw)}"] = val
-            shifted = (val + blk.margin) / scale
-            for col in range(min(V.shape[1], 3)):
-                v = V[:, col]
-                g = np.array([
-                    0.0 if F is None else float(v @ F @ v)
-                    for F in blk.coeffs]) / scale
-                lam_v = float(v @ S @ v)
-                cuts.append(((lam_v + blk.margin) / scale, g))
-            worst = max(worst, shifted)
-        return worst, cuts, raw
-
-
-def _gradient_scales(problem: LmiProblem, block_scales) -> np.ndarray:
-    """Per-variable gradient magnitudes max_b ||F_{b,i}|| / scale_b."""
-    s = np.zeros(problem.n_vars)
-    for blk, bs in zip(problem.blocks, block_scales):
-        for i, F in enumerate(blk.coeffs):
-            if F is not None:
-                s[i] = max(s[i], float(np.linalg.norm(F, 2)) / bs)
-    s[s == 0.0] = 1.0
-    return s
-
-
-def _bundle_round(obj, y_start, mags, opts: BundleOptions, max_iter: int):
-    """One proximal bundle run in magnitude-normalized variables u = y/mags.
-
-    Returns (status, y_best, f_best, raw_best, iterations); status
-    "infeasible" here only means the round reached model stationarity at a
-    positive value.
+    Interior iterates never meet the equalities when every certificate is
+    singular (an unstable mode), so X keeps the rank k_b of W_b above
+    ``face_tol`` and solves sum_b <F_{b,i}, X_b> = 0, tr X = 1 by
+    Gauss-Newton steps in the tangent space {H - Q H Q}, Q = I - U U^T, of
+    the rank-k_b matrices, each followed by a rank-k_b truncation.  X is
+    kept only if it is positive semidefinite within _PSD_TOL, meets the
+    equalities within _CERT_TOL and has <F0 + margin I, X> > 0: then no y
+    makes every S_b(y) + margin_b I negative definite.
     """
-    def obj_u(u):
-        worst, cuts, raw = obj(u * mags)
-        cuts = [(c, g * mags) for c, g in cuts]
-        return worst, cuts, raw
+    F = [np.concatenate([Fb, np.eye(len(Fb[0]))[None]]) for Fb
+         in _coefficient_stack(problem, range(problem.n_vars))]
+    target = np.zeros(problem.n_vars + 1)
+    target[-1] = 1.0
 
-    center = np.asarray(y_start, dtype=float) / mags
-    f_center, cuts, raw_center = obj_u(center)
-    best_u, best_f, best_raw = center.copy(), f_center, raw_center
-    cuts_c = np.array([c - g @ center for c, g in cuts])
-    cuts_g = np.array([g for _, g in cuts])
-    t = opts.prox_t
-    status = "indeterminate"
-    it = 0
-    stall = 0
-    for it in range(1, max_iter + 1):
-        if best_f <= -opts.interior_push:
-            status = "feasible"
+    def residual(X):
+        return sum(Fb.reshape(len(Fb), -1) @ Xb.ravel()
+                   for Fb, Xb in zip(F, X)) - target
+
+    ranks = [int(np.sum(np.linalg.eigvalsh(Wb) > face_tol)) for Wb in W]
+    X = W
+    for _ in range(_FACE_STEPS):
+        faces = [np.linalg.eigh(0.5 * (Xb + Xb.T)) for Xb in X]
+        faces = [(V[:, len(w) - k:], w[len(w) - k:])
+                 for (w, V), k in zip(faces, ranks)]
+        X = [(U * w) @ U.T for U, w in faces]
+        r = residual(X)
+        if np.all(np.abs(r) <= 0.1 * _CERT_TOL):
             break
-        lam = _solve_prox_dual(cuts_c, cuts_g, center, t)
-        step = -t * (lam @ cuts_g)
-        u_new = np.clip(center + step, -opts.box_limit, opts.box_limit)
-        model_val = float(np.max(cuts_c + cuts_g @ u_new))
-        delta = f_center - model_val
-        if delta <= opts.stat_tol * max(1.0, abs(f_center)):
-            stall += 1
-            if stall >= 6:
-                status = "feasible" if best_f <= 0 else "infeasible"
-                break
-            t = min(t * 25.0, opts.t_max * 1e3)
-            continue
-        stall = 0
-        f_new, new_cuts, raw_new = obj_u(u_new)
-        if f_new < best_f:
-            best_u, best_f, best_raw = u_new.copy(), f_new, raw_new
-        # aggregate cut keeps convergence after pruning
-        agg_c = float(lam @ cuts_c)
-        agg_g = lam @ cuts_g
-        add_c = [agg_c] + [c - g @ u_new for c, g in new_cuts[:opts.cuts_per_eval]]
-        add_g = [agg_g] + [g for _, g in new_cuts[:opts.cuts_per_eval]]
-        cuts_c = np.concatenate([cuts_c, add_c])
-        cuts_g = np.vstack([cuts_g, add_g])
-        if len(cuts_c) > opts.bundle_size:
-            keep = len(cuts_c) - opts.bundle_size
-            cuts_c = cuts_c[keep:]
-            cuts_g = cuts_g[keep:]
-        if f_new <= f_center - opts.serious_frac * delta:
-            center, f_center = u_new, f_new
-            t = min(t * 1.4, opts.t_max)
-        else:
-            t = max(t * 0.55, opts.t_min)
-    else:
-        status = "feasible" if best_f <= 0 else "indeterminate"
-    if status == "indeterminate" and best_f <= 0:
-        status = "feasible"
-    return status, best_u * mags, best_f, best_raw, it
+        T = [Fb - Q @ Fb @ Q for Fb, Q
+             in zip(F, [np.eye(len(U)) - U @ U.T for U, _ in faces])]
+        Phi = np.concatenate([Tb.reshape(len(Tb), -1) for Tb in T], axis=1)
+        mu = np.linalg.lstsq(Phi @ Phi.T, -r, rcond=None)[0]
+        X = [Xb + np.tensordot(mu, Tb, 1) for Xb, Tb in zip(X, T)]
+    value = sum(np.vdot(b.F0 + b.margin * np.eye(len(b.F0)), Xb)
+                for b, Xb in zip(problem.blocks, X))
+    if (np.all(np.abs(residual(X)) <= _CERT_TOL)
+            and all(np.linalg.eigvalsh(Xb)[0] >= -_PSD_TOL for Xb in X)
+            and value > 0.0):
+        return X
+    return None
 
 
-def sdp_feasibility(problem: LmiProblem, y0=None,
-                    opts: BundleOptions | None = None) -> FeasibilityResult:
+def sdp_feasibility(problem: LmiProblem, y0=None) -> FeasibilityResult:
     """Decide feasibility of {y : every block has lambda_max <= -margin}.
 
-    Runs the proximal spectral bundle in magnitude-normalized variables,
-    rescaling between rounds to the magnitudes the iterates actually
-    reached (long ill-scaled valleys are walked in O(1) steps after one
-    round).  Feasible when the worst shifted block value drops below zero;
-    infeasible when a round is model-stationary at a positive value without
-    having moved; indeterminate at the iteration cap.
+    Minimizes the worst scaled block value t by a primal-dual interior-point
+    method, stopping once t <= -0.02.  Every verdict is checked
+    independently of the path that produced it:
+
+    - "feasible" only when eigvalsh at the returned y shows
+      lambda_max(S_b(y)) + margin_b < 0 for every block
+      (reason "interior point verified");
+    - "infeasible" only with a checked Farkas certificate X in
+      ``certificate`` (reason "farkas certificate");
+    - "indeterminate" otherwise (reason "iteration cap" or "stalled").
+
+    Problems whose variables appear in no block are decided by eigvalsh of
+    the constant blocks alone (reason "no variables").
     """
-    opts = opts or BundleOptions()
-    n = problem.n_vars
     if problem.dimension() > 200:
         raise PreconditionError("LMI engine is limited to small dense problems")
-    obj = _MaxEigObjective(problem)
-    if n == 0:
-        worst, _, raw = obj(np.zeros(0))
-        status = "feasible" if worst <= 0 else "infeasible"
-        return FeasibilityResult(status, np.zeros(0), max(raw.values()),
-                                 raw, 0)
-
-    grad_scales = _gradient_scales(problem, obj.scales)
-    y_cur = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float).copy()
-    mags = np.maximum(1.0 / grad_scales, np.abs(y_cur))
-    per_round = max(200, opts.max_iter // max(opts.rounds, 1))
-    total_it = 0
-    status, y_best, f_best, raw_best = "indeterminate", y_cur, np.inf, {}
-    for rnd in range(opts.rounds):
-        status, y_r, f_r, raw_r, it = _bundle_round(obj, y_cur, mags, opts,
-                                                    per_round)
-        total_it += it
-        if f_r < f_best:
-            y_best, f_best, raw_best = y_r, f_r, raw_r
-        if status == "feasible":
-            break
-        moved = float(np.max(np.abs(y_r - y_cur) / (1.0 + np.abs(y_cur))))
-        y_cur = y_r
-        if status == "infeasible" and moved < 1e-2:
-            break
-        if status == "infeasible":
-            status = "indeterminate"
-        mags = np.maximum(mags, 2.0 * np.abs(y_cur))
-    margin = max(raw_best.values()) if raw_best else np.inf
-    return FeasibilityResult(status=status, y=y_best, margin=float(margin),
-                             block_values=raw_best, iterations=total_it)
+    y = np.zeros(problem.n_vars) if y0 is None else np.asarray(y0, dtype=float)
+    active = [i for i in range(problem.n_vars)
+              if any(b.coeffs[i] is not None and np.any(b.coeffs[i])
+                     for b in problem.blocks)]
+    if active:
+        y, certificate, iterations, reason = _interior_point(problem, active,
+                                                             y)
+    else:
+        certificate, iterations, reason = None, 0, "no variables"
+    raw, worst, worst_blk = {}, -math.inf, None
+    for blk in problem.blocks:
+        lam, V = scipy.linalg.eigh(blk.value(y))
+        raw[blk.name or f"block{len(raw)}"] = float(lam[-1])
+        if lam[-1] + blk.margin > worst:
+            worst, worst_blk, v = lam[-1] + blk.margin, blk, V[:, -1]
+    margin = max(raw.values())
+    if worst < 0:
+        return FeasibilityResult(
+            "feasible", y, margin, raw, iterations,
+            "interior point verified" if active else "no variables", None)
+    if not active and worst > 0:
+        certificate = [np.outer(v, v) if b is worst_blk
+                       else np.zeros_like(b.F0) for b in problem.blocks]
+    return FeasibilityResult(
+        "indeterminate" if certificate is None else "infeasible", y, margin,
+        raw, iterations, "stalled" if reason == "interior" else reason,
+        certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +377,16 @@ def sdp_feasibility(problem: LmiProblem, y0=None,
 @dataclass(eq=False)
 class QcCertificate:
     """Certificate for A_cl^T X_cl + X_cl A_cl + eps X_cl < 0 with the
-    partition X_cl = [[X, 0, X13], [0, I, 0], [X13^T, 0, X33]]."""
+    partition X_cl = [[X, 0, X13], [0, I, 0], [X13^T, 0, X33]].  After the
+    abscissa test (reason "spectral abscissa") margin is 2 alpha + eps."""
 
     X_cl: np.ndarray | None
     epsilon: float
     status: str
     margin: float
     partition: tuple
+    iterations: int
+    reason: str
 
     @property
     def feasible(self) -> bool:
@@ -444,71 +464,53 @@ def _qc_warm_start(A_cl, partition, epsilon):
     Solves (A_cl + eps/2 I)^T P + P (A_cl + eps/2 I) = -I, rescales so the
     pinned middle block has unit trace average, and keeps only the
     structured entries.  For lossless channels this usually lands inside
-    the feasible set already; it always fixes the variable magnitudes.
+    the feasible set already.  Needs spectral_abscissa(A_cl) < -eps/2, so
+    that P > 0; without a pinned block it starts from the identity.
     """
     d1, d2, d3 = partition
-    y0 = []
-    for i in range(d1):
-        for j in range(i, d1):
-            y0.append(1.0 if i == j else 0.0)
-    y0.extend([0.0] * (d1 * d3))
-    for i in range(d3):
-        for j in range(i, d3):
-            y0.append(1.0 if i == j else 0.0)
-    y0 = np.asarray(y0)
-    if spectral_abscissa(A_cl) >= -0.5 * epsilon:
-        return y0
     dim = A_cl.shape[0]
     shifted = A_cl + 0.5 * epsilon * np.eye(dim)
-    try:
-        P = scipy.linalg.solve_continuous_lyapunov(shifted.T, -np.eye(dim))
-    except scipy.linalg.LinAlgError:
-        return y0
-    P = 0.5 * (P + P.T)
-    mid = P[d1:d1 + d2, d1:d1 + d2]
-    trace = float(np.trace(mid))
-    if trace <= 0:
-        return y0
-    P = P * (d2 / trace)
-    vals = []
-    for i in range(d1):
-        for j in range(i, d1):
-            vals.append(P[i, j])
-    for i in range(d1):
-        for j in range(d3):
-            vals.append(P[i, d1 + d2 + j])
-    for i in range(d3):
-        for j in range(i, d3):
-            vals.append(P[d1 + d2 + i, d1 + d2 + j])
-    return np.asarray(vals)
+    P = scipy.linalg.solve_continuous_lyapunov(shifted.T, -np.eye(dim))
+    trace = float(np.trace(P[d1:d1 + d2, d1:d1 + d2]))
+    P = 0.5 * (P + P.T) * (d2 / trace) if trace > 0 else np.eye(dim)
+    tail = slice(d1 + d2, dim)
+    return np.concatenate([P[:d1, :d1][np.triu_indices(d1)],
+                           P[:d1, tail].ravel(),
+                           P[tail, tail][np.triu_indices(d3)]])
 
 
-def qc_analysis(A_cl, partition, epsilon: float = 1e-3,
-                opts: BundleOptions | None = None) -> QcCertificate:
+def qc_analysis(A_cl, partition, epsilon: float = 1e-3) -> QcCertificate:
     """Global-stability certificate for a lossless nonlinearity channel.
 
     partition = (n - n_phi, n_phi, n_K) orders the states as (states not
     driven by the nonlinearity | driven states | controller states); the
     middle Lyapunov block is pinned to the identity.
+
+    A loop with spectral abscissa alpha >= -eps/2 is infeasible without the
+    engine: A v = lambda v gives v^* (A^T X + X A + eps X) v
+    = (2 Re lambda + eps) v^* X v >= 0 for every X > 0.
     """
     A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
     problem = qc_problem(A_cl, partition, epsilon)
-    y0 = _qc_warm_start(A_cl, partition, epsilon)
-    res = sdp_feasibility(problem, y0=y0, opts=opts)
-    if not res.feasible:
-        return QcCertificate(X_cl=None, epsilon=epsilon, status=res.status,
-                             margin=res.margin, partition=tuple(partition))
-    X_cl = _qc_assemble_X(partition, res.y)
-    A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
-    resid = A_cl.T @ X_cl + X_cl @ A_cl + epsilon * X_cl
-    margin = float(np.max(scipy.linalg.eigvalsh(resid)))
-    return QcCertificate(X_cl=X_cl, epsilon=epsilon, status="feasible",
-                         margin=margin, partition=tuple(partition))
+    alpha = spectral_abscissa(A_cl)
+    if alpha >= -0.5 * epsilon:
+        return QcCertificate(X_cl=None, epsilon=epsilon, status="infeasible",
+                             margin=2.0 * alpha + epsilon,
+                             partition=tuple(partition), iterations=0,
+                             reason="spectral abscissa")
+    res = sdp_feasibility(problem, y0=_qc_warm_start(A_cl, partition, epsilon))
+    X_cl, margin = None, res.margin
+    if res.feasible:
+        X_cl = _qc_assemble_X(partition, res.y)
+        resid = A_cl.T @ X_cl + X_cl @ A_cl + epsilon * X_cl
+        margin = float(np.max(scipy.linalg.eigvalsh(resid)))
+    return QcCertificate(X_cl=X_cl, epsilon=epsilon, status=res.status,
+                         margin=margin, partition=tuple(partition),
+                         iterations=res.iterations, reason=res.reason)
 
 
 def qc_analysis_closed_loop(model, controller: ControllerRealization,
-                            epsilon: float = 1e-3,
-                            opts: BundleOptions | None = None) -> QcCertificate:
+                            epsilon: float = 1e-3) -> QcCertificate:
     """qc_analysis for a benchmark model closed with a controller.
 
     The model supplies (A, B_u, C_y, B_w, n_phi); states are permuted so
@@ -520,7 +522,7 @@ def qc_analysis_closed_loop(model, controller: ControllerRealization,
     A_p = cl.A_cl[np.ix_(perm, perm)]
     n = model.A.shape[0]
     partition = (n - model.n_phi, model.n_phi, cl.n_K)
-    return qc_analysis(A_p, partition, epsilon=epsilon, opts=opts)
+    return qc_analysis(A_p, partition, epsilon=epsilon)
 
 
 def _losslessness_permutation(B_w, n_K):
@@ -569,8 +571,7 @@ def _diagY_embed(n, d1):
     return const, mats
 
 
-def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3,
-                 opts: BundleOptions | None = None):
+def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3):
     """State-feedback gain certifying the structured Lyapunov inequality.
 
     Solves A Ytil + B W + (.)^T < -eps Ytil over Ytil = diag(Y, I_{n_phi}),
@@ -612,7 +613,7 @@ def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3,
         for j in range(i, d1):
             y0[at] = 1.0 if i == j else 0.0
             at += 1
-    res = sdp_feasibility(problem, y0=y0, opts=opts)
+    res = sdp_feasibility(problem, y0=y0)
     if not res.feasible:
         return None, res
     Ytil = constY.copy()
@@ -649,8 +650,7 @@ class OfExistence:
         return self.status == "feasible"
 
 
-def of_existence(A, B, C, n_phi: int, epsilon: float = 1e-3,
-                 opts: BundleOptions | None = None) -> OfExistence:
+def of_existence(A, B, C, n_phi: int, epsilon: float = 1e-3) -> OfExistence:
     """Projection-lemma solvability of the structured output-feedback LMIs.
 
     Returns symmetric (X, Y) blocks of size n - n_phi satisfying the two
@@ -716,7 +716,7 @@ def of_existence(A, B, C, n_phi: int, epsilon: float = 1e-3,
             y0[at] = val
             y0[n_each + at] = val
             at += 1
-    res = sdp_feasibility(problem, y0=y0, opts=opts)
+    res = sdp_feasibility(problem, y0=y0)
 
     def unpackXY(y, offset):
         M = np.zeros((d1, d1))
@@ -752,8 +752,7 @@ def _theta_hat_matrices(A, B, C, n_K):
 
 
 def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
-                           n_phi: int | None = None,
-                           opts: BundleOptions | None = None):
+                           n_phi: int | None = None):
     """Controller from feasible (X, Y): complete X_cl, solve the Theta LMI.
 
     X_cl = [[Xtil, L], [L^T, I]] with L L^T = Xtil - Ytil^{-1} (rank <= n_K
@@ -807,7 +806,7 @@ def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
     blk = LmiBlock(F0=_sym(Psi), coeffs=coeffs, margin=strict_margin(Psi),
                    name="theta")
     problem = LmiProblem(blocks=[blk], n_vars=rows * cols)
-    res = sdp_feasibility(problem, opts=opts)
+    res = sdp_feasibility(problem)
     if not res.feasible:
         return None, res
     Theta = res.y.reshape(rows, cols)

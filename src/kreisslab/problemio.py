@@ -208,8 +208,11 @@ def load_problem(path) -> Problem:
     return problem
 
 
-def save_report(path, command: str, inputs: dict, result: dict) -> dict:
-    """Write a deterministic JSON report; timestamps stay in metadata."""
+def save_report(path, command: str, inputs: dict, result: dict,
+                metadata: dict | None = None) -> dict:
+    """Write a deterministic JSON report.  Timestamps and solver details
+    (``metadata``, e.g. iteration counts and stopping reasons) stay in the
+    metadata block, so ``result`` is reproducible."""
     payload = {
         "version": SCHEMA_VERSION,
         "command": command,
@@ -217,6 +220,7 @@ def save_report(path, command: str, inputs: dict, result: dict) -> dict:
         "result": result,
         "metadata": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
+            **(metadata or {}),
         },
     }
     if path is not None:

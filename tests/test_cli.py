@@ -139,12 +139,19 @@ def test_simulate_time_order_schema_error(capsys):
     assert code == 3
 
 
-def test_certify_qc_pass(capsys):
+def test_certify_qc_pass(capsys, tmp_path):
+    report = tmp_path / "qc.json"
     code, out, _ = run(capsys, "certify",
                        PROBLEMS / "lorenz_chaos_static_x.json",
-                       "--method", "qc")
+                       "--method", "qc", "--report", str(report))
     assert code == 0
-    assert json.loads(out)["verdict"] == "PASS"
+    result = json.loads(out)
+    assert result["verdict"] == "PASS"
+    assert sorted(result) == ["epsilon", "margin", "status", "verdict"]
+    payload = json.loads(report.read_text())
+    assert payload["result"] == result
+    assert payload["metadata"]["reason"] == "interior point verified"
+    assert payload["metadata"]["iterations"] >= 0
 
 
 def test_certify_window_boundary(capsys):

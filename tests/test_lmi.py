@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kreisslab import lmi
 from kreisslab.errors import DimensionError
 from kreisslab.lmi import (
     LmiBlock,
@@ -11,6 +12,7 @@ from kreisslab.lmi import (
     of_existence,
     qc_analysis,
     qc_analysis_closed_loop,
+    qc_problem,
     reconstruct_controller,
     sdp_feasibility,
     sf_synthesis,
@@ -48,6 +50,38 @@ def test_sdp_constant_identity_infeasible():
     blk = LmiBlock(F0=np.eye(2), coeffs=[], margin=1e-7)
     res = sdp_feasibility(LmiProblem(blocks=[blk], n_vars=0))
     assert res.status == "infeasible"
+    assert res.reason == "no variables"
+    X = res.certificate[0]
+    assert np.trace(X) == pytest.approx(1.0)
+    assert np.sum((blk.F0 + blk.margin * np.eye(2)) * X) > 0.0
+    # a variable that appears in no block leaves a constant problem too
+    blk = LmiBlock(F0=-np.eye(2), coeffs=[None], margin=1e-7)
+    res = sdp_feasibility(LmiProblem(blocks=[blk], n_vars=1))
+    assert (res.status, res.reason, res.certificate) == \
+        ("feasible", "no variables", None)
+
+
+def test_sdp_infeasible_carries_checked_farkas_certificate():
+    # destabilizing static gain: the structured Lyapunov LMI has no solution
+    A_cl = lorenz_A() + B_LORENZ @ np.array([[-10.0]]) @ C_X
+    problem = qc_problem(A_cl, (1, 2, 0), 1e-3)
+    res = sdp_feasibility(problem)
+    assert res.status == "infeasible"
+    assert res.reason == "farkas certificate"
+    X = res.certificate
+    assert len(X) == len(problem.blocks)
+    for Xb in X:  # positive semidefinite up to rounding at trace 1
+        assert np.allclose(Xb, Xb.T)
+        assert np.linalg.eigvalsh(Xb)[0] >= -1e-12
+    assert sum(np.trace(Xb) for Xb in X) == pytest.approx(1.0, abs=1e-12)
+    for i in range(problem.n_vars):
+        inner = sum(np.sum(blk.coeffs[i] * Xb)
+                    for blk, Xb in zip(problem.blocks, X)
+                    if blk.coeffs[i] is not None)
+        assert abs(inner) <= 1e-10
+    value = sum(np.sum((blk.F0 + blk.margin * np.eye(len(blk.F0))) * Xb)
+                for blk, Xb in zip(problem.blocks, X))
+    assert value > 0.0
 
 
 def test_sdp_rejects_asymmetric_blocks():
@@ -124,6 +158,22 @@ def test_qc_static_x_gain_feasible():
 def test_qc_open_loop_infeasible():
     cert = qc_analysis(lorenz_A(), (1, 2, 0), epsilon=1e-3)
     assert cert.status == "infeasible"
+
+
+@pytest.mark.parametrize("gain", [0.0, -20.0])
+def test_qc_abscissa_shortcut_skips_engine(monkeypatch, gain):
+    # open loop (gain 0) and a destabilizing gain: alpha >= -eps/2 decides
+    # infeasibility exactly, so the LMI engine must not run
+    def engine(*args, **kwargs):
+        raise AssertionError("sdp_feasibility called")
+
+    monkeypatch.setattr(lmi, "sdp_feasibility", engine)
+    A_cl = lorenz_A() + B_LORENZ @ np.array([[gain]]) @ C_X
+    cert = qc_analysis(A_cl, (1, 2, 0), epsilon=1e-3)
+    assert (cert.status, cert.reason, cert.iterations) == \
+        ("infeasible", "spectral abscissa", 0)
+    assert cert.X_cl is None
+    assert cert.margin >= 0.0
 
 
 def test_qc_kreiss_static_gain_feasible():
@@ -257,7 +307,7 @@ def test_sf_synthesis_zero_gain_admissible_when_A_certifies():
 def test_congruence_equivalence_sf_forms(rng):
     # X-form: (A+BK)^T diag(X,I) + diag(X,I)(A+BK) + eps diag(X,I) < 0
     # Y-form: same with the congruence diag(Y,I) = diag(X,I)^{-1}
-    def form_feasible(A, K, B, transpose):
+    def form_status(A, K, B, transpose):
         n = A.shape[0]
         A_cl = A + B @ K
         d1 = n - 1
@@ -280,13 +330,16 @@ def test_congruence_equivalence_sf_forms(rng):
                   LmiBlock(F0=-const, coeffs=[-M for M in mats],
                            margin=1e-8)]
         return sdp_feasibility(LmiProblem(blocks=blocks,
-                                          n_vars=len(mats))).feasible
+                                          n_vars=len(mats))).status
 
     for _ in range(8):
         A = rng.standard_normal((3, 3))
         B = rng.standard_normal((3, 1))
         K = rng.standard_normal((1, 3))
-        assert form_feasible(A, K, B, True) == form_feasible(A, K, B, False)
+        x_form = form_status(A, K, B, True)
+        y_form = form_status(A, K, B, False)
+        assert "indeterminate" not in (x_form, y_form)
+        assert x_form == y_form
 
 
 # ---------------------------------------------------------------------------
