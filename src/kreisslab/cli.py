@@ -38,7 +38,6 @@ from .norms import (
     sign_pattern_kreiss,
     transient_peak_m0,
 )
-from .parallel import thread_cap
 from .problemio import (
     Problem,
     controller_to_json,
@@ -59,8 +58,8 @@ EXIT_INDETERMINATE = 6
 EXIT_OVERSIZE = 7
 
 
-def _norm_dispatch(name: str, sys: StateSpace, tol: float, threads: int):
-    kw = KreissOptions(hinf_tol=min(tol, 1e-6), threads=threads)
+def _norm_dispatch(name: str, sys: StateSpace, tol: float):
+    kw = KreissOptions(hinf_tol=min(tol, 1e-6))
     if name == "kreiss":
         return kreiss_norm(sys, kw).as_dict()
     if name == "m0":
@@ -106,8 +105,7 @@ def _oracle_dispatch(name: str, sys: StateSpace, grid: int):
 def cmd_analyze(args) -> int:
     problem = load_problem(args.problem)
     sys_ = problem.require_system()
-    threads = thread_cap(args.threads)
-    result = _norm_dispatch(args.norm, sys_, args.tol, threads)
+    result = _norm_dispatch(args.norm, sys_, args.tol)
     if args.certify and args.norm in ("kreiss", "m0", "hinf", "pkgain",
                                       "l2peak"):
         rep = _oracle_dispatch(args.norm, sys_, args.grid)
@@ -306,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--certify", action="store_true")
     p.add_argument("--grid", type=int, default=100000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report")
     p.set_defaults(func=cmd_analyze)
 

@@ -1,11 +1,22 @@
 """System norms assessing transient behavior of stable LTI systems.
 
-Implements the H-infinity norm (Hamiltonian bisection with midpoint
-acceleration), the Kreiss system norm through its parametric H-infinity
-representation, the worst-case transient peak M0, entry-wise and
-sign-pattern Kreiss variants, the peak-gain (L-infinity induced) norm,
-Hankel singular values and the L2-to-peak norm, together with the
-sigma_max(CB) lower bound and its attainment test.
+Implements the H-infinity norm, the Kreiss system norm through its
+parametric H-infinity representation, the worst-case transient peak M0,
+entry-wise and sign-pattern Kreiss variants, the peak-gain (L-infinity
+induced) norm, Hankel singular values and the L2-to-peak norm, together
+with the sigma_max(CB) lower bound and its attainment test.
+
+Every H-infinity norm here comes from one kernel, ``_hinf_lockstep``:
+the Hamiltonian bisection with midpoint acceleration of Bruinsma and
+Steinbuch (Systems & Control Letters 14(4), 1990), run in lockstep on a
+stack of members (A_e, B, C, D).  Gains at all (member, frequency) pairs
+come from stacked dense solves and SVDs in chunks of ``_GAIN_CHUNK``
+pairs, and the Hamiltonians of the members still iterating from one
+stacked eigvals.  The dense solve needs no eigenvector basis, so a
+defective A (a Jordan block) is handled like any other.  Each member
+takes exactly the steps it would take alone: ``hinf_norm`` is the
+one-member call, and the value ``kreiss_norm`` computes at a grid point
+is bitwise the ``hinf_norm`` of that family member.
 """
 
 from __future__ import annotations
@@ -25,7 +36,6 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import solve_lyapunov, spectral_abscissa, svd_triple
-from .parallel import ordered_map
 from .statespace import StateSpace
 
 __all__ = [
@@ -83,7 +93,6 @@ class KreissOptions:
     refine_xtol: float = 1e-7
     max_local_maxima: int = 8
     active_rtol: float = 1e-6
-    threads: int = 1
 
 
 @dataclass
@@ -115,103 +124,174 @@ class AttainmentCheck:
 # H-infinity norm
 # ---------------------------------------------------------------------------
 
-def _gain_at(sys: StateSpace, omega: float) -> float:
-    G = sys.transfer(1j * omega)
-    return float(np.linalg.svd(G, compute_uv=False)[0]) if G.size else 0.0
+#: (member, frequency) pairs per stacked solve and SVD in ``_gains``
+_GAIN_CHUNK = 128
 
 
-def _hamiltonian(sys: StateSpace, gamma: float) -> np.ndarray:
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    p, m = sys.p, sys.m
-    R = gamma * gamma * np.eye(p) - D.T @ D
+def _gains(A: np.ndarray, member: np.ndarray, omega: np.ndarray,
+           B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """sigma_max(C (j omega_k I - A[member_k])^{-1} B + D) for every pair k."""
+    out = np.empty(omega.size)
+    eye = np.eye(A.shape[-1])
+    for lo in range(0, omega.size, _GAIN_CHUNK):
+        sl = slice(lo, lo + _GAIN_CHUNK)
+        M = (1j * omega[sl])[:, None, None] * eye - A[member[sl]]
+        G = C @ np.linalg.solve(M, B) + D
+        out[sl] = np.linalg.svd(G, compute_uv=False)[:, 0]
+    return out
+
+
+def _probe_frequencies(A: np.ndarray) -> np.ndarray:
+    """Per member: 0, the pole magnitudes and imaginary parts, and a
+    geometric sweep around them; rows sorted, repeats and padding NaN."""
+    lam = np.linalg.eigvals(A)
+    mags = np.abs(lam)
+    imag = np.abs(lam.imag)
+    lo = np.maximum(mags.min(axis=1) * 1e-3, 1e-8)
+    hi = np.maximum(mags.max(axis=1) * 1e3, 1.0)
+    probes = np.concatenate([
+        np.zeros((A.shape[0], 1)),
+        np.where(imag > 0, imag, np.nan),
+        np.where(mags > 0, mags, np.nan),
+        np.geomspace(lo, hi, 25, axis=1),
+    ], axis=1)
+    probes.sort(axis=1)
+    repeat = probes[:, 1:] == probes[:, :-1]
+    probes[:, 1:][repeat] = np.nan
+    return probes
+
+
+def _write_hamiltonians(H: np.ndarray, A: np.ndarray, gamma: np.ndarray,
+                        B: np.ndarray, C: np.ndarray, D: np.ndarray) -> None:
+    """H[e] = Hamiltonian of (A[e], B, C, D) at level gamma[e]."""
+    n, p, m = A.shape[-1], B.shape[1], C.shape[0]
+    R = (gamma * gamma)[:, None, None] * np.eye(p) - D.T @ D
     Rinv = np.linalg.inv(R)
     BR = B @ Rinv
     H11 = A + BR @ D.T @ C
-    H12 = BR @ B.T
-    H21 = -C.T @ (np.eye(m) + D @ Rinv @ D.T) @ C
-    return np.block([[H11, H12], [H21, -H11.T]])
+    H[:, :n, :n] = H11
+    H[:, :n, n:] = BR @ B.T
+    H[:, n:, :n] = -C.T @ (np.eye(m) + D @ Rinv @ D.T) @ C
+    H[:, n:, n:] = -H11.transpose(0, 2, 1)
 
 
-def _probe_frequencies(sys: StateSpace) -> np.ndarray:
-    lam = np.linalg.eigvals(sys.A)
-    mags = np.abs(lam)
-    base = [0.0]
-    base.extend(float(abs(v)) for v in lam.imag if abs(v) > 0)
-    base.extend(float(v) for v in mags if v > 0)
-    lo = max(min(mags) * 1e-3, 1e-8) if mags.size else 1e-4
-    hi = max(mags.max() * 1e3, 1.0) if mags.size else 1e4
-    base.extend(np.geomspace(lo, hi, 25))
-    return np.unique(np.asarray(base))
+def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
+                   D: np.ndarray, tol: float):
+    """H-infinity norms of the members (A[e], B, C, D) of a stack, e < E.
+
+    Runs the bisection of hinf_norm on every member in lockstep: each
+    round evaluates the gains of all members at once and the Hamiltonians
+    of the members still iterating in one stacked eigvals.  Every member
+    takes exactly the steps it would take alone, so its value, frequency
+    and evaluation count do not depend on the rest of the stack.  Returns
+    (values, omegas, evaluations), one entry per member.
+    """
+    if tol <= 0:
+        raise PreconditionError("tol must be positive")
+    E, n = A.shape[0], A.shape[-1]
+    sigma_d = float(np.linalg.svd(D, compute_uv=False)[0]) if D.size else 0.0
+    best = np.full(E, sigma_d)
+    omega_best = np.full(E, math.inf if sigma_d > 0 else 0.0)
+    if n == 0 or not np.any(B) or not np.any(C):
+        return best, omega_best, np.ones(E, dtype=int)
+
+    probes = _probe_frequencies(A)
+    valid = ~np.isnan(probes)
+    evals = valid.sum(axis=1)
+    g = np.full(probes.shape, -np.inf)
+    g[valid] = _gains(A, np.nonzero(valid)[0], probes[valid], B, C, D)
+    first = g.argmax(axis=1)                  # the first of equal maxima
+    g_max = g[np.arange(E), first]
+    raised = g_max > best
+    best[raised] = g_max[raised]
+    omega_best[raised] = probes[raised, first[raised]]
+
+    # members with a zero gain everywhere are done at (0, 0)
+    active = np.flatnonzero(best > 0.0)
+    step = np.full(E, max(tol / 2.0, 1e-12))
+    H = np.empty((active.size, 2 * n, 2 * n))
+    for it in range(200):
+        if active.size == 0:
+            break
+        k = active.size
+        _write_hamiltonians(H[:k], A[active], best[active]
+                            * (1.0 + 2.0 * step[active]), B, C, D)
+        w = np.linalg.eigvals(H[:k])
+        evals[active] += 1
+        scale = 1.0 + np.abs(w).max(axis=1)
+        on_axis = (np.abs(w.real) <= 1e-9 * scale[:, None]) & (w.imag > 0)
+        # no crossing: the test level bounds the norm and the member is done
+        keep = on_axis.any(axis=1)
+        active, w, on_axis = active[keep], w[keep], on_axis[keep]
+        if active.size == 0:
+            break
+        crossings = np.sort(np.where(on_axis, w.imag, np.nan), axis=1)
+        crossings = crossings[:, :on_axis.sum(axis=1).max()]
+        cand = np.concatenate(
+            [crossings, 0.5 * (crossings[:, :-1] + crossings[:, 1:])], axis=1)
+        valid = ~np.isnan(cand)
+        evals[active] += valid.sum(axis=1)
+        g = np.full(cand.shape, -np.inf)
+        g[valid] = _gains(A, active[np.nonzero(valid)[0]], cand[valid],
+                          B, C, D)
+        # candidates in order, each against the level raised so far
+        b, om = best[active], omega_best[active]
+        improved = np.zeros(active.size, dtype=bool)
+        for j in range(cand.shape[1]):
+            up = g[:, j] > b * (1.0 + 1e-14)
+            b = np.where(up, g[:, j], b)
+            om = np.where(up, cand[:, j], om)
+            improved |= up
+        best[active], omega_best[active] = b, om
+        # crossings no longer raise the level: gamma already brackets
+        active = active[improved]
+        if it >= 30:
+            # near-singular peaks: widen the bracket so the loop terminates;
+            # the value stays an attained gain at a known frequency
+            step[active] *= 2.0
+    if active.size:
+        raise NumericalError("H-infinity iteration failed to converge")
+    return best, omega_best, evals
 
 
 def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     """H-infinity norm by imaginary-eigenvalue tests on the Hamiltonian.
 
-    Bisection is accelerated with the standard midpoint update: whenever the
-    test level gamma*(1+2*tol) still has imaginary Hamiltonian eigenvalues,
-    the gain is re-evaluated at the midpoints of the detected crossing
-    frequencies.  The returned value is an attained lower bound within
-    relative tol of the true norm; the attaining frequency is reported.
+    Bruinsma-Steinbuch bisection with midpoint acceleration: the gain is
+    first maximized over a probe set built from the poles; then, while the
+    Hamiltonian at the test level best*(1+tol) still has imaginary-axis
+    eigenvalues, the gain is re-evaluated at the crossing frequencies and
+    their midpoints.  The returned value is an attained lower bound within
+    relative tol of the true norm; the attaining frequency is reported
+    (inf when only D attains it).  This is the one-member call of the
+    lockstep kernel that kreiss_norm runs over its whole eta grid.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     sys.require_stable("H-infinity norm")
-    evals = 0
-    sigma_d = float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0
-    if sys.n == 0 or not np.any(sys.B) or not np.any(sys.C):
-        return NormReport(sigma_d, {"omega": math.inf if sigma_d > 0 else 0.0},
-                          evaluations=1)
-
-    best = sigma_d
-    omega_best = math.inf if sigma_d > 0 else 0.0
-    for w in _probe_frequencies(sys):
-        g = _gain_at(sys, w)
-        evals += 1
-        if g > best:
-            best, omega_best = g, float(w)
-    if best <= 0.0:
-        return NormReport(0.0, {"omega": 0.0}, evaluations=evals)
-
-    step = max(tol / 2.0, 1e-12)
-    for it in range(200):
-        gamma = best * (1.0 + 2.0 * step)
-        H = _hamiltonian(sys, gamma)
-        w = np.linalg.eigvals(H)
-        evals += 1
-        scale = 1.0 + np.abs(w).max()
-        crossings = np.sort(w.imag[(np.abs(w.real) <= 1e-9 * scale) & (w.imag > 0)])
-        if crossings.size == 0:
-            return NormReport(float(best), {"omega": float(omega_best)},
-                              evaluations=evals)
-        candidates = list(crossings)
-        candidates.extend(0.5 * (crossings[:-1] + crossings[1:]))
-        improved = False
-        for wc in candidates:
-            g = _gain_at(sys, float(wc))
-            evals += 1
-            if g > best * (1.0 + 1e-14):
-                if g > best:
-                    best, omega_best = g, float(wc)
-                improved = True
-        if not improved:
-            # crossings no longer raise the level: gamma already brackets
-            return NormReport(float(best), {"omega": float(omega_best)},
-                              evaluations=evals)
-        if it >= 30:
-            # near-singular peaks: widen the bracket so the loop terminates;
-            # the value stays an attained gain at a known frequency
-            step *= 2.0
-    raise NumericalError("H-infinity iteration failed to converge")
+    value, omega, evals = _hinf_lockstep(sys.A[None], sys.B, sys.C, sys.D,
+                                         tol)
+    return NormReport(float(value[0]), {"omega": float(omega[0])},
+                      evaluations=int(evals[0]))
 
 
 # ---------------------------------------------------------------------------
 # Kreiss system norm
 # ---------------------------------------------------------------------------
 
-def kreiss_family_matrix(A: np.ndarray, eta: float) -> np.ndarray:
-    """Shifted/scaled member (eta/(2-eta)) A - I of the resolvent family."""
-    c = eta / (2.0 - eta)
-    return c * A - np.eye(A.shape[0])
+def kreiss_family_matrix(A: np.ndarray, eta) -> np.ndarray:
+    """Shifted/scaled member (eta/(2-eta)) A - I of the resolvent family;
+    an array of etas gives the members stacked along a leading axis."""
+    c = np.asarray(eta / (2.0 - eta))
+    return c[..., None, None] * A - np.eye(A.shape[0])
+
+
+def _family_hinf(sys: StateSpace, eta: np.ndarray, tol: float):
+    """_hinf_lockstep over kreiss_family_matrix(sys.A, eta_e) with the
+    B, C, D of sys, for every eta_e in one call.  Each member is Hurwitz
+    whenever sys.A is, so none is checked again."""
+    return _hinf_lockstep(kreiss_family_matrix(sys.A, eta), sys.B, sys.C,
+                          sys.D, tol)
 
 
 def _golden_max(f, a: float, b: float, xtol: float, max_iter: int = 60):
@@ -255,8 +335,10 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     """Kreiss system norm sup_{Re s > 0} Re(s) sigma_max(C (sI-A)^{-1} B).
 
     Computed as the maximum over eta in [0, 2) of the H-infinity norm of
-    (eta/(2-eta) A - I, B, C): a coarse endpoint-clustered grid locates the
-    local maxima, each of which is refined by golden section.  The
+    the family member (eta/(2-eta) A - I, B, C), which is Hurwitz whenever
+    A is.  One lockstep kernel call evaluates the whole endpoint-clustered
+    eta grid, each value equal to hinf_norm of that member; each local
+    maximum is then refined by golden section over hinf_norm.  The
     maximizer records the active eta, the inner peak frequency and every
     near-active grid point.
     """
@@ -264,7 +346,6 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     _strictly_proper_channel(sys, "Kreiss norm")
     sys.require_stable("Kreiss norm")
     sigma_cb = cb_lower_bound(sys)
-    evals = 0
 
     def value_at(eta: float):
         fam = StateSpace(kreiss_family_matrix(sys.A, eta), sys.B, sys.C)
@@ -272,10 +353,8 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
         return rep.value, rep.maximizer["omega"]
 
     grid = _eta_grid(opts.grid_points, opts.eta_cap)
-    results = ordered_map(value_at, grid, threads=opts.threads)
-    vals = np.array([r[0] for r in results])
-    omegas = [r[1] for r in results]
-    evals += len(grid)
+    vals, omegas, _ = _family_hinf(sys, grid, opts.hinf_tol)
+    evals = len(grid)
 
     order = np.argsort(vals)[::-1]
     local_max = []

@@ -27,7 +27,13 @@ from .loop import (
     assemble_closed_loop,
     complementary_sensitivity,
 )
-from .norms import KreissOptions, NormReport, hinf_norm, kreiss_norm
+from .norms import (
+    KreissOptions,
+    NormReport,
+    _family_hinf,
+    hinf_norm,
+    kreiss_norm,
+)
 from .statespace import StateSpace, series
 from .subgrad import kreiss_subgradient
 
@@ -319,16 +325,13 @@ class _Penalized:
                                             theta)
         if alpha >= 0:
             return math.inf
-        channel = cl.channel()
-        from .norms import kreiss_family_matrix
         try:
-            best = 0.0
-            for act in actives:
-                fam = StateSpace(kreiss_family_matrix(cl.A_cl, act["eta"]),
-                                 channel.B, channel.C)
-                best = max(best, hinf_norm(fam, tol=1e-6).value)
+            # one lockstep call over the active etas; each value equals
+            # hinf_norm of that family member
+            eta = np.array([act["eta"] for act in actives])
+            values = _family_hinf(cl.channel(), eta, 1e-6)[0]
             self.evals += 1
-            F = best
+            F = float(np.max(values, initial=0.0))
             a_excess = alpha - self.alpha_limit()
             if a_excess > 0:
                 F += self.rho * a_excess

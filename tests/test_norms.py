@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kreisslab import norms
 from kreisslab.errors import (
     EnumerationError,
     PreconditionError,
@@ -13,6 +14,7 @@ from kreisslab.norms import (
     entrywise_kreiss,
     hankel_singular_values,
     hinf_norm,
+    kreiss_family_matrix,
     kreiss_matrix,
     kreiss_norm,
     l2_to_peak,
@@ -161,6 +163,96 @@ def test_kreiss_homogeneity_and_triangle(rng):
     k1 = kreiss_norm(StateSpace(sys.A, sys.B, C2), FAST).value
     k_sum = kreiss_norm(StateSpace(sys.A, sys.B, sys.C + C2), FAST).value
     assert k_sum <= k0 + k1 + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Lockstep kernel consistency and independent attainment checks
+# ---------------------------------------------------------------------------
+
+def _lightly_damped_n11():
+    return random_stable_statespace(np.random.default_rng(5), 11, p=2, m=2,
+                                    margin=0.01)
+
+
+def _biproper():
+    # (s^2 + 0.2 s + 4) / (s^2 + 0.4 s + 1): D = 1, resonant peak near 1 rad/s
+    return tf_to_ss([1.0, 0.2, 4.0], [1.0, 0.4, 1.0])
+
+
+@pytest.mark.parametrize("name", ["example3", "example8", "light_n11"])
+def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
+    sys = {"example3": EX3, "example8": EX8,
+           "light_n11": _lightly_damped_n11()}[name]
+    calls = []
+    family_hinf = norms._family_hinf
+
+    def recording(sys_, eta, tol):
+        out = family_hinf(sys_, eta, tol)
+        calls.append((eta, out, tol))
+        return out
+
+    monkeypatch.setattr(norms, "_family_hinf", recording)
+    kreiss_norm(sys)
+    (grid, (values, omegas, evals), tol), = calls
+    assert grid.size > 100
+    for eta, value, omega, count in zip(grid, values, omegas, evals):
+        rep = hinf_norm(StateSpace(kreiss_family_matrix(sys.A, eta),
+                                   sys.B, sys.C), tol=tol)
+        # bitwise: the stacked kernel takes each member's own steps
+        assert (rep.value, rep.maximizer["omega"], rep.evaluations) \
+            == (value, omega, count)
+
+
+def test_gain_chunk_size_leaves_reports_identical(monkeypatch):
+    rng = np.random.default_rng(5)
+    mimo = random_stable_statespace(rng, 5, p=2, m=3)
+    cases = [(kreiss_norm, EX8), (kreiss_norm, mimo),
+             (kreiss_norm, _lightly_damped_n11()),
+             (hinf_norm, mimo), (hinf_norm, _biproper())]
+    default = [fn(sys).as_dict() for fn, sys in cases]
+    monkeypatch.setattr(norms, "_GAIN_CHUNK", 7)
+    assert [fn(sys).as_dict() for fn, sys in cases] == default
+
+
+def _kreiss_gain(sys, eta, omega):
+    """Re(s) sigma_max(G(s)) at s = (1 + j omega) / c, c = eta / (2 - eta),
+    the point the family member at eta maps j omega to."""
+    c = eta / (2.0 - eta)
+    s = (1.0 + 1j * omega) / c
+    return s.real * np.linalg.svd(sys.transfer(s), compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("name", ["example3", "example8", "mimo",
+                                  "light_n11"])
+def test_kreiss_maximizer_reproduces_value(name):
+    sys = {"example3": EX3, "example8": EX8,
+           "mimo": random_stable_statespace(np.random.default_rng(14), 4,
+                                            p=2, m=2),
+           "light_n11": _lightly_damped_n11()}[name]
+    rep = kreiss_norm(sys)
+    assert rep.value > cb_lower_bound(sys)
+    gain = _kreiss_gain(sys, rep.maximizer["eta"], rep.maximizer["omega"])
+    assert gain == pytest.approx(rep.value, rel=1e-12)
+    for act in rep.maximizer["actives"]:
+        assert _kreiss_gain(sys, act["eta"], act["omega"]) \
+            == pytest.approx(act["value"], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["example8", "mimo", "light_n11",
+                                  "biproper"])
+def test_hinf_maximizer_reproduces_value(name):
+    sys = {"example8": EX8,
+           "mimo": random_stable_statespace(np.random.default_rng(8), 4,
+                                            p=2, m=3),
+           "light_n11": _lightly_damped_n11(),
+           "biproper": _biproper()}[name]
+    rep = hinf_norm(sys)
+    omega = rep.maximizer["omega"]
+    assert np.isfinite(omega)
+    gain = np.linalg.svd(sys.transfer(1j * omega), compute_uv=False)[0]
+    assert gain == pytest.approx(rep.value, rel=1e-12)
+    if name == "biproper":
+        assert np.any(sys.D) and rep.value > abs(sys.D[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,15 @@ from kreisslab.loop import (
     ControllerStructure,
     assemble_closed_loop,
 )
-from kreisslab.norms import KreissOptions
+from kreisslab.linalg import spectral_abscissa
+from kreisslab.norms import KreissOptions, hinf_norm, kreiss_family_matrix
 from kreisslab.oracles import kreiss_halfplane_grid
 from kreisslab.statespace import StateSpace
 from kreisslab.synth import (
     SynthOptions,
     SynthesisSpec,
     minimize_kreiss,
+    _Penalized,
     rolloff_norm,
     worst_case_delta,
 )
@@ -89,6 +91,22 @@ def test_worst_case_raises_with_witness_eta():
     with pytest.raises(StabilityError) as err:
         worst_case_delta(cl)
     assert "eta" in str(err.value)
+
+
+def test_quick_penalty_is_max_of_per_eta_hinf():
+    plant = brunton_plant()
+    ctrl = BRUNTON_CONTROLLERS["static"].controller
+    structure = ControllerStructure.static(1, 1)
+    pen = _Penalized(SynthesisSpec(plant=plant), structure, rho=10.0)
+    etas = [0.0, 0.35, 1.2, 1.97]
+    channel = assemble_closed_loop(plant, ctrl).channel()
+    kreiss_part = max(hinf_norm(StateSpace(
+        kreiss_family_matrix(channel.A, eta), channel.B, channel.C),
+        tol=1e-6).value for eta in etas)
+    excess = spectral_abscissa(channel.A) - pen.alpha_limit()
+    expected = kreiss_part + (pen.rho * excess if excess > 0 else 0.0)
+    F = pen.quick(structure.pack(ctrl), [{"eta": e} for e in etas])
+    assert F == expected
 
 
 def test_minimize_normal_plant_reaches_floor():
