@@ -12,7 +12,6 @@ controller reconstruction from a completed Lyapunov matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -80,39 +79,6 @@ class LmiProblem:
 
     def dimension(self) -> int:
         return sum(b.F0.shape[0] for b in self.blocks)
-
-    def to_json(self) -> str:
-        payload = {
-            "n_vars": self.n_vars,
-            "var_names": list(self.var_names),
-            "blocks": [
-                {
-                    "name": b.name,
-                    "margin": b.margin,
-                    "F0": b.F0.tolist(),
-                    "coeffs": [None if F is None else F.tolist()
-                               for F in b.coeffs],
-                }
-                for b in self.blocks
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LmiProblem":
-        payload = json.loads(text)
-        blocks = [
-            LmiBlock(
-                F0=np.asarray(b["F0"], dtype=float),
-                coeffs=[None if F is None else np.asarray(F, dtype=float)
-                        for F in b["coeffs"]],
-                margin=float(b["margin"]),
-                name=b.get("name", ""),
-            )
-            for b in payload["blocks"]
-        ]
-        return cls(blocks=blocks, n_vars=int(payload["n_vars"]),
-                   var_names=list(payload.get("var_names", [])))
 
 
 def _sym(M) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Benchmark nonlinear plants and closed-loop simulation.
 
 Ships the Lorenz system and the 2nd/4th-order oscillator models with their
-quadratic/cubic nonlinearities, fixed-point and limit-cycle geometry,
-switched-on closed-loop integration (adaptive embedded RK 4/5 pair, exact
-event at the switch time) and transient-amplification curves.
+quadratic/cubic nonlinearities, fixed-point and limit-cycle geometry, the
+closed-loop vector field and its Jacobian (built on assemble_closed_loop,
+evaluated on one state or a batch of states), switched-on closed-loop
+integration of that field (adaptive embedded RK 4/5 pair, exact event at
+the switch time) and transient-amplification curves.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DimensionError, PreconditionError, StabilityError
 from .linalg import is_hurwitz
-from .loop import ControllerRealization
+from .loop import ControllerRealization, assemble_closed_loop
 from .statespace import StateSpace
 
 __all__ = [
@@ -90,7 +92,9 @@ class NonlinearModel:
     """dx/dt = A x + B_w phi(x) + B_u u, y = C_y x.
 
     phi has vector dimension n_phi; phi(0) = 0 and phi'(0) = 0 so the
-    linearization at the origin is (A, B_u, C_y).
+    linearization at the origin is (A, B_u, C_y).  The built-in models'
+    phi and phi_jacobian also take a batch x of shape (n, N), batch last,
+    and return (n_phi, N) and (n_phi, n, N).
     """
 
     name: str
@@ -139,7 +143,8 @@ def lorenz_model(params: LorenzParams = LorenzParams(),
         return np.array([-x[0] * x[2], x[0] * x[1]])
 
     def phi_jac(x):
-        return np.array([[-x[2], 0.0, -x[0]], [x[1], x[0], 0.0]])
+        zero = np.zeros_like(x[0])
+        return np.array([[-x[2], zero, -x[0]], [x[1], x[0], zero]])
 
     return NonlinearModel(name="lorenz", A=A, B_w=B_w, B_u=B_u, C_y=C_y,
                           n_phi=2, phi=phi, phi_jacobian=phi_jac,
@@ -161,7 +166,8 @@ def brunton2_model(params: Brunton2Params = Brunton2Params()) -> NonlinearModel:
 
     def phi_jac(x):
         r2 = x[0] ** 2 + x[1] ** 2
-        return a * (2.0 * np.outer(M @ x[:2], x[:2]) + r2 * M)
+        return a * (2.0 * (M @ x[:2])[:, None] * x[None, :2]
+                    + np.multiply.outer(M, r2))
 
     return NonlinearModel(name="brunton2", A=A, B_w=B_w, B_u=B_u, C_y=C_y,
                           n_phi=2, phi=phi, phi_jacobian=phi_jac,
@@ -194,14 +200,18 @@ def brunton4_model(params: Brunton4Params) -> NonlinearModel:
     def phi(x):
         ru = x[0] ** 2 + x[1] ** 2
         ra = x[2] ** 2 + x[3] ** 2
-        return (params.alpha_u * ru * A5 + params.alpha_a * ra * A6) @ x
+        return params.alpha_u * ru * (A5 @ x) + params.alpha_a * ra * (A6 @ x)
 
     def phi_jac(x):
         ru = x[0] ** 2 + x[1] ** 2
         ra = x[2] ** 2 + x[3] ** 2
-        base = params.alpha_u * ru * A5 + params.alpha_a * ra * A6
-        du = 2.0 * np.outer(params.alpha_u * (A5 @ x), np.array([x[0], x[1], 0, 0]))
-        da = 2.0 * np.outer(params.alpha_a * (A6 @ x), np.array([0, 0, x[2], x[3]]))
+        base = (np.multiply.outer(A5, params.alpha_u * ru)
+                + np.multiply.outer(A6, params.alpha_a * ra))
+        xu = np.zeros_like(x)
+        xu[:2] = x[:2]
+        xa = x - xu
+        du = 2.0 * (params.alpha_u * (A5 @ x))[:, None] * xu[None, :]
+        da = 2.0 * (params.alpha_a * (A6 @ x))[:, None] * xa[None, :]
         return base + du + da
 
     return NonlinearModel(name="brunton4", A=A, B_w=B_w, B_u=B_u, C_y=C_y,
@@ -267,56 +277,30 @@ class Trajectory:
 
 def closed_loop_field(model: NonlinearModel,
                       controller: ControllerRealization | None):
-    """(f, J_f) of the autonomous closed loop in the stacked state (x, x_K)."""
+    """(f, J_f) of the autonomous closed loop in the stacked state z = (x, x_K).
+
+    With (A_cl, B_w_cl, J) from assemble_closed_loop,
+    f(z) = A_cl z + B_w_cl phi(x) and J_f(z) = A_cl + B_w_cl phi'(x) J^T;
+    controller None is the static zero gain.  z is (n_z,) or a batch
+    (n_z, N) with the batch on the last axis: f returns (n_z, N) and J_f
+    (n_z, n_z, N).
+    """
+    if controller is None:
+        controller = ControllerRealization.static(
+            np.zeros((model.B_u.shape[1], model.C_y.shape[0])))
+    plant = StateSpace(model.A, model.B_u, model.C_y)
+    cl = assemble_closed_loop(plant, controller, B_w=model.B_w)
     n = model.n
-    n_K = controller.n_K if controller is not None else 0
 
     def f(z):
-        x = z[:n]
-        xk = z[n:]
-        dx = model.A @ x + model.B_w @ model.phi(x)
-        if controller is not None:
-            y = model.C_y @ x
-            dx = dx + model.B_u @ (controller.C_K @ xk + controller.D_K @ y)
-            dxk = controller.A_K @ xk + controller.B_K @ y
-        else:
-            dxk = np.zeros(0)
-        return np.concatenate([dx, dxk])
+        return cl.A_cl @ z + cl.B_w_cl @ model.phi(z[:n])
 
     def jac(z):
-        x = z[:n]
-        J11 = model.A + model.B_w @ model.phi_jacobian(x)
-        if controller is None:
-            return J11
-        J11 = J11 + model.B_u @ controller.D_K @ model.C_y
-        J12 = model.B_u @ controller.C_K
-        J21 = controller.B_K @ model.C_y
-        J22 = controller.A_K
-        return np.block([[J11, J12], [J21, J22]])
+        batch = (np.newaxis,) * (np.ndim(z) - 1)
+        return cl.A_cl[(...,) + batch] + np.einsum(
+            "ij,jk...,lk->il...", cl.B_w_cl, model.phi_jacobian(z[:n]), cl.J)
 
     return f, jac
-
-
-def _closed_loop_field(model: NonlinearModel,
-                       controller: ControllerRealization | None):
-    n = model.n
-    n_K = controller.n_K if controller is not None else 0
-
-    def field(t, z, on: bool):
-        x = z[:n]
-        xk = z[n:]
-        w = model.phi(x)
-        dx = model.A @ x + model.B_w @ w
-        if on and controller is not None:
-            y = model.C_y @ x
-            u = controller.C_K @ xk + controller.D_K @ y
-            dx = dx + model.B_u @ u
-            dxk = controller.A_K @ xk + controller.B_K @ y
-        else:
-            dxk = np.zeros(n_K)
-        return np.concatenate([dx, dxk])
-
-    return field, n, n_K
 
 
 def default_horizon(model: NonlinearModel,
@@ -326,8 +310,6 @@ def default_horizon(model: NonlinearModel,
     if controller is None:
         return t_on + 30.0
     plant = StateSpace(model.A, model.B_u, model.C_y)
-    from .loop import assemble_closed_loop
-
     A_cl = assemble_closed_loop(plant, controller).A_cl
     alpha = float(np.max(np.linalg.eigvals(A_cl).real))
     if alpha >= 0:
@@ -354,7 +336,12 @@ def simulate_closed_loop(model: NonlinearModel,
     if controller is not None and (controller.n_meas != model.C_y.shape[0]
                                    or controller.n_ctrl != model.B_u.shape[1]):
         raise DimensionError("controller dimensions do not match the model")
-    field, n, n_K = _closed_loop_field(model, controller)
+    n = model.n
+    n_K = controller.n_K if controller is not None else 0
+    p, m = model.B_u.shape[1], model.C_y.shape[0]
+    # before t_on: a zero controller of the same order keeps x_K at 0, u = 0
+    off = ControllerRealization(np.zeros((n_K, n_K)), np.zeros((n_K, m)),
+                                np.zeros((p, n_K)), np.zeros((p, m)))
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != n:
         raise DimensionError(f"x0 must have {n} entries")
@@ -370,11 +357,12 @@ def simulate_closed_loop(model: NonlinearModel,
     segs = []
     diverged = False
     z = np.concatenate([x0, np.zeros(n_K)])
-    for (a, b, on) in ((0.0, t_on, False), (t_on, t_final, True)):
+    for (a, b, ctrl) in ((0.0, t_on, off), (t_on, t_final, controller)):
         if b <= a:
             continue
+        field = closed_loop_field(model, ctrl)[0]
         t_eval = t_grid[(t_grid >= a) & (t_grid <= b)]
-        sol = solve_ivp(lambda t, zz: field(t, zz, on), (a, b), z,
+        sol = solve_ivp(lambda t, zz: field(zz), (a, b), z,
                         method="RK45", rtol=options.rtol, atol=options.atol,
                         t_eval=t_eval, events=blowup, dense_output=False)
         segs.append((sol.t, sol.y))
@@ -392,7 +380,6 @@ def simulate_closed_loop(model: NonlinearModel,
     x = z_all[:n, :]
     xk = z_all[n:, :]
     y = model.C_y @ x
-    p = model.B_u.shape[1]
     u = np.zeros((p, len(t_all)))
     if controller is not None:
         after = t_all >= t_on

@@ -128,14 +128,14 @@ class AttainmentCheck:
 _GAIN_CHUNK = 128
 
 
-def _gains(A: np.ndarray, member: np.ndarray, omega: np.ndarray,
+def _gains(A: np.ndarray, member: np.ndarray, s: np.ndarray,
            B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """sigma_max(C (j omega_k I - A[member_k])^{-1} B + D) for every pair k."""
-    out = np.empty(omega.size)
+    """sigma_max(C (s_k I - A[member_k])^{-1} B + D) for every pair k."""
+    out = np.empty(s.size)
     eye = np.eye(A.shape[-1])
-    for lo in range(0, omega.size, _GAIN_CHUNK):
+    for lo in range(0, s.size, _GAIN_CHUNK):
         sl = slice(lo, lo + _GAIN_CHUNK)
-        M = (1j * omega[sl])[:, None, None] * eye - A[member[sl]]
+        M = s[sl][:, None, None] * eye - A[member[sl]]
         G = C @ np.linalg.solve(M, B) + D
         out[sl] = np.linalg.svd(G, compute_uv=False)[:, 0]
     return out
@@ -199,7 +199,7 @@ def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     valid = ~np.isnan(probes)
     evals = valid.sum(axis=1)
     g = np.full(probes.shape, -np.inf)
-    g[valid] = _gains(A, np.nonzero(valid)[0], probes[valid], B, C, D)
+    g[valid] = _gains(A, np.nonzero(valid)[0], 1j * probes[valid], B, C, D)
     first = g.argmax(axis=1)                  # the first of equal maxima
     g_max = g[np.arange(E), first]
     raised = g_max > best
@@ -232,7 +232,7 @@ def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
         valid = ~np.isnan(cand)
         evals[active] += valid.sum(axis=1)
         g = np.full(cand.shape, -np.inf)
-        g[valid] = _gains(A, active[np.nonzero(valid)[0]], cand[valid],
+        g[valid] = _gains(A, active[np.nonzero(valid)[0]], 1j * cand[valid],
                           B, C, D)
         # candidates in order, each against the level raised so far
         b, om = best[active], omega_best[active]

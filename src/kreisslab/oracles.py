@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import OversizeError, PreconditionError
-from .norms import _tail_horizon  # shared decay-envelope horizon
+from .norms import _gains, _tail_horizon  # shared kernels
 from .statespace import StateSpace
 
 __all__ = [
@@ -51,6 +51,12 @@ def _check_size(sys: StateSpace):
             f"oracle supports n <= {MAX_ORACLE_ORDER}, got {sys.n}")
 
 
+def _check_grid(n_grid: int):
+    if n_grid < 2:
+        raise PreconditionError(
+            f"oracle grid needs at least 2 points, got {n_grid}")
+
+
 class _ModalChannel:
     """Residue form G(s) = sum_k R_k / (s - lam_k) for batched evaluation."""
 
@@ -65,18 +71,22 @@ class _ModalChannel:
             # residues R_k = left[:, k] right[k, :]
             self.res = np.einsum("ik,kj->kij", left, right)
 
-    def sigma_impulse(self, ts: np.ndarray) -> np.ndarray:
-        """sigma_max(C e^{At} B) on a time grid."""
+    def impulse(self, ts: np.ndarray) -> np.ndarray:
+        """C e^{At} B (N x m x p) on a uniform time grid starting at 0.
+
+        From the residues when the eigenvector basis is well conditioned,
+        otherwise (a Jordan block) from X_{k+1} = expm(A dt) X_k, X_0 = B.
+        """
         sys = self.sys
         if self.ok:
-            E = np.exp(np.outer(ts, self.lam))          # N x n
-            M = np.real(np.tensordot(E, self.res, axes=(1, 0)))  # N x m x p
-            return np.linalg.svd(M, compute_uv=False)[..., 0]
-        out = np.empty(len(ts))
-        for k, t in enumerate(ts):
-            M = sys.C @ scipy.linalg.expm(sys.A * t) @ sys.B
-            out[k] = np.linalg.svd(M, compute_uv=False)[0]
-        return out
+            E = np.exp(np.outer(ts, self.lam))                   # N x n
+            return np.real(np.tensordot(E, self.res, axes=(1, 0)))
+        step = scipy.linalg.expm(sys.A * (ts[1] - ts[0]))
+        X = np.empty((ts.size, sys.n, sys.p))
+        X[0] = sys.B
+        for k in range(1, ts.size):
+            X[k] = step @ X[k - 1]
+        return sys.C @ X
 
     def sigma_transfer(self, ss: np.ndarray) -> np.ndarray:
         """sigma_max(C (sI - A)^{-1} B + D) on a batch of complex points."""
@@ -87,21 +97,19 @@ class _ModalChannel:
             if np.any(sys.D):
                 G = G + sys.D[None, :, :]
             return np.linalg.svd(G, compute_uv=False)[..., 0]
-        eye = np.eye(sys.n)
-        out = np.empty(len(ss))
-        for k, s in enumerate(ss):
-            G = sys.C @ np.linalg.solve(s * eye - sys.A, sys.B) + sys.D
-            out[k] = np.linalg.svd(G, compute_uv=False)[0]
-        return out
+        return _gains(sys.A[None], np.zeros(ss.size, dtype=int), ss,
+                      sys.B, sys.C, sys.D)
 
 
 def m0_time_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     """Dense time-grid maximum of sigma_max(C e^{At} B)."""
     _check_size(sys)
+    _check_grid(n_grid)
     sys.require_stable("M0 oracle")
     horizon = _tail_horizon(sys.A, 1e-12)
     ts = np.linspace(0.0, horizon, n_grid)
-    vals = _ModalChannel(sys).sigma_impulse(ts)
+    vals = np.linalg.svd(_ModalChannel(sys).impulse(ts),
+                         compute_uv=False)[..., 0]
     coarse = np.max(vals[::2])
     value = float(np.max(vals))
     t_star = float(ts[int(np.argmax(vals))])
@@ -121,6 +129,7 @@ def _frequency_span(sys: StateSpace):
 def hinf_frequency_grid(sys: StateSpace, n_grid: int = 100000) -> OracleReport:
     """Dense log-frequency grid maximum of sigma_max(G(j omega))."""
     _check_size(sys)
+    _check_grid(n_grid)
     sys.require_stable("H-infinity oracle")
     lo, hi = _frequency_span(sys)
     omegas = np.concatenate([[0.0], np.geomspace(lo, hi, n_grid - 1)])
@@ -176,20 +185,13 @@ def kreiss_halfplane_grid(sys: StateSpace, n_x: int = 400,
 def peak_gain_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     """Trapezoid integration of |impulse response| entries on a dense grid."""
     _check_size(sys)
+    _check_grid(n_grid)
     sys.require_stable("peak-gain oracle")
     horizon = _tail_horizon(sys.A, 1e-12)
     ts = np.linspace(0.0, horizon, n_grid)
-    w, V = np.linalg.eig(sys.A)
-    left = sys.C @ V
-    right = np.linalg.solve(V, sys.B)
-    rows = np.zeros(sys.m)
-    rows_c = np.zeros(sys.m)
-    E = np.exp(np.outer(ts, w))
-    for i in range(sys.m):
-        for j in range(sys.p):
-            g = np.real(E @ (left[i, :] * right[:, j]))
-            rows[i] += np.trapezoid(np.abs(g), ts)
-            rows_c[i] += np.trapezoid(np.abs(g[::2]), ts[::2])
+    g = np.abs(_ModalChannel(sys).impulse(ts))                  # N x m x p
+    rows = np.trapezoid(g, ts, axis=0).sum(axis=1)
+    rows_c = np.trapezoid(g[::2], ts[::2], axis=0).sum(axis=1)
     rows += np.abs(sys.D).sum(axis=1)
     rows_c += np.abs(sys.D).sum(axis=1)
     value = float(rows.max())

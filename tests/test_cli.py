@@ -102,6 +102,16 @@ def test_oracle_oversize_exit_code(capsys, tmp_path):
     assert code == 7
 
 
+@pytest.mark.parametrize("problem,norm", [("example3", "m0"),
+                                          ("example3", "hinf"),
+                                          ("example8", "pkgain")])
+def test_oracle_grid_too_small_is_an_error(capsys, problem, norm):
+    code, out, err = run(capsys, "oracle", PROBLEMS / f"{problem}.json",
+                         "--norm", norm, "--grid", "0")
+    assert (code, out) == (1, "")
+    assert "at least 2 points" in err
+
+
 def test_simulate_lorenz_converges(capsys, tmp_path):
     out_csv = tmp_path / "traj.csv"
     code, out, _ = run(capsys, "simulate",

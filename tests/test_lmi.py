@@ -90,17 +90,6 @@ def test_sdp_rejects_asymmetric_blocks():
                                     coeffs=[], margin=0.0)], n_vars=0)
 
 
-def test_problem_json_roundtrip():
-    blk = LmiBlock(F0=np.diag([-1.0, 0.0]), coeffs=[np.diag([1.0, -1.0])],
-                   margin=1e-7, name="demo")
-    prob = LmiProblem(blocks=[blk], n_vars=1, var_names=["y"])
-    clone = LmiProblem.from_json(prob.to_json())
-    assert clone.n_vars == 1
-    assert clone.var_names == ["y"]
-    assert np.allclose(clone.blocks[0].F0, prob.blocks[0].F0)
-    assert sdp_feasibility(clone).feasible
-
-
 def test_null_space_basis():
     N = null_space_basis(C_X)
     assert N.shape == (3, 2)

@@ -3,6 +3,7 @@ import pytest
 
 from kreisslab.benchmarks import (
     BRUNTON_CONTROLLERS,
+    LORENZ_CHAOS_KREISS,
     brunton2_default,
     lorenz_chaos,
 )
@@ -14,6 +15,7 @@ from kreisslab.models import (
     SimulationOptions,
     brunton2_model,
     brunton4_model,
+    closed_loop_field,
     limit_cycle_radius,
     lorenz_fixed_points,
     lorenz_model,
@@ -136,6 +138,58 @@ def test_open_loop_lorenz_stays_on_attractor():
     radii = np.linalg.norm(traj.x, axis=0)
     assert np.max(radii) < 100.0
     assert np.linalg.norm(traj.x[:, -1]) > 1.0  # no convergence to origin
+
+
+def _brunton4_synthetic():
+    params = Brunton4Params(
+        sigma_u=0.1, omega_u=1.0, sigma_a=-0.05, omega_a=2.5, alpha_u=1.0,
+        alpha_a=0.7, g=1.0,
+        beta={"uu": 1.0, "au": 0.3, "ua": 0.2, "aa": 0.8},
+        gamma={"uu": 0.1, "au": -0.4, "ua": 0.5, "aa": -0.2},
+        provenance="synthetic test values")
+    return brunton4_model(params), ControllerRealization.static([[-0.3]])
+
+
+@pytest.mark.parametrize("case", ["lorenz_static", "lorenz_dynamic",
+                                  "lorenz_none", "brunton2_first_order",
+                                  "brunton4"])
+def test_closed_loop_field_batch_equals_columns(case):
+    lorenz = lorenz_model(lorenz_chaos(), measurement="x")
+    model, ctrl = {
+        "lorenz_static": (lorenz, ControllerRealization.static([[-27.01]])),
+        "lorenz_dynamic": (lorenz, LORENZ_CHAOS_KREISS["dynamic_x"].controller),
+        "lorenz_none": (lorenz, None),
+        "brunton2_first_order": (brunton2_model(brunton2_default()),
+                                 BRUNTON_CONTROLLERS["first_order"].controller),
+        "brunton4": _brunton4_synthetic(),
+    }[case]
+    f, jac = closed_loop_field(model, ctrl)
+    n_z = model.n + (ctrl.n_K if ctrl is not None else 0)
+    Z = np.random.default_rng(3).uniform(-2.0, 2.0, size=(n_z, 7))
+    F, J = f(Z), jac(Z)
+    assert F.shape == (n_z, 7) and J.shape == (n_z, n_z, 7)
+    h = 1e-6
+    for k in range(Z.shape[1]):
+        z = Z[:, k]
+        assert np.allclose(F[:, k], f(z), rtol=1e-13, atol=1e-13)
+        assert np.allclose(J[..., k], jac(z), rtol=1e-13, atol=1e-13)
+        # central differences of f reproduce the single-state Jacobian
+        fd = np.column_stack([(f(z + h * e) - f(z - h * e)) / (2.0 * h)
+                              for e in np.eye(n_z)])
+        assert np.allclose(jac(z), fd, rtol=1e-6, atol=1e-6)
+
+
+def test_controller_state_frozen_before_switch():
+    model = lorenz_model(lorenz_chaos(), measurement="x")
+    ctrl = LORENZ_CHAOS_KREISS["dynamic_x"].controller
+    traj = simulate_closed_loop(model, ctrl, [1.0, 1.0, 1.0], t_on=5.0,
+                                t_final=8.0,
+                                options=SimulationOptions(n_points=301))
+    before = traj.t < 5.0
+    assert before.sum() > 100 and traj.x_K.shape[0] == 1
+    assert np.all(traj.x_K[:, before] == 0.0)
+    assert np.all(traj.u[:, before] == 0.0)
+    assert np.any(traj.x_K[:, ~before] != 0.0)
 
 
 def test_lossless_identity_along_trajectory():

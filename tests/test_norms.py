@@ -444,6 +444,15 @@ def test_peak_gain_matches_grid_oracle(rng):
         assert got == pytest.approx(want, rel=1e-5)
 
 
+def test_peak_gain_grid_jordan_block_matches_closed_form():
+    # example8's A is a Jordan block: there is no residue form to sum
+    from kreisslab.oracles import peak_gain_grid
+    want = peak_gain(EX8).value
+    got = peak_gain_grid(EX8, n_grid=100000).value
+    assert want == pytest.approx(80.3436, rel=1e-6)
+    assert got == pytest.approx(want, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Gramian-based norms
 # ---------------------------------------------------------------------------
