@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 from .errors import DimensionError, PreconditionError, StabilityError
 from .linalg import is_hurwitz
 from .loop import ControllerRealization, assemble_closed_loop
+from .norms import _Impulse, _sigma_max
 from .statespace import StateSpace
 
 __all__ = [
@@ -396,8 +397,4 @@ def transient_curve(A_cl, J, t_grid):
     if not is_hurwitz(A_cl):
         raise StabilityError("transient curve requires a Hurwitz matrix")
     t_grid = np.asarray(t_grid, dtype=float)
-    vals = np.empty_like(t_grid)
-    for k, t in enumerate(t_grid):
-        E = scipy.linalg.expm(A_cl * t)
-        vals[k] = np.linalg.svd(J.T @ E @ J, compute_uv=False)[0]
-    return vals
+    return _sigma_max(_Impulse(StateSpace(A_cl, J, J.T)).matrices(t_grid))

@@ -17,6 +17,18 @@ defective A (a Jordan block) is handled like any other.  Each member
 takes exactly the steps it would take alone: ``hinf_norm`` is the
 one-member call, and the value ``kreiss_norm`` computes at a grid point
 is bitwise the ``hinf_norm`` of that family member.
+
+Every time-domain value comes from one impulse-response kernel,
+``_Impulse``: C A^k e^{At} B (k = 0, 1) on a whole batch of times, from
+the residues of a well-conditioned eigenvector basis in chunks of
+``_TIME_CHUNK`` time points, from one expm per time for a defective A,
+or, on a uniform grid, from the recurrence X_{q+1} = expm(A dt) X_q.
+``transient_peak_m0`` takes its grid values from one call and one stacked
+SVD; ``peak_gain`` evaluates every channel on its grid in one call,
+polishes all sign changes of all channels in lockstep with safeguarded
+Newton steps (the derivative is k = 1) and integrates each channel's
+segments from the same residues.  The oracles and
+``models.transient_curve`` use the same kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
 
 from .errors import (
     ConsistencyError,
@@ -411,58 +422,127 @@ def kreiss_matrix(A, opts: KreissOptions | None = None) -> NormReport:
 
 
 # ---------------------------------------------------------------------------
-# Worst-case transient peak M0
+# Impulse response
 # ---------------------------------------------------------------------------
 
-class _ImpulseChannel:
-    """Evaluates C e^{At} B, channel entries and exact segment integrals.
+#: time points per chunk of a batched impulse-response evaluation
+_TIME_CHUNK = 1024
 
-    Uses the eigendecomposition fast path when A is comfortably
-    diagonalizable and falls back to expm otherwise.
+
+def _mode_sum(E: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Sum over the leading (mode) axis of Re(E R), added in mode order."""
+    return np.add.accumulate(E.real * R.real - E.imag * R.imag, axis=0)[-1]
+
+
+class _Impulse:
+    """The impulse response C A^k e^{At} B, k = 0 or 1, on batches of times.
+
+    When the eigenvector basis V of A is well conditioned (cond(V) < 1e8),
+    every entry is the residue sum of Re(r_l lam_l^k e^{lam_l t}) over the
+    eigenvalues lam_l, formed in chunks of ``_TIME_CHUNK`` time points and
+    added in mode order, so a value does not depend on the chunking.  For
+    a defective A each time takes one expm, and a uniform grid takes the
+    recurrence X_{q+1} = expm(A dt) X_q from X_0 = B.  Channel c is the
+    entry (c // p, c % p).
     """
 
     def __init__(self, sys: StateSpace):
         self.sys = sys
-        A = sys.A
-        self.n = A.shape[0]
-        w, V = np.linalg.eig(A)
-        self.diagonalizable = (np.linalg.cond(V) < 1e8)
-        if self.diagonalizable:
+        w, V = np.linalg.eig(sys.A)
+        self.modal = bool(np.linalg.cond(V) < 1e8)
+        if self.modal:
             self.lam = w
-            self.left = sys.C @ V                      # m x n
-            self.right = np.linalg.solve(V, sys.B)     # n x p
-        self.Ainv = np.linalg.inv(A) if self.n else None
+            left = sys.C @ V                           # m x n
+            right = np.linalg.solve(V, sys.B)          # n x p
+            # res[l, i p + j] = left[i, l] right[l, j]
+            res = (left.T[:, :, None] * right[:, None, :]).reshape(sys.n, -1)
+            self.res = (res, res * w[:, None])
+        self.output = (sys.C, sys.C @ sys.A)            # C A^k, k = 0, 1
 
-    def matrix_at(self, t: float) -> np.ndarray:
-        if self.diagonalizable:
-            return np.real(self.left @ (np.exp(self.lam * t)[:, None] * self.right))
-        return self.sys.C @ scipy.linalg.expm(self.sys.A * t) @ self.sys.B
+    def matrices(self, t: np.ndarray, k: int = 0) -> np.ndarray:
+        """C A^k e^{A t_q} B for every time t_q: (T, m, p)."""
+        sys = self.sys
+        out = np.empty((t.size, sys.m, sys.p))
+        for lo in range(0, t.size, _TIME_CHUNK):
+            sl = slice(lo, lo + _TIME_CHUNK)
+            if self.modal:
+                E = np.exp(np.outer(self.lam, t[sl]))[:, None, :]
+                out[sl] = _mode_sum(E, self.res[k][:, :, None]).T.reshape(
+                    -1, sys.m, sys.p)
+            else:
+                out[sl] = (self.output[k] @ scipy.linalg.expm(
+                    sys.A * t[sl, None, None])) @ sys.B
+        return out
 
-    def sigma_at(self, t: float) -> float:
-        M = self.matrix_at(t)
-        return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+    def grid(self, ts: np.ndarray, k: int = 0) -> np.ndarray:
+        """matrices(ts, k) on a uniform grid ts of at least two points
+        from 0."""
+        if self.modal:
+            return self.matrices(ts, k)
+        sys = self.sys
+        step = scipy.linalg.expm(sys.A * (ts[1] - ts[0]))
+        out = np.empty((ts.size, sys.m, sys.p))
+        X = np.empty((min(_TIME_CHUNK, ts.size), sys.n, sys.p))
+        for lo in range(0, ts.size, _TIME_CHUNK):
+            size = min(_TIME_CHUNK, ts.size - lo)
+            # X[-1] still holds the last state of the previous chunk
+            X[0] = sys.B if lo == 0 else step @ X[-1]
+            for q in range(1, size):
+                X[q] = step @ X[q - 1]
+            out[lo:lo + size] = self.output[k] @ X[:size]
+        return out
 
-    def entry_residues(self, i: int, j: int) -> np.ndarray:
-        return self.left[i, :] * self.right[:, j]
+    def channels(self, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Channel c_q of k = 0 (row 0) and k = 1 (row 1) at every t_q."""
+        out = np.empty((2, t.size))
+        for lo in range(0, t.size, _TIME_CHUNK):
+            sl = slice(lo, lo + _TIME_CHUNK)
+            if self.modal:
+                E = np.exp(np.outer(self.lam, t[sl]))
+                for k in (0, 1):
+                    out[k, sl] = _mode_sum(E, self.res[k][:, c[sl]])
+            else:
+                X = scipy.linalg.expm(self.sys.A * t[sl, None, None])
+                i, j = np.divmod(c[sl], self.sys.p)
+                for k in (0, 1):
+                    M = (self.output[k] @ X) @ self.sys.B
+                    out[k, sl] = M[np.arange(i.size), i, j]
+        return out
 
-    def entry_at(self, i: int, j: int, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        r = self.entry_residues(i, j)
-        return np.real(np.exp(np.outer(t, self.lam)) @ r)
+    def integrals(self, knots: np.ndarray, c: int) -> np.ndarray:
+        """Integrals of channel c over [knots[q], knots[q + 1]] and, last,
+        over [knots[-1], inf), from the antiderivative C A^{-1} e^{At} B."""
+        sys = self.sys
+        if self.modal:
+            out = np.empty(knots.size)
+            w = (self.res[0][:, c] / self.lam)[:, None]
+            for lo in range(0, knots.size, _TIME_CHUNK):
+                P = np.exp(np.outer(self.lam, knots[lo:lo + _TIME_CHUNK + 1]))
+                if lo + _TIME_CHUNK >= knots.size:
+                    # e^{lam t} vanishes as t -> inf
+                    P = np.hstack([P, np.zeros((sys.n, 1))])
+                out[lo:lo + _TIME_CHUNK] = _mode_sum(P[:, 1:] - P[:, :-1], w)
+            return out
+        i, j = divmod(c, sys.p)
+        left = sys.C[i] @ np.linalg.inv(sys.A)
+        F = np.zeros(knots.size + 1)                  # F(inf) = 0
+        for lo in range(0, knots.size, _TIME_CHUNK):
+            sl = slice(lo, min(lo + _TIME_CHUNK, knots.size))
+            F[sl] = left @ scipy.linalg.expm(sys.A * knots[sl, None, None]) \
+                @ sys.B[:, j]
+        return np.diff(F)
 
-    def entry_integral(self, i: int, j: int, t1: float, t2) -> float:
-        """Exact integral of c_i e^{At} b_j over [t1, t2]; t2 = inf allowed."""
-        if self.diagonalizable:
-            r = self.entry_residues(i, j)
-            hi = 0.0 if np.isinf(t2) else np.exp(self.lam * t2)
-            lo = np.exp(self.lam * t1)
-            return float(np.real(np.sum(r * (hi - lo) / self.lam)))
-        E1 = scipy.linalg.expm(self.sys.A * t1)
-        E2 = (np.zeros_like(E1) if np.isinf(t2)
-              else scipy.linalg.expm(self.sys.A * t2))
-        M = self.Ainv @ (E2 - E1)
-        return float((self.sys.C[i:i + 1, :] @ M @ self.sys.B[:, j:j + 1])[0, 0])
 
+def _sigma_max(M: np.ndarray) -> np.ndarray:
+    """sigma_max of every matrix of a (T, m, p) stack."""
+    if M.size == 0:
+        return np.zeros(M.shape[0])
+    return np.linalg.svd(M, compute_uv=False)[:, 0]
+
+
+# ---------------------------------------------------------------------------
+# Worst-case transient peak M0
+# ---------------------------------------------------------------------------
 
 def _decay_envelope(A: np.ndarray):
     """t -> bound on ||e^{At}||_2 from the Schur form: e^{at} sum (nu t)^k/k!."""
@@ -504,7 +584,7 @@ def transient_peak_m0(sys: StateSpace, opts: M0Options | None = None) -> NormRep
     opts = opts or M0Options()
     _strictly_proper_channel(sys, "transient peak")
     sys.require_stable("transient peak")
-    ch = _ImpulseChannel(sys)
+    imp = _Impulse(sys)
     horizon = _tail_horizon(sys.A, opts.tail_eps)
     half = max(opts.samples // 2, 8)
     grid = np.unique(np.concatenate([
@@ -512,11 +592,11 @@ def transient_peak_m0(sys: StateSpace, opts: M0Options | None = None) -> NormRep
         np.geomspace(horizon * 1e-6, horizon, half),
         np.linspace(0.0, horizon, half),
     ]))
-    vals = np.array([ch.sigma_at(t) for t in grid])
+    vals = _sigma_max(imp.matrices(grid))
     evals = len(grid)
 
     def at(t: float):
-        return ch.sigma_at(t), None
+        return float(_sigma_max(imp.matrices(np.array([t])))[0]), None
 
     best_val = float(vals.max())
     best_t = float(grid[int(np.argmax(vals))])
@@ -621,37 +701,31 @@ def sign_pattern_kreiss(sys: StateSpace,
 # Peak-gain norm
 # ---------------------------------------------------------------------------
 
-def _abs_impulse_integral(ch: _ImpulseChannel, i: int, j: int,
-                          horizon: float, grid: np.ndarray) -> float:
-    """integral over [0, inf) of |c_i e^{At} b_j| via exact segment integrals."""
-    if ch.diagonalizable:
-        vals = ch.entry_at(i, j, grid)
-    else:
-        vals = np.array([ch.matrix_at(t)[i, j] for t in grid])
-    scale = np.abs(vals).max()
-    if scale == 0.0:
-        return 0.0
-
-    def g(t: float) -> float:
-        if ch.diagonalizable:
-            return float(ch.entry_at(i, j, np.array([t]))[0])
-        return float(ch.matrix_at(t)[i, j])
-
-    zeros = []
-    for k in range(len(grid) - 1):
-        a, b = vals[k], vals[k + 1]
-        if a == 0.0:
-            zeros.append(grid[k])
-        elif a * b < 0.0:
-            zeros.append(brentq(g, grid[k], grid[k + 1], xtol=1e-14 * horizon,
-                                rtol=1e-15))
-    knots = np.concatenate([[0.0], np.asarray(zeros, dtype=float), [horizon]])
-    knots = np.unique(knots)
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        total += abs(ch.entry_integral(i, j, float(a), float(b)))
-    total += abs(ch.entry_integral(i, j, float(horizon), math.inf))
-    return total
+def _polish_roots(imp: _Impulse, lo: np.ndarray, hi: np.ndarray,
+                  g_lo: np.ndarray, g_hi: np.ndarray, c: np.ndarray,
+                  xtol: float) -> np.ndarray:
+    """Roots of the impulse-response channels c_q in the brackets
+    (lo_q, hi_q) across which they change sign, all polished in lockstep:
+    Newton steps from the secant point, with the derivative from k = 1,
+    and a bisection wherever a step would leave the shrinking bracket."""
+    x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    active = np.arange(x.size)
+    for _ in range(100):
+        if active.size == 0:
+            break
+        xa, la, ha = x[active], lo[active], hi[active]
+        g, dg = imp.channels(xa, c[active])
+        right = (g < 0.0) == (g_lo[active] < 0.0)   # the root lies above xa
+        la = np.where(right, xa, la)
+        ha = np.where(right, ha, xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xa - g / dg
+        xn = np.where((xn > la) & (xn < ha), xn, 0.5 * (la + ha))
+        done = (g == 0.0) | (np.abs(xn - xa) <= xtol) | (ha - la <= xtol)
+        x[active] = np.where(g == 0.0, xa, xn)
+        lo[active], hi[active] = la, ha
+        active = active[~done]
+    return x
 
 
 def peak_gain(sys: StateSpace, tol: float = 1e-8) -> NormReport:
@@ -659,31 +733,40 @@ def peak_gain(sys: StateSpace, tol: float = 1e-8) -> NormReport:
 
     Impulse-response entries are integrated exactly between their sign
     changes (resolvent antiderivative) with an exponential tail bound
-    choosing the horizon; sign changes are located on an
-    oscillation-resolving grid and polished by bisection.
+    choosing the horizon.  One kernel call evaluates every channel on an
+    oscillation-resolving grid; the sign changes of all channels are then
+    polished together to 1e-14 horizon, and each channel's segments and
+    tail are integrated in one call.
     """
     sys.require_stable("peak-gain norm")
     if sys.n == 0:
         value = float(np.abs(sys.D).sum(axis=1).max())
         return NormReport(value, {"row": 0}, evaluations=1)
-    ch = _ImpulseChannel(sys)
+    imp = _Impulse(sys)
     horizon = _tail_horizon(sys.A, min(tol, 1e-10))
     lam = np.linalg.eigvals(sys.A)
     omega_max = float(np.abs(lam.imag).max())
     n_grid = int(max(2000, min(200000, 16 * math.ceil(horizon * omega_max / math.pi)
                                if omega_max > 0 else 0)))
-    if not ch.diagonalizable:
-        n_grid = min(n_grid, 4000)
     grid = np.linspace(0.0, horizon, n_grid)
-    evals = 0
-    row_sums = np.zeros(sys.m)
-    for i in range(sys.m):
-        for j in range(sys.p):
-            row_sums[i] += _abs_impulse_integral(ch, i, j, horizon, grid)
-            evals += n_grid
-    row_sums += np.abs(sys.D).sum(axis=1)
+    vals = imp.grid(grid).reshape(n_grid, -1)        # one column per channel
+    live = np.abs(vals).max(axis=0) > 0.0           # the rest integrate to 0
+    a, b = vals[:-1], vals[1:]
+    on_grid_q, on_grid_c = np.nonzero((a == 0.0) & live)
+    q, c = np.nonzero(a * b < 0.0)
+    roots = _polish_roots(imp, grid[q], grid[q + 1], a[q, c], b[q, c], c,
+                          1e-14 * horizon)
+    totals = np.zeros(vals.shape[1])
+    for ch in np.flatnonzero(live):
+        knots = np.unique(np.concatenate([
+            [0.0], grid[on_grid_q[on_grid_c == ch]], roots[c == ch],
+            [horizon]]))
+        totals[ch] = np.abs(imp.integrals(knots, ch)).sum()
+    row_sums = totals.reshape(sys.m, sys.p).sum(axis=1) \
+        + np.abs(sys.D).sum(axis=1)
     row = int(np.argmax(row_sums))
-    return NormReport(float(row_sums[row]), {"row": row}, evaluations=evals)
+    return NormReport(float(row_sums[row]), {"row": row},
+                      evaluations=vals.size)
 
 
 # ---------------------------------------------------------------------------

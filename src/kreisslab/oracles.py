@@ -14,10 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import OversizeError, PreconditionError
-from .norms import _gains, _tail_horizon  # shared kernels
+from .norms import (  # shared kernels
+    _gains,
+    _Impulse,
+    _sigma_max,
+    _tail_horizon,
+)
 from .statespace import StateSpace
 
 __all__ = [
@@ -71,23 +75,6 @@ class _ModalChannel:
             # residues R_k = left[:, k] right[k, :]
             self.res = np.einsum("ik,kj->kij", left, right)
 
-    def impulse(self, ts: np.ndarray) -> np.ndarray:
-        """C e^{At} B (N x m x p) on a uniform time grid starting at 0.
-
-        From the residues when the eigenvector basis is well conditioned,
-        otherwise (a Jordan block) from X_{k+1} = expm(A dt) X_k, X_0 = B.
-        """
-        sys = self.sys
-        if self.ok:
-            E = np.exp(np.outer(ts, self.lam))                   # N x n
-            return np.real(np.tensordot(E, self.res, axes=(1, 0)))
-        step = scipy.linalg.expm(sys.A * (ts[1] - ts[0]))
-        X = np.empty((ts.size, sys.n, sys.p))
-        X[0] = sys.B
-        for k in range(1, ts.size):
-            X[k] = step @ X[k - 1]
-        return sys.C @ X
-
     def sigma_transfer(self, ss: np.ndarray) -> np.ndarray:
         """sigma_max(C (sI - A)^{-1} B + D) on a batch of complex points."""
         sys = self.sys
@@ -108,8 +95,7 @@ def m0_time_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     sys.require_stable("M0 oracle")
     horizon = _tail_horizon(sys.A, 1e-12)
     ts = np.linspace(0.0, horizon, n_grid)
-    vals = np.linalg.svd(_ModalChannel(sys).impulse(ts),
-                         compute_uv=False)[..., 0]
+    vals = _sigma_max(_Impulse(sys).grid(ts))
     coarse = np.max(vals[::2])
     value = float(np.max(vals))
     t_star = float(ts[int(np.argmax(vals))])
@@ -189,7 +175,7 @@ def peak_gain_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     sys.require_stable("peak-gain oracle")
     horizon = _tail_horizon(sys.A, 1e-12)
     ts = np.linspace(0.0, horizon, n_grid)
-    g = np.abs(_ModalChannel(sys).impulse(ts))                  # N x m x p
+    g = np.abs(_Impulse(sys).grid(ts))                         # N x m x p
     rows = np.trapezoid(g, ts, axis=0).sum(axis=1)
     rows_c = np.trapezoid(g[::2], ts[::2], axis=0).sum(axis=1)
     rows += np.abs(sys.D).sum(axis=1)
@@ -219,22 +205,21 @@ def l2_to_peak_sampled(sys: StateSpace, n_samples: int = 24,
     T = 40.0 / alpha
     n_t = 4000
     ts = np.linspace(0.0, T, n_t)
-    dt = ts[1] - ts[0]
-    EA = [scipy.linalg.expm(sys.A * (T - t)) for t in ts]
+    # H[k] = C e^{A (T - t_k)} B: the matched filter is u(t_k) = H[k]^T v
+    H = _Impulse(sys).grid(ts)[::-1]
+    wgt = np.full(n_t, ts[1] - ts[0])
+    wgt[[0, -1]] /= 2.0
     best = 0.0
     for _ in range(n_samples):
         v = rng.standard_normal(sys.m)
         v /= np.linalg.norm(v)
-        u = np.array([(sys.B.T @ E.T @ sys.C.T @ v) for E in EA])
+        u = v @ H                                   # n_t x p
         energy = np.trapezoid(np.sum(u * u, axis=1), ts)
         if energy <= 0:
             continue
         u /= math.sqrt(energy)
         # z(T) = int_0^T C e^{A (T - t)} B u(t) dt
-        z = np.zeros(sys.m)
-        for k, E in enumerate(EA):
-            wgt = dt if 0 < k < n_t - 1 else dt / 2.0
-            z += wgt * (sys.C @ E @ sys.B @ u[k])
+        z = np.einsum("k,kij,kj->i", wgt, H, u)
         best = max(best, float(z @ z))
     return OracleReport(value=best, uncertainty=0.05 * best + 1e-12,
                         argmax={"horizon": T},

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kreisslab import norms
 from kreisslab.errors import (
@@ -38,6 +39,11 @@ EX8 = StateSpace([[-0.0939, 1.0], [0.0, -0.0939]],
                  [[0.4722, 0.7973], [0.0339, 0.5553]], np.eye(2))
 EX4 = tf_to_ss([1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.9608])
 FAST = KreissOptions(grid_points=80)
+# a Jordan pair of rotations: impulse response t e^{-0.1 t} sin(40 t)
+_ROT = np.array([[-0.1, 40.0], [-40.0, -0.1]])
+JORDAN_OSC = StateSpace(
+    np.block([[_ROT, np.eye(2)], [np.zeros((2, 2)), _ROT]]),
+    np.eye(4)[:, 3:], np.eye(4)[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +442,17 @@ def test_peak_gain_static_transmission_only(rng):
 
 
 def test_peak_gain_matches_grid_oracle(rng):
-    from kreisslab.oracles import peak_gain_grid
+    from kreisslab.oracles import certification_interval, peak_gain_grid
     for _ in range(3):
         sys = random_stable_statespace(rng, 4, p=2, m=2)
         got = peak_gain(sys).value
         want = peak_gain_grid(sys, n_grid=100000).value
         assert got == pytest.approx(want, rel=1e-5)
+    # lightly damped: thousands of sign changes per channel, and the
+    # trapezoid oracle is only as close as its own bracket
+    sys = random_stable_statespace(rng, 10, p=2, m=2, margin=0.01)
+    lo, hi = certification_interval(peak_gain_grid(sys, n_grid=100000))
+    assert lo <= peak_gain(sys).value <= hi
 
 
 def test_peak_gain_grid_jordan_block_matches_closed_form():
@@ -451,6 +462,72 @@ def test_peak_gain_grid_jordan_block_matches_closed_form():
     got = peak_gain_grid(EX8, n_grid=100000).value
     assert want == pytest.approx(80.3436, rel=1e-6)
     assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_peak_gain_resolves_oscillating_jordan_block():
+    # a defective A gets the same oscillation-resolving grid as a modal one
+    from kreisslab.oracles import peak_gain_grid
+    got = peak_gain(JORDAN_OSC).value
+    want = peak_gain_grid(JORDAN_OSC, n_grid=400000).value
+    assert got == pytest.approx(want, rel=1e-6)
+    # int_0^inf t e^{-a t} |sin(w t)| dt -> 2 / (pi a^2) for w >> a
+    assert got == pytest.approx(2.0 / (np.pi * 0.1 ** 2), rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Impulse-response kernel
+# ---------------------------------------------------------------------------
+
+# expm(A t) itself drifts by 1e-11 of the peak on the oscillator once
+# 40 t >> 1, so it is the reference there only on [0, 2]; the closed form
+# checks the oscillator's whole peak-gain horizon below
+@pytest.mark.parametrize("name, t_max", [("modal", 30.0), ("example8", 30.0),
+                                         ("jordan_oscillator", 2.0)])
+def test_impulse_kernel_matches_expm(rng, name, t_max):
+    sys = {"modal": random_stable_statespace(rng, 5, p=2, m=3),
+           "example8": EX8, "jordan_oscillator": JORDAN_OSC}[name]
+    imp = norms._Impulse(sys)
+    assert imp.modal == (name == "modal")
+    random_times = np.sort(rng.uniform(0.0, t_max, 40))
+    grid = np.linspace(0.0, t_max, 601)
+    channel = rng.integers(0, sys.m * sys.p, random_times.size)
+    row, col = np.divmod(channel, sys.p)
+    for k in (0, 1):
+        left = sys.C @ np.linalg.matrix_power(sys.A, k)
+        for ts, got in ((random_times, imp.matrices(random_times, k)),
+                        (grid, imp.grid(grid, k))):
+            want = np.array([left @ scipy.linalg.expm(sys.A * t) @ sys.B
+                             for t in ts])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            if ts is random_times:
+                entries = imp.channels(ts, channel)[k]
+                want = want[np.arange(ts.size), row, col]
+                assert np.abs(entries - want).max() \
+                    <= 1e-12 * np.abs(want).max()
+
+
+def test_impulse_kernel_jordan_oscillator_grid_closed_form():
+    # the uniform-grid recurrence over peak_gain's horizon and grid
+    ts = np.linspace(0.0, 281.0, 87504)
+    decay, wave = np.exp(-0.1 * ts), 40.0 * ts
+    want = (ts * decay * np.sin(wave),
+            decay * ((1.0 - 0.1 * ts) * np.sin(wave) + wave * np.cos(wave)))
+    imp = norms._Impulse(JORDAN_OSC)
+    for k in (0, 1):
+        got = imp.grid(ts, k)[:, 0, 0]
+        assert np.abs(got - want[k]).max() <= 1e-12 * np.abs(want[k]).max()
+
+
+def test_time_chunk_leaves_reports_bitwise_identical(monkeypatch, rng):
+    systems = [EX4, EX8, random_stable_statespace(rng, 6, p=2, m=3)]
+
+    def reports():
+        return [(peak_gain(s).as_dict(), transient_peak_m0(s).as_dict())
+                for s in systems]
+
+    before = reports()
+    monkeypatch.setattr(norms, "_TIME_CHUNK", 7)
+    assert reports() == before
 
 
 # ---------------------------------------------------------------------------
