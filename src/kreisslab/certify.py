@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .errors import PreconditionError, SchemaError
@@ -228,6 +227,10 @@ def boundedness_bound(params: Brunton2Params,
     nonpositive), recovering the open-loop radius.
     """
     if controller.n_K:
+        # imported here: scipy.integrate is a quarter of the CLI's import
+        # time, and only this bound needs it
+        import scipy.integrate
+
         lam = np.linalg.eigvals(controller.A_K)
         if np.max(lam.real) >= 0:
             raise PreconditionError("boundedness bound needs Hurwitz A_K")

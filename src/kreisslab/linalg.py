@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels used by every other module.
 
 Thin, contract-checked wrappers around LAPACK-backed numpy/scipy routines:
-matrix exponential, eigen/singular value decompositions, Lyapunov solves,
-spectral and numerical abscissas.  All functions are pure.
+the maximal singular block of an SVD, Lyapunov solves, the spectral
+abscissa and the Hurwitz test.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -15,28 +15,16 @@ import scipy.linalg
 from .errors import DimensionError, NumericalError, StabilityError
 
 __all__ = [
-    "Spectrum",
     "SvdTriple",
-    "expm",
-    "eig",
     "svd_triple",
     "solve_lyapunov",
     "spectral_abscissa",
-    "numerical_abscissa",
     "is_hurwitz",
     "as_square",
 ]
 
 #: relative width of the top singular-value cluster returned in Q/P blocks
 SV_CLUSTER_RTOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues of a square matrix, optionally with right eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,26 +51,6 @@ def as_square(M, name: str = "M") -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise DimensionError(f"{name} has non-finite entries")
     return M
-
-
-def expm(M, t: float = 1.0) -> np.ndarray:
-    """e^{M t} by scaling-and-squaring with diagonal Pade approximants."""
-    M = as_square(M)
-    if not np.isfinite(t):
-        raise DimensionError("t must be finite")
-    return scipy.linalg.expm(M * t)
-
-
-def eig(M, vectors: bool = False) -> Spectrum:
-    """All eigenvalues of M (balanced Francis QR), vectors on request."""
-    M = as_square(M)
-    try:
-        if vectors:
-            w, v = np.linalg.eig(M)
-            return Spectrum(eigenvalues=w, eigenvectors=v)
-        return Spectrum(eigenvalues=np.linalg.eigvals(M))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
 
 
 def svd_triple(M, cluster_rtol: float = SV_CLUSTER_RTOL) -> SvdTriple:
@@ -129,12 +97,6 @@ def spectral_abscissa(M) -> float:
     if M.shape[0] == 0:
         return -np.inf
     return float(np.max(np.linalg.eigvals(M).real))
-
-
-def numerical_abscissa(M) -> float:
-    """Half the largest eigenvalue of M + M^T (initial slope of ||e^{tM}||)."""
-    M = as_square(M)
-    return float(0.5 * np.max(scipy.linalg.eigvalsh(M + M.T)))
 
 
 def is_hurwitz(M, tol: float = 0.0) -> bool:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .errors import DimensionError, PreconditionError, StabilityError
 from .linalg import is_hurwitz
@@ -329,6 +328,10 @@ def simulate_closed_loop(model: NonlinearModel,
     constants past t_on.  Finite-time blowup is reported as a diverged
     trajectory with the last accepted state retained.
     """
+    # imported here: scipy.integrate is a quarter of the CLI's import time,
+    # and only simulation needs it
+    from scipy.integrate import solve_ivp
+
     options = options or SimulationOptions()
     if t_final is None:
         t_final = default_horizon(model, controller, t_on)

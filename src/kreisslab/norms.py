@@ -29,6 +29,23 @@ polishes all sign changes of all channels in lockstep with safeguarded
 Newton steps (the derivative is k = 1) and integrates each channel's
 segments from the same residues.  The oracles and
 ``models.transient_curve`` use the same kernel.
+
+Every largest singular value of a stack of matrices comes from one
+kernel, ``_sigma_max``.  With k = min(m, p) <= 3 it builds the k x k
+Gram matrix entrywise, after scaling each matrix by the power of two
+just above its largest entry so that squaring neither overflows nor
+underflows, and takes the largest eigenvalue in closed form: the
+squared vector norm for k = 1, (a + c)/2 + sqrt(((a - c)/2)^2 + |b|^2) for
+k = 2, and Smith's trigonometric formula for k = 3 (O. K. Smith,
+"Eigenvalues of a symmetric 3 x 3 matrix", Comm. ACM 4(4), 1961).  The
+LAPACK SVD stays for k >= 4 and for the 3 x 3 Gram matrices whose top
+two eigenvalues nearly tie (r = q / p^{3/2} within ``_TIE_GAP`` of -1),
+where the formula loses accuracy.  Every value depends on its own matrix
+alone, never on the rest of the stack, so the Kreiss grid stays bitwise
+the H-infinity norm of each family member; for that reason short stacks
+take the closed form too, although one LAPACK call is faster below about
+thirty 3 x 3 matrices.  ``_gains``, the M0 grid and refinement and
+``oracles._ModalChannel`` call it.
 """
 
 from __future__ import annotations
@@ -132,24 +149,131 @@ class AttainmentCheck:
 
 
 # ---------------------------------------------------------------------------
+# Largest singular value of a stack of small matrices
+# ---------------------------------------------------------------------------
+
+#: matrices per block of ``_sigma_max``'s closed form
+_SIGMA_CHUNK = 2048
+
+#: a 3 x 3 Gram matrix whose r = q / p^{3/2} lies within this of -1 has two
+#: nearly equal top eigenvalues; the trigonometric form's rounding error
+#: grows like eps / sqrt(1 + r) there, so these matrices take the SVD
+_TIE_GAP = 1e-3
+
+def _row_sums(P: np.ndarray) -> np.ndarray:
+    """P[:, 0] + P[:, 1] + ..., added in that order into P[:, 0]."""
+    acc = P[:, 0]
+    for row in range(1, P.shape[1]):
+        acc += P[:, row]
+    return acc
+
+
+def _sigma_max(M: np.ndarray) -> np.ndarray:
+    """sigma_max of every matrix of a real or complex (N, m, p) stack.
+
+    For min(m, p) <= 3 this is the closed form of the module docstring,
+    in blocks of ``_SIGMA_CHUNK`` matrices; every entry is a function of
+    its own matrix alone, so no value depends on the stack or the block.
+    """
+    N, rows, cols = M.shape
+    if M.size == 0:
+        return np.zeros(N)
+    if min(rows, cols) > 3:
+        out = np.full(N, np.nan)
+        finite = np.isfinite(M).all(axis=(1, 2))
+        out[finite] = np.linalg.svd(M[finite], compute_uv=False)[:, 0]
+        return out
+    if rows > cols:
+        M = M.transpose(0, 2, 1)             # sigma_max(M) = sigma_max(M^T)
+    out = np.empty(N)
+    for lo in range(0, N, _SIGMA_CHUNK):
+        out[lo:lo + _SIGMA_CHUNK] = _sigma_max_closed(M[lo:lo + _SIGMA_CHUNK])
+    return out
+
+
+def _sigma_max_closed(M: np.ndarray) -> np.ndarray:
+    """_sigma_max of an (N, k, L) stack with k <= L and k <= 3."""
+    N, k, L = M.shape
+    cplx = np.iscomplexobj(M)
+    # W[i, c, l, q]: Re (c = 0) and Im (c = 1) of entry (i, l) of matrix q
+    W = np.empty((k, 1 + cplx, L, N))
+    W[:, 0] = M.real.transpose(1, 2, 0)
+    if cplx:
+        W[:, 1] = M.imag.transpose(1, 2, 0)
+    # scale by the power of two just above the largest |Re|, |Im|: exact,
+    # so the bits are those of the unscaled arithmetic wherever that
+    # neither overflows nor underflows (a zero, NaN or inf largest entry
+    # leaves the matrix as it is)
+    big = np.abs(W).reshape(-1, N).max(axis=0)
+    expo = np.maximum(np.frexp(big)[1], -1021)
+    W *= np.ldexp(1.0, -expo)
+    # Gram entries g_ij = sum_l m_il conj(m_jl): G holds Re g_ii, then
+    # Re g_ij for i < j in row order, Gi the matching Im g_ij
+    R = W.reshape(k, -1, N)
+    G = np.empty((k * (k + 1) // 2, N))
+    Gi = np.zeros((k * (k - 1) // 2, N))
+    G[:k] = _row_sums(R * R)
+    X, Y = W[:, 0], W[:, -1]
+    row = 0
+    for i in range(k - 1):
+        pairs = slice(row, row + k - 1 - i)
+        G[k:][pairs] = _row_sums(R[i:i + 1] * R[i + 1:])
+        if cplx:
+            Q = Y[i:i + 1] * X[i + 1:]
+            Q -= X[i:i + 1] * Y[i + 1:]
+            Gi[pairs] = _row_sums(Q)
+        row += k - 1 - i
+    tie = None
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if k == 1:
+            lam = G[0]
+        elif k == 2:
+            h = 0.5 * (G[0] - G[1])
+            lam = 0.5 * (G[0] + G[1]) + np.sqrt(h * h + G[2] * G[2]
+                                                + Gi[0] * Gi[0])
+        else:
+            # Smith (1961): the eigenvalues of G are mean + 2 sqrt(p)
+            # cos(phi + 2 pi j / 3) with cos(3 phi) = r, j = 0 the largest
+            mean = (G[0] + G[1] + G[2]) / 3.0
+            a, b, c = G[:3] - mean
+            dd, ee, ff = G[3:] * G[3:] + Gi * Gi  # |g_01|^2, |g_02|^2, |g_12|^2
+            p = (a * a + b * b + c * c + 2.0 * (dd + ee + ff)) / 6.0
+            (dr, er, fr), (di, ei, fi) = G[3:], Gi
+            # det(G - mean I), with Re(g_01 g_12 conj(g_02)) in the middle
+            tri = (dr * fr - di * fi) * er + (dr * fi + di * fr) * ei
+            det = a * b * c + 2.0 * tri - a * ff - b * ee - c * dd
+            root = np.sqrt(p)
+            r = det / (2.0 * p * root)
+            tie = ~(r > _TIE_GAP - 1.0)           # also p = 0 and NaN
+            lam = mean + 2.0 * root * np.cos(np.arccos(np.minimum(r, 1.0))
+                                             / 3.0)
+        # a zero matrix gives 0, and a NaN or inf entry NaN
+        out = np.ldexp(np.sqrt(lam), expo)
+    if tie is not None:
+        redo = np.flatnonzero(tie & np.isfinite(big))
+        if redo.size:
+            out[redo] = np.linalg.svd(M[redo], compute_uv=False)[:, 0]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # H-infinity norm
 # ---------------------------------------------------------------------------
 
-#: (member, frequency) pairs per stacked solve and SVD in ``_gains``
+#: (member, frequency) pairs per stacked solve in ``_gains``
 _GAIN_CHUNK = 128
 
 
 def _gains(A: np.ndarray, member: np.ndarray, s: np.ndarray,
            B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     """sigma_max(C (s_k I - A[member_k])^{-1} B + D) for every pair k."""
-    out = np.empty(s.size)
+    G = np.empty((s.size, C.shape[0], B.shape[1]), dtype=complex)
     eye = np.eye(A.shape[-1])
     for lo in range(0, s.size, _GAIN_CHUNK):
         sl = slice(lo, lo + _GAIN_CHUNK)
         M = s[sl][:, None, None] * eye - A[member[sl]]
-        G = C @ np.linalg.solve(M, B) + D
-        out[sl] = np.linalg.svd(G, compute_uv=False)[:, 0]
-    return out
+        G[sl] = C @ np.linalg.solve(M, B) + D
+    return _sigma_max(G)
 
 
 def _probe_frequencies(A: np.ndarray) -> np.ndarray:
@@ -531,13 +655,6 @@ class _Impulse:
             F[sl] = left @ scipy.linalg.expm(sys.A * knots[sl, None, None]) \
                 @ sys.B[:, j]
         return np.diff(F)
-
-
-def _sigma_max(M: np.ndarray) -> np.ndarray:
-    """sigma_max of every matrix of a (T, m, p) stack."""
-    if M.size == 0:
-        return np.zeros(M.shape[0])
-    return np.linalg.svd(M, compute_uv=False)[:, 0]
 
 
 # ---------------------------------------------------------------------------

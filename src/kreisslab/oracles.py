@@ -3,9 +3,10 @@
 Every optimizing norm in this toolkit is a heuristic maximization; these
 oracles recompute the same quantities by dense enumeration (time grids,
 frequency grids, right-half-plane rectangles, sampled inputs) so results
-can be certified independently of the search path.  Each oracle returns
-(value, uncertainty) where the uncertainty is a conservative grid-gap
-estimate obtained by comparing against a half-resolution pass.
+can be checked independently of the search path.  Each oracle returns
+(value, uncertainty), where the uncertainty is a grid-gap estimate, three
+times the change from a half-resolution pass.  It is not a proved bound: a
+peak narrower than the grid spacing can lie outside value + uncertainty.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class _ModalChannel:
             G = np.tensordot(W, self.res, axes=(1, 0))       # N x m x p
             if np.any(sys.D):
                 G = G + sys.D[None, :, :]
-            return np.linalg.svd(G, compute_uv=False)[..., 0]
+            return _sigma_max(G)
         return _gains(sys.A[None], np.zeros(ss.size, dtype=int), ss,
                       sys.B, sys.C, sys.D)
 
@@ -136,8 +137,10 @@ def kreiss_halfplane_grid(sys: StateSpace, n_x: int = 400,
                           n_omega: int = 2000) -> OracleReport:
     """Dense rectangle in {Re s > 0} for sup Re(s) sigma_max(C(sI-A)^{-1}B).
 
-    Large Re(s) is covered by the sigma_max(CB) limit, large frequencies by
-    resolvent decay, so a finite rectangle plus the limit value suffices.
+    The rectangle plus the sigma_max(CB) limit as Re(s) -> inf estimate
+    the supremum: large Re(s) tends to that limit and large frequencies
+    decay like the resolvent, but nothing proves that the supremum lies
+    inside the rectangle or between its grid points.
     """
     _check_size(sys)
     sys.require_stable("Kreiss oracle")

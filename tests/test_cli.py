@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kreisslab
 from kreisslab.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -14,6 +18,18 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # simulation and the boundedness bound import it when they run
+    src = str(Path(kreisslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kreisslab.cli; "
+         "sys.exit('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy.integrate imported"
 
 
 def test_analyze_example3_kreiss(capsys):

@@ -1,107 +1,15 @@
 import numpy as np
 import pytest
 
-from kreisslab.errors import DimensionError, StabilityError
+from kreisslab.errors import StabilityError
 from kreisslab.linalg import (
-    eig,
-    expm,
     is_hurwitz,
-    numerical_abscissa,
     solve_lyapunov,
     spectral_abscissa,
     svd_triple,
 )
 
 from conftest import random_stable_statespace
-
-
-def test_expm_zero_matrix_is_identity():
-    assert np.allclose(expm(np.zeros((2, 2)), 5.0), np.eye(2))
-
-
-def test_expm_diagonal():
-    E = expm(np.diag([-1.0, -2.0]), 1.0)
-    assert np.allclose(E, np.diag([np.exp(-1.0), np.exp(-2.0)]), atol=1e-12)
-
-
-def test_expm_rotation_quarter_turn():
-    M = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    E = expm(M, np.pi / 2)
-    assert np.allclose(E, np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-12)
-
-
-def test_expm_rejects_nonsquare():
-    with pytest.raises(DimensionError):
-        expm(np.ones((2, 3)))
-
-
-def test_expm_semigroup_property(rng):
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        A = random_stable_statespace(rng, n).A
-        t, s = rng.uniform(0.1, 2.0, size=2)
-        lhs = expm(A, t + s)
-        rhs = expm(A, t) @ expm(A, s)
-        assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
-
-
-def test_eig_diagonal():
-    spec = eig(np.diag([-1.0, -2.0]))
-    assert sorted(spec.eigenvalues.real) == pytest.approx([-2.0, -1.0])
-
-
-def test_eig_rotation_pair():
-    spec = eig(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert sorted(spec.eigenvalues.imag) == pytest.approx([-1.0, 1.0])
-    assert np.allclose(spec.eigenvalues.real, 0.0, atol=1e-12)
-
-
-def _cubic_roots_oracle(a2, a1, a0):
-    """Roots of s^3 + a2 s^2 + a1 s + a0 by bisection plus deflation."""
-    def f(x):
-        return ((x + a2) * x + a1) * x + a0
-
-    lo, hi = -1e6, 1e6
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    r = 0.5 * (lo + hi)
-    # deflate: s^2 + (a2 + r) s + (a1 + r(a2 + r))
-    b1 = a2 + r
-    b0 = a1 + r * b1
-    disc = complex(b1 * b1 - 4 * b0) ** 0.5
-    return [r, (-b1 + disc) / 2, (-b1 - disc) / 2]
-
-
-def test_eig_companion_cubic_matches_root_oracle():
-    a2, a1, a0 = 1.0, 1.0, 0.9608
-    A = np.array([[0, 1, 0], [0, 0, 1], [-a0, -a1, -a2]], dtype=float)
-    got = sorted(eig(A).eigenvalues, key=lambda z: (z.real, z.imag))
-    want = sorted(_cubic_roots_oracle(a2, a1, a0),
-                  key=lambda z: (z.real, z.imag))
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-8
-
-
-def test_eig_vector_residuals(rng):
-    A = rng.standard_normal((5, 5))
-    spec = eig(A, vectors=True)
-    for k in range(5):
-        v = spec.eigenvectors[:, k]
-        lam = spec.eigenvalues[k]
-        assert np.linalg.norm(A @ v - lam * v) <= 1e-8 * np.linalg.norm(v)
-
-
-def test_eig_conjugate_closure(rng):
-    for _ in range(20):
-        A = rng.standard_normal((4, 4))
-        w = eig(A).eigenvalues
-        assert np.allclose(sorted(w, key=lambda z: (z.real, z.imag)),
-                           sorted(w.conj(), key=lambda z: (z.real, z.imag)),
-                           atol=1e-8)
 
 
 def test_svd_identity():
@@ -170,15 +78,12 @@ def test_spectral_abscissa_examples():
                                                                         abs=1e-12)
 
 
-def test_numerical_abscissa_examples():
-    assert numerical_abscissa(-np.eye(2)) == pytest.approx(-1.0)
-    assert numerical_abscissa([[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(0.5)
-
-
 def test_abscissa_field_of_values_containment(rng):
     for _ in range(100):
         A = rng.standard_normal((4, 4))
-        assert spectral_abscissa(A) <= numerical_abscissa(A) + 1e-12
+        # the numerical abscissa: the field of values contains the spectrum
+        numerical = 0.5 * np.max(np.linalg.eigvalsh(A + A.T))
+        assert spectral_abscissa(A) <= numerical + 1e-12
 
 
 def test_is_hurwitz():

@@ -531,6 +531,130 @@ def test_time_chunk_leaves_reports_bitwise_identical(monkeypatch, rng):
 
 
 # ---------------------------------------------------------------------------
+# Largest-singular-value kernel
+# ---------------------------------------------------------------------------
+
+_SHAPES = [(m, p) for m in range(1, 5) for p in range(1, 5)]
+
+
+def _random_stack(rng, n, m, p, cplx):
+    M = rng.standard_normal((n, m, p))
+    return M + 1j * rng.standard_normal((n, m, p)) if cplx else M
+
+
+def _lapack_sigma(M):
+    return np.linalg.svd(M, compute_uv=False)[:, 0]
+
+
+def _with_singular_values(rng, sv, m, p, cplx):
+    """U diag(sv) V^H with Haar-random unitary (orthogonal) U and V."""
+    def unitary(n):
+        return np.linalg.qr(_random_stack(rng, 1, n, n, cplx)[0])[0]
+
+    S = np.zeros((m, p))
+    S[range(len(sv)), range(len(sv))] = sv
+    return unitary(m) @ S @ unitary(p).conj().T
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want) / want))
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m,p", _SHAPES)
+def test_sigma_max_matches_lapack(m, p, cplx):
+    rng = np.random.default_rng(100 * m + 10 * p + cplx)
+    chunk = norms._SIGMA_CHUNK
+    for n in (1, chunk - 1, chunk + 1, 2000):
+        M = _random_stack(rng, n, m, p, cplx)
+        assert _rel(norms._sigma_max(M), _lapack_sigma(M)) <= 1e-14
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m,p", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 3)])
+def test_sigma_max_near_ties_and_clusters(m, p, cplx):
+    """Constructed singular values: the top two 1e-1 ... 1e-12 apart, all
+    of them within 1e-3 ... 1e-13 of each other or equal.  The reference
+    is the constructed value: on the 1e-13 clusters LAPACK's own sigma_max
+    is up to 1.2e-14 off it."""
+    rng = np.random.default_rng(10 * m + p + 100 * cplx)
+    k = min(m, p)
+    gaps, want = [], []
+    for gap in 10.0 ** -np.arange(1, 13):
+        for _ in range(20):
+            sv = np.sort(rng.uniform(0.1, 1.0 - gap, k))[::-1]
+            sv[:2] = (1.0, 1.0 - gap)
+            gaps.append(_with_singular_values(rng, sv, m, p, cplx))
+            want.append(1.0)
+    M = np.array(gaps)
+    got = norms._sigma_max(M)
+    assert _rel(got, np.array(want)) <= 1e-14
+    assert _rel(got, _lapack_sigma(M)) <= 1e-14
+    clusters, want = [], []
+    for spread in (1e-3, 1e-8, 1e-13, 0.0):
+        for _ in range(50):
+            sv = np.sort(1.0 + spread * rng.uniform(-1.0, 1.0, k))[::-1]
+            clusters.append(_with_singular_values(rng, sv, m, p, cplx))
+            want.append(sv[0])
+    assert _rel(norms._sigma_max(np.array(clusters)), np.array(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("m,p", _SHAPES)
+def test_sigma_max_rank_one_and_zero(m, p, cplx):
+    rng = np.random.default_rng(7 * m + p + 50 * cplx)
+    u = _random_stack(rng, 200, m, 1, cplx)
+    v = _random_stack(rng, 200, 1, p, cplx)
+    want = np.linalg.norm(u, axis=(1, 2)) * np.linalg.norm(v, axis=(1, 2))
+    assert _rel(norms._sigma_max(u @ v), want) <= 1e-14
+    zero = np.zeros((3, m, p), dtype=complex if cplx else float)
+    assert np.array_equal(norms._sigma_max(zero), np.zeros(3))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("m,p", _SHAPES)
+def test_sigma_max_scaled_entries(m, p, scale):
+    rng = np.random.default_rng(3 * m + p)
+    M = _random_stack(rng, 200, m, p, True)
+    for part in (M, M.real):
+        got = norms._sigma_max(part * scale) / scale
+        assert _rel(got, _lapack_sigma(part)) <= 1e-14
+
+
+@pytest.mark.parametrize("m,p", _SHAPES)
+def test_sigma_max_nonfinite_entry_is_never_finite(m, p):
+    rng = np.random.default_rng(m + 10 * p)
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan),
+                complex(0.0, -np.inf)):
+        M = _random_stack(rng, 5, m, p, True)
+        M[2, m - 1, 0] = bad
+        got = norms._sigma_max(M)
+        assert not np.isfinite(got[2])
+        keep = [0, 1, 3, 4]
+        assert np.array_equal(got[keep], norms._sigma_max(M[keep]))
+    real = _random_stack(rng, 3, m, p, False)
+    real[1, 0, p - 1] = np.nan
+    assert not np.isfinite(norms._sigma_max(real)[1])
+
+
+@pytest.mark.parametrize("m,p", [(1, 3), (2, 2), (3, 2), (3, 3), (4, 4)])
+def test_sigma_max_entry_independent_of_stack(m, p, monkeypatch):
+    """Every value is a function of its own matrix: alone, in any order,
+    in any block size, and among near-tie matrices that take the SVD."""
+    rng = np.random.default_rng(m * p)
+    M = np.concatenate([
+        _random_stack(rng, 2000, m, p, True),
+        [_with_singular_values(rng, [1.0, 1.0 - 1e-9, 0.5, 0.2][:min(m, p)],
+                               m, p, True) for _ in range(40)]])
+    whole = norms._sigma_max(M)
+    assert np.array_equal(norms._sigma_max(M[::-1]), whole[::-1])
+    for i in (0, 1, 999, 2000, 2039):
+        assert norms._sigma_max(M[i:i + 1])[0] == whole[i]
+    monkeypatch.setattr(norms, "_SIGMA_CHUNK", 7)
+    assert np.array_equal(norms._sigma_max(M), whole)
+
+
+# ---------------------------------------------------------------------------
 # Gramian-based norms
 # ---------------------------------------------------------------------------
 
