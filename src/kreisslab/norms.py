@@ -44,8 +44,8 @@ where the formula loses accuracy.  Every value depends on its own matrix
 alone, never on the rest of the stack, so the Kreiss grid stays bitwise
 the H-infinity norm of each family member; for that reason short stacks
 take the closed form too, although one LAPACK call is faster below about
-thirty 3 x 3 matrices.  ``_gains``, the M0 grid and refinement and
-``oracles._ModalChannel`` call it.
+thirty 3 x 3 matrices.  ``_gains``, the M0 grid and refinement, the
+oracles and ``models.transient_curve`` call it.
 """
 
 from __future__ import annotations
@@ -160,6 +160,7 @@ _SIGMA_CHUNK = 2048
 #: grows like eps / sqrt(1 + r) there, so these matrices take the SVD
 _TIE_GAP = 1e-3
 
+
 def _row_sums(P: np.ndarray) -> np.ndarray:
     """P[:, 0] + P[:, 1] + ..., added in that order into P[:, 0]."""
     acc = P[:, 0]
@@ -236,7 +237,8 @@ def _sigma_max_closed(M: np.ndarray) -> np.ndarray:
             # cos(phi + 2 pi j / 3) with cos(3 phi) = r, j = 0 the largest
             mean = (G[0] + G[1] + G[2]) / 3.0
             a, b, c = G[:3] - mean
-            dd, ee, ff = G[3:] * G[3:] + Gi * Gi  # |g_01|^2, |g_02|^2, |g_12|^2
+            # |g_01|^2, |g_02|^2, |g_12|^2
+            dd, ee, ff = G[3:] * G[3:] + Gi * Gi
             p = (a * a + b * b + c * c + 2.0 * (dd + ee + ff)) / 6.0
             (dr, er, fr), (di, ei, fi) = G[3:], Gi
             # det(G - mean I), with Re(g_01 g_12 conj(g_02)) in the middle
