@@ -8,6 +8,7 @@ from kreisslab.linalg import (
     spectral_abscissa,
     svd_triple,
 )
+from kreisslab.subgrad import sigma_directional
 
 from conftest import random_stable_statespace
 
@@ -76,6 +77,41 @@ def test_spectral_abscissa_examples():
     assert spectral_abscissa(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
     assert spectral_abscissa([[0.0, 1.0], [-1.0, 0.0]]) == pytest.approx(0.0,
                                                                         abs=1e-12)
+
+
+def _cubic_roots_oracle(a2, a1, a0):
+    """Roots of s^3 + a2 s^2 + a1 s + a0 by bisection plus deflation."""
+    def f(x):
+        return ((x + a2) * x + a1) * x + a0
+
+    lo, hi = -1e6, 1e6
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(lo) * f(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    r = 0.5 * (lo + hi)
+    # deflate: s^2 + (a2 + r) s + (a1 + r(a2 + r))
+    b1 = a2 + r
+    b0 = a1 + r * b1
+    disc = complex(b1 * b1 - 4 * b0) ** 0.5
+    return [r, (-b1 + disc) / 2, (-b1 - disc) / 2]
+
+
+def test_eig_companion_cubic_matches_root_oracle():
+    a2, a1, a0 = 1.0, 1.0, 0.9608
+    A = np.array([[0, 1, 0], [0, 0, 1], [-a0, -a1, -a2]], dtype=float)
+    want = max(z.real for z in _cubic_roots_oracle(a2, a1, a0))
+    assert abs(spectral_abscissa(A) - want) <= 1e-8
+
+
+def test_numerical_abscissa_examples():
+    # the numerical abscissa 0.5 lambda_max(A + A^T) is the directional
+    # derivative of sigma_max at the identity in direction A
+    assert sigma_directional(np.eye(2), -np.eye(2)) == pytest.approx(-1.0)
+    assert sigma_directional(np.eye(2),
+                             [[0.0, 1.0], [0.0, 0.0]]) == pytest.approx(0.5)
 
 
 def test_abscissa_field_of_values_containment(rng):
