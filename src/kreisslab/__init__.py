@@ -21,7 +21,6 @@ from .loop import (
 )
 from .norms import (
     KreissOptions,
-    M0Options,
     NormReport,
     cb_lower_bound,
     hinf_norm,
@@ -37,7 +36,6 @@ __all__ = [
     "ControllerRealization",
     "ControllerStructure",
     "KreissOptions",
-    "M0Options",
     "NormReport",
     "assemble_closed_loop",
     "cb_lower_bound",

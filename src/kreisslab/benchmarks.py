@@ -40,11 +40,6 @@ class CatalogEntry:
     notes: str = ""
 
 
-def controller_from_tf(num, den) -> ControllerRealization:
-    sys = tf_to_ss(num, den)
-    return ControllerRealization(sys.A, sys.B, sys.C, sys.D)
-
-
 # ---------------------------------------------------------------------------
 # Second-order oscillator benchmark
 # ---------------------------------------------------------------------------
@@ -80,13 +75,14 @@ BRUNTON_CONTROLLERS = {
               "printed -0.20 is the rounded boundary value"),
     "first_order": CatalogEntry(
         name="first_order",
-        controller=controller_from_tf([0.001071, -2.247], [1.0, 1.483]),
+        controller=ControllerRealization.from_tf([0.001071, -2.247],
+                                                 [1.0, 1.483]),
         measurement="y",
         notes="denominator read as (s + 1.483); source parentheses "
               "unbalanced"),
     "third_order": CatalogEntry(
         name="third_order",
-        controller=controller_from_tf(
+        controller=ControllerRealization.from_tf(
             [-0.008068, -6.391, 83.2, -1673.0],
             [1.0, 27.97, 252.8, 1333.0]),
         measurement="y"),
@@ -96,10 +92,12 @@ BRUNTON_CONTROLLERS = {
 BRUNTON4_CONTROLLERS = {
     "kreiss": CatalogEntry(
         name="kreiss",
-        controller=controller_from_tf([0.03538, -0.5306], [1.0, 0.667])),
+        controller=ControllerRealization.from_tf([0.03538, -0.5306],
+                                                 [1.0, 0.667])),
     "mixed_sensitivity": CatalogEntry(
         name="mixed_sensitivity",
-        controller=controller_from_tf([34.31, 168.1], [1.0, 32.47])),
+        controller=ControllerRealization.from_tf([34.31, 168.1],
+                                                 [1.0, 32.47])),
 }
 
 
@@ -123,7 +121,7 @@ def lorenz_plant(params: LorenzParams | None = None,
 
 def _neg_first_order(n1: float, n0: float, d0: float) -> ControllerRealization:
     """K(s) = -(n1 s + n0)/(s + d0)."""
-    return controller_from_tf([-n1, -n0], [1.0, d0])
+    return ControllerRealization.from_tf([-n1, -n0], [1.0, d0])
 
 
 LORENZ_CHAOS_QC = {

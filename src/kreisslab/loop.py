@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .statespace import StateSpace
+from .statespace import StateSpace, tf_to_ss
 
 __all__ = [
     "ControllerRealization",
@@ -84,8 +84,6 @@ class ControllerRealization:
     @classmethod
     def from_tf(cls, num, den) -> "ControllerRealization":
         """SISO controller from transfer-function coefficients."""
-        from .statespace import tf_to_ss
-
         sys = tf_to_ss(num, den)
         return cls(sys.A, sys.B, sys.C, sys.D)
 

@@ -28,7 +28,10 @@ SVD; ``peak_gain`` evaluates every channel on its grid in one call,
 polishes all sign changes of all channels in lockstep with safeguarded
 Newton steps (the derivative is k = 1) and integrates each channel's
 segments from the same residues.  The oracles and
-``models.transient_curve`` use the same kernel.
+``models.transient_curve`` use the same kernel.  The same class also
+evaluates sigma_max(C (sI - A)^{-1} B + D) on a batch of complex points s,
+the oracles' frequency grids: from the same residues for a modal A, and
+from ``_gains``'s stacked dense solves for a defective one.
 
 Every largest singular value of a stack of matrices comes from one
 kernel, ``_sigma_max``.  With k = min(m, p) <= 3 it builds the k x k
@@ -69,13 +72,13 @@ from .statespace import StateSpace
 __all__ = [
     "NormReport",
     "KreissOptions",
-    "M0Options",
     "HankelData",
     "AttainmentCheck",
     "hinf_norm",
     "kreiss_norm",
     "kreiss_matrix",
     "kreiss_family_matrix",
+    "family_instability_eta",
     "transient_peak_m0",
     "cb_lower_bound",
     "attainment_check",
@@ -111,25 +114,13 @@ class NormReport:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class KreissOptions:
     """Tuning for the outer eta maximization of the Kreiss norm."""
 
     grid_points: int = 200
-    eta_cap: float = 2.0 - 1e-6
     hinf_tol: float = 1e-8
-    refine_xtol: float = 1e-7
     max_local_maxima: int = 8
-    active_rtol: float = 1e-6
-
-
-@dataclass
-class M0Options:
-    """Tuning for the transient-peak time search."""
-
-    samples: int = 1200
-    tail_eps: float = 1e-12
-    refine_xtol_rel: float = 1e-9
 
 
 @dataclass
@@ -402,6 +393,10 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     relative tol of the true norm; the attaining frequency is reported
     (inf when only D attains it).  This is the one-member call of the
     lockstep kernel that kreiss_norm runs over its whole eta grid.
+
+    A gain that moves by one ulp can change the bisection's steps, so the
+    value and the evaluation count reproduce only to tol, not bitwise,
+    across numpy and LAPACK builds.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
@@ -416,11 +411,29 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
 # Kreiss system norm
 # ---------------------------------------------------------------------------
 
+#: the eta grid stops here, short of the pole of eta/(2-eta) at 2
+_ETA_CAP = 2.0 - 1e-6
+
+#: golden-section refinement stops at eta brackets this narrow
+_REFINE_XTOL = 1e-7
+
+#: a refined point is active when it reaches this fraction of the maximum
+_ACTIVE_RTOL = 1e-6
+
+
 def kreiss_family_matrix(A: np.ndarray, eta) -> np.ndarray:
     """Shifted/scaled member (eta/(2-eta)) A - I of the resolvent family;
     an array of etas gives the members stacked along a leading axis."""
     c = np.asarray(eta / (2.0 - eta))
     return c[..., None, None] * A - np.eye(A.shape[0])
+
+
+def family_instability_eta(A: np.ndarray) -> float:
+    """Smallest eta in (0, 2] at which kreiss_family_matrix(A, eta) is not
+    Hurwitz: 2/(1 + r) for the spectral abscissa r >= 0 of A, where the
+    member's abscissa r eta/(2-eta) - 1 reaches 0; inf for a Hurwitz A."""
+    r = spectral_abscissa(A)
+    return 2.0 / (1.0 + r) if r >= 0 else math.inf
 
 
 def _family_hinf(sys: StateSpace, eta: np.ndarray, tol: float):
@@ -456,15 +469,24 @@ def _golden_max(f, a: float, b: float, xtol: float, max_iter: int = 60):
     return x2, f2, p2, evals
 
 
+def _local_maxima(vals: np.ndarray) -> np.ndarray:
+    """Indices i, ascending, with vals[i] >= each neighbour it has."""
+    up = np.ones(vals.size, dtype=bool)
+    down = np.ones(vals.size, dtype=bool)
+    up[1:] = vals[1:] >= vals[:-1]
+    down[:-1] = vals[:-1] >= vals[1:]
+    return np.flatnonzero(up & down)
+
+
 def _strictly_proper_channel(sys: StateSpace, what: str) -> None:
     if np.any(sys.D):
         raise PreconditionError(f"{what} requires a strictly proper system (D = 0)")
 
 
-def _eta_grid(n_points: int, cap: float) -> np.ndarray:
+def _eta_grid(n_points: int) -> np.ndarray:
     u = np.linspace(0.0, 1.0, n_points)
     eta = 1.0 - np.cos(math.pi * u)
-    eta = np.clip(eta, 0.0, cap)
+    eta = np.clip(eta, 0.0, _ETA_CAP)
     return np.unique(eta)
 
 
@@ -489,18 +511,14 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
         rep = hinf_norm(fam, tol=opts.hinf_tol)
         return rep.value, rep.maximizer["omega"]
 
-    grid = _eta_grid(opts.grid_points, opts.eta_cap)
+    grid = _eta_grid(opts.grid_points)
     vals, omegas, _ = _family_hinf(sys, grid, opts.hinf_tol)
     evals = len(grid)
 
     order = np.argsort(vals)[::-1]
-    local_max = []
-    for i in range(len(grid)):
-        left_ok = i == 0 or vals[i] >= vals[i - 1]
-        right_ok = i == len(grid) - 1 or vals[i] >= vals[i + 1]
-        if left_ok and right_ok:
-            local_max.append(i)
-    local_max.sort(key=lambda i: -vals[i])
+    local_max = _local_maxima(vals)
+    # largest first, ties in grid order
+    local_max = local_max[np.argsort(-vals[local_max], kind="stable")]
     local_max = local_max[: opts.max_local_maxima]
 
     best_val = float(vals[order[0]])
@@ -510,11 +528,11 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     for i in local_max:
         a = grid[i - 1] if i > 0 else grid[0]
         b = grid[i + 1] if i < len(grid) - 1 else grid[-1]
-        if b - a <= opts.refine_xtol:
+        if b - a <= _REFINE_XTOL:
             refined.append((float(grid[i]), float(vals[i]), float(omegas[i])))
             continue
         eta_r, val_r, om_r, used = _golden_max(value_at, float(a), float(b),
-                                               xtol=opts.refine_xtol)
+                                               xtol=_REFINE_XTOL)
         evals += used
         refined.append((eta_r, val_r, om_r))
         if val_r > best_val:
@@ -526,7 +544,7 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
             set(refined) | {(float(grid[i]), float(vals[i]), float(omegas[i]))
                             for i in local_max},
             key=lambda t: t[0])
-        if v >= (1.0 - opts.active_rtol) * best_val
+        if v >= (1.0 - _ACTIVE_RTOL) * best_val
     ]
 
     tol_floor = 10 * opts.hinf_tol * max(1.0, sigma_cb) + 1e-12
@@ -554,6 +572,9 @@ def kreiss_matrix(A, opts: KreissOptions | None = None) -> NormReport:
 #: time points per chunk of a batched impulse-response evaluation
 _TIME_CHUNK = 1024
 
+#: an eigenvector basis V with cond(V) below this gives the residue form
+_MODAL_COND = 1e8
+
 
 def _mode_sum(E: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Sum over the leading (mode) axis of Re(E R), added in mode order."""
@@ -561,21 +582,23 @@ def _mode_sum(E: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 class _Impulse:
-    """The impulse response C A^k e^{At} B, k = 0 or 1, on batches of times.
+    """The impulse response C A^k e^{At} B, k = 0 or 1, on batches of times,
+    and the transfer gains sigma_max(G(s)) on batches of complex points.
 
-    When the eigenvector basis V of A is well conditioned (cond(V) < 1e8),
+    When cond(V) of the eigenvector basis V of A is below ``_MODAL_COND``,
     every entry is the residue sum of Re(r_l lam_l^k e^{lam_l t}) over the
     eigenvalues lam_l, formed in chunks of ``_TIME_CHUNK`` time points and
-    added in mode order, so a value does not depend on the chunking.  For
-    a defective A each time takes one expm, and a uniform grid takes the
-    recurrence X_{q+1} = expm(A dt) X_q from X_0 = B.  Channel c is the
-    entry (c // p, c % p).
+    added in mode order, so a value does not depend on the chunking, and
+    G(s) = sum_l r_l / (s - lam_l) + D.  For a defective A each time takes
+    one expm, a uniform grid takes the recurrence X_{q+1} = expm(A dt) X_q
+    from X_0 = B, and G(s) takes ``_gains``'s dense solves.  Channel c is
+    the entry (c // p, c % p).
     """
 
     def __init__(self, sys: StateSpace):
         self.sys = sys
         w, V = np.linalg.eig(sys.A)
-        self.modal = bool(np.linalg.cond(V) < 1e8)
+        self.modal = bool(np.linalg.cond(V) < _MODAL_COND)
         if self.modal:
             self.lam = w
             left = sys.C @ V                           # m x n
@@ -599,6 +622,17 @@ class _Impulse:
                 out[sl] = (self.output[k] @ scipy.linalg.expm(
                     sys.A * t[sl, None, None])) @ sys.B
         return out
+
+    def sigma_transfer(self, s: np.ndarray) -> np.ndarray:
+        """sigma_max(C (s_q I - A)^{-1} B + D) for every complex point s_q."""
+        sys = self.sys
+        if not self.modal:
+            return _gains(sys.A[None], np.zeros(s.size, dtype=int), s,
+                          sys.B, sys.C, sys.D)
+        G = (1.0 / (s[:, None] - self.lam)) @ self.res[0]
+        G = G.reshape(-1, sys.m, sys.p)
+        G += sys.D                # in place: a copy slows the oracle grids
+        return _sigma_max(G)
 
     def grid(self, ts: np.ndarray, k: int = 0) -> np.ndarray:
         """matrices(ts, k) on a uniform grid ts of at least two points
@@ -693,23 +727,31 @@ def _tail_horizon(A: np.ndarray, tail_eps: float) -> float:
     return t
 
 
-def transient_peak_m0(sys: StateSpace, opts: M0Options | None = None) -> NormReport:
+#: time samples of each half of the M0 grid, one geometric, one uniform
+_M0_HALF_SAMPLES = 600
+
+#: the M0 horizon is where the decay envelope falls below this
+_M0_TAIL_EPS = 1e-12
+
+#: M0 golden-section refinement stops at this fraction of the horizon
+_M0_XTOL_REL = 1e-9
+
+
+def transient_peak_m0(sys: StateSpace) -> NormReport:
     """Worst-case transient peak M0(G) = sup_{t>=0} sigma_max(C e^{At} B).
 
     The horizon is chosen from a Schur-based decay envelope so that the
     remaining tail cannot exceed the sampled maximum; grid maxima are then
     sharpened by golden section.  Ties report the smallest t.
     """
-    opts = opts or M0Options()
     _strictly_proper_channel(sys, "transient peak")
     sys.require_stable("transient peak")
     imp = _Impulse(sys)
-    horizon = _tail_horizon(sys.A, opts.tail_eps)
-    half = max(opts.samples // 2, 8)
+    horizon = _tail_horizon(sys.A, _M0_TAIL_EPS)
     grid = np.unique(np.concatenate([
         [0.0],
-        np.geomspace(horizon * 1e-6, horizon, half),
-        np.linspace(0.0, horizon, half),
+        np.geomspace(horizon * 1e-6, horizon, _M0_HALF_SAMPLES),
+        np.linspace(0.0, horizon, _M0_HALF_SAMPLES),
     ]))
     vals = _sigma_max(imp.matrices(grid))
     evals = len(grid)
@@ -719,17 +761,15 @@ def transient_peak_m0(sys: StateSpace, opts: M0Options | None = None) -> NormRep
 
     best_val = float(vals.max())
     best_t = float(grid[int(np.argmax(vals))])
-    for i in range(len(grid)):
-        left_ok = i == 0 or vals[i] >= vals[i - 1]
-        right_ok = i == len(grid) - 1 or vals[i] >= vals[i + 1]
-        if not (left_ok and right_ok) or vals[i] < 0.5 * best_val:
+    for i in _local_maxima(vals):
+        if vals[i] < 0.5 * best_val:
             continue
         a = grid[max(i - 1, 0)]
         b = grid[min(i + 1, len(grid) - 1)]
         if b - a <= 0:
             continue
         t_r, v_r, _, used = _golden_max(at, float(a), float(b),
-                                        xtol=opts.refine_xtol_rel * horizon)
+                                        xtol=_M0_XTOL_REL * horizon)
         evals += used
         if v_r > best_val * (1 + 1e-12) or (
                 abs(v_r - best_val) <= 1e-9 * best_val and t_r < best_t):

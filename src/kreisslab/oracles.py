@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OversizeError, PreconditionError
-from .norms import (  # shared kernels
-    _gains,
-    _Impulse,
-    _sigma_max,
-    _tail_horizon,
-)
+from .norms import _Impulse, _sigma_max, _tail_horizon  # shared kernels
 from .statespace import StateSpace
 
 __all__ = [
@@ -62,33 +57,6 @@ def _check_grid(n_grid: int):
             f"oracle grid needs at least 2 points, got {n_grid}")
 
 
-class _ModalChannel:
-    """Residue form G(s) = sum_k R_k / (s - lam_k) for batched evaluation."""
-
-    def __init__(self, sys: StateSpace):
-        self.sys = sys
-        w, V = np.linalg.eig(sys.A)
-        self.ok = np.linalg.cond(V) < 1e8
-        self.lam = w
-        if self.ok:
-            left = sys.C @ V                        # m x n
-            right = np.linalg.solve(V, sys.B)       # n x p
-            # residues R_k = left[:, k] right[k, :]
-            self.res = np.einsum("ik,kj->kij", left, right)
-
-    def sigma_transfer(self, ss: np.ndarray) -> np.ndarray:
-        """sigma_max(C (sI - A)^{-1} B + D) on a batch of complex points."""
-        sys = self.sys
-        if self.ok:
-            W = 1.0 / (ss[:, None] - self.lam[None, :])      # N x n
-            G = np.tensordot(W, self.res, axes=(1, 0))       # N x m x p
-            if np.any(sys.D):
-                G = G + sys.D[None, :, :]
-            return _sigma_max(G)
-        return _gains(sys.A[None], np.zeros(ss.size, dtype=int), ss,
-                      sys.B, sys.C, sys.D)
-
-
 def m0_time_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     """Dense time-grid maximum of sigma_max(C e^{At} B)."""
     _check_size(sys)
@@ -120,7 +88,7 @@ def hinf_frequency_grid(sys: StateSpace, n_grid: int = 100000) -> OracleReport:
     sys.require_stable("H-infinity oracle")
     lo, hi = _frequency_span(sys)
     omegas = np.concatenate([[0.0], np.geomspace(lo, hi, n_grid - 1)])
-    vals = _ModalChannel(sys).sigma_transfer(1j * omegas)
+    vals = _Impulse(sys).sigma_transfer(1j * omegas)
     value = float(np.max(vals))
     w_star = float(omegas[int(np.argmax(vals))])
     coarse = float(np.max(vals[::2]))
@@ -154,7 +122,7 @@ def kreiss_halfplane_grid(sys: StateSpace, n_x: int = 400,
     w_hi = 1e2 * max(1.0, float(np.abs(lam.imag).max()) + 1.0)
     omegas = np.concatenate([[0.0], np.geomspace(w_hi * 1e-6, w_hi,
                                                  n_omega - 1)])
-    channel = _ModalChannel(sys)
+    channel = _Impulse(sys)
     value = float(np.linalg.svd(sys.C @ sys.B, compute_uv=False)[0])
     arg = {"x": math.inf, "omega": 0.0}
     coarse = value

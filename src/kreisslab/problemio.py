@@ -11,11 +11,11 @@ Problems are JSON documents with explicit-dimension row-major matrices:
                     | {"tf": {"num": [...], "den": [...]}}
                     | {"static": {...matrix...}},
       "constraints": {"eta": 0.1, "rolloff_weight": {"num": [...],
-                                                     "den": [...]}},
-      "options": {...}
+                                                     "den": [...]}}
     }
 
-A matrix is {"rows": r, "cols": c, "data": [row-major numbers]}.  Reports
+A matrix is {"rows": r, "cols": c, "data": [row-major numbers]}; other
+top-level keys are ignored.  Reports
 are JSON with deterministic content under a fixed seed; timestamps live in
 a separate metadata block.  Trajectories and transient curves export as
 CSV.
@@ -88,7 +88,6 @@ class Problem:
     controller: ControllerRealization | None = None
     eta: float = 0.0
     rolloff_weight: StateSpace | None = None
-    options: dict | None = None
 
     def require_system(self) -> StateSpace:
         if self.system is not None:
@@ -145,10 +144,9 @@ def _parse_controller(obj) -> ControllerRealization:
     if "tf" in obj:
         tf = obj["tf"]
         try:
-            sys = tf_to_ss(tf["num"], tf["den"])
+            return ControllerRealization.from_tf(tf["num"], tf["den"])
         except Exception as exc:
             raise SchemaError(f"bad controller tf: {exc}") from exc
-        return ControllerRealization(sys.A, sys.B, sys.C, sys.D)
     if "static" in obj:
         return ControllerRealization.static(
             matrix_from_json(obj["static"], "static gain"))
@@ -204,7 +202,6 @@ def load_problem(path) -> Problem:
                 problem.rolloff_weight = tf_to_ss(w["num"], w["den"])
             except Exception as exc:
                 raise SchemaError(f"bad rolloff weight: {exc}") from exc
-    problem.options = payload.get("options", {})
     return problem
 
 

@@ -16,7 +16,12 @@ import scipy.linalg
 from .errors import PreconditionError, StabilityError
 from .linalg import svd_triple
 from .loop import ClosedLoop, ControllerStructure, assemble_closed_loop
-from .norms import KreissOptions, kreiss_norm
+from .norms import (
+    KreissOptions,
+    family_instability_eta,
+    kreiss_family_matrix,
+    kreiss_norm,
+)
 from .statespace import StateSpace
 
 __all__ = [
@@ -29,9 +34,6 @@ __all__ = [
     "hinf_directional",
     "kreiss_subgradient",
 ]
-
-#: a point is active when its value reaches this fraction of the maximum
-ACTIVE_RTOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,26 +135,17 @@ class KreissSubgradient:
     closed_loop: ClosedLoop | None = None
 
 
-def _family_instability_eta(A_cl: np.ndarray) -> float:
-    """Smallest eta at which (eta/(2-eta)) A_cl - I loses stability."""
-    rmax = float(np.max(np.linalg.eigvals(A_cl).real))
-    if rmax <= 0:
-        return np.inf
-    c = 1.0 / rmax
-    return 2.0 * c / (1.0 + c)
-
-
 def closed_loop_gradient(A_cl: np.ndarray, J: np.ndarray, eta: float,
                          omega: float) -> tuple[float, np.ndarray]:
     """(value, d sigma_max / d A_cl) of the channel at a family point.
 
-    At s = j omega the family member has resolvent M = (s+1) I - c A_cl
-    with c = eta/(2-eta); the gradient is c Re(M^{-1} J p q^H J^T M^{-1})^T
-    for the top singular pair (q, p) of J^T M^{-1} J.
+    At s = j omega the family member c A_cl - I, c = eta/(2-eta), has
+    resolvent M = s I - (c A_cl - I); the gradient is
+    c Re(M^{-1} J p q^H J^T M^{-1})^T for the top singular pair (q, p) of
+    J^T M^{-1} J.
     """
     c = eta / (2.0 - eta)
-    n_cl = A_cl.shape[0]
-    M = (1.0 + 1j * omega) * np.eye(n_cl) - c * A_cl
+    M = 1j * omega * np.eye(A_cl.shape[0]) - kreiss_family_matrix(A_cl, eta)
     X = np.linalg.solve(M, J.astype(complex))        # M^{-1} J
     Y = np.linalg.solve(M.T, J.astype(complex)).T    # J^T M^{-1}
     G = J.T @ X
@@ -176,7 +169,7 @@ def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
     opts = opts or KreissOptions()
     controller = structure.unpack(theta)
     cl = assemble_closed_loop(plant, controller, B_w=B_w)
-    eta_bad = _family_instability_eta(cl.A_cl)
+    eta_bad = family_instability_eta(cl.A_cl)
     if not np.isinf(eta_bad):
         raise StabilityError(
             f"closed loop loses family stability at eta = {eta_bad:.6g}")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, StabilityError, SynthesisError
-from .linalg import spectral_abscissa
 from .loop import (
     ClosedLoop,
     ControllerRealization,
@@ -31,6 +30,7 @@ from .norms import (
     KreissOptions,
     NormReport,
     _family_hinf,
+    family_instability_eta,
     hinf_norm,
     kreiss_norm,
 )
@@ -54,18 +54,26 @@ class SynthOptions:
     restarts: int = 10
     seed: int = 0
     max_iter: int = 100
-    stab_max_iter: int = 200
-    penalty: float = 10.0
-    armijo_c1: float = 0.05
-    step0: float = 0.5
-    step_min: float = 1e-12
-    stat_tol: float = 1e-7
-    stab_margin: float = 1e-2
-    kreiss_opts: KreissOptions = field(
-        default_factory=lambda: KreissOptions(grid_points=48, hinf_tol=1e-7,
-                                              max_local_maxima=4))
-    final_opts: KreissOptions = field(default_factory=KreissOptions)
-    init_scales: tuple = (0.5, 2.0, 8.0, 32.0, 128.0)
+
+
+#: spectral-abscissa descent steps of the stabilization phase
+_STAB_MAX_ITER = 200
+#: initial exact-penalty weight, multiplied by 4 on each constrained retry
+_PENALTY = 10.0
+#: Armijo sufficient-decrease constant
+_ARMIJO_C1 = 0.05
+#: first line-search step, and the step below which a search gives up
+_STEP0 = 0.5
+_STEP_MIN = 1e-12
+#: a descent stops when the min-norm subgradient falls below this (relative)
+_STAT_TOL = 1e-7
+#: the closed loop must decay at least this fast even without a rate bound
+_STAB_MARGIN = 1e-2
+#: restart k draws its start with standard deviation _INIT_SCALES[k % 5]
+_INIT_SCALES = (0.5, 2.0, 8.0, 32.0, 128.0)
+#: the coarse eta grid of the descent's Kreiss evaluations
+_DESCENT_KREISS = KreissOptions(grid_points=48, hinf_tol=1e-7,
+                                max_local_maxima=4)
 
 
 @dataclass(eq=False)
@@ -137,13 +145,11 @@ def worst_case_delta(cl: ClosedLoop,
     family point.  Raises with the offending eta when the family loses
     stability.
     """
-    rmax = spectral_abscissa(cl.A_cl)
-    if rmax >= 0:
-        c = math.inf if rmax == 0 else 1.0 / rmax
-        eta_bad = 2.0 if math.isinf(c) else 2.0 * c / (1.0 + c)
+    eta_bad = family_instability_eta(cl.A_cl)
+    if not math.isinf(eta_bad):
         raise StabilityError(
             f"family member at eta = {eta_bad:.6g} is not Hurwitz")
-    rep = kreiss_norm(cl.channel(), opts or KreissOptions())
+    rep = kreiss_norm(cl.channel(), opts)
     return WorstCaseReport(eta_star=rep.maximizer["eta"], value=rep.value,
                            omega_star=rep.maximizer["omega"],
                            actives=rep.maximizer["actives"])
@@ -246,13 +252,12 @@ def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
 # ---------------------------------------------------------------------------
 
 def _stabilize(plant: StateSpace, structure: ControllerStructure,
-               theta0: np.ndarray, target: float,
-               opts: SynthOptions) -> np.ndarray | None:
+               theta0: np.ndarray, target: float) -> np.ndarray | None:
     """Descend the spectral abscissa of A_cl(theta) below target."""
     theta = theta0.copy()
     alpha, grads, _ = _abscissa_with_grads(plant, structure, theta)
-    step = opts.step0
-    for _ in range(opts.stab_max_iter):
+    step = _STEP0
+    for _ in range(_STAB_MAX_ITER):
         if alpha <= target:
             return theta
         d = -_min_norm_element(grads)
@@ -261,10 +266,10 @@ def _stabilize(plant: StateSpace, structure: ControllerStructure,
             return None
         d = d / nd
         improved = False
-        while step >= opts.step_min:
+        while step >= _STEP_MIN:
             cand = theta + step * d
             a_new, g_new, _ = _abscissa_with_grads(plant, structure, cand)
-            if a_new < alpha - opts.armijo_c1 * step * nd:
+            if a_new < alpha - _ARMIJO_C1 * step * nd:
                 theta, alpha, grads = cand, a_new, g_new
                 step = min(step * 2.0, 100.0)
                 improved = True
@@ -290,18 +295,17 @@ class _Penalized:
         self.evals = 0
 
     def alpha_limit(self) -> float:
-        return -max(self.spec.eta_rate, self.spec.options.stab_margin)
+        return -max(self.spec.eta_rate, _STAB_MARGIN)
 
     def full(self, theta):
         """(F, data) with every subgradient piece evaluated."""
-        opts = self.spec.options
         alpha, a_grads, cl = _abscissa_with_grads(self.spec.plant,
                                                   self.structure, theta)
         if alpha >= 0:
             return math.inf, None
         try:
             ks = kreiss_subgradient(self.spec.plant, self.structure, theta,
-                                    opts=opts.kreiss_opts)
+                                    opts=_DESCENT_KREISS)
         except (NumericalError, StabilityError):
             return math.inf, None
         self.evals += 1
@@ -366,30 +370,29 @@ class _Penalized:
 def _descend(spec: SynthesisSpec, structure: ControllerStructure,
              theta0: np.ndarray, rho: float):
     """Armijo descent on the penalized objective from one start."""
-    opts = spec.options
     pen = _Penalized(spec, structure, rho)
     theta = theta0.copy()
     F, data = pen.full(theta)
     if data is None:
         return None
-    step = opts.step0
+    step = _STEP0
     history = [F]
-    for _ in range(opts.max_iter):
+    for _ in range(spec.options.max_iter):
         grads = pen.subgradients(data)
         g = _min_norm_element(grads)
         ng = np.linalg.norm(g)
-        if ng <= opts.stat_tol * (1.0 + abs(F)):
+        if ng <= _STAT_TOL * (1.0 + abs(F)):
             break
         d = -g / ng
         actives = [{"eta": a.eta} for a in data["kreiss"].active]
         accepted = False
-        while step >= opts.step_min:
+        while step >= _STEP_MIN:
             cand = theta + step * d
             F_quick = pen.quick(cand, actives)
-            if F_quick <= F - opts.armijo_c1 * step * ng:
+            if F_quick <= F - _ARMIJO_C1 * step * ng:
                 F_cand, data_cand = pen.full(cand)
                 if data_cand is not None and \
-                        F_cand <= F - 0.5 * opts.armijo_c1 * step * ng:
+                        F_cand <= F - 0.5 * _ARMIJO_C1 * step * ng:
                     theta, F, data = cand, F_cand, data_cand
                     history.append(F)
                     step = min(step * 2.0, 10.0)
@@ -413,18 +416,18 @@ def minimize_kreiss(spec: SynthesisSpec,
     opts = spec.options
     rng = np.random.default_rng(opts.seed)
     n_theta = structure.n_theta
-    target = -max(spec.eta_rate * 0.5 + opts.stab_margin, opts.stab_margin)
+    target = -max(spec.eta_rate * 0.5 + _STAB_MARGIN, _STAB_MARGIN)
     best = None
     history_all = []
     used = 0
     for restart in range(opts.restarts):
         used = restart + 1
-        scale = opts.init_scales[restart % len(opts.init_scales)]
+        scale = _INIT_SCALES[restart % len(_INIT_SCALES)]
         theta0 = scale * rng.standard_normal(n_theta)
-        theta_s = _stabilize(spec.plant, structure, theta0, target, opts)
+        theta_s = _stabilize(spec.plant, structure, theta0, target)
         if theta_s is None:
             continue
-        rho = opts.penalty
+        rho = _PENALTY
         for _ in range(3):
             out = _descend(spec, structure, theta_s, rho)
             if out is None:
@@ -434,7 +437,7 @@ def minimize_kreiss(spec: SynthesisSpec,
             rep = ConstraintReport(
                 alpha=data["alpha"],
                 alpha_limit=-spec.eta_rate if spec.eta_rate > 0
-                else -opts.stab_margin,
+                else -_STAB_MARGIN,
                 rolloff=data["rolloff"],
                 rolloff_limit=None if spec.rolloff_weight is None else 1.0)
             if rep.satisfied:
@@ -450,7 +453,7 @@ def minimize_kreiss(spec: SynthesisSpec,
     theta, _, constraints = best
     controller = structure.unpack(theta)
     cl = assemble_closed_loop(spec.plant, controller)
-    final = kreiss_norm(cl.channel(), opts.final_opts)
+    final = kreiss_norm(cl.channel())
     return SynthesisResult(controller=controller, theta=theta, report=final,
                            constraints=constraints, restarts_used=used,
                            history=history_all)

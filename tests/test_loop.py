@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from kreisslab.errors import DimensionError, PreconditionError
+from kreisslab.errors import DimensionError, PreconditionError, SchemaError
 from kreisslab.loop import (
     ControllerRealization,
     ControllerStructure,
@@ -9,6 +11,7 @@ from kreisslab.loop import (
     complementary_sensitivity,
     restriction_matrix,
 )
+from kreisslab.problemio import load_problem
 from kreisslab.statespace import StateSpace
 
 BRUNTON = StateSpace([[0.1, -1.0], [1.0, 0.1]], [[0.0], [1.0]], [[0.0, 1.0]])
@@ -53,6 +56,27 @@ def test_controller_from_tf_and_dc_gain():
     assert ctrl.n_K == 1
     assert ctrl.D_K[0, 0] == pytest.approx(0.001071)
     assert ctrl.dc_gain()[0, 0] == pytest.approx(-2.247 / 1.483, rel=1e-9)
+
+
+@pytest.mark.parametrize("tf, valid", [
+    ({"num": [0.001071, -2.247], "den": [1.0, 1.483]}, True),
+    ({"num": [1.0, 0.0, 2.0], "den": [1.0, 1.0]}, False),   # improper
+    ({"num": [1.0], "den": [0.0]}, False),                  # zero denominator
+    ({"num": [1.0]}, False),                                # no denominator
+])
+def test_problem_tf_controller_is_from_tf(tmp_path, tf, valid):
+    path = tmp_path / "tf.json"
+    # a key the schema does not know is ignored
+    path.write_text(json.dumps({"version": 1, "controller": {"tf": tf},
+                                "options": {"restarts": 3}}))
+    if not valid:
+        with pytest.raises(SchemaError):
+            load_problem(path)
+        return
+    got = load_problem(path).controller
+    want = ControllerRealization.from_tf(tf["num"], tf["den"])
+    for block in ("A_K", "B_K", "C_K", "D_K"):
+        assert np.array_equal(getattr(got, block), getattr(want, block))
 
 
 def test_dc_gain_needs_invertible_A_K():

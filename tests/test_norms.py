@@ -8,11 +8,13 @@ from kreisslab.errors import (
     PreconditionError,
     StabilityError,
 )
+from kreisslab.linalg import spectral_abscissa
 from kreisslab.norms import (
     KreissOptions,
     attainment_check,
     cb_lower_bound,
     entrywise_kreiss,
+    family_instability_eta,
     hankel_singular_values,
     hinf_norm,
     kreiss_family_matrix,
@@ -516,6 +518,44 @@ def test_impulse_kernel_jordan_oscillator_grid_closed_form():
     for k in (0, 1):
         got = imp.grid(ts, k)[:, 0, 0]
         assert np.abs(got - want[k]).max() <= 1e-12 * np.abs(want[k]).max()
+
+
+@pytest.mark.parametrize("name", ["modal", "biproper", "example8"])
+def test_sigma_transfer_matches_lapack_svd(rng, name):
+    if name == "example8":
+        sys = EX8
+    else:
+        base = random_stable_statespace(rng, 6, p=2, m=3)
+        D = rng.standard_normal((3, 2)) if name == "biproper" else None
+        sys = StateSpace(base.A, base.B, base.C, D)
+    imp = norms._Impulse(sys)
+    assert imp.modal == (name != "example8")
+    # the oracles' points: the closed right half-plane, axis included
+    s = rng.uniform(0.0, 5.0, 60) + 1j * rng.uniform(-30.0, 30.0, 60)
+    s[:10] = 1j * s[:10].imag
+    want = np.array([np.linalg.svd(sys.transfer(z), compute_uv=False)[0]
+                     for z in s])
+    assert np.max(np.abs(imp.sigma_transfer(s) - want) / want) <= 1e-12
+
+
+def test_family_instability_eta_zeroes_the_member_abscissa(rng):
+    for _ in range(20):
+        A = rng.standard_normal((5, 5))
+        A -= (spectral_abscissa(A) - rng.uniform(0.05, 3.0)) * np.eye(5)
+        eta = family_instability_eta(A)
+        assert 0.0 < eta < 2.0
+        assert abs(spectral_abscissa(kreiss_family_matrix(A, eta))) <= 1e-12
+    assert family_instability_eta(-np.eye(3)) == np.inf
+
+
+def test_local_maxima_matches_the_neighbour_rule(rng):
+    # small integers give plateaus, where both neighbours tie
+    for size in (1, 2, 3, 40):
+        vals = rng.integers(0, 4, size).astype(float)
+        want = [i for i in range(size)
+                if (i == 0 or vals[i] >= vals[i - 1])
+                and (i == size - 1 or vals[i] >= vals[i + 1])]
+        assert norms._local_maxima(vals).tolist() == want
 
 
 def test_time_chunk_leaves_reports_bitwise_identical(monkeypatch, rng):
