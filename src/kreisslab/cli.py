@@ -21,6 +21,7 @@ from .errors import (
     IndeterminateError,
     KreisslabError,
     OversizeError,
+    PreconditionError,
     SchemaError,
     StabilityError,
     SynthesisError,
@@ -188,11 +189,15 @@ def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
     if problem.model is None:
         raise SchemaError("simulate needs a model block")
-    if args.t_on > args.t_final:
-        raise SchemaError("t_on must not exceed t_final")
-    x0 = [float(v) for v in args.x0.split(",")]
-    traj = models.simulate_closed_loop(problem.model, problem.controller,
-                                       x0, args.t_on, args.t_final)
+    try:
+        x0 = [float(v) for v in args.x0.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"--x0: {exc}") from None
+    try:
+        traj = models.simulate_closed_loop(problem.model, problem.controller,
+                                           x0, args.t_on, args.t_final)
+    except PreconditionError as exc:    # non-finite or misordered input
+        raise SchemaError(str(exc)) from None
     if args.out:
         trajectory_to_csv(traj, args.out)
     summary = {"final_norm": traj.final_plant_norm(),

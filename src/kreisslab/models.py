@@ -4,8 +4,9 @@ Ships the Lorenz system and the 2nd/4th-order oscillator models with their
 quadratic/cubic nonlinearities, fixed-point and limit-cycle geometry, the
 closed-loop vector field and its Jacobian (built on assemble_closed_loop,
 evaluated on one state or a batch of states), switched-on closed-loop
-integration of that field (adaptive embedded RK 4/5 pair, exact event at
-the switch time) and transient-amplification curves.
+integration of that field (an in-house Dormand-Prince 5(4) stepper that
+takes scipy's RK45 steps, restarted exactly at the switch time, with a
+blow-up event) and transient-amplification curves.
 """
 
 from __future__ import annotations
@@ -317,6 +318,149 @@ def default_horizon(model: NonlinearModel,
     return t_on + 3.0 / abs(alpha)
 
 
+# Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6(1),
+# 1980), first same as last, with Shampine's 4th-order dense output (Math.
+# Comp. 46(173), 1986): the tableau of scipy's RK45.  The closed-loop field
+# is autonomous, so the nodes c_i are not needed.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# step control of Hairer, Norsett & Wanner, Solving ODEs I, II.4: the
+# new step is h * SAFETY * err^(-1/5), clipped to [MIN, MAX] factors
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERR_EXPONENT = -1 / 5
+_EPS = float(np.finfo(float).eps)
+
+
+def _norm(v) -> float:
+    """Euclidean norm of a real vector, as np.linalg.norm computes it."""
+    return math.sqrt(v.dot(v))
+
+
+def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
+    """Integrate z' = field(z) from z(t0) = z0 to t_bound > t0.
+
+    Runs the algorithm of scipy's ``solve_ivp(method="RK45")`` with a
+    terminal, upward blow-up event ||z|| - radius, on the numpy and BLAS
+    calls of scipy 1.17's RK45, so its steps, field evaluations and
+    samples are bitwise those of that call; what it leaves out is
+    solve_ivp's per-step machinery.  Returns (t, z, nfev, diverged), the samples at the sorted
+    times t_eval in [t0, t_bound] that the integration reached, shaped
+    (k,) and (n, k).  diverged is set when the event fired (the samples
+    stop at the crossing, located on the step's dense output) or when the
+    step size fell below 10 ulp(t) or became NaN (an overflowed field, on
+    which solve_ivp steps forever).
+    """
+    rtol = max(rtol, 100 * _EPS)
+    n = z0.size
+    sqrt_n = n ** 0.5
+    y = z0
+    f = field(y)
+    # initial step (Hairer, Norsett & Wanner, II.4)
+    span = t_bound - t0
+    abs_y = np.abs(y)
+    scale = atol + abs_y * rtol
+    # numpy scalars: an overflowed state gives inf or NaN here, not an error
+    d0 = np.linalg.norm(y / scale) / sqrt_n
+    d1 = np.linalg.norm(f / scale) / sqrt_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = np.linalg.norm((field(y + h0 * f) - f) / scale) / sqrt_n / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, span)
+    nfev = 2
+
+    K = np.empty((7, n))    # the stages; the last one is f at the step's end
+    stages = [(K[s], K[:s].T, _DP_A[s, :s]) for s in range(1, 6)]
+    K_sol, K_all = K[:-1].T, K.T
+    times = t_eval.tolist()
+    i = 0
+    zs = []
+    g = _norm(y) - radius
+    t = t0
+    diverged = False
+    while t < t_bound and not diverged:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:    # False also for a NaN step size
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for row, KT, a in stages:
+                row[...] = field(y + np.dot(KT, a) * h)
+            y_new = y + h * np.dot(K_sol, _DP_B)
+            f_new = field(y_new)
+            K[6] = f_new
+            nfev += 6
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
+            err = _norm(np.dot(K_all, _DP_E) * h / scale) / sqrt_n
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0 else
+                          min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)
+            rejected = True
+        else:
+            diverged = True
+            break
+        t_old, y_old = t, y
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        Q = K_all.dot(_DP_P)    # dense output y_old + h Q (x, x^2, x^3, x^4)
+        g_new = _norm(y) - radius
+        if g <= 0 <= g_new:
+            # imported here: scipy.optimize is slow to import, and only a
+            # blowup needs it
+            from scipy.optimize import brentq
+
+            def blowup(s):
+                p = np.cumprod(np.tile((s - t_old) / h, 4))
+                return _norm(h * np.dot(Q, p) + y_old) - radius
+
+            t = brentq(blowup, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            diverged = True
+        g = g_new
+        j = i
+        while j < len(times) and times[j] <= t:
+            j += 1
+        if j > i:
+            p = np.empty((4, j - i))
+            p[:] = (t_eval[i:j] - t_old) / h
+            p.cumprod(axis=0, out=p)
+            z = h * np.dot(Q, p)
+            z += y_old[:, None]
+            zs.append(z)
+            i = j
+    return (t_eval[:i], np.hstack(zs) if zs else np.empty((n, 0)), nfev,
+            diverged)
+
+
 def simulate_closed_loop(model: NonlinearModel,
                          controller: ControllerRealization | None,
                          x0, t_on: float, t_final: float | None = None,
@@ -325,18 +469,23 @@ def simulate_closed_loop(model: NonlinearModel,
 
     The integration restarts exactly at t_on (controller state starts at
     zero there).  t_final defaults to three slowest closed-loop time
-    constants past t_on.  Finite-time blowup is reported as a diverged
-    trajectory with the last accepted state retained.
+    constants past t_on.  Each segment runs the module's Dormand-Prince
+    5(4) stepper, which takes the steps, field evaluations and samples of
+    scipy's ``solve_ivp(method="RK45")`` with the same blow-up event.
+    Finite-time blowup (||z|| crossing options.blowup_radius, or a step
+    below 10 ulp(t)) is reported as a diverged trajectory; its
+    final_state is the last sample before the crossing.  Raises
+    PreconditionError unless x0 and the times are finite,
+    0 <= t_on <= t_final, t_final > 0 and ||x0|| < blowup_radius.
     """
-    # imported here: scipy.integrate is a quarter of the CLI's import time,
-    # and only simulation needs it
-    from scipy.integrate import solve_ivp
-
     options = options or SimulationOptions()
     if t_final is None:
         t_final = default_horizon(model, controller, t_on)
-    if t_on > t_final:
-        raise PreconditionError("t_on must not exceed t_final")
+    if not (math.isfinite(t_on) and math.isfinite(t_final)):
+        raise PreconditionError("t_on and t_final must be finite")
+    if not 0.0 <= t_on <= t_final or t_final <= 0.0:
+        raise PreconditionError(
+            "times must satisfy 0 <= t_on <= t_final and t_final > 0")
     if controller is not None and (controller.n_meas != model.C_y.shape[0]
                                    or controller.n_ctrl != model.B_u.shape[1]):
         raise DimensionError("controller dimensions do not match the model")
@@ -349,12 +498,11 @@ def simulate_closed_loop(model: NonlinearModel,
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != n:
         raise DimensionError(f"x0 must have {n} entries")
-
-    def blowup(t, z):
-        return float(np.linalg.norm(z) - options.blowup_radius)
-
-    blowup.terminal = True
-    blowup.direction = 1.0
+    if not np.isfinite(x0).all():
+        raise PreconditionError("x0 must be finite")
+    # the blow-up event fires on an upward crossing only
+    if math.hypot(*x0) >= options.blowup_radius:
+        raise PreconditionError("x0 must lie inside the blow-up radius")
 
     t_grid = np.linspace(0.0, t_final, options.n_points)
     t_grid = np.unique(np.concatenate([t_grid, [t_on]]))
@@ -366,15 +514,16 @@ def simulate_closed_loop(model: NonlinearModel,
             continue
         field = closed_loop_field(model, ctrl)[0]
         t_eval = t_grid[(t_grid >= a) & (t_grid <= b)]
-        sol = solve_ivp(lambda t, zz: field(zz), (a, b), z,
-                        method="RK45", rtol=options.rtol, atol=options.atol,
-                        t_eval=t_eval, events=blowup, dense_output=False)
-        segs.append((sol.t, sol.y))
-        if sol.status == 1 or not sol.success:  # event or step failure
-            diverged = True
-            z = sol.y[:, -1] if sol.y.size else z
+        t_seg, z_seg, _, diverged = _dopri5(
+            field, a, b, z, t_eval, options.rtol, options.atol,
+            options.blowup_radius)
+        segs.append((t_seg, z_seg))
+        if t_seg.size:
+            z = z_seg[:, -1]
+        if diverged:
             break
-        z = sol.y[:, -1]
+    if not segs[0][0].size:     # the first step failed: keep the start
+        segs[0] = (np.zeros(1), z[:, None])
     t_all = np.concatenate([s[0] for s in segs])
     z_all = np.hstack([s[1] for s in segs])
     # drop the duplicated junction point

@@ -237,16 +237,12 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
               + [f"x_K{i + 1}" for i in range(n_K)]
               + ([f"u_{i + 1}" for i in range(p)] if p > 1 else ["u"])
               + ([f"y_{i + 1}" for i in range(m)] if m > 1 else ["y"]))
+    # Python floats format faster than numpy scalars, to the same text
+    rows = np.vstack([traj.t, traj.x, traj.x_K, traj.u, traj.y]).T.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k, t in enumerate(traj.t):
-            row = [f"{t:.12g}"]
-            row += [f"{v:.12g}" for v in traj.x[:, k]]
-            row += [f"{v:.12g}" for v in traj.x_K[:, k]]
-            row += [f"{v:.12g}" for v in traj.u[:, k]]
-            row += [f"{v:.12g}" for v in traj.y[:, k]]
-            writer.writerow(row)
+        writer.writerows([f"{v:.12g}" for v in row] for row in rows)
 
 
 def curve_to_csv(ts, values, path) -> None:

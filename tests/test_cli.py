@@ -32,6 +32,22 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.returncode == 0, proc.stderr or "scipy.integrate imported"
 
 
+def test_simulate_leaves_scipy_integrate_unloaded():
+    # the in-house stepper replaced solve_ivp
+    src = str(Path(kreisslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    problem = PROBLEMS / "lorenz_chaos_static_x.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from kreisslab.cli import main; "
+         f"code = main(['simulate', {str(problem)!r}, '--x0', '1,1,1', "
+         "'--t-on', '1', '--t-final', '2']); "
+         "sys.exit(code or 10 * ('scipy.integrate' in sys.modules))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy.integrate imported"
+    assert json.loads(proc.stdout)["t_end"] == 2.0
+
+
 def test_analyze_example3_kreiss(capsys):
     code, out, _ = run(capsys, "analyze", PROBLEMS / "example3.json",
                        "--norm", "kreiss")
@@ -158,11 +174,23 @@ def test_simulate_open_loop_chaotic_trace_bounded(capsys, tmp_path):
     assert np.max(np.linalg.norm(states, axis=1)) < 100.0
 
 
-def test_simulate_time_order_schema_error(capsys):
-    code, _, err = run(capsys, "simulate",
-                       PROBLEMS / "lorenz_chaos_static_x.json",
-                       "--x0", "1,1,1", "--t-on", "50", "--t-final", "40")
-    assert code == 3
+@pytest.mark.parametrize("argv", [
+    ("--x0", "1,1,1", "--t-on", "50", "--t-final", "40"),
+    ("--x0", "1,1,1", "--t-final", "nan"),
+    ("--x0", "1,1,1", "--t-final", "inf"),
+    ("--x0", "a,b,c", "--t-final", "5"),
+    ("--x0", "nan,1,1", "--t-final", "5"),
+    ("--x0", "1,1,1", "--t-final", "0"),
+    ("--x0", "1,1,1", "--t-on", "-2", "--t-final", "-1"),
+    ("--x0", "1e200,1,1", "--t-final", "2"),
+], ids=["t_on_after_t_final", "t_final_nan", "t_final_inf", "x0_not_numbers",
+        "x0_nan", "t_final_zero", "negative_times", "x0_beyond_blowup"])
+def test_simulate_time_order_schema_error(capsys, argv):
+    # rejected before any step: a NaN or inf bound would never be reached
+    code, out, err = run(capsys, "simulate",
+                         PROBLEMS / "lorenz_chaos_static_x.json", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("schema error: ") and err.count("\n") == 1
 
 
 def test_certify_qc_pass(capsys, tmp_path):

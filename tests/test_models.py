@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from kreisslab.models import (
     Brunton4Params,
     LorenzParams,
     SimulationOptions,
+    Trajectory,
+    _dopri5,
     brunton2_model,
     brunton4_model,
     closed_loop_field,
@@ -24,7 +29,18 @@ from kreisslab.models import (
     transient_curve,
 )
 from kreisslab.norms import transient_peak_m0
+from kreisslab.problemio import load_problem, trajectory_to_csv
 from kreisslab.statespace import StateSpace
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _anti_damped_brunton():
+    """Open-loop oscillator with a destabilizing cubic: finite-time blowup."""
+    def phi_bad(x):
+        return +1.0 * (x[0] ** 2 + x[1] ** 2) * np.array([x[0], x[1]])
+
+    return replace(brunton2_model(brunton2_default()), phi=phi_bad)
 
 
 def test_lorenz_fixed_points_chaos_regime():
@@ -208,15 +224,86 @@ def test_simulation_rejects_bad_times():
         simulate_closed_loop(model, None, [1, 1, 1], t_on=10.0, t_final=5.0)
 
 
+def test_simulation_failed_first_step_keeps_the_start():
+    model = replace(lorenz_model(lorenz_chaos()),
+                    phi=lambda x: np.full(2, np.nan))
+    traj = simulate_closed_loop(model, None, [1.0, 2.0, 3.0], t_on=1.0,
+                                t_final=2.0)
+    assert traj.diverged
+    assert traj.t.tolist() == [0.0]
+    assert traj.final_state.tolist() == [1.0, 2.0, 3.0]
+
+
+def _stepper_case(case):
+    """(field, z0, t_final, blowup_radius) of the solve_ivp comparisons."""
+    lorenz = lorenz_model(lorenz_chaos(), measurement="x")
+    if case == "open_lorenz":
+        return closed_loop_field(lorenz, None)[0], [1.0, 1.0, 1.0], 15.0, 1e9
+    if case == "lorenz_k":
+        ctrl = ControllerRealization.static([[-27.01]])
+        return closed_loop_field(lorenz, ctrl)[0], [1.0, 1.0, 1.0], 25.0, 1e9
+    if case == "brunton_certframe":
+        problem = load_problem(PROBLEMS / "brunton2_first_order_certframe.json")
+        field = closed_loop_field(problem.model, problem.controller)[0]
+        return field, [0.3, -0.2, 0.0], 40.0, 1e9
+    return (closed_loop_field(_anti_damped_brunton(), None)[0], [1.5, 0.0],
+            50.0, 1e6)
+
+
+@pytest.mark.parametrize("case", ["open_lorenz", "lorenz_k",
+                                  "brunton_certframe", "blowup"])
+def test_stepper_matches_solve_ivp_rk45(case):
+    from scipy.integrate import solve_ivp
+    field, z0, t_final, radius = _stepper_case(case)
+    z0 = np.asarray(z0)
+    t_eval = np.linspace(0.0, t_final, 2001)
+
+    def blowup(t, z):
+        return float(np.linalg.norm(z) - radius)
+
+    blowup.terminal = True
+    blowup.direction = 1.0
+    ref = solve_ivp(lambda t, z: field(z), (0.0, t_final), z0,
+                    method="RK45", rtol=1e-9, atol=1e-12, t_eval=t_eval,
+                    events=blowup)
+    t, z, nfev, diverged = _dopri5(field, 0.0, t_final, z0, t_eval,
+                                   1e-9, 1e-12, radius)
+    assert np.array_equal(t, ref.t)
+    assert nfev == ref.nfev
+    assert diverged == (ref.status != 0)
+    assert diverged == (case == "blowup")
+    # chaos amplifies last-bit differences on the open-loop attractor
+    tol = 1e-9 if case == "open_lorenz" else 1e-12
+    assert np.max(np.abs(z - ref.y)) <= tol * np.max(np.abs(ref.y))
+
+
+def test_trajectory_csv_matches_per_element_format(tmp_path):
+    import csv as csvmod
+    t = np.array([0.0, 0.5, 1.0])
+    traj = Trajectory(
+        t=t, x=np.array([[-0.0, 1.0 / 3.0, np.inf], [2e-310, -np.inf, 7.0]]),
+        x_K=np.array([[np.nan, 1e300, -1e-300]]),
+        u=np.array([[0.1, 0.2, -0.0], [1.0, 2.0, 3.0]]),
+        y=np.array([[5.0, np.nan, 6.0], [-7.5, 8.25, 123456789.123456789]]),
+        t_on=0.5, diverged=False, final_state=np.zeros(3))
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(traj, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        writer = csvmod.writer(fh)
+        writer.writerow(["t", "x_1", "x_2", "x_K1", "u_1", "u_2", "y_1",
+                         "y_2"])
+        for k in range(len(t)):
+            writer.writerow([f"{v:.12g}" for v in np.concatenate(
+                [t[k:k + 1], traj.x[:, k], traj.x_K[:, k], traj.u[:, k],
+                 traj.y[:, k]])])
+    assert path.read_bytes() == ref.read_bytes()
+    assert b"-0," in path.read_bytes() and b"nan" in path.read_bytes()
+
+
 def test_simulation_reports_blowup():
     # open-loop oscillator with destabilizing anti-damping nonlinearity
-    from dataclasses import replace
-    model = brunton2_model(brunton2_default())
-
-    def phi_bad(x):
-        return +1.0 * (x[0] ** 2 + x[1] ** 2) * np.array([x[0], x[1]])
-
-    bad = replace(model, phi=phi_bad)
+    bad = _anti_damped_brunton()
     traj = simulate_closed_loop(bad, None, [1.5, 0.0], t_on=50.0,
                                 t_final=50.0,
                                 options=SimulationOptions(blowup_radius=1e6))
