@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PreconditionError, SchemaError
 from .loop import ControllerRealization
 from .models import Brunton2Params
+from .norms import _decay_envelope  # shared with the M0 horizon
 
 __all__ = [
     "GainWindow",
@@ -223,21 +223,19 @@ def boundedness_bound(params: Brunton2Params,
     c = ||B_K|| integral of ||e^{t A_K}|| bounds the controller-state gain;
     the dominated scalar equation r' = (...) r - alpha beta r^3 then caps
     every trajectory radius that starts below the bound.  A_K must be
-    Hurwitz.  Negative static gains add nothing (their radial term is
-    nonpositive), recovering the open-loop radius.
+    Hurwitz.  The integral is the closed form sum_{k<n_K} nu^k /
+    |alpha|^{k+1} of the Schur decay envelope e^{alpha t} sum_{k<n_K}
+    (nu t)^k / k! (norms._decay_envelope): exact for n_K = 1, an upper
+    bound above, so the radius stays a bound.  Negative static gains add
+    nothing (their radial term is nonpositive), recovering the open-loop
+    radius.
     """
     if controller.n_K:
-        # imported here: scipy.integrate is a quarter of the CLI's import
-        # time, and only this bound needs it
-        import scipy.integrate
-
-        lam = np.linalg.eigvals(controller.A_K)
-        if np.max(lam.real) >= 0:
+        _, alpha, nu = _decay_envelope(controller.A_K)
+        if alpha >= 0:
             raise PreconditionError("boundedness bound needs Hurwitz A_K")
-        c_gain, _ = scipy.integrate.quad(
-            lambda t: np.linalg.norm(
-                scipy.linalg.expm(controller.A_K * t), 2),
-            0.0, np.inf, limit=400)
+        c_gain = sum(nu ** k / (-alpha) ** (k + 1)
+                     for k in range(controller.n_K))
         ck = float(np.linalg.norm(controller.C_K, 2))
         bk = float(np.linalg.norm(controller.B_K, 2))
         drive = params.g * max(0.0, float(controller.D_K.max())) \

@@ -13,7 +13,7 @@ controller reconstruction from a completed Lyapunov matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,35 +47,45 @@ __all__ = [
 class LmiBlock:
     """One affine symmetric block F0 + sum_i y_i F_i.
 
-    Feasibility requires lambda_max <= -margin; non-strict blocks use a
-    small negative margin so that boundary solutions are accepted.
+    ``coeffs`` holds one F_i per variable, ``None`` where the block omits
+    it; LmiProblem stores them as one symmetric (n_vars, d, d) array with
+    zeros in those places.  Feasibility requires lambda_max <= -margin;
+    non-strict blocks use a small negative margin so that boundary
+    solutions are accepted.
     """
 
     F0: np.ndarray
-    coeffs: list
+    coeffs: object
     margin: float
     name: str = ""
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        S = self.F0.copy()
-        for yi, Fi in zip(y, self.coeffs):
-            if yi != 0.0 and Fi is not None:
-                S = S + yi * Fi
-        return S
+        return _affine(self.F0, self.coeffs, y)
+
+
+def _affine(F0, coeffs, y) -> np.ndarray:
+    """F0 + sum_i y_i F_i, summed in order and skipping y_i = 0."""
+    S = F0.copy()
+    for yi, Fi in zip(y, coeffs):
+        if yi != 0.0:
+            S = S + yi * Fi
+    return S
 
 
 @dataclass(eq=False)
 class LmiProblem:
     blocks: list
     n_vars: int
-    var_names: list = field(default_factory=list)
 
     def __post_init__(self):
         for blk in self.blocks:
             blk.F0 = _sym(blk.F0)
             if len(blk.coeffs) != self.n_vars:
                 raise DimensionError("coefficient count must match variables")
-            blk.coeffs = [None if F is None else _sym(F) for F in blk.coeffs]
+            d = len(blk.F0)
+            blk.coeffs = np.array(
+                [np.zeros((d, d)) if F is None else _sym(F)
+                 for F in blk.coeffs]).reshape(self.n_vars, d, d)
 
     def dimension(self) -> int:
         return sum(b.F0.shape[0] for b in self.blocks)
@@ -117,7 +127,6 @@ class FeasibilityResult:
     status: str                 # "feasible" | "infeasible" | "indeterminate"
     y: np.ndarray
     margin: float               # max over blocks of lambda_max(S_b(y))
-    block_values: dict
     iterations: int
     reason: str                 # why the engine stopped (see sdp_feasibility)
     certificate: list | None    # Farkas blocks X_b for "infeasible", else None
@@ -125,17 +134,6 @@ class FeasibilityResult:
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
-
-
-def _coefficient_stack(problem: LmiProblem, variables) -> list:
-    """Per block, the coefficients of ``variables`` as a (k, d, d) array
-    (zeros where a block omits a variable)."""
-    out = []
-    for blk in problem.blocks:
-        zero = np.zeros_like(blk.F0)
-        out.append(np.stack([zero if blk.coeffs[i] is None else blk.coeffs[i]
-                             for i in variables]))
-    return out
 
 
 def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
@@ -204,8 +202,8 @@ def _interior_point(problem: LmiProblem, active, y0):
     N = sum(dims)
     C = [-(b.F0 + b.margin * np.eye(d)) / s
          for b, d, s in zip(blocks, dims, scales)]
-    A = [np.concatenate([F / s, -np.eye(d)[None]])
-         for F, d, s in zip(_coefficient_stack(problem, active), dims, scales)]
+    A = [np.concatenate([b.coeffs[active] / s, -np.eye(d)[None]])
+         for b, d, s in zip(blocks, dims, scales)]
     rhs = np.zeros(len(active) + 1)
     rhs[-1] = -1.0
 
@@ -255,8 +253,8 @@ def _farkas_certificate(problem: LmiProblem, W, face_tol: float):
     equalities within _CERT_TOL and has <F0 + margin I, X> > 0: then no y
     makes every S_b(y) + margin_b I negative definite.
     """
-    F = [np.concatenate([Fb, np.eye(len(Fb[0]))[None]]) for Fb
-         in _coefficient_stack(problem, range(problem.n_vars))]
+    F = [np.concatenate([b.coeffs, np.eye(len(b.F0))[None]])
+         for b in problem.blocks]
     target = np.zeros(problem.n_vars + 1)
     target[-1] = 1.0
 
@@ -309,30 +307,28 @@ def sdp_feasibility(problem: LmiProblem, y0=None) -> FeasibilityResult:
         raise PreconditionError("LMI engine is limited to small dense problems")
     y = np.zeros(problem.n_vars) if y0 is None else np.asarray(y0, dtype=float)
     active = [i for i in range(problem.n_vars)
-              if any(b.coeffs[i] is not None and np.any(b.coeffs[i])
-                     for b in problem.blocks)]
+              if any(b.coeffs[i].any() for b in problem.blocks)]
     if active:
         y, certificate, iterations, reason = _interior_point(problem, active,
                                                              y)
     else:
         certificate, iterations, reason = None, 0, "no variables"
-    raw, worst, worst_blk = {}, -math.inf, None
+    margin, worst, worst_blk = -math.inf, -math.inf, None
     for blk in problem.blocks:
         lam, V = scipy.linalg.eigh(blk.value(y))
-        raw[blk.name or f"block{len(raw)}"] = float(lam[-1])
+        margin = max(margin, float(lam[-1]))
         if lam[-1] + blk.margin > worst:
             worst, worst_blk, v = lam[-1] + blk.margin, blk, V[:, -1]
-    margin = max(raw.values())
     if worst < 0:
         return FeasibilityResult(
-            "feasible", y, margin, raw, iterations,
+            "feasible", y, margin, iterations,
             "interior point verified" if active else "no variables", None)
     if not active and worst > 0:
         certificate = [np.outer(v, v) if b is worst_blk
                        else np.zeros_like(b.F0) for b in problem.blocks]
     return FeasibilityResult(
         "indeterminate" if certificate is None else "infeasible", y, margin,
-        raw, iterations, "stalled" if reason == "interior" else reason,
+        iterations, "stalled" if reason == "interior" else reason,
         certificate)
 
 
@@ -359,42 +355,53 @@ class QcCertificate:
         return self.status == "feasible"
 
 
-def _sym_basis(d):
-    """Symmetric basis matrices for a d x d block."""
-    out = []
-    for i in range(d):
-        for j in range(i, d):
-            E = np.zeros((d, d))
-            E[i, j] = E[j, i] = 1.0
-            out.append(E)
-    return out
+def _sym_vars(dim, at, d):
+    """Basis of a symmetric d x d variable at rows and columns at..at+d of
+    a dim x dim matrix: one matrix per entry of np.triu_indices(d)."""
+    i, j = np.triu_indices(d)
+    k = np.arange(len(i))
+    E = np.zeros((len(i), dim, dim))
+    E[k, at + i, at + j] = E[k, at + j, at + i] = 1.0
+    return E
+
+
+def _sym_unpack(y, d):
+    """The symmetric d x d matrix whose np.triu_indices entries are y."""
+    i, j = np.triu_indices(d)
+    M = np.zeros((d, d))
+    M[i, j] = M[j, i] = y
+    return M
+
+
+def _coordinates(mats, M):
+    """Coordinates of a symmetric M in a basis of unit pairs: its entry at
+    the upper unit of each basis matrix."""
+    _, i, j = np.nonzero(np.triu(mats))
+    return M[i, j]
+
+
+def _units(rows, cols):
+    """The rows * cols unit matrices of a rows x cols variable, row-major."""
+    return np.eye(rows * cols).reshape(rows * cols, rows, cols)
+
+
+def _lyap(A, M, eps):
+    """The shifted Lyapunov operator A^T M + M A + eps M (M may be a stack)."""
+    return A.T @ M + M @ A + eps * M
 
 
 def _qc_variables(partition):
-    """Embedding matrices for the free entries of the structured X_cl."""
+    """Constant and variable basis (X, X13 row-major, X33) of the
+    structured X_cl."""
     d1, d2, d3 = partition
     dim = d1 + d2 + d3
-    mats = []
-    names = []
-    for E in _sym_basis(d1):
-        M = np.zeros((dim, dim))
-        M[:d1, :d1] = E
-        mats.append(M)
-        names.append("X")
-    for i in range(d1):
-        for j in range(d3):
-            M = np.zeros((dim, dim))
-            M[i, d1 + d2 + j] = M[d1 + d2 + j, i] = 1.0
-            mats.append(M)
-            names.append("X13")
-    for E in _sym_basis(d3):
-        M = np.zeros((dim, dim))
-        M[d1 + d2:, d1 + d2:] = E
-        mats.append(M)
-        names.append("X33")
+    X13 = np.zeros((d1 * d3, dim, dim))
+    X13[:, :d1, d1 + d2:] = _units(d1, d3)
     const = np.zeros((dim, dim))
     const[d1:d1 + d2, d1:d1 + d2] = np.eye(d2)
-    return const, mats, names
+    return const, np.concatenate([_sym_vars(dim, 0, d1),
+                                  X13 + X13.transpose(0, 2, 1),
+                                  _sym_vars(dim, d1 + d2, d3)])
 
 
 def qc_problem(A_cl: np.ndarray, partition, epsilon: float) -> LmiProblem:
@@ -403,25 +410,12 @@ def qc_problem(A_cl: np.ndarray, partition, epsilon: float) -> LmiProblem:
     d1, d2, d3 = partition
     if d1 + d2 + d3 != A_cl.shape[0]:
         raise DimensionError("partition does not match A_cl")
-    const, mats, names = _qc_variables(partition)
-
-    def lyap(M):
-        return A_cl.T @ M + M @ A_cl + epsilon * M
-
-    blk_stab = LmiBlock(F0=lyap(const), coeffs=[lyap(M) for M in mats],
-                        margin=strict_margin(lyap(const)), name="lyapunov")
-    blk_pd = LmiBlock(F0=-const, coeffs=[-M for M in mats],
-                      margin=1e-8, name="positivity")
-    return LmiProblem(blocks=[blk_stab, blk_pd], n_vars=len(mats),
-                      var_names=names)
-
-
-def _qc_assemble_X(partition, y):
-    const, mats, _ = _qc_variables(partition)
-    X = const.copy()
-    for yi, M in zip(y, mats):
-        X += yi * M
-    return X
+    const, mats = _qc_variables(partition)
+    F0 = _lyap(A_cl, const, epsilon)
+    blk_stab = LmiBlock(F0=F0, coeffs=_lyap(A_cl, mats, epsilon),
+                        margin=strict_margin(F0), name="lyapunov")
+    blk_pd = LmiBlock(F0=-const, coeffs=-mats, margin=1e-8, name="positivity")
+    return LmiProblem(blocks=[blk_stab, blk_pd], n_vars=len(mats))
 
 
 def _qc_warm_start(A_cl, partition, epsilon):
@@ -433,16 +427,13 @@ def _qc_warm_start(A_cl, partition, epsilon):
     the feasible set already.  Needs spectral_abscissa(A_cl) < -eps/2, so
     that P > 0; without a pinned block it starts from the identity.
     """
-    d1, d2, d3 = partition
+    d1, d2, _ = partition
     dim = A_cl.shape[0]
     shifted = A_cl + 0.5 * epsilon * np.eye(dim)
     P = scipy.linalg.solve_continuous_lyapunov(shifted.T, -np.eye(dim))
     trace = float(np.trace(P[d1:d1 + d2, d1:d1 + d2]))
     P = 0.5 * (P + P.T) * (d2 / trace) if trace > 0 else np.eye(dim)
-    tail = slice(d1 + d2, dim)
-    return np.concatenate([P[:d1, :d1][np.triu_indices(d1)],
-                           P[:d1, tail].ravel(),
-                           P[tail, tail][np.triu_indices(d3)]])
+    return _coordinates(_qc_variables(partition)[1], P)
 
 
 def qc_analysis(A_cl, partition, epsilon: float = 1e-3) -> QcCertificate:
@@ -467,9 +458,9 @@ def qc_analysis(A_cl, partition, epsilon: float = 1e-3) -> QcCertificate:
     res = sdp_feasibility(problem, y0=_qc_warm_start(A_cl, partition, epsilon))
     X_cl, margin = None, res.margin
     if res.feasible:
-        X_cl = _qc_assemble_X(partition, res.y)
-        resid = A_cl.T @ X_cl + X_cl @ A_cl + epsilon * X_cl
-        margin = float(np.max(scipy.linalg.eigvalsh(resid)))
+        X_cl = _affine(*_qc_variables(partition), res.y)
+        margin = float(np.max(scipy.linalg.eigvalsh(
+            _lyap(A_cl, X_cl, epsilon))))
     return QcCertificate(X_cl=X_cl, epsilon=epsilon, status=res.status,
                          margin=margin, partition=tuple(partition),
                          iterations=res.iterations, reason=res.reason)
@@ -504,21 +495,17 @@ def lossless_check(model, samples: int = 100000, seed: int = 0,
                    radius: float = 100.0):
     """max over random states of |x^T B_w phi(x)|, raw and relative.
 
-    Sampling is falsification-only: a zero maximum is evidence of the
+    All states are drawn at once and phi is called on the (n, samples)
+    batch.  Sampling is falsification-only: a zero maximum is evidence of the
     lossless identity, not a proof.
     """
     rng = np.random.default_rng(seed)
-    n = model.A.shape[0]
-    max_abs = 0.0
-    max_rel = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-radius, radius, size=n)
-        w = model.phi(x)
-        inner = float(x @ model.B_w @ w)
-        denom = float(np.linalg.norm(x) * np.linalg.norm(model.B_w @ w)) + 1e-300
-        max_abs = max(max_abs, abs(inner))
-        max_rel = max(max_rel, abs(inner) / denom)
-    return max_abs, max_rel
+    X = rng.uniform(-radius, radius, size=(samples, model.A.shape[0])).T
+    BW = model.B_w @ model.phi(X)
+    inner = np.abs(np.sum(X * BW, axis=0))
+    denom = np.linalg.norm(X, axis=0) * np.linalg.norm(BW, axis=0) + 1e-300
+    return (float(np.max(inner, initial=0.0)),
+            float(np.max(inner / denom, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +513,10 @@ def lossless_check(model, samples: int = 100000, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _diagY_embed(n, d1):
-    """Variable embedding for diag(Y, I_{n-d1}) with Y symmetric d1 x d1."""
-    mats = []
-    for E in _sym_basis(d1):
-        M = np.zeros((n, n))
-        M[:d1, :d1] = E
-        mats.append(M)
+    """Constant and variable basis of diag(Y, I_{n-d1}), Y symmetric."""
     const = np.zeros((n, n))
     const[d1:, d1:] = np.eye(n - d1)
-    return const, mats
+    return const, _sym_vars(n, 0, d1)
 
 
 def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3):
@@ -554,37 +536,19 @@ def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3):
     constY, matsY = _diagY_embed(n, d1)
     n_y = len(matsY)
     n_w = p * n
-    n_vars = n_y + n_w
-
-    def wmat(idx):
-        W = np.zeros((p, n))
-        W[idx // n, idx % n] = 1.0
-        return W
-
-    F0 = A @ constY + constY @ A.T + epsilon * constY
-    coeffs = []
-    for M in matsY:
-        coeffs.append(A @ M + M @ A.T + epsilon * M)
-    for k in range(n_w):
-        BW = B @ wmat(k)
-        coeffs.append(BW + BW.T)
-    blk_main = LmiBlock(F0=_sym(F0), coeffs=coeffs,
-                        margin=strict_margin(F0), name="sf")
-    blk_pd = LmiBlock(F0=-constY, coeffs=[-M for M in matsY] + [None] * n_w,
+    BW = B @ _units(p, n)
+    F0 = _lyap(A.T, constY, epsilon)
+    blk_main = LmiBlock(F0=F0, coeffs=np.concatenate([
+        _lyap(A.T, matsY, epsilon), BW + BW.transpose(0, 2, 1)]),
+        margin=strict_margin(F0), name="sf")
+    blk_pd = LmiBlock(F0=-constY, coeffs=list(-matsY) + [None] * n_w,
                       margin=1e-8, name="Y_pd")
-    problem = LmiProblem(blocks=[blk_main, blk_pd], n_vars=n_vars)
-    y0 = np.zeros(n_vars)
-    at = 0
-    for i in range(d1):
-        for j in range(i, d1):
-            y0[at] = 1.0 if i == j else 0.0
-            at += 1
+    problem = LmiProblem(blocks=[blk_main, blk_pd], n_vars=n_y + n_w)
+    y0 = np.concatenate([_coordinates(matsY, np.eye(n)), np.zeros(n_w)])
     res = sdp_feasibility(problem, y0=y0)
     if not res.feasible:
         return None, res
-    Ytil = constY.copy()
-    for yi, M in zip(res.y[:n_y], matsY):
-        Ytil += yi * M
+    Ytil = _affine(constY, matsY, res.y[:n_y])
     W = res.y[n_y:].reshape(p, n)
     K = W @ np.linalg.inv(Ytil)
     return K, res
@@ -634,67 +598,34 @@ def of_existence(A, B, C, n_phi: int, epsilon: float = 1e-3) -> OfExistence:
     N_B = null_space_basis(B.T)
     constX, matsX = _diagY_embed(n, d1)
     n_each = len(matsX)
-    n_vars = 2 * n_each
 
     blocks = []
 
-    def add_projected(N, transpose, offset, name):
+    def add_projected(N, A_, first, name):
         if N.shape[1] == 0:
             return
-        if transpose:
-            base = A.T @ constX + constX @ A + epsilon * constX
-            cf = [A.T @ M + M @ A + epsilon * M for M in matsX]
-        else:
-            base = A @ constX + constX @ A.T + epsilon * constX
-            cf = [A @ M + M @ A.T + epsilon * M for M in matsX]
-        F0 = N.T @ base @ N
-        coeffs = [None] * n_vars
-        for k, Mc in enumerate(cf):
-            coeffs[offset + k] = N.T @ Mc @ N
-        blocks.append(LmiBlock(F0=_sym(F0), coeffs=coeffs,
+        F0 = N.T @ _lyap(A_, constX, epsilon) @ N
+        coeffs = list(N.T @ _lyap(A_, matsX, epsilon) @ N)
+        skip = [None] * n_each
+        blocks.append(LmiBlock(F0=F0, coeffs=coeffs + skip if first
+                               else skip + coeffs,
                                margin=strict_margin(F0), name=name))
 
-    add_projected(N_C, True, 0, "proj_X")
-    add_projected(N_B, False, n_each, "proj_Y")
+    add_projected(N_C, A, True, "proj_X")
+    add_projected(N_B, A.T, False, "proj_Y")
 
     if d1 > 0:
-        dim = 2 * d1
-        F0 = np.zeros((dim, dim))
-        F0[:d1, d1:] = np.eye(d1)
-        F0[d1:, :d1] = np.eye(d1)
-        coeffs = [None] * n_vars
-        for k, E in enumerate(_sym_basis(d1)):
-            MX = np.zeros((dim, dim))
-            MX[:d1, :d1] = E
-            MY = np.zeros((dim, dim))
-            MY[d1:, d1:] = E
-            coeffs[k] = -MX
-            coeffs[n_each + k] = -MY
-        blocks.append(LmiBlock(F0=-F0, coeffs=coeffs, margin=-1e-9,
-                               name="coupling"))
+        coeffs = np.concatenate([_sym_vars(2 * d1, 0, d1),
+                                 _sym_vars(2 * d1, d1, d1)])
+        blocks.append(LmiBlock(F0=-np.kron([[0.0, 1.0], [1.0, 0.0]],
+                                           np.eye(d1)),
+                               coeffs=-coeffs, margin=-1e-9, name="coupling"))
 
-    problem = LmiProblem(blocks=blocks, n_vars=n_vars)
-    y0 = np.zeros(n_vars)
-    at = 0
-    for i in range(d1):
-        for j in range(i, d1):
-            val = 2.0 if i == j else 0.0
-            y0[at] = val
-            y0[n_each + at] = val
-            at += 1
-    res = sdp_feasibility(problem, y0=y0)
-
-    def unpackXY(y, offset):
-        M = np.zeros((d1, d1))
-        at = offset
-        for i in range(d1):
-            for j in range(i, d1):
-                M[i, j] = M[j, i] = y[at]
-                at += 1
-        return M
-
-    X = unpackXY(res.y, 0)
-    Y = unpackXY(res.y, n_each)
+    problem = LmiProblem(blocks=blocks, n_vars=2 * n_each)
+    res = sdp_feasibility(problem, y0=np.tile(
+        _coordinates(matsX, 2.0 * np.eye(n)), 2))
+    X = _sym_unpack(res.y[:n_each], d1)
+    Y = _sym_unpack(res.y[n_each:], d1)
     if d1 == 0:
         max_order = 0
     else:
@@ -755,22 +686,12 @@ def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
         X_cl = Xtil
     # fixed X_cl: Psi + P^T Theta Q + Q^T Theta^T P < 0, linear in Theta
     Ahat, Bhat, Chat = _theta_hat_matrices(A, B, C, n_K)
-    Psi = Ahat.T @ X_cl + X_cl @ Ahat + epsilon * X_cl
-    P = Bhat.T @ X_cl
-    Q = Chat
-    p = B.shape[1]
-    m = C.shape[0]
-    rows = n_K + p
-    cols = n_K + m
-    coeffs = []
-    for r in range(rows):
-        for c in range(cols):
-            E = np.zeros((rows, cols))
-            E[r, c] = 1.0
-            M = P.T @ E @ Q
-            coeffs.append(M + M.T)
-    blk = LmiBlock(F0=_sym(Psi), coeffs=coeffs, margin=strict_margin(Psi),
-                   name="theta")
+    Psi = _lyap(Ahat, X_cl, epsilon)
+    rows = n_K + B.shape[1]
+    cols = n_K + C.shape[0]
+    M = (Bhat.T @ X_cl).T @ _units(rows, cols) @ Chat
+    blk = LmiBlock(F0=Psi, coeffs=M + M.transpose(0, 2, 1),
+                   margin=strict_margin(Psi), name="theta")
     problem = LmiProblem(blocks=[blk], n_vars=rows * cols)
     res = sdp_feasibility(problem)
     if not res.feasible:

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, PreconditionError, StabilityError
+from .errors import (
+    DimensionError,
+    NumericalError,
+    PreconditionError,
+    StabilityError,
+)
 from .linalg import is_hurwitz
 from .loop import ControllerRealization, assemble_closed_loop
 from .norms import _Impulse, _sigma_max
@@ -93,9 +98,10 @@ class NonlinearModel:
     """dx/dt = A x + B_w phi(x) + B_u u, y = C_y x.
 
     phi has vector dimension n_phi; phi(0) = 0 and phi'(0) = 0 so the
-    linearization at the origin is (A, B_u, C_y).  The built-in models'
-    phi and phi_jacobian also take a batch x of shape (n, N), batch last,
-    and return (n_phi, N) and (n_phi, n, N).
+    linearization at the origin is (A, B_u, C_y).  phi and phi_jacobian
+    take one state or a batch x of shape (n, N), batch last, and return
+    (n_phi, N) and (n_phi, n, N): lmi.lossless_check calls phi on one
+    batch of all its samples, and the sampling certificates call both.
     """
 
     name: str
@@ -351,6 +357,10 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERR_EXPONENT = -1 / 5
 _EPS = float(np.finfo(float).eps)
+#: step attempts, accepted or rejected, one integration may take: about 15
+#: times the longest integration of the tests and benchmarks (open-loop
+#: Lorenz to t = 50, about 6,850 steps)
+_MAX_STEPS = 100_000
 
 
 def _norm(v) -> float:
@@ -370,7 +380,8 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
     (k,) and (n, k).  diverged is set when the event fired (the samples
     stop at the crossing, located on the step's dense output) or when the
     step size fell below 10 ulp(t) or became NaN (an overflowed field, on
-    which solve_ivp steps forever).
+    which solve_ivp steps forever).  Raises NumericalError after
+    _MAX_STEPS step attempts.
     """
     rtol = max(rtol, 100 * _EPS)
     n = z0.size
@@ -402,11 +413,18 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
     g = _norm(y) - radius
     t = t0
     diverged = False
+    steps = 0
     while t < t_bound and not diverged:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while h_abs >= min_step:    # False also for a NaN step size
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise NumericalError(
+                    f"integration stopped at t = {t:.6g} after {_MAX_STEPS} "
+                    f"steps (t_final {t_bound:g}): the loop is too stiff "
+                    "or too fast there")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
@@ -476,7 +494,9 @@ def simulate_closed_loop(model: NonlinearModel,
     below 10 ulp(t)) is reported as a diverged trajectory; its
     final_state is the last sample before the crossing.  Raises
     PreconditionError unless x0 and the times are finite,
-    0 <= t_on <= t_final, t_final > 0 and ||x0|| < blowup_radius.
+    0 <= t_on <= t_final, t_final > 0 and ||x0|| < blowup_radius, and
+    NumericalError when a segment needs more than _MAX_STEPS (100,000)
+    step attempts, as a start far out on a fast loop can.
     """
     options = options or SimulationOptions()
     if t_final is None:

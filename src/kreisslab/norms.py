@@ -698,7 +698,10 @@ class _Impulse:
 # ---------------------------------------------------------------------------
 
 def _decay_envelope(A: np.ndarray):
-    """t -> bound on ||e^{At}||_2 from the Schur form: e^{at} sum (nu t)^k/k!."""
+    """(env, alpha, nu): env(t) = e^{alpha t} sum_{k<n} (nu t)^k / k! bounds
+    ||e^{At}||_2 (Van Loan, SIAM J. Numer. Anal. 14(6), 1977), alpha the
+    spectral abscissa, nu the 2-norm of the complex Schur form's strictly
+    upper part."""
     alpha = spectral_abscissa(A)
     T, _ = scipy.linalg.schur(A.astype(complex), output="complex")
     N = np.triu(T, 1)
@@ -712,11 +715,11 @@ def _decay_envelope(A: np.ndarray):
             s += term
         return math.exp(alpha * t) * s
 
-    return env, alpha
+    return env, alpha, nu
 
 
 def _tail_horizon(A: np.ndarray, tail_eps: float) -> float:
-    env, alpha = _decay_envelope(A)
+    env, alpha, _ = _decay_envelope(A)
     if alpha >= 0:
         raise PreconditionError("horizon needs a Hurwitz matrix")
     t = 1.0 / abs(alpha)

@@ -91,6 +91,12 @@ class SynthesisSpec:
         if self.rolloff_weight is not None:
             self.rolloff_weight.require_stable("roll-off weight")
 
+    @property
+    def alpha_limit(self) -> float:
+        """Largest admissible closed-loop spectral abscissa: the descent
+        enforces it and the result's constraint report judges it."""
+        return -max(self.eta_rate, _STAB_MARGIN)
+
 
 @dataclass
 class ConstraintReport:
@@ -294,9 +300,6 @@ class _Penalized:
         self.rho = rho
         self.evals = 0
 
-    def alpha_limit(self) -> float:
-        return -max(self.spec.eta_rate, _STAB_MARGIN)
-
     def full(self, theta):
         """(F, data) with every subgradient piece evaluated."""
         alpha, a_grads, cl = _abscissa_with_grads(self.spec.plant,
@@ -310,7 +313,7 @@ class _Penalized:
             return math.inf, None
         self.evals += 1
         F = ks.value
-        a_excess = alpha - self.alpha_limit()
+        a_excess = alpha - self.spec.alpha_limit
         if a_excess > 0:
             F += self.rho * a_excess
         r_val = r_grad = None
@@ -336,7 +339,7 @@ class _Penalized:
             values = _family_hinf(cl.channel(), eta, 1e-6)[0]
             self.evals += 1
             F = float(np.max(values, initial=0.0))
-            a_excess = alpha - self.alpha_limit()
+            a_excess = alpha - self.spec.alpha_limit
             if a_excess > 0:
                 F += self.rho * a_excess
             if self.spec.rolloff_weight is not None:
@@ -353,7 +356,7 @@ class _Penalized:
         """Convex-hull generators of the penalized objective at a point."""
         combos = [a.gradient for a in data["kreiss"].active]
         out = []
-        a_excess = data["alpha"] - self.alpha_limit()
+        a_excess = data["alpha"] - self.spec.alpha_limit
         r_active = (data["rolloff"] is not None and data["rolloff"] > 1.0)
         for gk in combos:
             g = gk.copy()
@@ -416,7 +419,7 @@ def minimize_kreiss(spec: SynthesisSpec,
     opts = spec.options
     rng = np.random.default_rng(opts.seed)
     n_theta = structure.n_theta
-    target = -max(spec.eta_rate * 0.5 + _STAB_MARGIN, _STAB_MARGIN)
+    target = -(spec.eta_rate * 0.5 + _STAB_MARGIN)
     best = None
     history_all = []
     used = 0
@@ -436,8 +439,7 @@ def minimize_kreiss(spec: SynthesisSpec,
             history_all.append(history)
             rep = ConstraintReport(
                 alpha=data["alpha"],
-                alpha_limit=-spec.eta_rate if spec.eta_rate > 0
-                else -_STAB_MARGIN,
+                alpha_limit=spec.alpha_limit,
                 rolloff=data["rolloff"],
                 rolloff_limit=None if spec.rolloff_weight is None else 1.0)
             if rep.satisfied:

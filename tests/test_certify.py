@@ -162,6 +162,36 @@ def test_boundedness_bound_requires_hurwitz_AK():
         boundedness_bound(brunton2_default(), ctrl)
 
 
+def _quad_radius(params, ctrl):
+    """The radius bound with the integral of ||e^{t A_K}||_2 by quadrature."""
+    import scipy.integrate
+    import scipy.linalg
+
+    c_gain = scipy.integrate.quad(
+        lambda t: np.linalg.norm(scipy.linalg.expm(ctrl.A_K * t), 2),
+        0.0, np.inf, limit=400)[0]
+    drive = params.g * max(0.0, float(ctrl.D_K.max())) + params.g * \
+        np.linalg.norm(ctrl.C_K, 2) * np.linalg.norm(ctrl.B_K, 2) * c_gain
+    return np.sqrt((params.sigma_u + drive) / (params.alpha_u * params.beta_u))
+
+
+def test_boundedness_bound_first_order_is_exact():
+    params = brunton2_default()
+    for ctrl in (first_order_certificate_controller(),
+                 ControllerRealization([[-0.3]], [[2.0]], [[-1.5]], [[0.4]])):
+        assert boundedness_bound(params, ctrl) == \
+            pytest.approx(_quad_radius(params, ctrl), rel=1e-13)
+
+
+def test_boundedness_bound_covers_a_non_normal_AK():
+    # ||e^{t A_K}|| rises well above 1 before it decays; the Schur envelope
+    # integral bounds its integral from above
+    params = brunton2_default()
+    ctrl = ControllerRealization([[-1.0, 25.0], [0.0, -2.0]], [[0.0], [1.0]],
+                                 [[1.0, 0.0]], [[0.0]])
+    assert boundedness_bound(params, ctrl) >= _quad_radius(params, ctrl)
+
+
 def test_boundedness_bound_dominates_simulations():
     params = brunton2_default()
     model = brunton2_model(params)

@@ -21,15 +21,22 @@ def run(capsys, *argv):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # simulation and the boundedness bound import it when they run
+    # nor does the radius bound (closed form) when it runs
     src = str(Path(kreisslab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, kreisslab.cli; "
-         "sys.exit('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr or "scipy.integrate imported"
+    certframe = PROBLEMS / "brunton2_first_order_certframe.json"
+    for code in ["import sys, kreisslab.cli",
+                 "import sys, kreisslab.cli; "
+                 "from kreisslab.certify import boundedness_bound; "
+                 "from kreisslab.problemio import load_problem; "
+                 f"p = load_problem({str(certframe)!r}); "
+                 "assert boundedness_bound(p.model.params, p.controller) > 0"]:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"{code}; sys.exit('scipy.integrate' in sys.modules)"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr or "scipy.integrate imported"
 
 
 def test_simulate_leaves_scipy_integrate_unloaded():
@@ -191,6 +198,17 @@ def test_simulate_time_order_schema_error(capsys, argv):
                          PROBLEMS / "lorenz_chaos_static_x.json", *argv)
     assert (code, out) == (3, "")
     assert err.startswith("schema error: ") and err.count("\n") == 1
+
+
+def test_simulate_step_budget_is_an_error(capsys):
+    # the start is inside the blow-up radius, but the loop's time scale
+    # near |x| = 1e8 needs about 1e8 steps to reach t = 2
+    code, out, err = run(capsys, "simulate",
+                         PROBLEMS / "lorenz_chaos_static_x.json",
+                         "--x0", "1e8,1,1", "--t-on", "1", "--t-final", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: integration stopped") and \
+        err.count("\n") == 1
 
 
 def test_certify_qc_pass(capsys, tmp_path):

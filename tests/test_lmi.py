@@ -76,8 +76,7 @@ def test_sdp_infeasible_carries_checked_farkas_certificate():
     assert sum(np.trace(Xb) for Xb in X) == pytest.approx(1.0, abs=1e-12)
     for i in range(problem.n_vars):
         inner = sum(np.sum(blk.coeffs[i] * Xb)
-                    for blk, Xb in zip(problem.blocks, X)
-                    if blk.coeffs[i] is not None)
+                    for blk, Xb in zip(problem.blocks, X))
         assert abs(inner) <= 1e-10
     value = sum(np.sum((blk.F0 + blk.margin * np.eye(len(blk.F0))) * Xb)
                 for blk, Xb in zip(problem.blocks, X))
@@ -88,6 +87,48 @@ def test_sdp_rejects_asymmetric_blocks():
     with pytest.raises(DimensionError):
         LmiProblem(blocks=[LmiBlock(F0=np.array([[0.0, 1.0], [0.0, 0.0]]),
                                     coeffs=[], margin=0.0)], n_vars=0)
+
+
+def _same_result(a, b):
+    return (a.status, a.reason, a.iterations, a.margin, a.y.tobytes()) == \
+        (b.status, b.reason, b.iterations, b.margin, b.y.tobytes()) and \
+        (a.certificate is None) == (b.certificate is None) and \
+        all(np.array_equal(Xa, Xb) for Xa, Xb
+            in zip(a.certificate or [], b.certificate or []))
+
+
+@pytest.mark.parametrize("F0", [np.diag([-1.0, 0.0]), np.eye(2)])
+def test_none_coefficient_equals_explicit_zero(F0):
+    # a variable a block omits is a zero coefficient in that block; F0 = I
+    # makes the problem infeasible, so the certificates are compared too
+    def solve(hole):
+        return sdp_feasibility(LmiProblem(blocks=[
+            LmiBlock(F0=F0, coeffs=[np.diag([1.0, -1.0]), hole],
+                     margin=1e-7),
+            LmiBlock(F0=[[-0.5]], coeffs=[[[1.0]], [[0.5]]], margin=1e-7)],
+            n_vars=2))
+
+    none, zero = solve(None), solve(np.zeros((2, 2)))
+    assert none.status == ("feasible" if F0[0, 0] < 0 else "infeasible")
+    assert _same_result(none, zero)
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_sym_unpack_inverts_triu_packing(d, rng):
+    S = rng.standard_normal((d, d))
+    S = S + S.T
+    assert np.array_equal(lmi._sym_unpack(S[np.triu_indices(d)], d), S)
+
+
+@pytest.mark.parametrize("dim,at,d", [(1, 0, 1), (3, 0, 2), (4, 1, 2),
+                                      (5, 2, 3), (3, 3, 0)])
+def test_sym_vars_sum_is_the_embedded_unpack(dim, at, d, rng):
+    E = lmi._sym_vars(dim, at, d)
+    y = rng.standard_normal(d * (d + 1) // 2)
+    embedded = np.zeros((dim, dim))
+    embedded[at:at + d, at:at + d] = lmi._sym_unpack(y, d)
+    assert E.shape == (len(y), dim, dim)
+    assert np.array_equal(np.tensordot(y, E, 1), embedded)
 
 
 def test_null_space_basis():
@@ -118,8 +159,8 @@ def test_lossless_violated_by_perturbed_nonlinearity():
     model = lorenz_model(lorenz_chaos())
     from dataclasses import replace
 
-    def phi_bad(x):
-        return model.phi(x) + np.array([0.0, x[0]])
+    def phi_bad(x):  # x is one state or a batch of states, batch last
+        return model.phi(x) + np.stack([np.zeros_like(x[0]), x[0]])
 
     bad = replace(model, phi=phi_bad)
     _, max_rel = lossless_check(bad, samples=2000, seed=0)

@@ -10,7 +10,8 @@ from kreisslab.benchmarks import (
     brunton2_default,
     lorenz_chaos,
 )
-from kreisslab.errors import PreconditionError, StabilityError
+from kreisslab import models
+from kreisslab.errors import NumericalError, PreconditionError, StabilityError
 from kreisslab.loop import ControllerRealization, assemble_closed_loop
 from kreisslab.models import (
     Brunton4Params,
@@ -222,6 +223,25 @@ def test_simulation_rejects_bad_times():
     model = lorenz_model(lorenz_chaos())
     with pytest.raises(PreconditionError):
         simulate_closed_loop(model, None, [1, 1, 1], t_on=10.0, t_final=5.0)
+
+
+def test_simulation_step_budget(monkeypatch):
+    # the switched Lorenz loop to t = 2 takes a few hundred steps: a smaller
+    # budget stops it with NumericalError, a larger one leaves it bitwise
+    model = lorenz_model(lorenz_chaos())
+    ctrl = LORENZ_CHAOS_KREISS["static_x"].controller
+
+    def run():
+        return simulate_closed_loop(model, ctrl, [1.0, 1.0, 1.0], t_on=1.0,
+                                    t_final=2.0)
+
+    ref = run()
+    monkeypatch.setattr(models, "_MAX_STEPS", 20)
+    with pytest.raises(NumericalError, match="after 20 steps"):
+        run()
+    monkeypatch.setattr(models, "_MAX_STEPS", 2000)
+    traj = run()
+    assert np.array_equal(traj.t, ref.t) and np.array_equal(traj.x, ref.x)
 
 
 def test_simulation_failed_first_step_keeps_the_start():

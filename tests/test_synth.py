@@ -103,7 +103,7 @@ def test_quick_penalty_is_max_of_per_eta_hinf():
     kreiss_part = max(hinf_norm(StateSpace(
         kreiss_family_matrix(channel.A, eta), channel.B, channel.C),
         tol=1e-6).value for eta in etas)
-    excess = spectral_abscissa(channel.A) - pen.alpha_limit()
+    excess = spectral_abscissa(channel.A) - pen.spec.alpha_limit
     expected = kreiss_part + (pen.rho * excess if excess > 0 else 0.0)
     F = pen.quick(structure.pack(ctrl), [{"eta": e} for e in etas])
     assert F == expected
@@ -158,3 +158,16 @@ def test_minimize_respects_decay_constraint():
                                               max_iter=60))
     res = minimize_kreiss(spec, ControllerStructure.static(1, 1))
     assert res.constraints.alpha <= -0.5 + 1e-8
+
+
+def test_minimize_judges_the_decay_limit_it_enforced():
+    # below the built-in stability margin 0.01 the descent enforces
+    # alpha <= -0.01, and the constraint report must judge that same limit
+    plant = StateSpace([[0.5]], [[1.0]], [[1.0]])
+    spec = SynthesisSpec(plant=plant, eta_rate=0.005,
+                         options=SynthOptions(restarts=1, seed=0,
+                                              max_iter=20))
+    res = minimize_kreiss(spec, ControllerStructure.static(1, 1))
+    assert res.constraints.alpha_limit == -0.01
+    assert res.constraints.satisfied
+    assert res.constraints.alpha <= -0.01 + 1e-8
