@@ -33,6 +33,9 @@ __all__ = [
     "load_certificate",
 ]
 
+#: GainWindow.classify puts a gain this close to an endpoint on the boundary
+_BOUNDARY_TOL = 0.0
+
 
 @dataclass(frozen=True)
 class GainWindow:
@@ -47,11 +50,12 @@ class GainWindow:
     def empty(self) -> bool:
         return not self.lower < self.upper
 
-    def classify(self, K: float, tol: float = 0.0) -> str:
+    def classify(self, K: float) -> str:
         """"inside" / "boundary" / "outside" with strict endpoints."""
         if self.empty:
             return "outside"
-        if abs(K - self.lower) <= tol or abs(K - self.upper) <= tol:
+        if (abs(K - self.lower) <= _BOUNDARY_TOL
+                or abs(K - self.upper) <= _BOUNDARY_TOL):
             return "boundary"
         if self.lower < K < self.upper:
             return "inside"

@@ -39,7 +39,6 @@ class SvdTriple:
     Q: np.ndarray
     P: np.ndarray
     sigma_max: float
-    singular_values: np.ndarray
 
 
 def as_square(M, name: str = "M") -> np.ndarray:
@@ -53,11 +52,11 @@ def as_square(M, name: str = "M") -> np.ndarray:
     return M
 
 
-def svd_triple(M, cluster_rtol: float = SV_CLUSTER_RTOL) -> SvdTriple:
+def svd_triple(M) -> SvdTriple:
     """SVD restricted to the maximal singular cluster.
 
-    Accepts real or complex M; singular values are returned descending and
-    Q/P span all singular directions with sigma >= (1 - cluster_rtol) * sigma_max.
+    Accepts real or complex M; Q/P span all singular directions with
+    sigma >= (1 - SV_CLUSTER_RTOL) * sigma_max.
     """
     M = np.asarray(M)
     if M.ndim != 2:
@@ -67,10 +66,9 @@ def svd_triple(M, cluster_rtol: float = SV_CLUSTER_RTOL) -> SvdTriple:
     if sigma_max == 0.0:
         k = s.size
     else:
-        k = int(np.sum(s >= (1.0 - cluster_rtol) * sigma_max))
+        k = int(np.sum(s >= (1.0 - SV_CLUSTER_RTOL) * sigma_max))
         k = max(k, 1)
-    return SvdTriple(Q=U[:, :k], P=Vh[:k, :].conj().T, sigma_max=sigma_max,
-                     singular_values=s)
+    return SvdTriple(Q=U[:, :k], P=Vh[:k, :].conj().T, sigma_max=sigma_max)
 
 
 def solve_lyapunov(A, W) -> np.ndarray:
@@ -99,8 +97,8 @@ def spectral_abscissa(M) -> float:
     return float(np.max(np.linalg.eigvals(M).real))
 
 
-def is_hurwitz(M, tol: float = 0.0) -> bool:
+def is_hurwitz(M) -> bool:
     M = as_square(M)
     if M.shape[0] == 0:
         return True
-    return bool(np.max(np.linalg.eigvals(M).real) < -tol)
+    return bool(np.max(np.linalg.eigvals(M).real) < 0.0)

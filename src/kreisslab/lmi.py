@@ -558,13 +558,17 @@ def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3):
 # Output-feedback existence and reconstruction
 # ---------------------------------------------------------------------------
 
-def null_space_basis(M, rtol: float = 1e-10) -> np.ndarray:
+#: singular values at most this fraction of the largest count as zero
+_NULL_RTOL = 1e-10
+
+
+def null_space_basis(M) -> np.ndarray:
     """Orthonormal basis of the null space of M via SVD."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0 or not np.any(M):
         return np.eye(M.shape[1])
     U, s, Vh = np.linalg.svd(M)
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > _NULL_RTOL * s[0]))
     return Vh[rank:, :].T
 
 

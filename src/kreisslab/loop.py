@@ -87,9 +87,6 @@ class ControllerRealization:
         sys = tf_to_ss(num, den)
         return cls(sys.A, sys.B, sys.C, sys.D)
 
-    def as_statespace(self) -> StateSpace:
-        return StateSpace(self.A_K, self.B_K, self.C_K, self.D_K)
-
     def dc_gain(self) -> np.ndarray:
         """K(0) = D_K - C_K A_K^{-1} B_K (A_K must be invertible)."""
         if self.n_K == 0:

@@ -834,15 +834,18 @@ def entrywise_kreiss(sys: StateSpace,
     return NormReport(float(value), maximizer, evaluations=evals)
 
 
+#: sign_pattern_kreiss enumerates 2^(p-1) sign vectors and refuses p above this
+_SIGN_PATTERN_MAX_INPUTS = 16
+
+
 def sign_pattern_kreiss(sys: StateSpace,
-                        opts: KreissOptions | None = None,
-                        max_inputs: int = 16) -> NormReport:
+                        opts: KreissOptions | None = None) -> NormReport:
     """max over sign vectors r in {-1,1}^p of the Kreiss norm of (A, B r, C)."""
     _strictly_proper_channel(sys, "sign-pattern Kreiss norm")
     sys.require_stable("sign-pattern Kreiss norm")
-    if sys.p > max_inputs:
-        raise EnumerationError(
-            f"{sys.p} inputs exceed the enumeration bound {max_inputs}")
+    if sys.p > _SIGN_PATTERN_MAX_INPUTS:
+        raise EnumerationError(f"{sys.p} inputs exceed the enumeration "
+                               f"bound {_SIGN_PATTERN_MAX_INPUTS}")
     best = None
     evals = 0
     # sigma_max is sign-symmetric, so fix the first sign to +1

@@ -67,15 +67,12 @@ class StateSpace:
         resolvent = np.linalg.solve(s * np.eye(self.n) - self.A, self.B)
         return self.C @ resolvent + self.D
 
-    def is_stable(self, tol: float = 0.0) -> bool:
-        return is_hurwitz(self.A, tol)
+    def is_stable(self) -> bool:
+        return is_hurwitz(self.A)
 
     def require_stable(self, what: str = "operation") -> None:
         if not self.is_stable():
             raise StabilityError(f"{what} requires a Hurwitz A matrix")
-
-    def strictly_proper(self) -> bool:
-        return not np.any(self.D)
 
 
 def tf_to_ss(num, den) -> StateSpace:

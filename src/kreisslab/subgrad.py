@@ -1,17 +1,17 @@
-"""Clarke subgradients and directional derivatives.
+"""Clarke subgradients of the H-infinity and closed-loop Kreiss norms.
 
-Covers the maximum singular value, the largest eigenvalue of a symmetric
-matrix, the H-infinity norm at its (finitely many) peak frequencies, and
+Covers the H-infinity norm at its (finitely many) peak frequencies, the
+inner Kreiss maximization over the resolvent family of a closed loop, and
 the closed-loop Kreiss norm as a function of structured controller
 parameters (chain rule through the resolvent of the active family member).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PreconditionError, StabilityError
 from .linalg import svd_triple
@@ -28,10 +28,9 @@ __all__ = [
     "SubgradientSet",
     "ActivePoint",
     "KreissSubgradient",
-    "sigma_directional",
-    "lambda_max_subgradient",
+    "WorstCaseReport",
     "hinf_subgradient_set",
-    "hinf_directional",
+    "worst_case_delta",
     "kreiss_subgradient",
 ]
 
@@ -65,32 +64,6 @@ class SubgradientSet:
         return out
 
 
-def sigma_directional(G, D) -> float:
-    """Clarke directional derivative of sigma_max at G in direction D.
-
-    Equals (1/2) lambda_max(Q^H D P + P^H D^H Q) over the maximal singular
-    block (Q, P) of G.
-    """
-    G = np.atleast_2d(np.asarray(G))
-    D = np.atleast_2d(np.asarray(D))
-    if G.shape != D.shape:
-        raise PreconditionError("G and D must have identical shapes")
-    triple = svd_triple(G)
-    M = triple.Q.conj().T @ D @ triple.P
-    H = M + M.conj().T
-    return float(0.5 * np.max(scipy.linalg.eigvalsh(H)))
-
-
-def lambda_max_subgradient(S, cluster_rtol: float = 1e-8):
-    """(lambda_max, V) for symmetric S; V spans the top eigenvalue cluster."""
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    w, V = scipy.linalg.eigh(S)
-    top = w[-1]
-    width = cluster_rtol * max(1.0, abs(top))
-    keep = w >= top - width
-    return float(top), V[:, keep][:, ::-1]
-
-
 def hinf_subgradient_set(sys: StateSpace, peaks) -> SubgradientSet:
     """Active singular blocks of G(j omega_k) at the peak frequencies."""
     peaks = list(peaks)
@@ -103,20 +76,30 @@ def hinf_subgradient_set(sys: StateSpace, peaks) -> SubgradientSet:
     return SubgradientSet(pairs=pairs)
 
 
-def hinf_directional(sys: StateSpace, peaks, directions) -> float:
-    """max over active peaks of the sigma_max directional derivative.
+@dataclass
+class WorstCaseReport:
+    eta_star: float
+    value: float
+    omega_star: float
+    actives: list
 
-    directions is either a callable omega -> dG(j omega) or a sequence of
-    direction matrices aligned with peaks.
+
+def worst_case_delta(cl: ClosedLoop,
+                     opts: KreissOptions | None = None) -> WorstCaseReport:
+    """Inner maximization over the resolvent family for a fixed loop.
+
+    Returns the worst eta with its inner frequency and every near-active
+    family point.  Raises with the offending eta when the family loses
+    stability.
     """
-    peaks = list(peaks)
-    if not peaks:
-        raise PreconditionError("peak frequency list is empty")
-    best = -np.inf
-    for k, w in enumerate(peaks):
-        D = directions(float(w)) if callable(directions) else directions[k]
-        best = max(best, sigma_directional(sys.transfer(1j * float(w)), D))
-    return float(best)
+    eta_bad = family_instability_eta(cl.A_cl)
+    if not math.isinf(eta_bad):
+        raise StabilityError(
+            f"family member at eta = {eta_bad:.6g} is not Hurwitz")
+    rep = kreiss_norm(cl.channel(), opts)
+    return WorstCaseReport(eta_star=rep.maximizer["eta"], value=rep.value,
+                           omega_star=rep.maximizer["omega"],
+                           actives=rep.maximizer["actives"])
 
 
 @dataclass
@@ -132,7 +115,6 @@ class KreissSubgradient:
     value: float
     gradient: np.ndarray
     active: list = field(default_factory=list)
-    closed_loop: ClosedLoop | None = None
 
 
 def closed_loop_gradient(A_cl: np.ndarray, J: np.ndarray, eta: float,
@@ -157,29 +139,23 @@ def closed_loop_gradient(A_cl: np.ndarray, J: np.ndarray, eta: float,
 
 
 def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
-                       theta, opts: KreissOptions | None = None,
-                       B_w: np.ndarray | None = None) -> KreissSubgradient:
+                       theta,
+                       opts: KreissOptions | None = None) -> KreissSubgradient:
     """Clarke subgradient of theta -> K(J^T (sI - A_cl(theta))^{-1} J).
 
-    The inner maximization supplies the active (eta, omega) pairs; each is
+    worst_case_delta supplies the active (eta, omega) pairs; each is
     pulled back through the resolvent derivative and the controller
     structure mask.  The leading gradient belongs to the best active point;
     the full active list supports max-rule convex combinations.
     """
-    opts = opts or KreissOptions()
-    controller = structure.unpack(theta)
-    cl = assemble_closed_loop(plant, controller, B_w=B_w)
-    eta_bad = family_instability_eta(cl.A_cl)
-    if not np.isinf(eta_bad):
-        raise StabilityError(
-            f"closed loop loses family stability at eta = {eta_bad:.6g}")
-    rep = kreiss_norm(cl.channel(), opts)
+    cl = assemble_closed_loop(plant, structure.unpack(theta))
+    worst = worst_case_delta(cl, opts)
     actives = []
-    for act in rep.maximizer["actives"]:
+    for act in worst.actives:
         val, G_A = closed_loop_gradient(cl.A_cl, cl.J, act["eta"], act["omega"])
         grad = structure.grad_from_closed_loop(G_A, plant)
         actives.append(ActivePoint(eta=act["eta"], omega=act["omega"],
                                    value=val, gradient=grad))
     best = max(actives, key=lambda a: a.value)
-    return KreissSubgradient(value=rep.value, gradient=best.gradient,
-                             active=actives, closed_loop=cl)
+    return KreissSubgradient(value=worst.value, gradient=best.gradient,
+                             active=actives)

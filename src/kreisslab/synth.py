@@ -6,9 +6,10 @@ spectral-abscissa decay constraint and an optional roll-off bound
 negated minimum-norm element of the convex hull of active subgradients
 (Kreiss actives through the resolvent chain rule, tied rightmost
 eigenvalues, weighted roll-off gradient), with an Armijo line search on an
-exact-penalty function.  A randomized stabilization phase (spectral
-abscissa descent) supplies feasible starts; restarts are seeded and the
-best feasible result is reported after a dense re-evaluation.
+exact-penalty function of fixed weight.  Each seeded restart stabilizes a
+random start by spectral-abscissa descent and then runs one penalized
+descent; the best result that meets the constraints is reported after a
+dense re-evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError, SynthesisError
 from .loop import (
-    ClosedLoop,
     ControllerRealization,
     ControllerStructure,
     assemble_closed_loop,
@@ -30,7 +30,6 @@ from .norms import (
     KreissOptions,
     NormReport,
     _family_hinf,
-    family_instability_eta,
     hinf_norm,
     kreiss_norm,
 )
@@ -42,9 +41,7 @@ __all__ = [
     "SynthesisSpec",
     "ConstraintReport",
     "SynthesisResult",
-    "WorstCaseReport",
     "rolloff_norm",
-    "worst_case_delta",
     "minimize_kreiss",
 ]
 
@@ -58,7 +55,7 @@ class SynthOptions:
 
 #: spectral-abscissa descent steps of the stabilization phase
 _STAB_MAX_ITER = 200
-#: initial exact-penalty weight, multiplied by 4 on each constrained retry
+#: exact-penalty weight on the decay and roll-off excesses
 _PENALTY = 10.0
 #: Armijo sufficient-decrease constant
 _ARMIJO_C1 = 0.05
@@ -71,6 +68,12 @@ _STAT_TOL = 1e-7
 _STAB_MARGIN = 1e-2
 #: restart k draws its start with standard deviation _INIT_SCALES[k % 5]
 _INIT_SCALES = (0.5, 2.0, 8.0, 32.0, 128.0)
+#: eigenvalues within this relative distance of the spectral abscissa tie
+_TIE_TOL = 1e-7
+#: relative step of the roll-off's finite-difference gradient
+_FD_STEP = 1e-6
+#: H-infinity tolerance of the roll-off norm
+_ROLLOFF_TOL = 1e-7
 #: the coarse eta grid of the descent's Kreiss evaluations
 _DESCENT_KREISS = KreissOptions(grid_points=48, hinf_tol=1e-7,
                                 max_local_maxima=4)
@@ -123,16 +126,8 @@ class SynthesisResult:
     history: list
 
 
-@dataclass
-class WorstCaseReport:
-    eta_star: float
-    value: float
-    omega_star: float
-    actives: list
-
-
 def rolloff_norm(plant: StateSpace, controller: ControllerRealization,
-                 weight: StateSpace, tol: float = 1e-7) -> float:
+                 weight: StateSpace) -> float:
     """||W T||_inf with T = G K (I - G K)^{-1} for the loop u = +K y."""
     if not (np.any(controller.D_K) or np.any(controller.C_K)
             or np.any(controller.B_K)):
@@ -140,25 +135,7 @@ def rolloff_norm(plant: StateSpace, controller: ControllerRealization,
     T = complementary_sensitivity(plant, controller)
     if not T.is_stable():
         raise StabilityError("closed loop is unstable; roll-off undefined")
-    return hinf_norm(series(T, weight), tol=tol).value
-
-
-def worst_case_delta(cl: ClosedLoop,
-                     opts: KreissOptions | None = None) -> WorstCaseReport:
-    """Inner maximization over the resolvent family for a fixed loop.
-
-    Returns the worst eta with its inner frequency and every near-active
-    family point.  Raises with the offending eta when the family loses
-    stability.
-    """
-    eta_bad = family_instability_eta(cl.A_cl)
-    if not math.isinf(eta_bad):
-        raise StabilityError(
-            f"family member at eta = {eta_bad:.6g} is not Hurwitz")
-    rep = kreiss_norm(cl.channel(), opts)
-    return WorstCaseReport(eta_star=rep.maximizer["eta"], value=rep.value,
-                           omega_star=rep.maximizer["omega"],
-                           actives=rep.maximizer["actives"])
+    return hinf_norm(series(T, weight), tol=_ROLLOFF_TOL).value
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +172,7 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _abscissa_with_grads(plant: StateSpace, structure: ControllerStructure,
-                         theta: np.ndarray, tie_tol: float = 1e-7):
+                         theta: np.ndarray):
     """Spectral abscissa of A_cl(theta) and subgradients of tied eigenvalues."""
     controller = structure.unpack(theta)
     cl = assemble_closed_loop(plant, controller)
@@ -207,7 +184,7 @@ def _abscissa_with_grads(plant: StateSpace, structure: ControllerStructure,
     order = np.argsort(-w.real)
     for idx in order:
         lam = w[idx]
-        if lam.real < alpha - tie_tol * (1.0 + abs(alpha)):
+        if lam.real < alpha - _TIE_TOL * (1.0 + abs(alpha)):
             break
         if lam.imag < -1e-12:  # conjugate partner gives the same Re-gradient
             continue
@@ -221,8 +198,7 @@ def _abscissa_with_grads(plant: StateSpace, structure: ControllerStructure,
 
 
 def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
-                       theta: np.ndarray, weight: StateSpace,
-                       h: float = 1e-6):
+                       theta: np.ndarray, weight: StateSpace):
     """||W T||_inf(theta) and a central finite-difference gradient.
 
     Perturbations that cross the stability boundary fall back to one-sided
@@ -239,7 +215,7 @@ def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
         raise StabilityError("closed loop is unstable; roll-off undefined")
     grad = np.zeros_like(theta)
     for i in range(theta.size):
-        step = h * (1.0 + abs(theta[i]))
+        step = _FD_STEP * (1.0 + abs(theta[i]))
         e = np.zeros_like(theta)
         e[i] = step
         up = value(theta + e)
@@ -291,19 +267,16 @@ def _stabilize(plant: StateSpace, structure: ControllerStructure,
 # ---------------------------------------------------------------------------
 
 class _Penalized:
-    """Exact-penalty objective F = K + rho (alpha excess + rolloff excess)."""
+    """Exact penalty F = K + _PENALTY (alpha excess + rolloff excess)."""
 
-    def __init__(self, spec: SynthesisSpec, structure: ControllerStructure,
-                 rho: float):
+    def __init__(self, spec: SynthesisSpec, structure: ControllerStructure):
         self.spec = spec
         self.structure = structure
-        self.rho = rho
-        self.evals = 0
 
     def full(self, theta):
         """(F, data) with every subgradient piece evaluated."""
-        alpha, a_grads, cl = _abscissa_with_grads(self.spec.plant,
-                                                  self.structure, theta)
+        alpha, a_grads, _ = _abscissa_with_grads(self.spec.plant,
+                                                 self.structure, theta)
         if alpha >= 0:
             return math.inf, None
         try:
@@ -311,19 +284,18 @@ class _Penalized:
                                     opts=_DESCENT_KREISS)
         except (NumericalError, StabilityError):
             return math.inf, None
-        self.evals += 1
         F = ks.value
         a_excess = alpha - self.spec.alpha_limit
         if a_excess > 0:
-            F += self.rho * a_excess
+            F += _PENALTY * a_excess
         r_val = r_grad = None
         if self.spec.rolloff_weight is not None:
             r_val, r_grad = _rolloff_with_grad(self.spec.plant, self.structure,
                                                theta, self.spec.rolloff_weight)
             if r_val > 1.0:
-                F += self.rho * (r_val - 1.0)
+                F += _PENALTY * (r_val - 1.0)
         data = {"kreiss": ks, "alpha": alpha, "alpha_grads": a_grads,
-                "rolloff": r_val, "rolloff_grad": r_grad, "cl": cl}
+                "rolloff": r_val, "rolloff_grad": r_grad}
         return F, data
 
     def quick(self, theta, actives):
@@ -337,17 +309,16 @@ class _Penalized:
             # hinf_norm of that family member
             eta = np.array([act["eta"] for act in actives])
             values = _family_hinf(cl.channel(), eta, 1e-6)[0]
-            self.evals += 1
             F = float(np.max(values, initial=0.0))
             a_excess = alpha - self.spec.alpha_limit
             if a_excess > 0:
-                F += self.rho * a_excess
+                F += _PENALTY * a_excess
             if self.spec.rolloff_weight is not None:
                 r_val = rolloff_norm(self.spec.plant,
                                      self.structure.unpack(theta),
                                      self.spec.rolloff_weight)
                 if r_val > 1.0:
-                    F += self.rho * (r_val - 1.0)
+                    F += _PENALTY * (r_val - 1.0)
         except (NumericalError, StabilityError):
             return math.inf
         return F
@@ -361,19 +332,23 @@ class _Penalized:
         for gk in combos:
             g = gk.copy()
             if r_active:
-                g = g + self.rho * data["rolloff_grad"]
+                g = g + _PENALTY * data["rolloff_grad"]
             if a_excess > 0:
                 for ga in data["alpha_grads"]:
-                    out.append(g + self.rho * ga)
+                    out.append(g + _PENALTY * ga)
             else:
                 out.append(g)
         return out
 
 
 def _descend(spec: SynthesisSpec, structure: ControllerStructure,
-             theta0: np.ndarray, rho: float):
-    """Armijo descent on the penalized objective from one start."""
-    pen = _Penalized(spec, structure, rho)
+             theta0: np.ndarray):
+    """Armijo descent on the penalized objective from one start.
+
+    Returns (theta, data, history) at the last accepted point, or None when
+    the start itself cannot be evaluated.
+    """
+    pen = _Penalized(spec, structure)
     theta = theta0.copy()
     F, data = pen.full(theta)
     if data is None:
@@ -404,7 +379,7 @@ def _descend(spec: SynthesisSpec, structure: ControllerStructure,
             step *= 0.5
         if not accepted:
             break
-    return theta, F, data, history, pen.evals
+    return theta, data, history
 
 
 def minimize_kreiss(spec: SynthesisSpec,
@@ -412,9 +387,10 @@ def minimize_kreiss(spec: SynthesisSpec,
     """Best locally optimal structured controller over seeded restarts.
 
     Each restart draws a random start, stabilizes it by spectral-abscissa
-    descent, then runs the penalized nonsmooth descent; violated runs get a
-    doubled penalty retry.  The winner is re-evaluated with the dense eta
-    grid; constraint satisfaction is mandatory.
+    descent, then runs one penalized nonsmooth descent at the fixed weight
+    _PENALTY; a restart that ends violating a constraint is dropped.  The
+    winner is re-evaluated with the dense eta grid; constraint satisfaction
+    is mandatory.  history holds the F sequence of each descent.
     """
     opts = spec.options
     rng = np.random.default_rng(opts.seed)
@@ -430,25 +406,19 @@ def minimize_kreiss(spec: SynthesisSpec,
         theta_s = _stabilize(spec.plant, structure, theta0, target)
         if theta_s is None:
             continue
-        rho = _PENALTY
-        for _ in range(3):
-            out = _descend(spec, structure, theta_s, rho)
-            if out is None:
-                break
-            theta, F, data, history, evals = out
-            history_all.append(history)
-            rep = ConstraintReport(
-                alpha=data["alpha"],
-                alpha_limit=spec.alpha_limit,
-                rolloff=data["rolloff"],
-                rolloff_limit=None if spec.rolloff_weight is None else 1.0)
-            if rep.satisfied:
-                value = data["kreiss"].value
-                if best is None or value < best[1]:
-                    best = (theta.copy(), value, rep)
-                break
-            theta_s = theta
-            rho *= 4.0
+        out = _descend(spec, structure, theta_s)
+        if out is None:
+            continue
+        theta, data, history = out
+        history_all.append(history)
+        rep = ConstraintReport(
+            alpha=data["alpha"],
+            alpha_limit=spec.alpha_limit,
+            rolloff=data["rolloff"],
+            rolloff_limit=None if spec.rolloff_weight is None else 1.0)
+        value = data["kreiss"].value
+        if rep.satisfied and (best is None or value < best[1]):
+            best = (theta.copy(), value, rep)
     if best is None:
         raise SynthesisError(
             "no stabilizing/feasible controller found within the restart cap")

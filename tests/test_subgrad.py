@@ -3,49 +3,11 @@ import pytest
 
 from kreisslab.errors import PreconditionError, StabilityError
 from kreisslab.loop import ControllerStructure, assemble_closed_loop
-from kreisslab.norms import KreissOptions, hinf_norm, kreiss_norm
+from kreisslab.norms import KreissOptions, kreiss_norm
 from kreisslab.statespace import StateSpace
-from kreisslab.subgrad import (
-    hinf_directional,
-    hinf_subgradient_set,
-    kreiss_subgradient,
-    lambda_max_subgradient,
-    sigma_directional,
-)
-
-from conftest import random_stable_statespace
+from kreisslab.subgrad import hinf_subgradient_set, kreiss_subgradient
 
 OPTS = KreissOptions(grid_points=120, hinf_tol=1e-9)
-
-
-def test_sigma_directional_identity_slope():
-    assert sigma_directional(np.eye(2), np.eye(2)) == pytest.approx(1.0)
-
-
-def test_sigma_directional_inactive_block():
-    assert sigma_directional(np.diag([2.0, 1.0]),
-                             np.diag([0.0, 1.0])) == pytest.approx(0.0)
-
-
-def test_sigma_directional_matches_finite_differences(rng):
-    for _ in range(50):
-        G = rng.standard_normal((3, 3))
-        D = rng.standard_normal((3, 3))
-        h = 1e-6
-        fd = (np.linalg.svd(G + h * D, compute_uv=False)[0]
-              - np.linalg.svd(G - h * D, compute_uv=False)[0]) / (2 * h)
-        assert sigma_directional(G, D) == pytest.approx(fd, abs=1e-4)
-
-
-def test_sigma_directional_shape_mismatch():
-    with pytest.raises(PreconditionError):
-        sigma_directional(np.eye(2), np.eye(3))
-
-
-def test_lambda_max_subgradient_cluster():
-    val, V = lambda_max_subgradient(np.diag([2.0, 2.0, 1.0]))
-    assert val == pytest.approx(2.0)
-    assert V.shape[1] == 2
 
 
 def test_subgradient_set_element_trace_rule():
@@ -55,50 +17,6 @@ def test_subgradient_set_element_trace_rule():
     assert el.shape == (1, 1) or el.shape[0] >= 1
     with pytest.raises(PreconditionError):
         sset.element([np.eye(el.shape[0]) * 2.0])
-
-
-def test_hinf_directional_single_peak_reduces():
-    sys = StateSpace([[-1.0]], [[1.0]], [[1.0]])
-    D = np.array([[0.3]])
-    got = hinf_directional(sys, [0.0], [D])
-    want = sigma_directional(sys.transfer(0.0), D)
-    assert got == pytest.approx(want)
-
-
-def test_hinf_directional_two_peak_max_rule():
-    sys = StateSpace([[-1.0]], [[1.0]], [[1.0]])
-    peaks = [0.0, 1.0]
-    dirs = [np.array([[1.0]]), np.array([[5.0]])]
-    vals = [sigma_directional(sys.transfer(1j * w), d)
-            for w, d in zip(peaks, dirs)]
-    assert hinf_directional(sys, peaks, dirs) == pytest.approx(max(vals))
-
-
-def test_hinf_directional_empty_peaks():
-    sys = StateSpace([[-1.0]], [[1.0]], [[1.0]])
-    with pytest.raises(PreconditionError):
-        hinf_directional(sys, [], [])
-
-
-def test_hinf_directional_matches_parameter_sweep(rng):
-    # parameterized C(theta) = C0 + theta * Dc: compare against FD of hinf
-    sys = random_stable_statespace(rng, 3)
-    Dc = rng.standard_normal((1, 3))
-
-    def value(theta):
-        return hinf_norm(StateSpace(sys.A, sys.B, sys.C + theta * Dc),
-                         tol=1e-10).value
-
-    rep = hinf_norm(sys, tol=1e-10)
-    w_star = rep.maximizer["omega"]
-
-    def direction(w):
-        return Dc @ np.linalg.solve(1j * w * np.eye(3) - sys.A, sys.B)
-
-    got = hinf_directional(sys, [w_star], direction)
-    h = 1e-6
-    fd = (value(h) - value(-h)) / (2 * h)
-    assert got == pytest.approx(fd, rel=1e-3, abs=1e-6)
 
 
 BRUNTON = StateSpace([[0.1, -1.0], [1.0, 0.1]], [[0.0], [1.0]], [[0.0, 1.0]])
@@ -170,17 +88,6 @@ def test_kreiss_subgradient_descent_at_nonoptimal_gain():
     assert ks.value > min(scan)
     step = -np.sign(ks.gradient[0]) * 0.05
     assert _kreiss_of_theta(st, theta + step) < ks.value
-
-
-def test_sigma_directional_homogeneity(rng):
-    # sigma_max(c G) = c sigma_max(G) for c > 0, so directional derivatives
-    # scale the same way entrywise
-    for _ in range(10):
-        G = rng.standard_normal((3, 2))
-        D = rng.standard_normal((3, 2))
-        c = float(rng.uniform(0.2, 5.0))
-        assert sigma_directional(c * G, c * D) == pytest.approx(
-            c * sigma_directional(G, D), rel=1e-10)
 
 
 def test_kreiss_subgradient_homogeneity_in_channel(rng):

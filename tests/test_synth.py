@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kreisslab import synth
 from kreisslab.benchmarks import (
     BRUNTON_CONTROLLERS,
     brunton_plant,
@@ -15,16 +16,22 @@ from kreisslab.loop import (
     assemble_closed_loop,
 )
 from kreisslab.linalg import spectral_abscissa
-from kreisslab.norms import KreissOptions, hinf_norm, kreiss_family_matrix
+from kreisslab.norms import (
+    KreissOptions,
+    _family_hinf,
+    hinf_norm,
+    kreiss_family_matrix,
+)
 from kreisslab.oracles import kreiss_halfplane_grid
 from kreisslab.statespace import StateSpace
+from kreisslab.subgrad import worst_case_delta
 from kreisslab.synth import (
+    _PENALTY,
     SynthOptions,
     SynthesisSpec,
     minimize_kreiss,
     _Penalized,
     rolloff_norm,
-    worst_case_delta,
 )
 
 
@@ -70,17 +77,16 @@ def test_worst_case_first_order_brunton_value():
 
 
 def test_worst_case_matches_dense_eta_grid(rng):
-    from kreisslab.norms import kreiss_family_matrix, hinf_norm
     from conftest import random_stable_statespace
     plant = random_stable_statespace(rng, 3, p=1, m=1)
     ctrl = ControllerRealization.static([[0.0]])
     cl = assemble_closed_loop(plant, ctrl)
     rep = worst_case_delta(cl)
     etas = np.linspace(0.0, 2.0 - 1e-6, 10000)
-    dense = 0.0
-    for eta in etas:
-        fam = StateSpace(kreiss_family_matrix(cl.A_cl, eta), cl.J, cl.J.T)
-        dense = max(dense, hinf_norm(fam, tol=1e-7).value)
+    # one batched call; each value is bitwise hinf_norm(tol=1e-7) of the
+    # family member (A_eta, J, J^T) at that eta
+    dense = float(np.max(_family_hinf(cl.channel(), etas, 1e-7)[0],
+                         initial=0.0))
     assert rep.value == pytest.approx(dense, rel=1e-3)
 
 
@@ -97,14 +103,14 @@ def test_quick_penalty_is_max_of_per_eta_hinf():
     plant = brunton_plant()
     ctrl = BRUNTON_CONTROLLERS["static"].controller
     structure = ControllerStructure.static(1, 1)
-    pen = _Penalized(SynthesisSpec(plant=plant), structure, rho=10.0)
+    pen = _Penalized(SynthesisSpec(plant=plant), structure)
     etas = [0.0, 0.35, 1.2, 1.97]
     channel = assemble_closed_loop(plant, ctrl).channel()
     kreiss_part = max(hinf_norm(StateSpace(
         kreiss_family_matrix(channel.A, eta), channel.B, channel.C),
         tol=1e-6).value for eta in etas)
     excess = spectral_abscissa(channel.A) - pen.spec.alpha_limit
-    expected = kreiss_part + (pen.rho * excess if excess > 0 else 0.0)
+    expected = kreiss_part + (_PENALTY * excess if excess > 0 else 0.0)
     F = pen.quick(structure.pack(ctrl), [{"eta": e} for e in etas])
     assert F == expected
 
@@ -128,6 +134,7 @@ def test_minimize_lorenz_static_reaches_unit_value():
     res = minimize_kreiss(spec, ControllerStructure.static(1, 1))
     assert res.report.value <= 1.02
     assert res.constraints.satisfied
+    assert len(res.history) <= spec.options.restarts
     oracle = kreiss_halfplane_grid(
         assemble_closed_loop(spec.plant, res.controller).channel())
     assert res.report.value == pytest.approx(oracle.value, rel=1e-3)
@@ -140,6 +147,25 @@ def test_minimize_monotone_history():
     res = minimize_kreiss(spec, ControllerStructure.static(1, 1))
     for hist in res.history:
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+
+
+def test_minimize_runs_one_descent_per_restart(monkeypatch):
+    # Brunton with decay rate 0.1 and roll-off is infeasible for a static
+    # gain: no restart may retry its descent from where it ended
+    calls = []
+    descend = synth._descend
+
+    def counting(*args):
+        calls.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(synth, "_descend", counting)
+    spec = SynthesisSpec(plant=brunton_plant(), eta_rate=0.1,
+                         rolloff_weight=rolloff_weight(),
+                         options=SynthOptions(restarts=2, seed=0))
+    with pytest.raises(SynthesisError):
+        minimize_kreiss(spec, ControllerStructure.static(1, 1))
+    assert 1 <= len(calls) <= spec.options.restarts
 
 
 def test_minimize_infeasible_actuation_fails():
