@@ -43,8 +43,6 @@ class GainWindow:
 
     lower: float
     upper: float
-    lower_open: bool = True
-    upper_open: bool = True
 
     @property
     def empty(self) -> bool:
@@ -175,9 +173,13 @@ class YorkeSampleReport:
     worst_state: np.ndarray
 
 
+#: yorke_sample_check draws states with radius in this annulus
+_YORKE_ANNULUS = (1e-3, 1e2)
+
+
 def yorke_sample_check(cert: PolyCertificate, field, jacobian,
-                       samples: int = 100000, seed: int = 0,
-                       annulus=(1e-3, 1e2)) -> YorkeSampleReport:
+                       samples: int = 100000,
+                       seed: int = 0) -> YorkeSampleReport:
     """Sample dV/dt < 0 for V = V1 + dV2/dt along the closed-loop field.
 
     With quadratic V1, V2 the derivative is
@@ -192,7 +194,7 @@ def yorke_sample_check(cert: PolyCertificate, field, jacobian,
     S2 = cert.matrix("V2")
     rng = np.random.default_rng(seed)
     n = cert.n_vars
-    lo, hi = annulus
+    lo, hi = _YORKE_ANNULUS
     X = np.empty((n, samples))
     for k in range(samples):
         direction = rng.standard_normal(n)

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .errors import DimensionError, PreconditionError
 from .linalg import spectral_abscissa
-from .loop import ControllerRealization, assemble_closed_loop
+from .loop import ControllerRealization, assemble_closed_loop, closed_loop_map
 from .statespace import StateSpace
 
 __all__ = [
@@ -491,8 +491,11 @@ def _losslessness_permutation(B_w, n_K):
     return undriven + driven + [n + k for k in range(n_K)]
 
 
-def lossless_check(model, samples: int = 100000, seed: int = 0,
-                   radius: float = 100.0):
+#: lossless_check draws each state coordinate from [-this, this]
+_LOSSLESS_RADIUS = 100.0
+
+
+def lossless_check(model, samples: int = 100000, seed: int = 0):
     """max over random states of |x^T B_w phi(x)|, raw and relative.
 
     All states are drawn at once and phi is called on the (n, samples)
@@ -500,7 +503,8 @@ def lossless_check(model, samples: int = 100000, seed: int = 0,
     lossless identity, not a proof.
     """
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-radius, radius, size=(samples, model.A.shape[0])).T
+    X = rng.uniform(-_LOSSLESS_RADIUS, _LOSSLESS_RADIUS,
+                    size=(samples, model.A.shape[0])).T
     BW = model.B_w @ model.phi(X)
     inner = np.abs(np.sum(X * BW, axis=0))
     denom = np.linalg.norm(X, axis=0) * np.linalg.norm(BW, axis=0) + 1e-300
@@ -638,20 +642,6 @@ def of_existence(A, B, C, n_phi: int, epsilon: float = 1e-3) -> OfExistence:
     return OfExistence(X=X, Y=Y, max_order=max_order, status=res.status)
 
 
-def _theta_hat_matrices(A, B, C, n_K):
-    """A_cl = Ahat + Bhat Theta Chat for Theta = [[A_K, B_K], [C_K, D_K]]."""
-    n = A.shape[0]
-    p = B.shape[1]
-    m = C.shape[0]
-    Ahat = np.block([[A, np.zeros((n, n_K))],
-                     [np.zeros((n_K, n)), np.zeros((n_K, n_K))]])
-    Bhat = np.block([[np.zeros((n, n_K)), B],
-                     [np.eye(n_K), np.zeros((n_K, p))]])
-    Chat = np.block([[np.zeros((n_K, n)), np.eye(n_K)],
-                     [C, np.zeros((m, n_K))]])
-    return Ahat, Bhat, Chat
-
-
 def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
                            n_phi: int | None = None):
     """Controller from feasible (X, Y): complete X_cl, solve the Theta LMI.
@@ -684,15 +674,11 @@ def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
         raise PreconditionError(
             f"rank(Xtil - Ytil^-1) = {rank} exceeds requested order {n_K}")
     L = V[:, :n_K] * np.sqrt(np.clip(w[:n_K], 0.0, None))
-    if n_K:
-        X_cl = np.block([[Xtil, L], [L.T, np.eye(n_K)]])
-    else:
-        X_cl = Xtil
+    X_cl = np.block([[Xtil, L], [L.T, np.eye(n_K)]])
     # fixed X_cl: Psi + P^T Theta Q + Q^T Theta^T P < 0, linear in Theta
-    Ahat, Bhat, Chat = _theta_hat_matrices(A, B, C, n_K)
+    Ahat, Bhat, Chat = closed_loop_map(StateSpace(A, B, C), n_K)
     Psi = _lyap(Ahat, X_cl, epsilon)
-    rows = n_K + B.shape[1]
-    cols = n_K + C.shape[0]
+    rows, cols = Bhat.shape[1], Chat.shape[0]
     M = (Bhat.T @ X_cl).T @ _units(rows, cols) @ Chat
     blk = LmiBlock(F0=Psi, coeffs=M + M.transpose(0, 2, 1),
                    margin=strict_margin(Psi), name="theta")
@@ -701,8 +687,4 @@ def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
     if not res.feasible:
         return None, res
     Theta = res.y.reshape(rows, cols)
-    A_K = Theta[:n_K, :n_K]
-    B_K = Theta[:n_K, n_K:]
-    C_K = Theta[n_K:, :n_K]
-    D_K = Theta[n_K:, n_K:]
-    return ControllerRealization(A_K, B_K, C_K, D_K), res
+    return ControllerRealization.from_theta(Theta, n_K), res

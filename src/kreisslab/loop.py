@@ -1,20 +1,26 @@
 """Structured controller realizations and closed-loop assembly.
 
 A controller u = C_K x_K + D_K y with state dim n_K >= 0 closes the loop
-around a plant (A, B, C), giving
+around a plant (A, B, C).  With Theta = [[A_K, B_K], [C_K, D_K]] and the
+states ordered (x, x_K), the closed-loop matrix is affine in Theta
+(Gahinet & Apkarian 1994):
 
-    A_cl = [[A + B D_K C, B C_K],
-            [B_K C,       A_K ]].
+    A_cl = Ahat + Bhat Theta Chat = [[A + B D_K C, B C_K],
+                                     [B_K C,       A_K ]],
+    Ahat = [[A, 0], [0, 0]], Bhat = [[0, B], [I, 0]], Chat = [[0, I], [C, 0]].
 
-The restriction matrix J = [I_n; 0] selects the physical plant states for
-the transient channel J^T (sI - A_cl)^{-1} J.  A ControllerStructure fixes
-which controller entries are free decision variables (the flat vector
-theta) and maps gradients with respect to A_cl back onto theta.
+closed_loop_map builds (Ahat, Bhat, Chat); assembly, the complementary
+sensitivity, the gradient pull-back onto theta and the LMI controller
+reconstruction all use it.  The restriction matrix J = [I_n; 0] selects
+the physical plant states for the transient channel J^T (sI - A_cl)^{-1} J.
+A ControllerStructure fixes which entries of Theta are free decision
+variables (the flat vector theta).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +31,11 @@ __all__ = [
     "ControllerRealization",
     "ControllerStructure",
     "ClosedLoop",
+    "closed_loop_map",
     "assemble_closed_loop",
     "restriction_matrix",
     "complementary_sensitivity",
 ]
-
-_BLOCKS = ("A_K", "B_K", "C_K", "D_K")
-
 
 @dataclass(frozen=True, eq=False)
 class ControllerRealization:
@@ -75,11 +79,21 @@ class ControllerRealization:
     def n_ctrl(self) -> int:
         return self.D_K.shape[0]
 
+    @property
+    def theta(self) -> np.ndarray:
+        """Theta = [[A_K, B_K], [C_K, D_K]]."""
+        return np.concatenate([np.concatenate([self.A_K, self.B_K], axis=1),
+                               np.concatenate([self.C_K, self.D_K], axis=1)])
+
+    @classmethod
+    def from_theta(cls, Theta, n_K: int) -> "ControllerRealization":
+        Theta = np.atleast_2d(np.asarray(Theta, dtype=float))
+        return cls(Theta[:n_K, :n_K], Theta[:n_K, n_K:], Theta[n_K:, :n_K],
+                   Theta[n_K:, n_K:])
+
     @classmethod
     def static(cls, K) -> "ControllerRealization":
-        K = np.atleast_2d(np.asarray(K, dtype=float))
-        return cls(np.zeros((0, 0)), np.zeros((0, K.shape[1])),
-                   np.zeros((K.shape[0], 0)), K)
+        return cls.from_theta(K, 0)
 
     @classmethod
     def from_tf(cls, num, den) -> "ControllerRealization":
@@ -98,25 +112,19 @@ class ControllerRealization:
 
 @dataclass(frozen=True, eq=False)
 class ControllerStructure:
-    """Free/fixed entry masks for each controller block.
+    """Free entries of Theta = [[A_K, B_K], [C_K, D_K]].
 
-    masks[name] is a boolean array (True = free decision variable); fixed
-    values elsewhere come from base[name].  theta stacks the free entries
-    in block order A_K, B_K, C_K, D_K, row-major.
+    mask is a boolean array shaped like Theta (True = free decision
+    variable); fixed entries are zero.  theta stacks the free entries in
+    block order A_K, B_K, C_K, D_K, each block row-major.
     """
 
     n_K: int
-    n_meas: int
-    n_ctrl: int
-    masks: dict
-    base: dict
+    mask: np.ndarray
 
     @classmethod
     def full(cls, n_K: int, n_meas: int, n_ctrl: int) -> "ControllerStructure":
-        shapes = _shapes(n_K, n_meas, n_ctrl)
-        masks = {k: np.ones(s, dtype=bool) for k, s in shapes.items()}
-        base = {k: np.zeros(s) for k, s in shapes.items()}
-        return cls(n_K, n_meas, n_ctrl, masks, base)
+        return cls(n_K, np.ones((n_K + n_ctrl, n_K + n_meas), dtype=bool))
 
     @classmethod
     def static(cls, n_meas: int, n_ctrl: int) -> "ControllerStructure":
@@ -125,61 +133,42 @@ class ControllerStructure:
     @classmethod
     def static_masked(cls, mask) -> "ControllerStructure":
         """Static feedback with a sparsity pattern on D_K."""
-        mask = np.atleast_2d(np.asarray(mask, dtype=bool))
-        out = cls.full(0, mask.shape[1], mask.shape[0])
-        out.masks["D_K"][:] = mask
-        return out
+        return cls(0, np.atleast_2d(np.asarray(mask, dtype=bool)))
 
     @property
     def n_theta(self) -> int:
-        return int(sum(m.sum() for m in self.masks.values()))
+        return int(self.mask.sum())
+
+    @cached_property
+    def _free(self) -> np.ndarray:
+        """Flat indices into Theta of the free entries, in theta's order."""
+        rows, cols = np.nonzero(self.mask)
+        # 0, 1, 2, 3 for an entry of A_K, B_K, C_K, D_K
+        block = 2 * (rows >= self.n_K) + (cols >= self.n_K)
+        order = np.argsort(block, kind="stable")
+        return (rows * self.mask.shape[1] + cols)[order]
 
     def pack(self, controller: ControllerRealization) -> np.ndarray:
-        vals = {"A_K": controller.A_K, "B_K": controller.B_K,
-                "C_K": controller.C_K, "D_K": controller.D_K}
-        return np.concatenate([vals[k][self.masks[k]] for k in _BLOCKS])
+        return controller.theta.ravel()[self._free]
 
     def unpack(self, theta) -> ControllerRealization:
         theta = np.asarray(theta, dtype=float).ravel()
         if theta.size != self.n_theta:
             raise DimensionError(
                 f"theta has {theta.size} entries, structure needs {self.n_theta}")
-        out = {}
-        at = 0
-        for k in _BLOCKS:
-            block = self.base[k].copy()
-            cnt = int(self.masks[k].sum())
-            block[self.masks[k]] = theta[at:at + cnt]
-            at += cnt
-            out[k] = block
-        return ControllerRealization(out["A_K"], out["B_K"], out["C_K"],
-                                     out["D_K"])
+        Theta = np.zeros(self.mask.shape)
+        Theta.flat[self._free] = theta
+        return ControllerRealization.from_theta(Theta, self.n_K)
 
     def grad_from_closed_loop(self, G_A: np.ndarray,
                               plant: StateSpace) -> np.ndarray:
         """Pull a gradient w.r.t. A_cl entries back onto theta.
 
-        G_A[i, j] = d f / d A_cl[i, j]; the A_cl block layout gives
-        df/dD_K = B^T G11 C^T, df/dC_K = B^T G12, df/dB_K = G21 C^T,
-        df/dA_K = G22.
+        G_A[i, j] = d f / d A_cl[i, j]; A_cl = Ahat + Bhat Theta Chat gives
+        df/dTheta = Bhat^T G_A Chat^T.
         """
-        n = plant.n
-        G11 = G_A[:n, :n]
-        G12 = G_A[:n, n:]
-        G21 = G_A[n:, :n]
-        G22 = G_A[n:, n:]
-        grads = {
-            "A_K": G22,
-            "B_K": G21 @ plant.C.T,
-            "C_K": plant.B.T @ G12,
-            "D_K": plant.B.T @ G11 @ plant.C.T,
-        }
-        return np.concatenate([grads[k][self.masks[k]] for k in _BLOCKS])
-
-
-def _shapes(n_K, n_meas, n_ctrl):
-    return {"A_K": (n_K, n_K), "B_K": (n_K, n_meas),
-            "C_K": (n_ctrl, n_K), "D_K": (n_ctrl, n_meas)}
+        _, B_hat, C_hat = closed_loop_map(plant, self.n_K)
+        return (B_hat.T @ G_A @ C_hat.T).ravel()[self._free]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +190,24 @@ def restriction_matrix(n: int, n_K: int) -> np.ndarray:
     return np.vstack([np.eye(n), np.zeros((n_K, n))])
 
 
+def closed_loop_map(plant: StateSpace, n_K: int):
+    """(Ahat, Bhat, Chat) with A_cl = Ahat + Bhat Theta Chat on (x, x_K)."""
+    n, p, m = plant.n, plant.p, plant.m
+    A_hat = np.zeros((n + n_K, n + n_K))
+    A_hat[:n, :n] = plant.A
+    B_hat = np.zeros((n + n_K, n_K + p))
+    B_hat[:n, n_K:] = plant.B
+    B_hat[n:, :n_K] = np.eye(n_K)
+    C_hat = np.zeros((n_K + m, n + n_K))
+    C_hat[:n_K, n:] = np.eye(n_K)
+    C_hat[n_K:, :n] = plant.C
+    return A_hat, B_hat, C_hat
+
+
 def assemble_closed_loop(plant: StateSpace,
                          controller: ControllerRealization,
                          B_w: np.ndarray | None = None) -> ClosedLoop:
-    """A_cl = [[A + B D_K C, B C_K], [B_K C, A_K]] with u = K y.
+    """A_cl = Ahat + Bhat Theta Chat with u = K y.
 
     B_w, when given, is the plant disturbance channel; B_w_cl stacks it
     over zero rows for the controller states.  Otherwise B_w_cl = J.
@@ -215,12 +218,8 @@ def assemble_closed_loop(plant: StateSpace,
             f"controller ({controller.n_ctrl}x{controller.n_meas}) does not "
             f"match plant ({plant.p} inputs, {plant.m} outputs)")
     n_K = controller.n_K
-    A_cl = np.block([
-        [plant.A + plant.B @ controller.D_K @ plant.C,
-         plant.B @ controller.C_K],
-        [controller.B_K @ plant.C, controller.A_K],
-    ]) if n_K else plant.A + plant.B @ controller.D_K @ plant.C
-    A_cl = np.atleast_2d(A_cl)
+    A_hat, B_hat, C_hat = closed_loop_map(plant, n_K)
+    A_cl = A_hat + (B_hat @ controller.theta) @ C_hat
     J = restriction_matrix(n, n_K)
     if B_w is None:
         B_w_cl = J.copy()
@@ -236,16 +235,9 @@ def complementary_sensitivity(plant: StateSpace,
                               controller: ControllerRealization) -> StateSpace:
     """T = G K (I - G K)^{-1} for the loop closed with u = +K y.
 
-    States are ordered (x_K, x); the A matrix is affine in the controller
-    data and shares its spectrum with the closed-loop matrix of
-    assemble_closed_loop.
+    T has the states (x, x_K) and the A matrix of assemble_closed_loop.
     """
-    n, n_K = plant.n, controller.n_K
-    A = np.block([
-        [controller.A_K, controller.B_K @ plant.C],
-        [plant.B @ controller.C_K,
-         plant.A + plant.B @ controller.D_K @ plant.C],
-    ]) if n_K else plant.A + plant.B @ controller.D_K @ plant.C
-    B = np.vstack([controller.B_K, plant.B @ controller.D_K])
-    C = np.hstack([np.zeros((plant.m, n_K)), plant.C])
-    return StateSpace(np.atleast_2d(A), B, C)
+    n_K = controller.n_K
+    A_hat, B_hat, C_hat = closed_loop_map(plant, n_K)
+    B_theta = B_hat @ controller.theta
+    return StateSpace(A_hat + B_theta @ C_hat, B_theta[:, n_K:], C_hat[n_K:])

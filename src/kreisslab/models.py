@@ -93,6 +93,10 @@ class Brunton4Params:
     provenance: str = "external"
 
 
+#: NonlinearModel.check_origin accepts residual norms up to this
+_ORIGIN_TOL = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class NonlinearModel:
     """dx/dt = A x + B_w phi(x) + B_u u, y = C_y x.
@@ -118,11 +122,11 @@ class NonlinearModel:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def check_origin(self, tol: float = 1e-9) -> bool:
+    def check_origin(self) -> bool:
         """Numeric check of B_w phi(0) = 0 and B_u phi'(0) C_y = 0."""
         z = np.zeros(self.n)
-        ok = np.linalg.norm(self.B_w @ self.phi(z)) <= tol
-        ok = ok and np.linalg.norm(self.phi_jacobian(z)) <= tol
+        ok = np.linalg.norm(self.B_w @ self.phi(z)) <= _ORIGIN_TOL
+        ok = ok and np.linalg.norm(self.phi_jacobian(z)) <= _ORIGIN_TOL
         return bool(ok)
 
 

@@ -444,7 +444,11 @@ def _family_hinf(sys: StateSpace, eta: np.ndarray, tol: float):
                           sys.D, tol)
 
 
-def _golden_max(f, a: float, b: float, xtol: float, max_iter: int = 60):
+#: a golden-section search stops after this many evaluations of f
+_GOLDEN_MAX_EVALS = 60
+
+
+def _golden_max(f, a: float, b: float, xtol: float):
     """Golden-section maximization; f returns (value, payload)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
@@ -452,7 +456,7 @@ def _golden_max(f, a: float, b: float, xtol: float, max_iter: int = 60):
     f1, p1 = f(x1)
     f2, p2 = f(x2)
     evals = 2
-    while b - a > xtol and evals < max_iter:
+    while b - a > xtol and evals < _GOLDEN_MAX_EVALS:
         if f1 >= f2:
             b = x2
             x2, f2, p2 = x1, f1, p1
@@ -814,24 +818,33 @@ def attainment_check(sys: StateSpace, tol: float | None = None) -> AttainmentChe
 # Entry-wise and sign-pattern variants
 # ---------------------------------------------------------------------------
 
+def _max_kreiss(key: str, subsystems, opts) -> NormReport:
+    """kreiss_norm maximized over (label, StateSpace) pairs.
+
+    The first maximum wins; its label goes under maximizer[key], and the
+    evaluations of every subsystem are summed.
+    """
+    best = None
+    evals = 0
+    for label, sub in subsystems:
+        rep = kreiss_norm(sub, opts)
+        evals += rep.evaluations
+        if best is None or rep.value > best[0].value:
+            best = (rep, label)
+    rep, label = best
+    maximizer = {key: label, "eta": rep.maximizer["eta"],
+                 "omega": rep.maximizer["omega"]}
+    return NormReport(float(rep.value), maximizer, evaluations=evals)
+
+
 def entrywise_kreiss(sys: StateSpace,
                      opts: KreissOptions | None = None) -> NormReport:
     """max over scalar channels (i, k) of the SISO Kreiss norm of (A, b_k, c_i)."""
     _strictly_proper_channel(sys, "entry-wise Kreiss norm")
     sys.require_stable("entry-wise Kreiss norm")
-    best = None
-    evals = 0
-    for i in range(sys.m):
-        for k in range(sys.p):
-            sub = StateSpace(sys.A, sys.B[:, k:k + 1], sys.C[i:i + 1, :])
-            rep = kreiss_norm(sub, opts)
-            evals += rep.evaluations
-            if best is None or rep.value > best[0]:
-                best = (rep.value, (i, k), rep.maximizer)
-    value, channel, inner = best
-    maximizer = {"channel": list(channel), "eta": inner["eta"],
-                 "omega": inner["omega"]}
-    return NormReport(float(value), maximizer, evaluations=evals)
+    return _max_kreiss("channel", (
+        ([i, k], StateSpace(sys.A, sys.B[:, k:k + 1], sys.C[i:i + 1, :]))
+        for i in range(sys.m) for k in range(sys.p)), opts)
 
 
 #: sign_pattern_kreiss enumerates 2^(p-1) sign vectors and refuses p above this
@@ -846,20 +859,13 @@ def sign_pattern_kreiss(sys: StateSpace,
     if sys.p > _SIGN_PATTERN_MAX_INPUTS:
         raise EnumerationError(f"{sys.p} inputs exceed the enumeration "
                                f"bound {_SIGN_PATTERN_MAX_INPUTS}")
-    best = None
-    evals = 0
     # sigma_max is sign-symmetric, so fix the first sign to +1
-    for tail in itertools.product((1.0, -1.0), repeat=sys.p - 1):
-        r = np.array((1.0,) + tail)
-        sub = StateSpace(sys.A, (sys.B @ r).reshape(-1, 1), sys.C)
-        rep = kreiss_norm(sub, opts)
-        evals += rep.evaluations
-        if best is None or rep.value > best[0]:
-            best = (rep.value, r, rep.maximizer)
-    value, r, inner = best
-    maximizer = {"sign_pattern": [int(v) for v in r], "eta": inner["eta"],
-                 "omega": inner["omega"]}
-    return NormReport(float(value), maximizer, evaluations=evals)
+    signs = ((1.0,) + tail
+             for tail in itertools.product((1.0, -1.0), repeat=sys.p - 1))
+    return _max_kreiss("sign_pattern", (
+        ([int(v) for v in r],
+         StateSpace(sys.A, (sys.B @ np.array(r)).reshape(-1, 1), sys.C))
+        for r in signs), opts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .linalg import svd_triple
 from .loop import ClosedLoop, ControllerStructure, assemble_closed_loop
 from .norms import (
     KreissOptions,
+    NormReport,
     family_instability_eta,
     kreiss_family_matrix,
     kreiss_norm,
@@ -28,7 +29,6 @@ __all__ = [
     "SubgradientSet",
     "ActivePoint",
     "KreissSubgradient",
-    "WorstCaseReport",
     "hinf_subgradient_set",
     "worst_case_delta",
     "kreiss_subgradient",
@@ -76,19 +76,12 @@ def hinf_subgradient_set(sys: StateSpace, peaks) -> SubgradientSet:
     return SubgradientSet(pairs=pairs)
 
 
-@dataclass
-class WorstCaseReport:
-    eta_star: float
-    value: float
-    omega_star: float
-    actives: list
-
-
 def worst_case_delta(cl: ClosedLoop,
-                     opts: KreissOptions | None = None) -> WorstCaseReport:
+                     opts: KreissOptions | None = None) -> NormReport:
     """Inner maximization over the resolvent family for a fixed loop.
 
-    Returns the worst eta with its inner frequency and every near-active
+    kreiss_norm's report of the transient channel: the worst eta with its
+    inner frequency and, under maximizer["actives"], every near-active
     family point.  Raises with the offending eta when the family loses
     stability.
     """
@@ -96,10 +89,7 @@ def worst_case_delta(cl: ClosedLoop,
     if not math.isinf(eta_bad):
         raise StabilityError(
             f"family member at eta = {eta_bad:.6g} is not Hurwitz")
-    rep = kreiss_norm(cl.channel(), opts)
-    return WorstCaseReport(eta_star=rep.maximizer["eta"], value=rep.value,
-                           omega_star=rep.maximizer["omega"],
-                           actives=rep.maximizer["actives"])
+    return kreiss_norm(cl.channel(), opts)
 
 
 @dataclass
@@ -151,7 +141,7 @@ def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
     cl = assemble_closed_loop(plant, structure.unpack(theta))
     worst = worst_case_delta(cl, opts)
     actives = []
-    for act in worst.actives:
+    for act in worst.maximizer["actives"]:
         val, G_A = closed_loop_gradient(cl.A_cl, cl.J, act["eta"], act["omega"])
         grad = structure.grad_from_closed_loop(G_A, plant)
         actives.append(ActivePoint(eta=act["eta"], omega=act["omega"],

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import kreisslab
+from kreisslab import models
 from kreisslab.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -200,9 +201,12 @@ def test_simulate_time_order_schema_error(capsys, argv):
     assert err.startswith("schema error: ") and err.count("\n") == 1
 
 
-def test_simulate_step_budget_is_an_error(capsys):
+def test_simulate_step_budget_is_an_error(capsys, monkeypatch):
     # the start is inside the blow-up radius, but the loop's time scale
-    # near |x| = 1e8 needs about 1e8 steps to reach t = 2
+    # near |x| = 1e8 needs about 1e8 steps to reach t = 2.  A smaller
+    # budget runs out the same way, sooner; test_models checks the budget
+    # itself
+    monkeypatch.setattr(models, "_MAX_STEPS", 2_000)
     code, out, err = run(capsys, "simulate",
                          PROBLEMS / "lorenz_chaos_static_x.json",
                          "--x0", "1e8,1,1", "--t-on", "1", "--t-final", "2")

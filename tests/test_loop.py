@@ -8,6 +8,7 @@ from kreisslab.loop import (
     ControllerRealization,
     ControllerStructure,
     assemble_closed_loop,
+    closed_loop_map,
     complementary_sensitivity,
     restriction_matrix,
 )
@@ -92,6 +93,18 @@ def test_structure_pack_unpack_roundtrip(rng):
     assert np.allclose(st.pack(ctrl), theta)
 
 
+def test_structure_theta_order_is_block_by_block():
+    # theta lists A_K, B_K, C_K, D_K in turn, each block row-major
+    ctrl = ControllerRealization([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]],
+                                 [[7.0, 8.0]], [[9.0]])
+    st = ControllerStructure.full(2, 1, 1)
+    assert np.array_equal(st.pack(ctrl), np.arange(1.0, 10.0))
+    assert np.array_equal(ctrl.theta, [[1, 2, 5], [3, 4, 6], [7, 8, 9]])
+    back = ControllerRealization.from_theta(ctrl.theta, 2)
+    for block in ("A_K", "B_K", "C_K", "D_K"):
+        assert np.array_equal(getattr(back, block), getattr(ctrl, block))
+
+
 def test_structure_masked_entries_stay_zero():
     st = ControllerStructure.static_masked([[True, False, True]])
     ctrl = st.unpack([2.0, -3.0])
@@ -129,9 +142,24 @@ def test_complementary_sensitivity_shares_closed_loop_spectrum():
     ctrl = ControllerRealization.from_tf([0.001071, -2.247], [1.0, 1.483])
     T = complementary_sensitivity(BRUNTON, ctrl)
     cl = assemble_closed_loop(BRUNTON, ctrl)
-    got = np.sort_complex(np.linalg.eigvals(T.A))
-    want = np.sort_complex(np.linalg.eigvals(cl.A_cl))
-    assert np.allclose(got, want, atol=1e-10)
+    # the same states (x, x_K) as the closed loop, so the same matrix
+    assert np.array_equal(T.A, cl.A_cl)
+
+
+def test_closed_loop_map_rebuilds_assembly_and_gradient(rng):
+    plant = StateSpace(rng.standard_normal((3, 3)),
+                       rng.standard_normal((3, 2)),
+                       rng.standard_normal((1, 3)))
+    st = ControllerStructure.full(2, 1, 2)
+    ctrl = st.unpack(rng.standard_normal(st.n_theta))
+    A_hat, B_hat, C_hat = closed_loop_map(plant, 2)
+    assert (A_hat.shape, B_hat.shape, C_hat.shape) == ((5, 5), (5, 4), (3, 5))
+    cl = assemble_closed_loop(plant, ctrl)
+    assert np.array_equal(cl.A_cl, A_hat + B_hat @ ctrl.theta @ C_hat)
+    G = rng.standard_normal((5, 5))
+    want = B_hat.T @ G @ C_hat.T
+    assert np.array_equal(st.grad_from_closed_loop(G, plant),
+                          st.pack(ControllerRealization.from_theta(want, 2)))
 
 
 def test_complementary_sensitivity_zero_controller():

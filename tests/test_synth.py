@@ -66,7 +66,8 @@ def test_worst_case_contraction_family():
     rep = worst_case_delta(cl, KreissOptions(grid_points=80))
     assert rep.value == pytest.approx(1.0, rel=1e-6)
     # the eta = 0 endpoint already contributes sigma_max(J^T J) = 1
-    assert min(a["eta"] for a in rep.actives) == pytest.approx(0.0, abs=1e-6)
+    assert min(a["eta"] for a in rep.maximizer["actives"]) \
+        == pytest.approx(0.0, abs=1e-6)
 
 
 def test_worst_case_first_order_brunton_value():
