@@ -230,9 +230,10 @@ def boundedness_bound(params: Brunton2Params,
     the dominated scalar equation r' = (...) r - alpha beta r^3 then caps
     every trajectory radius that starts below the bound.  A_K must be
     Hurwitz.  The integral is the closed form sum_{k<n_K} nu^k /
-    |alpha|^{k+1} of the Schur decay envelope e^{alpha t} sum_{k<n_K}
-    (nu t)^k / k! (norms._decay_envelope): exact for n_K = 1, an upper
-    bound above, so the radius stays a bound.  Negative static gains add
+    |alpha|^{k+1} of Van Loan's decay envelope e^{alpha t} sum_{k<n_K}
+    (nu t)^k / k!, nu Henrici's departure from normality of A_K
+    (norms._decay_envelope): exact for n_K = 1, where nu is not used, an
+    upper bound above, so the radius stays a bound.  Negative static gains add
     nothing (their radial term is nonpositive), recovering the open-loop
     radius.
     """

@@ -1,7 +1,10 @@
 """Dense linear-algebra kernels used by every other module.
 
-Thin, contract-checked wrappers around LAPACK-backed numpy/scipy routines:
-the maximal singular block of an SVD, Lyapunov solves, the spectral
+Contract-checked kernels on numpy's LAPACK routines alone: the maximal
+singular block of an SVD, Lyapunov solves (one dense solve of the
+Kronecker-sum system), the matrix exponential of a stack of matrices
+(scaling and squaring with the degree-13 Pade approximant of Higham, SIAM
+J. Matrix Anal. Appl. 26(4), 2005), block-diagonal assembly, the spectral
 abscissa and the Hurwitz test.  All functions are pure.
 """
 
@@ -10,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericalError, StabilityError
 
@@ -18,6 +20,8 @@ __all__ = [
     "SvdTriple",
     "svd_triple",
     "solve_lyapunov",
+    "expm",
+    "block_diag",
     "spectral_abscissa",
     "is_hurwitz",
     "as_square",
@@ -81,12 +85,72 @@ def solve_lyapunov(A, W) -> np.ndarray:
         raise DimensionError("W must be symmetric")
     if not is_hurwitz(A):
         raise StabilityError("A must be Hurwitz for the Lyapunov solve")
-    Q = scipy.linalg.solve_continuous_lyapunov(A, -W)
+    Q = _kron_lyapunov(A, W)
     Q = 0.5 * (Q + Q.T)
     resid = np.linalg.norm(A @ Q + Q @ A.T + W)
     if resid > 1e-9 * max(1.0, np.linalg.norm(W)):
         raise NumericalError(f"Lyapunov residual {resid:.3e} too large")
     return Q
+
+
+def _kron_lyapunov(A, W) -> np.ndarray:
+    """X with A X + X A^T + W = 0, from one dense solve of
+    (A (x) I + I (x) A) vec X = -vec W: n^2 unknowns, 144 at n = 12."""
+    eye = np.eye(A.shape[0])
+    K = np.kron(A, eye) + np.kron(eye, A)
+    return np.linalg.solve(K, -W.ravel()).reshape(A.shape)
+
+
+# numerator coefficients b_0..b_13 of the degree-13 Pade approximant to e^x
+# and the 1-norm up to which it is accurate to double precision (Higham 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(A) -> np.ndarray:
+    """e^A of every matrix of a stack A, shaped (..., n, n).
+
+    Each matrix is scaled by 2^-s, with s the least s >= 0 that brings its
+    1-norm to at most theta_13, gets the degree-13 Pade approximant and
+    then only its own s squarings, so its value does not depend on the rest
+    of the stack.
+    """
+    A = np.asarray(A, dtype=float)
+    shape = A.shape
+    A = A.reshape(int(np.prod(shape[:-2])), shape[-1], shape[-1])
+    norm = np.abs(A).sum(axis=1).max(axis=1, initial=0.0)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0)
+    A = A * np.exp2(-s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for j in range(int(s.max(initial=0.0))):
+        more = s > j
+        R[more] = R[more] @ R[more]
+    return R.reshape(shape)
+
+
+def block_diag(*blocks) -> np.ndarray:
+    """The block-diagonal matrix of 2-D blocks, zero off the blocks."""
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def spectral_abscissa(M) -> float:

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, PreconditionError
-from .linalg import spectral_abscissa
+from .linalg import _kron_lyapunov, block_diag, spectral_abscissa
 from .loop import ControllerRealization, assemble_closed_loop, closed_loop_map
 from .statespace import StateSpace
 
@@ -315,7 +314,7 @@ def sdp_feasibility(problem: LmiProblem, y0=None) -> FeasibilityResult:
         certificate, iterations, reason = None, 0, "no variables"
     margin, worst, worst_blk = -math.inf, -math.inf, None
     for blk in problem.blocks:
-        lam, V = scipy.linalg.eigh(blk.value(y))
+        lam, V = np.linalg.eigh(blk.value(y))
         margin = max(margin, float(lam[-1]))
         if lam[-1] + blk.margin > worst:
             worst, worst_blk, v = lam[-1] + blk.margin, blk, V[:, -1]
@@ -430,7 +429,7 @@ def _qc_warm_start(A_cl, partition, epsilon):
     d1, d2, _ = partition
     dim = A_cl.shape[0]
     shifted = A_cl + 0.5 * epsilon * np.eye(dim)
-    P = scipy.linalg.solve_continuous_lyapunov(shifted.T, -np.eye(dim))
+    P = _kron_lyapunov(shifted.T, np.eye(dim))
     trace = float(np.trace(P[d1:d1 + d2, d1:d1 + d2]))
     P = 0.5 * (P + P.T) * (d2 / trace) if trace > 0 else np.eye(dim)
     return _coordinates(_qc_variables(partition)[1], P)
@@ -459,7 +458,7 @@ def qc_analysis(A_cl, partition, epsilon: float = 1e-3) -> QcCertificate:
     X_cl, margin = None, res.margin
     if res.feasible:
         X_cl = _affine(*_qc_variables(partition), res.y)
-        margin = float(np.max(scipy.linalg.eigvalsh(
+        margin = float(np.max(np.linalg.eigvalsh(
             _lyap(A_cl, X_cl, epsilon))))
     return QcCertificate(X_cl=X_cl, epsilon=epsilon, status=res.status,
                          margin=margin, partition=tuple(partition),
@@ -662,10 +661,10 @@ def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
     if d1 != n - n_phi or Y.shape[0] != d1:
         raise DimensionError("X/Y blocks do not match n - n_phi")
 
-    Xtil = scipy.linalg.block_diag(X, np.eye(n_phi)) if d1 else np.eye(n)
-    Ytil = scipy.linalg.block_diag(Y, np.eye(n_phi)) if d1 else np.eye(n)
+    Xtil = block_diag(X, np.eye(n_phi)) if d1 else np.eye(n)
+    Ytil = block_diag(Y, np.eye(n_phi)) if d1 else np.eye(n)
     S = Xtil - np.linalg.inv(Ytil)
-    w, V = scipy.linalg.eigh(_sym(S))
+    w, V = np.linalg.eigh(_sym(S))
     w = w[::-1]
     V = V[:, ::-1]
     tol = 1e-7 * max(1.0, abs(w[0]) if len(w) else 1.0)

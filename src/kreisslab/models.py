@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -23,7 +22,7 @@ from .errors import (
     PreconditionError,
     StabilityError,
 )
-from .linalg import is_hurwitz
+from .linalg import block_diag, is_hurwitz
 from .loop import ControllerRealization, assemble_closed_loop
 from .norms import _Impulse, _sigma_max
 from .statespace import StateSpace
@@ -198,12 +197,12 @@ def brunton4_model(params: Brunton4Params) -> NonlinearModel:
     def damp(b, gdm):
         return np.array([[-b, -gdm], [gdm, -b]])
 
-    A = scipy.linalg.block_diag(rot(params.sigma_u, params.omega_u),
-                                rot(params.sigma_a, params.omega_a))
-    A5 = scipy.linalg.block_diag(damp(params.beta["uu"], params.gamma["uu"]),
-                                 damp(params.beta["au"], params.gamma["au"]))
-    A6 = scipy.linalg.block_diag(damp(params.beta["ua"], params.gamma["ua"]),
-                                 damp(params.beta["aa"], params.gamma["aa"]))
+    A = block_diag(rot(params.sigma_u, params.omega_u),
+                   rot(params.sigma_a, params.omega_a))
+    A5 = block_diag(damp(params.beta["uu"], params.gamma["uu"]),
+                    damp(params.beta["au"], params.gamma["au"]))
+    A6 = block_diag(damp(params.beta["ua"], params.gamma["ua"]),
+                    damp(params.beta["aa"], params.gamma["aa"]))
     B_w = np.eye(4)
     B_u = np.array([[0.0], [params.g], [0.0], [params.g]])
     C_y = np.array([[1.0, 0.0, 1.0, 0.0]])
@@ -372,6 +371,68 @@ def _norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+#: scipy.optimize.brentq's default iteration cap
+_BRENT_MAX_ITER = 100
+
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """A root of f in [xa, xb], where f changes sign, by Brent's method:
+    the steps, evaluations and result of scipy.optimize.brentq with the
+    same tolerances (scipy/optimize/Zeros/brentq.c, after Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4), which
+    also stops on a NaN value."""
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {_BRENT_MAX_ITER} iterations.")
+
+
 def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
     """Integrate z' = field(z) from z(t0) = z0 to t_bound > t0.
 
@@ -457,15 +518,11 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
         Q = K_all.dot(_DP_P)    # dense output y_old + h Q (x, x^2, x^3, x^4)
         g_new = _norm(y) - radius
         if g <= 0 <= g_new:
-            # imported here: scipy.optimize is slow to import, and only a
-            # blowup needs it
-            from scipy.optimize import brentq
-
             def blowup(s):
                 p = np.cumprod(np.tile((s - t_old) / h, 4))
                 return _norm(h * np.dot(Q, p) + y_old) - radius
 
-            t = brentq(blowup, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+            t = _brentq(blowup, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
             diverged = True
         g = g_new
         j = i

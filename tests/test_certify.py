@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from kreisslab.models import (
     closed_loop_field,
     simulate_closed_loop,
 )
+from kreisslab.problemio import load_problem
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_static_gain_window_default_parameters():
@@ -183,8 +187,17 @@ def test_boundedness_bound_first_order_is_exact():
             pytest.approx(_quad_radius(params, ctrl), rel=1e-13)
 
 
+def test_boundedness_bound_first_order_certframe_value():
+    # with n_K = 1 the envelope integral is 1 / |alpha|: nu is never read,
+    # so the radius keeps the bits it had with the Schur-form nu
+    p = load_problem(PROBLEMS / "brunton2_first_order_certframe.json")
+    assert p.controller.n_K == 1
+    assert boundedness_bound(p.model.params, p.controller) == \
+        1.2717365878013138
+
+
 def test_boundedness_bound_covers_a_non_normal_AK():
-    # ||e^{t A_K}|| rises well above 1 before it decays; the Schur envelope
+    # ||e^{t A_K}|| rises well above 1 before it decays; the decay envelope
     # integral bounds its integral from above
     params = brunton2_default()
     ctrl = ControllerRealization([[-1.0, 25.0], [0.0, -2.0]], [[0.0], [1.0]],

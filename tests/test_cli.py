@@ -21,39 +21,54 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # nor does the radius bound (closed form) when it runs
+def test_cli_runs_without_scipy(capsys, tmp_path):
+    # every runtime path of the benchmark workloads, in fresh interpreters
+    # in which any scipy import raises: each prints what it prints in-process
     src = str(Path(kreisslab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    certframe = PROBLEMS / "brunton2_first_order_certframe.json"
-    for code in ["import sys, kreisslab.cli",
-                 "import sys, kreisslab.cli; "
-                 "from kreisslab.certify import boundedness_bound; "
-                 "from kreisslab.problemio import load_problem; "
-                 f"p = load_problem({str(certframe)!r}); "
-                 "assert boundedness_bound(p.model.params, p.controller) > 0"]:
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             f"{code}; sys.exit('scipy.integrate' in sys.modules)"],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr or "scipy.integrate imported"
-
-
-def test_simulate_leaves_scipy_integrate_unloaded():
-    # the in-house stepper replaced solve_ivp
-    src = str(Path(kreisslab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    problem = PROBLEMS / "lorenz_chaos_static_x.json"
+    # an unstable controller pole: x_K grows until the blow-up event fires
+    problem = json.loads((PROBLEMS / "lorenz_chaos_qc_dynamic.json")
+                         .read_text())
+    problem["controller"] = {"tf": {"num": [1.0], "den": [1.0, -5.0]}}
+    unstable = tmp_path / "lorenz_unstable_controller.json"
+    unstable.write_text(json.dumps(problem))
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "import kreisslab.cli, kreisslab.oracles; "
+              "sys.exit(kreisslab.cli.main(sys.argv[1:]))")
+    runs = [
+        (0, ["analyze", PROBLEMS / "example8.json", "--norm", "m0"]),
+        (0, ["analyze", PROBLEMS / "example3.json", "--norm", "kreiss",
+             "--certify"]),
+        (0, ["synthesize", PROBLEMS / "lorenz_chaos_synth.json",
+             "--structure", "static", "--restarts", "2"]),
+        (0, ["certify", PROBLEMS / "lorenz_chaos_static_x.json",
+             "--method", "qc"]),
+        (0, ["simulate", PROBLEMS / "lorenz_chaos_static_x.json",
+             "--x0", "1,1,1", "--t-on", "1", "--t-final", "2"]),
+        (5, ["simulate", unstable, "--x0", "1,1,1", "--t-on", "1",
+             "--t-final", "10"]),
+    ]
+    # the certify set-up's radius bound runs without scipy as well
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from kreisslab.cli import main; "
-         f"code = main(['simulate', {str(problem)!r}, '--x0', '1,1,1', "
-         "'--t-on', '1', '--t-final', '2']); "
-         "sys.exit(code or 10 * ('scipy.integrate' in sys.modules))"],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr or "scipy.integrate imported"
-    assert json.loads(proc.stdout)["t_end"] == 2.0
+        [sys.executable, "-c",
+         "import sys; sys.modules['scipy'] = None; "
+         "from kreisslab.certify import boundedness_bound; "
+         "from kreisslab.problemio import load_problem; "
+         "p = load_problem(sys.argv[1]); "
+         "print(repr(boundedness_bound(p.model.params, p.controller)))",
+         str(PROBLEMS / "brunton2_first_order_certframe.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "1.2717365878013138\n", proc.stderr
+    for want_code, argv in runs:
+        argv = [str(a) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == want_code, proc.stderr
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+    assert json.loads(out)["diverged"]
 
 
 def test_analyze_example3_kreiss(capsys):

@@ -3,6 +3,8 @@ import pytest
 
 from kreisslab.errors import StabilityError
 from kreisslab.linalg import (
+    block_diag,
+    expm,
     is_hurwitz,
     solve_lyapunov,
     spectral_abscissa,
@@ -59,6 +61,16 @@ def test_lyapunov_matches_kronecker_oracle(rng):
     assert np.allclose(Q, q_oracle, atol=1e-9 * max(1, np.abs(W).max()))
 
 
+def test_lyapunov_matches_bartels_stewart(rng):
+    import scipy.linalg  # the reference only: the package does not use it
+    for n in range(1, 13):
+        A = random_stable_statespace(rng, n).A
+        B = rng.standard_normal((n, 2))
+        want = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
+        got = solve_lyapunov(A, B @ B.T)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_lyapunov_psd_for_psd_input(rng):
     for _ in range(10):
         A = random_stable_statespace(rng, 4).A
@@ -70,6 +82,38 @@ def test_lyapunov_psd_for_psd_input(rng):
 def test_lyapunov_requires_hurwitz():
     with pytest.raises(StabilityError):
         solve_lyapunov([[1.0]], [[1.0]])
+
+
+def test_expm_matches_scipy(rng):
+    import scipy.linalg  # the reference only: the package does not use it
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        A = rng.standard_normal((n, n))
+        A *= np.exp(rng.uniform(np.log(0.1), np.log(20.0))) \
+            / np.abs(A).sum(axis=0).max()               # ||A||_1 in [0.1, 20]
+        want = scipy.linalg.expm(A)
+        assert np.linalg.norm(expm(A) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_expm_stack_member_is_its_own_call(rng):
+    # stable matrices with 1-norms from 1e-3 to 1e3: 0 to 8 squarings
+    A = rng.standard_normal((4, 6, 5, 5))
+    A -= (np.linalg.eigvals(A).real.max(axis=-1) + 0.1)[..., None, None] \
+        * np.eye(5)
+    A *= np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (4, 6, 1, 1))) \
+        / np.abs(A).sum(axis=-2).max(axis=-1)[..., None, None]
+    A[0, 0] = 0.0
+    E = expm(A)
+    assert np.abs(E[0, 0] - np.eye(5)).max() <= 1e-15
+    for idx in np.ndindex(4, 6):
+        assert np.array_equal(E[idx], expm(A[idx]))
+        assert np.array_equal(E[idx], expm(A[idx][None])[0])
+
+
+def test_block_diag_places_blocks():
+    M = block_diag(np.ones((2, 3)), 2.0 * np.eye(1), np.zeros((0, 0)))
+    assert M.shape == (3, 4)
+    assert np.array_equal(M, [[1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 2]])
 
 
 def test_spectral_abscissa_examples():

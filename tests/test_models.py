@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -295,6 +296,41 @@ def test_stepper_matches_solve_ivp_rk45(case):
     # chaos amplifies last-bit differences on the open-loop attractor
     tol = 1e-9 if case == "open_lorenz" else 1e-12
     assert np.max(np.abs(z - ref.y)) <= tol * np.max(np.abs(ref.y))
+
+
+def test_brentq_port_matches_scipy(rng):
+    from scipy.optimize import brentq
+    eps = float(np.finfo(float).eps)
+    # the triple root takes more than 100 iterations at this tolerance
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        brentq(lambda x: (x - 1.0) ** 3, 0.0, 3.5, xtol=4 * eps, rtol=4 * eps)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        models._brentq(lambda x: (x - 1.0) ** 3, 0.0, 3.5, 4 * eps, 4 * eps)
+    cases = [(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+             (lambda x: math.exp(40.0 * x) - 2.0, -1.0, 1.0),
+             (lambda x: abs(x - 0.3) - 0.1, 0.3, 5.0),    # a kink
+             (lambda x: x - 1.0, 1.0, 2.0),                # f(a) = 0
+             (lambda x: math.tanh(x - 7.25), 7.0, 1e3)]
+    for c in rng.standard_normal((20, 4)):
+        cases.append((lambda x, c=c: np.polyval(c, x), -3.0, 3.0))
+    for f, a, b in cases:
+        if f(a) * f(b) > 0:
+            continue
+        calls = []
+
+        def counted(x, f=f):
+            calls.append(x)
+            return f(x)
+
+        want, info = brentq(f, a, b, xtol=4 * eps, rtol=4 * eps,
+                            full_output=True)
+        assert models._brentq(counted, a, b, 4 * eps, 4 * eps) == want
+        assert len(calls) == info.function_calls
+    with pytest.raises(ValueError, match="different signs"):
+        models._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 4 * eps, 4 * eps)
+    with pytest.raises(ValueError, match="NaN"):
+        models._brentq(lambda x: math.nan if x > 0.5 else x - 0.75,
+                       0.0, 1.0, 4 * eps, 4 * eps)
 
 
 def test_trajectory_csv_matches_per_element_format(tmp_path):

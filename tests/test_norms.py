@@ -8,7 +8,7 @@ from kreisslab.errors import (
     PreconditionError,
     StabilityError,
 )
-from kreisslab.linalg import spectral_abscissa
+from kreisslab.linalg import expm, spectral_abscissa
 from kreisslab.norms import (
     KreissOptions,
     attainment_check,
@@ -289,6 +289,43 @@ def test_m0_rejects_unstable():
         transient_peak_m0(StateSpace([[0.0]], [[1.0]], [[1.0]]))
 
 
+def _henrici_cases(rng):
+    """(name, A): random, symmetric (normal), nearly normal and Jordan."""
+    for n in range(2, 13):
+        R = rng.standard_normal((n, n))
+        yield "random", R - (spectral_abscissa(R) + 0.2) * np.eye(n)
+        S = -0.5 * (R @ R.T) - 0.1 * np.eye(n)
+        yield "symmetric", S
+        for size in (1e-12, 1e-8, 1e-4):
+            yield "near-normal", S + size * rng.standard_normal((n, n))
+        J = -0.5 * np.eye(n) + np.eye(n, k=1)
+        Q = np.linalg.qr(R)[0]
+        yield "jordan", J
+        yield "rotated jordan", Q @ J @ Q.T
+    yield "example8", EX8.A
+    yield "jordan oscillator", JORDAN_OSC.A
+
+
+def test_henrici_nu_bounds_the_schur_departure(rng):
+    import scipy.linalg  # the reference only: the package does not use it
+    for name, A in _henrici_cases(rng):
+        T = scipy.linalg.schur(A.astype(complex), output="complex")[0]
+        schur_nu = np.linalg.norm(np.triu(T, 1), 2)
+        _, alpha, nu = norms._decay_envelope(A)
+        assert nu >= schur_nu, name
+        assert alpha == spectral_abscissa(A)
+
+
+def test_decay_envelope_bounds_the_propagator(rng):
+    for name, A in _henrici_cases(rng):
+        env, _, _ = norms._decay_envelope(A)
+        ts = np.linspace(0.0, norms._tail_horizon(A, 1e-12), 1001)
+        gains = np.linalg.norm(expm(A * ts[:, None, None]), 2, axis=(1, 2))
+        bound = np.array([env(t) for t in ts])
+        # the reference e^{At} itself carries rounding of a few ulp
+        assert np.all(bound >= gains * (1 - 1e-12)), name
+
+
 # ---------------------------------------------------------------------------
 # Lower bound and attainment
 # ---------------------------------------------------------------------------
@@ -518,6 +555,23 @@ def test_impulse_kernel_jordan_oscillator_grid_closed_form():
     for k in (0, 1):
         got = imp.grid(ts, k)[:, 0, 0]
         assert np.abs(got - want[k]).max() <= 1e-12 * np.abs(want[k]).max()
+
+
+def test_impulse_kernel_jordan_oscillator_times_closed_form(rng):
+    # one expm per time, at times off any grid, over 1,200 radians of the
+    # oscillation: e^{At} must not drift as ||A t|| grows
+    ts = rng.uniform(0.0, 30.0, 1000)
+    decay, wave = np.exp(-0.1 * ts), 40.0 * ts
+    want = (ts * decay * np.sin(wave),
+            decay * ((1.0 - 0.1 * ts) * np.sin(wave) + wave * np.cos(wave)))
+    imp = norms._Impulse(JORDAN_OSC)
+    assert not imp.modal
+    entries = imp.channels(ts, np.zeros(ts.size, dtype=int))
+    for k in (0, 1):
+        peak = np.abs(want[k]).max()
+        assert np.abs(imp.matrices(ts, k)[:, 0, 0] - want[k]).max() \
+            <= 1e-12 * peak
+        assert np.abs(entries[k] - want[k]).max() <= 1e-12 * peak
 
 
 @pytest.mark.parametrize("name", ["modal", "biproper", "example8"])
