@@ -21,6 +21,41 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # nor does the radius bound (closed form) when it runs
+    src = str(Path(kreisslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    certframe = PROBLEMS / "brunton2_first_order_certframe.json"
+    for code in ["import sys, kreisslab.cli",
+                 "import sys, kreisslab.cli; "
+                 "from kreisslab.certify import boundedness_bound; "
+                 "from kreisslab.problemio import load_problem; "
+                 f"p = load_problem({str(certframe)!r}); "
+                 "assert boundedness_bound(p.model.params, p.controller) > 0"]:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"{code}; sys.exit('scipy.integrate' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr or "scipy.integrate imported"
+
+
+def test_simulate_leaves_scipy_integrate_unloaded():
+    # the in-house stepper replaced solve_ivp
+    src = str(Path(kreisslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    problem = PROBLEMS / "lorenz_chaos_static_x.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from kreisslab.cli import main; "
+         f"code = main(['simulate', {str(problem)!r}, '--x0', '1,1,1', "
+         "'--t-on', '1', '--t-final', '2']); "
+         "sys.exit(code or 10 * ('scipy.integrate' in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy.integrate imported"
+    assert json.loads(proc.stdout)["t_end"] == 2.0
+
+
 def test_cli_runs_without_scipy(capsys, tmp_path):
     # every runtime path of the benchmark workloads, in fresh interpreters
     # in which any scipy import raises: each prints what it prints in-process
