@@ -306,6 +306,13 @@ def _write_hamiltonians(H: np.ndarray, A: np.ndarray, gamma: np.ndarray,
     H[:, n:, n:] = -H11.transpose(0, 2, 1)
 
 
+def _on_imaginary_axis(w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues of each row of an (E, k) stack lie on the
+    imaginary axis: |Re w| within 1e-9 of 1 + the row's largest |w|."""
+    scale = 1.0 + np.abs(w).max(axis=1)
+    return np.abs(w.real) <= 1e-9 * scale[:, None]
+
+
 def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
                    D: np.ndarray, tol: float):
     """H-infinity norms of the members (A[e], B, C, D) of a stack, e < E.
@@ -349,8 +356,7 @@ def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
                             * (1.0 + 2.0 * step[active]), B, C, D)
         w = np.linalg.eigvals(H[:k])
         evals[active] += 1
-        scale = 1.0 + np.abs(w).max(axis=1)
-        on_axis = (np.abs(w.real) <= 1e-9 * scale[:, None]) & (w.imag > 0)
+        on_axis = _on_imaginary_axis(w) & (w.imag > 0)
         # no crossing: the test level bounds the norm and the member is done
         keep = on_axis.any(axis=1)
         active, w, on_axis = active[keep], w[keep], on_axis[keep]

@@ -7,6 +7,13 @@ can be checked independently of the search path.  Each oracle returns
 (value, uncertainty), where the uncertainty is a grid-gap estimate, three
 times the change from a half-resolution pass.  It is not a proved bound: a
 peak narrower than the grid spacing can lie outside value + uncertainty.
+
+The Kreiss rectangle skips the rows that cannot change its result.  It
+starts from the limit sigma_max(CB), and one stacked Hamiltonian level
+test (the test behind ``norms.hinf_norm``) shows which rows stay below
+that floor on the whole line Re s = x; the report is the full grid's,
+bit for bit.  The test uses only the system, never a norm's result, so
+the oracle stays independent of the search path.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OversizeError, PreconditionError
-from .norms import _Impulse, _sigma_max, _tail_horizon  # shared kernels
+from .norms import (_Impulse, _on_imaginary_axis, _sigma_max,  # shared kernels
+                    _tail_horizon, _write_hamiltonians)
 from .statespace import StateSpace
 
 __all__ = [
@@ -101,6 +109,17 @@ def hinf_frequency_grid(sys: StateSpace, n_grid: int = 100000) -> OracleReport:
                         grid={"n": n_grid, "span": (lo, hi)})
 
 
+def _rows_above(sys: StateSpace, xs: np.ndarray, level: float) -> np.ndarray:
+    """Per x: whether the Hamiltonian of (A/x - I, B, C) at level has an
+    eigenvalue on the imaginary axis, i.e. whether the member's gain can
+    reach level; one stacked eigvals for all x."""
+    n = sys.n
+    H = np.empty((xs.size, 2 * n, 2 * n))
+    _write_hamiltonians(H, sys.A / xs[:, None, None] - np.eye(n),
+                        np.full(xs.size, level), sys.B, sys.C, sys.D)
+    return _on_imaginary_axis(np.linalg.eigvals(H)).any(axis=1)
+
+
 def kreiss_halfplane_grid(sys: StateSpace, n_x: int = 400,
                           n_omega: int = 2000) -> OracleReport:
     """Dense rectangle in {Re s > 0} for sup Re(s) sigma_max(C(sI-A)^{-1}B).
@@ -109,6 +128,18 @@ def kreiss_halfplane_grid(sys: StateSpace, n_x: int = 400,
     the supremum: large Re(s) tends to that limit and large frequencies
     decay like the resolvent, but nothing proves that the supremum lies
     inside the rectangle or between its grid points.
+
+    Row x samples x sigma_max(G(x + j omega)), which is the gain of the
+    Hurwitz member (A/x - I, B, C) at frequency omega/x.  The search starts
+    at the floor sigma_max(CB), so a row changes neither the value, the
+    argmax nor the coarse maximum unless some gain in it exceeds the
+    floor.  Before enumerating, one stacked eigvals of every member's
+    Hamiltonian at the level floor (1 - 1e-9) finds the rows whose
+    member has no eigenvalue on the imaginary axis (frequency 0
+    included): each has an H-infinity norm below that level, so all of
+    its grid gains lie below the floor, and it is skipped.  Every other
+    row is enumerated as in the full grid, so the report is the full
+    grid's.  With a zero floor (CB = 0) no row is skipped.
     """
     _check_size(sys)
     sys.require_stable("Kreiss oracle")
@@ -126,7 +157,11 @@ def kreiss_halfplane_grid(sys: StateSpace, n_x: int = 400,
     value = float(np.linalg.svd(sys.C @ sys.B, compute_uv=False)[0])
     arg = {"x": math.inf, "omega": 0.0}
     coarse = value
+    rows = (_rows_above(sys, xs, value * (1.0 - 1e-9)) if value > 0
+            else np.ones(n_x, dtype=bool))
     for i, x in enumerate(xs):
+        if not rows[i]:
+            continue
         vals = x * channel.sigma_transfer(x + 1j * omegas)
         k = int(np.argmax(vals))
         if vals[k] > value:
