@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from kreisslab import oracles
+from kreisslab.cli import _structure_for
 from kreisslab.loop import assemble_closed_loop
 from kreisslab.norms import _Impulse
 from kreisslab.problemio import load_problem
 from kreisslab.statespace import StateSpace
-from kreisslab.synth import (ControllerStructure, SynthesisSpec, SynthOptions,
-                             minimize_kreiss)
+from kreisslab.synth import SynthesisSpec, SynthOptions, minimize_kreiss
 
 from conftest import random_stable_statespace
 
@@ -87,16 +87,13 @@ SYNTH_TEMPLATES = [
 
 def _synthesized_loop(fname, structure, seed):
     problem = load_problem(PROBLEMS / fname)
-    plant = problem.plant()
+    plant, controller_structure = _structure_for(problem, structure)
     eta, rolloff = problem.eta, problem.rolloff_weight
-    if structure == "statefb":
-        model = problem.model
-        plant = StateSpace(model.A, model.B_u, np.eye(model.A.shape[0]))
     if fname.startswith("brunton"):
         eta, rolloff = 0.0, None
     spec = SynthesisSpec(plant=plant, eta_rate=eta, rolloff_weight=rolloff,
                          options=SynthOptions(restarts=1, seed=seed))
-    res = minimize_kreiss(spec, ControllerStructure.static(plant.m, plant.p))
+    res = minimize_kreiss(spec, controller_structure)
     return assemble_closed_loop(plant, res.controller).channel()
 
 
