@@ -51,8 +51,7 @@ def brunton2_default() -> Brunton2Params:
 
 def brunton_plant(params: Brunton2Params | None = None) -> StateSpace:
     """Control channel (A, B_u, C_y) of the oscillator model."""
-    model = brunton2_model(params or brunton2_default())
-    return StateSpace(model.A, model.B_u, model.C_y)
+    return brunton2_model(params or brunton2_default()).control_channel()
 
 
 def rolloff_weight() -> StateSpace:
@@ -115,8 +114,8 @@ def lorenz_fixed_point() -> LorenzParams:
 
 def lorenz_plant(params: LorenzParams | None = None,
                  measurement: str = "x") -> StateSpace:
-    model = lorenz_model(params or lorenz_chaos(), measurement=measurement)
-    return StateSpace(model.A, model.B_u, model.C_y)
+    return lorenz_model(params or lorenz_chaos(),
+                        measurement=measurement).control_channel()
 
 
 def _neg_first_order(n1: float, n0: float, d0: float) -> ControllerRealization:

@@ -472,8 +472,8 @@ def qc_analysis_closed_loop(model, controller: ControllerRealization,
     The model supplies (A, B_u, C_y, B_w, n_phi); states are permuted so
     that the nonlinearity-driven block sits in the middle of the partition.
     """
-    plant = StateSpace(model.A, model.B_u, model.C_y)
-    cl = assemble_closed_loop(plant, controller, B_w=model.B_w)
+    cl = assemble_closed_loop(model.control_channel(), controller,
+                              B_w=model.B_w)
     perm = _losslessness_permutation(model.B_w, cl.n_K)
     A_p = cl.A_cl[np.ix_(perm, perm)]
     n = model.A.shape[0]

@@ -121,6 +121,10 @@ class NonlinearModel:
     def n(self) -> int:
         return self.A.shape[0]
 
+    def control_channel(self) -> StateSpace:
+        """Linear channel (A, B_u, C_y) that a controller closes."""
+        return StateSpace(self.A, self.B_u, self.C_y)
+
     def check_origin(self) -> bool:
         """Numeric check of B_w phi(0) = 0 and B_u phi'(0) C_y = 0."""
         z = np.zeros(self.n)
@@ -298,8 +302,8 @@ def closed_loop_field(model: NonlinearModel,
     if controller is None:
         controller = ControllerRealization.static(
             np.zeros((model.B_u.shape[1], model.C_y.shape[0])))
-    plant = StateSpace(model.A, model.B_u, model.C_y)
-    cl = assemble_closed_loop(plant, controller, B_w=model.B_w)
+    cl = assemble_closed_loop(model.control_channel(), controller,
+                              B_w=model.B_w)
     n = model.n
 
     def f(z):
@@ -319,8 +323,7 @@ def default_horizon(model: NonlinearModel,
     """t_on plus three times the slowest stable closed-loop time constant."""
     if controller is None:
         return t_on + 30.0
-    plant = StateSpace(model.A, model.B_u, model.C_y)
-    A_cl = assemble_closed_loop(plant, controller).A_cl
+    A_cl = assemble_closed_loop(model.control_channel(), controller).A_cl
     alpha = float(np.max(np.linalg.eigvals(A_cl).real))
     if alpha >= 0:
         return t_on + 30.0

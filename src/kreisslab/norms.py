@@ -69,7 +69,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .linalg import expm, solve_lyapunov, spectral_abscissa, svd_triple
+from .linalg import expm, solve_lyapunov, svd_triple
 from .statespace import StateSpace
 
 __all__ = [
@@ -81,7 +81,6 @@ __all__ = [
     "kreiss_norm",
     "kreiss_matrix",
     "kreiss_family_matrix",
-    "family_instability_eta",
     "transient_peak_m0",
     "cb_lower_bound",
     "attainment_check",
@@ -435,14 +434,6 @@ def kreiss_family_matrix(A: np.ndarray, eta) -> np.ndarray:
     an array of etas gives the members stacked along a leading axis."""
     c = np.asarray(eta / (2.0 - eta))
     return c[..., None, None] * A - np.eye(A.shape[0])
-
-
-def family_instability_eta(A: np.ndarray) -> float:
-    """Smallest eta in (0, 2] at which kreiss_family_matrix(A, eta) is not
-    Hurwitz: 2/(1 + r) for the spectral abscissa r >= 0 of A, where the
-    member's abscissa r eta/(2-eta) - 1 reaches 0; inf for a Hurwitz A."""
-    r = spectral_abscissa(A)
-    return 2.0 / (1.0 + r) if r >= 0 else math.inf
 
 
 def _family_hinf(sys: StateSpace, eta: np.ndarray, tol: float):

@@ -65,6 +65,12 @@ def _check_grid(n_grid: int):
             f"oracle grid needs at least 2 points, got {n_grid}")
 
 
+def _grid_gap(value: float, coarse: float) -> float:
+    """Uncertainty of a grid maximum: three times its change from the
+    half-resolution pass, plus a relative floor of 1e-9."""
+    return 3.0 * abs(value - coarse) + 1e-9 * max(1.0, value)
+
+
 def m0_time_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     """Dense time-grid maximum of sigma_max(C e^{At} B)."""
     _check_size(sys)
@@ -73,11 +79,11 @@ def m0_time_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     horizon = _tail_horizon(sys.A, 1e-12)
     ts = np.linspace(0.0, horizon, n_grid)
     vals = _sigma_max(_Impulse(sys).grid(ts))
-    coarse = np.max(vals[::2])
+    coarse = float(np.max(vals[::2]))
     value = float(np.max(vals))
     t_star = float(ts[int(np.argmax(vals))])
-    unc = 3.0 * abs(value - float(coarse)) + 1e-9 * max(1.0, value)
-    return OracleReport(value=value, uncertainty=unc, argmax={"t": t_star},
+    return OracleReport(value=value, uncertainty=_grid_gap(value, coarse),
+                        argmax={"t": t_star},
                         grid={"n": n_grid, "horizon": horizon})
 
 
@@ -104,8 +110,8 @@ def hinf_frequency_grid(sys: StateSpace, n_grid: int = 100000) -> OracleReport:
         else 0.0
     if sigma_d > value:
         value, w_star = sigma_d, math.inf
-    unc = 3.0 * abs(value - coarse) + 1e-9 * max(1.0, value)
-    return OracleReport(value=value, uncertainty=unc, argmax={"omega": w_star},
+    return OracleReport(value=value, uncertainty=_grid_gap(value, coarse),
+                        argmax={"omega": w_star},
                         grid={"n": n_grid, "span": (lo, hi)})
 
 
@@ -169,8 +175,8 @@ def kreiss_halfplane_grid(sys: StateSpace, n_x: int = 400,
             arg = {"x": float(x), "omega": float(omegas[k])}
         if i % 2 == 0:
             coarse = max(coarse, float(np.max(vals[::2])))
-    unc = 3.0 * abs(value - coarse) + 1e-9 * max(1.0, value)
-    return OracleReport(value=float(value), uncertainty=unc, argmax=arg,
+    return OracleReport(value=float(value),
+                        uncertainty=_grid_gap(value, coarse), argmax=arg,
                         grid={"n_x": n_x, "n_omega": n_omega})
 
 
@@ -187,8 +193,8 @@ def peak_gain_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     rows += np.abs(sys.D).sum(axis=1)
     rows_c += np.abs(sys.D).sum(axis=1)
     value = float(rows.max())
-    unc = 3.0 * abs(value - float(rows_c.max())) + 1e-9 * max(1.0, value)
-    return OracleReport(value=value, uncertainty=unc,
+    return OracleReport(value=value,
+                        uncertainty=_grid_gap(value, float(rows_c.max())),
                         argmax={"row": int(np.argmax(rows))},
                         grid={"n": n_grid, "horizon": horizon})
 

@@ -41,6 +41,7 @@ from .models import (
     brunton2_model,
     brunton4_model,
     lorenz_model,
+    model_as_statespace,
 )
 from .statespace import StateSpace, tf_to_ss
 
@@ -93,13 +94,13 @@ class Problem:
         if self.system is not None:
             return self.system
         if self.model is not None:
-            return StateSpace(self.model.A, self.model.B_w, self.model.C_y)
+            return model_as_statespace(self.model)
         raise SchemaError("problem provides neither 'system' nor 'model'")
 
     def plant(self) -> StateSpace:
         """Control channel (A, B_u, C_y) for synthesis."""
         if self.model is not None:
-            return StateSpace(self.model.A, self.model.B_u, self.model.C_y)
+            return self.model.control_channel()
         if self.system is not None:
             return self.system
         raise SchemaError("problem provides neither 'system' nor 'model'")

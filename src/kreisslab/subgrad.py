@@ -1,28 +1,21 @@
 """Clarke subgradients of the H-infinity and closed-loop Kreiss norms.
 
-Covers the H-infinity norm at its (finitely many) peak frequencies, the
-inner Kreiss maximization over the resolvent family of a closed loop, and
+Covers the H-infinity norm at its (finitely many) peak frequencies and
 the closed-loop Kreiss norm as a function of structured controller
-parameters (chain rule through the resolvent of the active family member).
+parameters (chain rule through the resolvent of each active family member
+that kreiss_norm reports).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, StabilityError
+from .errors import PreconditionError
 from .linalg import svd_triple
-from .loop import ClosedLoop, ControllerStructure, assemble_closed_loop
-from .norms import (
-    KreissOptions,
-    NormReport,
-    family_instability_eta,
-    kreiss_family_matrix,
-    kreiss_norm,
-)
+from .loop import ClosedLoop, ControllerStructure
+from .norms import KreissOptions, kreiss_family_matrix, kreiss_norm
 from .statespace import StateSpace
 
 __all__ = [
@@ -30,7 +23,6 @@ __all__ = [
     "ActivePoint",
     "KreissSubgradient",
     "hinf_subgradient_set",
-    "worst_case_delta",
     "kreiss_subgradient",
 ]
 
@@ -76,22 +68,6 @@ def hinf_subgradient_set(sys: StateSpace, peaks) -> SubgradientSet:
     return SubgradientSet(pairs=pairs)
 
 
-def worst_case_delta(cl: ClosedLoop,
-                     opts: KreissOptions | None = None) -> NormReport:
-    """Inner maximization over the resolvent family for a fixed loop.
-
-    kreiss_norm's report of the transient channel: the worst eta with its
-    inner frequency and, under maximizer["actives"], every near-active
-    family point.  Raises with the offending eta when the family loses
-    stability.
-    """
-    eta_bad = family_instability_eta(cl.A_cl)
-    if not math.isinf(eta_bad):
-        raise StabilityError(
-            f"family member at eta = {eta_bad:.6g} is not Hurwitz")
-    return kreiss_norm(cl.channel(), opts)
-
-
 @dataclass
 class ActivePoint:
     eta: float
@@ -129,17 +105,18 @@ def closed_loop_gradient(A_cl: np.ndarray, J: np.ndarray, eta: float,
 
 
 def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
-                       theta,
+                       cl: ClosedLoop,
                        opts: KreissOptions | None = None) -> KreissSubgradient:
     """Clarke subgradient of theta -> K(J^T (sI - A_cl(theta))^{-1} J).
 
-    worst_case_delta supplies the active (eta, omega) pairs; each is
-    pulled back through the resolvent derivative and the controller
-    structure mask.  The leading gradient belongs to the best active point;
-    the full active list supports max-rule convex combinations.
+    cl is the loop assembled at theta.  kreiss_norm of its channel supplies
+    the active (eta, omega) pairs and raises StabilityError for a
+    non-Hurwitz A_cl; each pair is pulled back through the resolvent
+    derivative and the controller structure mask.  The leading gradient
+    belongs to the best active point; the full active list supports
+    max-rule convex combinations.
     """
-    cl = assemble_closed_loop(plant, structure.unpack(theta))
-    worst = worst_case_delta(cl, opts)
+    worst = kreiss_norm(cl.channel(), opts)
     actives = []
     for act in worst.maximizer["actives"]:
         val, G_A = closed_loop_gradient(cl.A_cl, cl.J, act["eta"], act["omega"])

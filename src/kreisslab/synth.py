@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError, SynthesisError
 from .loop import (
+    ClosedLoop,
     ControllerRealization,
     ControllerStructure,
     assemble_closed_loop,
@@ -172,10 +173,8 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 
 
 def _abscissa_with_grads(plant: StateSpace, structure: ControllerStructure,
-                         theta: np.ndarray):
-    """Spectral abscissa of A_cl(theta) and subgradients of tied eigenvalues."""
-    controller = structure.unpack(theta)
-    cl = assemble_closed_loop(plant, controller)
+                         cl: ClosedLoop):
+    """Spectral abscissa of cl.A_cl and subgradients of tied eigenvalues."""
     A = cl.A_cl
     w, V = np.linalg.eig(A)
     wl, U = np.linalg.eig(A.T)
@@ -194,12 +193,14 @@ def _abscissa_with_grads(plant: StateSpace, structure: ControllerStructure,
         s = u.T @ v if abs(u.T @ v) > 1e-14 else 1e-14
         G_A = np.real(np.outer(u, v) / s)
         grads.append(structure.grad_from_closed_loop(G_A, plant))
-    return alpha, grads, cl
+    return alpha, grads
 
 
 def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
-                       theta: np.ndarray, weight: StateSpace):
-    """||W T||_inf(theta) and a central finite-difference gradient.
+                       theta: np.ndarray, controller: ControllerRealization,
+                       weight: StateSpace):
+    """||W T||_inf at theta (unpacked to controller) and a central
+    finite-difference gradient.
 
     Perturbations that cross the stability boundary fall back to one-sided
     differences from the stable side.
@@ -210,9 +211,7 @@ def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
         except StabilityError:
             return None
 
-    base = value(theta)
-    if base is None:
-        raise StabilityError("closed loop is unstable; roll-off undefined")
+    base = rolloff_norm(plant, controller, weight)
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         step = _FD_STEP * (1.0 + abs(theta[i]))
@@ -236,8 +235,12 @@ def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
 def _stabilize(plant: StateSpace, structure: ControllerStructure,
                theta0: np.ndarray, target: float) -> np.ndarray | None:
     """Descend the spectral abscissa of A_cl(theta) below target."""
+    def abscissa(th):
+        cl = assemble_closed_loop(plant, structure.unpack(th))
+        return _abscissa_with_grads(plant, structure, cl)
+
     theta = theta0.copy()
-    alpha, grads, _ = _abscissa_with_grads(plant, structure, theta)
+    alpha, grads = abscissa(theta)
     step = _STEP0
     for _ in range(_STAB_MAX_ITER):
         if alpha <= target:
@@ -250,7 +253,7 @@ def _stabilize(plant: StateSpace, structure: ControllerStructure,
         improved = False
         while step >= _STEP_MIN:
             cand = theta + step * d
-            a_new, g_new, _ = _abscissa_with_grads(plant, structure, cand)
+            a_new, g_new = abscissa(cand)
             if a_new < alpha - _ARMIJO_C1 * step * nd:
                 theta, alpha, grads = cand, a_new, g_new
                 step = min(step * 2.0, 100.0)
@@ -273,55 +276,56 @@ class _Penalized:
         self.spec = spec
         self.structure = structure
 
-    def full(self, theta):
-        """(F, data) with every subgradient piece evaluated."""
-        alpha, a_grads, _ = _abscissa_with_grads(self.spec.plant,
-                                                 self.structure, theta)
-        if alpha >= 0:
-            return math.inf, None
-        try:
-            ks = kreiss_subgradient(self.spec.plant, self.structure, theta,
-                                    opts=_DESCENT_KREISS)
-        except (NumericalError, StabilityError):
-            return math.inf, None
-        F = ks.value
+    def _objective(self, kreiss, alpha, rolloff):
+        """F from the Kreiss value, the abscissa and the roll-off norm."""
+        F = kreiss
         a_excess = alpha - self.spec.alpha_limit
         if a_excess > 0:
             F += _PENALTY * a_excess
+        if rolloff is not None and rolloff > 1.0:
+            F += _PENALTY * (rolloff - 1.0)
+        return F
+
+    def full(self, theta):
+        """(F, data) with every subgradient piece evaluated."""
+        plant, weight = self.spec.plant, self.spec.rolloff_weight
+        controller = self.structure.unpack(theta)
+        cl = assemble_closed_loop(plant, controller)
+        alpha, a_grads = _abscissa_with_grads(plant, self.structure, cl)
+        if alpha >= 0:
+            return math.inf, None
+        try:
+            ks = kreiss_subgradient(plant, self.structure, cl,
+                                    opts=_DESCENT_KREISS)
+        except (NumericalError, StabilityError):
+            return math.inf, None
         r_val = r_grad = None
-        if self.spec.rolloff_weight is not None:
-            r_val, r_grad = _rolloff_with_grad(self.spec.plant, self.structure,
-                                               theta, self.spec.rolloff_weight)
-            if r_val > 1.0:
-                F += _PENALTY * (r_val - 1.0)
+        if weight is not None:
+            r_val, r_grad = _rolloff_with_grad(plant, self.structure, theta,
+                                               controller, weight)
         data = {"kreiss": ks, "alpha": alpha, "alpha_grads": a_grads,
                 "rolloff": r_val, "rolloff_grad": r_grad}
-        return F, data
+        return self._objective(ks.value, alpha, r_val), data
 
-    def quick(self, theta, actives):
+    def quick(self, theta, etas):
         """Penalty evaluated with the inner max restricted to given etas."""
-        alpha, _, cl = _abscissa_with_grads(self.spec.plant, self.structure,
-                                            theta)
+        plant, weight = self.spec.plant, self.spec.rolloff_weight
+        controller = self.structure.unpack(theta)
+        cl = assemble_closed_loop(plant, controller)
+        # eig, not eigvals: bitwise the alpha of _abscissa_with_grads
+        alpha = float(np.max(np.linalg.eig(cl.A_cl)[0].real))
         if alpha >= 0:
             return math.inf
         try:
-            # one lockstep call over the active etas; each value equals
-            # hinf_norm of that family member
-            eta = np.array([act["eta"] for act in actives])
-            values = _family_hinf(cl.channel(), eta, 1e-6)[0]
-            F = float(np.max(values, initial=0.0))
-            a_excess = alpha - self.spec.alpha_limit
-            if a_excess > 0:
-                F += _PENALTY * a_excess
-            if self.spec.rolloff_weight is not None:
-                r_val = rolloff_norm(self.spec.plant,
-                                     self.structure.unpack(theta),
-                                     self.spec.rolloff_weight)
-                if r_val > 1.0:
-                    F += _PENALTY * (r_val - 1.0)
+            # one lockstep call over the etas; each value equals hinf_norm
+            # of that family member
+            values = _family_hinf(cl.channel(), etas, 1e-6)[0]
+            r_val = (None if weight is None
+                     else rolloff_norm(plant, controller, weight))
         except (NumericalError, StabilityError):
             return math.inf
-        return F
+        kreiss = float(np.max(values, initial=0.0))
+        return self._objective(kreiss, alpha, r_val)
 
     def subgradients(self, data):
         """Convex-hull generators of the penalized objective at a point."""
@@ -362,11 +366,11 @@ def _descend(spec: SynthesisSpec, structure: ControllerStructure,
         if ng <= _STAT_TOL * (1.0 + abs(F)):
             break
         d = -g / ng
-        actives = [{"eta": a.eta} for a in data["kreiss"].active]
+        etas = np.array([a.eta for a in data["kreiss"].active])
         accepted = False
         while step >= _STEP_MIN:
             cand = theta + step * d
-            F_quick = pen.quick(cand, actives)
+            F_quick = pen.quick(cand, etas)
             if F_quick <= F - _ARMIJO_C1 * step * ng:
                 F_cand, data_cand = pen.full(cand)
                 if data_cand is not None and \

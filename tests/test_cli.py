@@ -81,6 +81,9 @@ def test_cli_runs_without_scipy(capsys, tmp_path):
              "--method", "qc"]),
         (0, ["simulate", PROBLEMS / "lorenz_chaos_static_x.json",
              "--x0", "1,1,1", "--t-on", "1", "--t-final", "2"]),
+        # the roll-off template: no static gain meets its limits
+        (4, ["synthesize", PROBLEMS / "brunton2_synth.json",
+             "--structure", "static", "--restarts", "1"]),
         (5, ["simulate", unstable, "--x0", "1,1,1", "--t-on", "1",
              "--t-final", "10"]),
     ]

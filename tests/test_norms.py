@@ -14,7 +14,6 @@ from kreisslab.norms import (
     attainment_check,
     cb_lower_bound,
     entrywise_kreiss,
-    family_instability_eta,
     hankel_singular_values,
     hinf_norm,
     kreiss_family_matrix,
@@ -590,16 +589,6 @@ def test_sigma_transfer_matches_lapack_svd(rng, name):
     want = np.array([np.linalg.svd(sys.transfer(z), compute_uv=False)[0]
                      for z in s])
     assert np.max(np.abs(imp.sigma_transfer(s) - want) / want) <= 1e-12
-
-
-def test_family_instability_eta_zeroes_the_member_abscissa(rng):
-    for _ in range(20):
-        A = rng.standard_normal((5, 5))
-        A -= (spectral_abscissa(A) - rng.uniform(0.05, 3.0)) * np.eye(5)
-        eta = family_instability_eta(A)
-        assert 0.0 < eta < 2.0
-        assert abs(spectral_abscissa(kreiss_family_matrix(A, eta))) <= 1e-12
-    assert family_instability_eta(-np.eye(3)) == np.inf
 
 
 def test_local_maxima_matches_the_neighbour_rule(rng):

@@ -14,6 +14,7 @@ from kreisslab.loop import (
     ControllerRealization,
     ControllerStructure,
     assemble_closed_loop,
+    complementary_sensitivity,
 )
 from kreisslab.linalg import spectral_abscissa
 from kreisslab.norms import (
@@ -21,10 +22,10 @@ from kreisslab.norms import (
     _family_hinf,
     hinf_norm,
     kreiss_family_matrix,
+    kreiss_norm,
 )
-from kreisslab.oracles import kreiss_halfplane_grid
-from kreisslab.statespace import StateSpace
-from kreisslab.subgrad import worst_case_delta
+from kreisslab.oracles import hinf_frequency_grid, kreiss_halfplane_grid
+from kreisslab.statespace import StateSpace, series
 from kreisslab.synth import (
     _PENALTY,
     SynthOptions,
@@ -53,6 +54,28 @@ def test_rolloff_first_order_meets_constraint():
     assert val <= 1.0
 
 
+@pytest.mark.parametrize("name", [
+    "static",
+    pytest.param("first_order", marks=pytest.mark.xfail(strict=True, reason=(
+        "rolloff_norm gives 0.175367 against the grid's 0.181845 at "
+        "omega = 1.719 rad/s (3.6 % low): the level test of the H-infinity "
+        "kernel stops at 0.17537 (1 + 1e-7), where the Hamiltonian "
+        "eigenvalues near 1.89j and 1.57j have real parts of 3.0e-3 and "
+        "4.2e-3, far outside the 4.6e-6 that counts as on the axis; the "
+        "weight's realization (C = [-2.5e13, -1e10], D = 1e6, "
+        "|W(j1.7)| = 0.12) cancels about 7 digits"))),
+    "third_order",
+])
+def test_rolloff_norm_reaches_the_frequency_grid(name):
+    # one-sided: the grid misses the static loop's narrow resonance
+    # (20.04026 against the grid's 20.03980)
+    plant, weight = brunton_plant(), rolloff_weight()
+    ctrl = BRUNTON_CONTROLLERS[name].controller
+    grid = hinf_frequency_grid(
+        series(complementary_sensitivity(plant, ctrl), weight))
+    assert rolloff_norm(plant, ctrl, weight) >= (1 - 1e-6) * grid.value
+
+
 def test_rolloff_unstable_loop_raises():
     ctrl = ControllerRealization.static([[5.0]])
     with pytest.raises(StabilityError):
@@ -63,7 +86,7 @@ def test_worst_case_contraction_family():
     cl = assemble_closed_loop(
         StateSpace(-np.eye(2), np.eye(2), np.eye(2)),
         ControllerRealization.static(np.zeros((2, 2))))
-    rep = worst_case_delta(cl, KreissOptions(grid_points=80))
+    rep = kreiss_norm(cl.channel(), KreissOptions(grid_points=80))
     assert rep.value == pytest.approx(1.0, rel=1e-6)
     # the eta = 0 endpoint already contributes sigma_max(J^T J) = 1
     assert min(a["eta"] for a in rep.maximizer["actives"]) \
@@ -73,7 +96,7 @@ def test_worst_case_contraction_family():
 def test_worst_case_first_order_brunton_value():
     ctrl = BRUNTON_CONTROLLERS["first_order"].controller
     cl = assemble_closed_loop(brunton_plant(), ctrl)
-    rep = worst_case_delta(cl)
+    rep = kreiss_norm(cl.channel())
     assert rep.value == pytest.approx(1.005, abs=0.02)
 
 
@@ -82,7 +105,7 @@ def test_worst_case_matches_dense_eta_grid(rng):
     plant = random_stable_statespace(rng, 3, p=1, m=1)
     ctrl = ControllerRealization.static([[0.0]])
     cl = assemble_closed_loop(plant, ctrl)
-    rep = worst_case_delta(cl)
+    rep = kreiss_norm(cl.channel())
     etas = np.linspace(0.0, 2.0 - 1e-6, 10000)
     # one batched call; each value is bitwise hinf_norm(tol=1e-7) of the
     # family member (A_eta, J, J^T) at that eta
@@ -91,13 +114,12 @@ def test_worst_case_matches_dense_eta_grid(rng):
     assert rep.value == pytest.approx(dense, rel=1e-3)
 
 
-def test_worst_case_raises_with_witness_eta():
+def test_worst_case_raises_on_unstable_loop():
     cl = assemble_closed_loop(
         StateSpace([[0.5]], [[1.0]], [[1.0]]),
         ControllerRealization.static([[0.0]]))
-    with pytest.raises(StabilityError) as err:
-        worst_case_delta(cl)
-    assert "eta" in str(err.value)
+    with pytest.raises(StabilityError):
+        kreiss_norm(cl.channel())
 
 
 def test_quick_penalty_is_max_of_per_eta_hinf():
@@ -112,7 +134,7 @@ def test_quick_penalty_is_max_of_per_eta_hinf():
         tol=1e-6).value for eta in etas)
     excess = spectral_abscissa(channel.A) - pen.spec.alpha_limit
     expected = kreiss_part + (_PENALTY * excess if excess > 0 else 0.0)
-    F = pen.quick(structure.pack(ctrl), [{"eta": e} for e in etas])
+    F = pen.quick(structure.pack(ctrl), np.array(etas))
     assert F == expected
 
 
