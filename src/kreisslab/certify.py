@@ -188,8 +188,11 @@ def yorke_sample_check(cert: PolyCertificate, field, jacobian,
     requires dV/dt < 0 at every sample.  field and jacobian are called
     once, on all states as one (n, samples) array with the batch on the
     last axis; they return (n, samples) and (n, n, samples), or an (n, n)
-    Jacobian that is the same at every state.
+    Jacobian that is the same at every state.  Raises PreconditionError
+    for samples < 1: no sample is no evidence.
     """
+    if samples < 1:
+        raise PreconditionError("samples must be at least 1")
     S1 = cert.matrix("V1")
     S2 = cert.matrix("V2")
     rng = np.random.default_rng(seed)
@@ -206,16 +209,11 @@ def yorke_sample_check(cert: PolyCertificate, field, jacobian,
     grad = (2.0 * (S1 @ X) + 2.0 * (S2 @ F)
             + np.einsum("ij...,i...->j...", Jf, 2.0 * (S2 @ X)))
     neg_vdot = -np.einsum("ij,ij->j", grad, F)
-    min_neg = math.inf
-    worst = np.zeros(n)
-    if samples:
-        # the first minimizer; a NaN sample is the minimum and fails
-        k = int(np.argmin(neg_vdot))
-        min_neg = float(neg_vdot[k])
-        worst = X[:, k].copy()
-    return YorkeSampleReport(min_neg_vdot=float(min_neg),
-                             passed=bool(min_neg > 0.0),
-                             samples=samples, worst_state=worst)
+    # the first minimizer; a NaN sample is the minimum and fails
+    k = int(np.argmin(neg_vdot))
+    min_neg = float(neg_vdot[k])
+    return YorkeSampleReport(min_neg_vdot=min_neg, passed=bool(min_neg > 0.0),
+                             samples=samples, worst_state=X[:, k].copy())
 
 
 # ---------------------------------------------------------------------------

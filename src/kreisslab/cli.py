@@ -47,7 +47,7 @@ from .problemio import (
     trajectory_to_csv,
 )
 from .statespace import StateSpace
-from .synth import SynthOptions, SynthesisSpec, minimize_kreiss
+from .synth import SynthesisSpec, minimize_kreiss
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -57,6 +57,16 @@ EXIT_SYNTH = 4
 EXIT_BLOWUP = 5
 EXIT_INDETERMINATE = 6
 EXIT_OVERSIZE = 7
+
+
+def _write_result(args, inputs: dict, result: dict,
+                  metadata: dict | None = None) -> int:
+    """Save the --report file (inputs gain the problem path), print the
+    result block and return EXIT_OK."""
+    save_report(args.report, args.command,
+                {"problem": str(args.problem), **inputs}, result, metadata)
+    print(json.dumps(result, indent=2, sort_keys=True))
+    return EXIT_OK
 
 
 def _norm_dispatch(name: str, sys: StateSpace, tol: float):
@@ -117,12 +127,7 @@ def cmd_analyze(args) -> int:
         if not lo - 1e-12 <= value <= hi + 1e-12:
             raise KreisslabError(
                 f"value {value} escapes its oracle bounds [{lo}, {hi}]")
-    payload = save_report(args.report, "analyze",
-                          {"problem": str(args.problem), "norm": args.norm,
-                           "tol": args.tol},
-                          result)
-    print(json.dumps(payload["result"], indent=2, sort_keys=True))
-    return EXIT_OK
+    return _write_result(args, {"norm": args.norm, "tol": args.tol}, result)
 
 
 def _structure_for(problem: Problem, spec_text: str):
@@ -149,10 +154,12 @@ def cmd_synthesize(args) -> int:
     plant, structure = _structure_for(problem, args.structure)
     if not np.any(plant.B):
         raise SynthesisError("plant has a zero control channel")
-    options = SynthOptions(restarts=args.restarts, seed=args.seed)
-    spec = SynthesisSpec(plant=plant, eta_rate=problem.eta,
-                         rolloff_weight=problem.rolloff_weight,
-                         options=options)
+    try:
+        spec = SynthesisSpec(plant=plant, eta_rate=problem.eta,
+                             rolloff_weight=problem.rolloff_weight,
+                             restarts=args.restarts, seed=args.seed)
+    except PreconditionError as exc:    # --restarts below 1
+        raise SchemaError(f"--restarts: {exc}") from None
     res = minimize_kreiss(spec, structure)
     oracle = oracles.kreiss_halfplane_grid(
         assemble_closed_loop(plant, res.controller).channel())
@@ -176,13 +183,9 @@ def cmd_synthesize(args) -> int:
                        "controller": result["controller"]}, fh, indent=2,
                       sort_keys=True)
             fh.write("\n")
-    payload = save_report(args.report, "synthesize",
-                          {"problem": str(args.problem),
-                           "structure": args.structure, "seed": args.seed,
-                           "restarts": args.restarts},
-                          result)
-    print(json.dumps(payload["result"], indent=2, sort_keys=True))
-    return EXIT_OK
+    return _write_result(args, {"structure": args.structure,
+                                "seed": args.seed,
+                                "restarts": args.restarts}, result)
 
 
 def cmd_simulate(args) -> int:
@@ -263,21 +266,19 @@ def cmd_certify(args) -> int:
             raise SchemaError("yorke needs --certificate FILE")
         cert = cert_mod.load_certificate(args.certificate)
         field, jac = models.closed_loop_field(model, controller)
-        rep = cert_mod.yorke_sample_check(cert, field, jac,
-                                          samples=args.samples,
-                                          seed=args.seed)
+        try:
+            rep = cert_mod.yorke_sample_check(cert, field, jac,
+                                              samples=args.samples,
+                                              seed=args.seed)
+        except PreconditionError as exc:    # --samples below 1
+            raise SchemaError(f"--samples: {exc}") from None
         result = {"min_neg_vdot": rep.min_neg_vdot, "samples": rep.samples,
                   "verdict": "PASS" if rep.passed else "FAIL",
                   "note": "sampling falsifies; a pass is evidence, not proof"}
     else:
         raise SchemaError(f"unknown method '{args.method}'")
-    payload = save_report(args.report, "certify",
-                          {"problem": str(args.problem),
-                           "method": args.method, "seed": args.seed,
-                           "samples": args.samples},
-                          result, metadata)
-    print(json.dumps(payload["result"], indent=2, sort_keys=True))
-    return EXIT_OK
+    return _write_result(args, {"method": args.method, "seed": args.seed,
+                                "samples": args.samples}, result, metadata)
 
 
 def cmd_oracle(args) -> int:
@@ -286,12 +287,8 @@ def cmd_oracle(args) -> int:
     rep = _oracle_dispatch(args.norm, sys_, args.grid)
     result = {"value": rep.value, "uncertainty": rep.uncertainty,
               "argmax": rep.argmax, "grid": rep.grid}
-    payload = save_report(args.report, "oracle",
-                          {"problem": str(args.problem), "norm": args.norm,
-                           "grid": args.grid},
-                          result)
-    print(json.dumps(payload["result"], indent=2, sort_keys=True))
-    return EXIT_OK
+    return _write_result(args, {"norm": args.norm, "grid": args.grid},
+                         result)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -499,16 +499,18 @@ def lossless_check(model, samples: int = 100000, seed: int = 0):
 
     All states are drawn at once and phi is called on the (n, samples)
     batch.  Sampling is falsification-only: a zero maximum is evidence of the
-    lossless identity, not a proof.
+    lossless identity, not a proof.  Raises PreconditionError for
+    samples < 1.
     """
+    if samples < 1:
+        raise PreconditionError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-_LOSSLESS_RADIUS, _LOSSLESS_RADIUS,
                     size=(samples, model.A.shape[0])).T
     BW = model.B_w @ model.phi(X)
     inner = np.abs(np.sum(X * BW, axis=0))
     denom = np.linalg.norm(X, axis=0) * np.linalg.norm(BW, axis=0) + 1e-300
-    return (float(np.max(inner, initial=0.0)),
-            float(np.max(inner / denom, initial=0.0)))
+    return float(np.max(inner)), float(np.max(inner / denom))
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,6 @@ class ControllerStructure:
     def static(cls, n_meas: int, n_ctrl: int) -> "ControllerStructure":
         return cls.full(0, n_meas, n_ctrl)
 
-    @classmethod
-    def static_masked(cls, mask) -> "ControllerStructure":
-        """Static feedback with a sparsity pattern on D_K."""
-        return cls(0, np.atleast_2d(np.asarray(mask, dtype=bool)))
-
     @property
     def n_theta(self) -> int:
         return int(self.mask.sum())

@@ -34,7 +34,6 @@ __all__ = [
     "Brunton4Params",
     "NonlinearModel",
     "Trajectory",
-    "SimulationOptions",
     "lorenz_model",
     "brunton2_model",
     "brunton4_model",
@@ -266,12 +265,13 @@ def limit_cycle_radius(params: Brunton2Params):
 # Simulation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimulationOptions:
-    rtol: float = 1e-9
-    atol: float = 1e-12
-    n_points: int = 2001
-    blowup_radius: float = 1e9
+#: the integrator's relative and absolute tolerances
+_SIM_RTOL = 1e-9
+_SIM_ATOL = 1e-12
+#: samples of the uniform output grid over [0, t_final] (t_on is added)
+_SIM_POINTS = 2001
+#: a trajectory whose ||z|| crosses this radius has blown up
+_BLOWUP_RADIUS = 1e9
 
 
 @dataclass(eq=False)
@@ -545,24 +545,25 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
 
 def simulate_closed_loop(model: NonlinearModel,
                          controller: ControllerRealization | None,
-                         x0, t_on: float, t_final: float | None = None,
-                         options: SimulationOptions | None = None) -> Trajectory:
+                         x0, t_on: float,
+                         t_final: float | None = None) -> Trajectory:
     """Integrate the loop with u = 0 before t_on and u = K y after.
 
     The integration restarts exactly at t_on (controller state starts at
     zero there).  t_final defaults to three slowest closed-loop time
     constants past t_on.  Each segment runs the module's Dormand-Prince
-    5(4) stepper, which takes the steps, field evaluations and samples of
-    scipy's ``solve_ivp(method="RK45")`` with the same blow-up event.
-    Finite-time blowup (||z|| crossing options.blowup_radius, or a step
-    below 10 ulp(t)) is reported as a diverged trajectory; its
-    final_state is the last sample before the crossing.  Raises
-    PreconditionError unless x0 and the times are finite,
-    0 <= t_on <= t_final, t_final > 0 and ||x0|| < blowup_radius, and
-    NumericalError when a segment needs more than _MAX_STEPS (100,000)
-    step attempts, as a start far out on a fast loop can.
+    5(4) stepper at the fixed tolerances _SIM_RTOL and _SIM_ATOL, which
+    takes the steps, field evaluations and samples of scipy's
+    ``solve_ivp(method="RK45")`` with the same blow-up event; the samples
+    are _SIM_POINTS uniform times and t_on.  Finite-time blowup (||z||
+    crossing _BLOWUP_RADIUS, or a step below 10 ulp(t)) is reported as a
+    diverged trajectory; its final_state is the last sample before the
+    crossing.  Raises PreconditionError unless x0 and the times are
+    finite, 0 <= t_on <= t_final, t_final > 0 and
+    ||x0|| < _BLOWUP_RADIUS, and NumericalError when a segment needs more
+    than _MAX_STEPS (100,000) step attempts, as a start far out on a fast
+    loop can.
     """
-    options = options or SimulationOptions()
     if t_final is None:
         t_final = default_horizon(model, controller, t_on)
     if not (math.isfinite(t_on) and math.isfinite(t_final)):
@@ -585,10 +586,10 @@ def simulate_closed_loop(model: NonlinearModel,
     if not np.isfinite(x0).all():
         raise PreconditionError("x0 must be finite")
     # the blow-up event fires on an upward crossing only
-    if math.hypot(*x0) >= options.blowup_radius:
+    if math.hypot(*x0) >= _BLOWUP_RADIUS:
         raise PreconditionError("x0 must lie inside the blow-up radius")
 
-    t_grid = np.linspace(0.0, t_final, options.n_points)
+    t_grid = np.linspace(0.0, t_final, _SIM_POINTS)
     t_grid = np.unique(np.concatenate([t_grid, [t_on]]))
     segs = []
     diverged = False
@@ -599,8 +600,7 @@ def simulate_closed_loop(model: NonlinearModel,
         field = closed_loop_field(model, ctrl)[0]
         t_eval = t_grid[(t_grid >= a) & (t_grid <= b)]
         t_seg, z_seg, _, diverged = _dopri5(
-            field, a, b, z, t_eval, options.rtol, options.atol,
-            options.blowup_radius)
+            field, a, b, z, t_eval, _SIM_RTOL, _SIM_ATOL, _BLOWUP_RADIUS)
         segs.append((t_seg, z_seg))
         if t_seg.size:
             z = z_seg[:, -1]

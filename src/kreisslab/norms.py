@@ -784,8 +784,6 @@ def transient_peak_m0(sys: StateSpace) -> NormReport:
             continue
         a = grid[max(i - 1, 0)]
         b = grid[min(i + 1, len(grid) - 1)]
-        if b - a <= 0:
-            continue
         t_r, v_r, _, used = _golden_max(at, float(a), float(b),
                                         xtol=_M0_XTOL_REL * horizon)
         evals += used

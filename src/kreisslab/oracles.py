@@ -40,6 +40,9 @@ __all__ = [
 
 #: systems above this order are refused (dense oracles only)
 MAX_ORACLE_ORDER = 12
+#: output directions l2_to_peak_sampled draws, and the seed of its draws
+_L2PEAK_SAMPLES = 24
+_L2PEAK_SEED = 0
 
 
 @dataclass
@@ -199,20 +202,20 @@ def peak_gain_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
                         grid={"n": n_grid, "horizon": horizon})
 
 
-def l2_to_peak_sampled(sys: StateSpace, n_samples: int = 24,
-                       seed: int = 0) -> OracleReport:
+def l2_to_peak_sampled(sys: StateSpace) -> OracleReport:
     """Sampled-input estimate of max over unit-energy w of peak |z(t)|^2.
 
     Inputs are matched filters B^T e^{A^T (T - t)} C^T v for random output
     directions v (the worst input family), each normalized to unit energy
     and applied over a long window; the peak response energy approaches
-    lambda_max(C Q C^T) from below.
+    lambda_max(C Q C^T) from below.  It draws _L2PEAK_SAMPLES directions
+    from a generator seeded with _L2PEAK_SEED.
     """
     _check_size(sys)
     sys.require_stable("L2-to-peak oracle")
     if np.any(sys.D):
         raise PreconditionError("L2-to-peak oracle needs D = 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_L2PEAK_SEED)
     alpha = abs(float(np.max(np.linalg.eigvals(sys.A).real)))
     T = 40.0 / alpha
     n_t = 4000
@@ -222,7 +225,7 @@ def l2_to_peak_sampled(sys: StateSpace, n_samples: int = 24,
     wgt = np.full(n_t, ts[1] - ts[0])
     wgt[[0, -1]] /= 2.0
     best = 0.0
-    for _ in range(n_samples):
+    for _ in range(_L2PEAK_SAMPLES):
         v = rng.standard_normal(sys.m)
         v /= np.linalg.norm(v)
         u = v @ H                                   # n_t x p
@@ -235,7 +238,7 @@ def l2_to_peak_sampled(sys: StateSpace, n_samples: int = 24,
         best = max(best, float(z @ z))
     return OracleReport(value=best, uncertainty=0.05 * best + 1e-12,
                         argmax={"horizon": T},
-                        grid={"n_samples": n_samples, "n_t": n_t})
+                        grid={"n_samples": _L2PEAK_SAMPLES, "n_t": n_t})
 
 
 def certification_interval(report: OracleReport):

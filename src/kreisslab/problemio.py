@@ -207,7 +207,7 @@ def load_problem(path) -> Problem:
 
 
 def save_report(path, command: str, inputs: dict, result: dict,
-                metadata: dict | None = None) -> dict:
+                metadata: dict | None) -> dict:
     """Write a deterministic JSON report.  Timestamps and solver details
     (``metadata``, e.g. iteration counts and stopping reasons) stay in the
     metadata block, so ``result`` is reproducible."""

@@ -15,11 +15,16 @@ dense re-evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, StabilityError, SynthesisError
+from .errors import (
+    NumericalError,
+    PreconditionError,
+    StabilityError,
+    SynthesisError,
+)
 from .loop import (
     ClosedLoop,
     ControllerRealization,
@@ -38,7 +43,6 @@ from .statespace import StateSpace, series
 from .subgrad import kreiss_subgradient
 
 __all__ = [
-    "SynthOptions",
     "SynthesisSpec",
     "ConstraintReport",
     "SynthesisResult",
@@ -47,15 +51,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class SynthOptions:
-    restarts: int = 10
-    seed: int = 0
-    max_iter: int = 100
-
-
 #: spectral-abscissa descent steps of the stabilization phase
 _STAB_MAX_ITER = 200
+#: accepted-step cap of one penalized descent
+_MAX_ITER = 100
 #: exact-penalty weight on the decay and roll-off excesses
 _PENALTY = 10.0
 #: Armijo sufficient-decrease constant
@@ -82,16 +81,20 @@ _DESCENT_KREISS = KreissOptions(grid_points=48, hinf_tol=1e-7,
 
 @dataclass(eq=False)
 class SynthesisSpec:
-    """Plant (control channel), decay rate, roll-off weight and options."""
+    """Plant (control channel), decay rate, roll-off weight, and the
+    number of seeded restarts with the seed of their random starts."""
 
     plant: StateSpace
     eta_rate: float = 0.0
     rolloff_weight: StateSpace | None = None
-    options: SynthOptions = field(default_factory=SynthOptions)
+    restarts: int = 10
+    seed: int = 0
 
     def __post_init__(self):
         if self.eta_rate < 0:
             raise SynthesisError("decay rate must be nonnegative")
+        if self.restarts < 1:
+            raise PreconditionError("restarts must be at least 1")
         if self.rolloff_weight is not None:
             self.rolloff_weight.require_stable("roll-off weight")
 
@@ -359,7 +362,7 @@ def _descend(spec: SynthesisSpec, structure: ControllerStructure,
         return None
     step = _STEP0
     history = [F]
-    for _ in range(spec.options.max_iter):
+    for _ in range(_MAX_ITER):
         grads = pen.subgradients(data)
         g = _min_norm_element(grads)
         ng = np.linalg.norm(g)
@@ -396,15 +399,12 @@ def minimize_kreiss(spec: SynthesisSpec,
     winner is re-evaluated with the dense eta grid; constraint satisfaction
     is mandatory.  history holds the F sequence of each descent.
     """
-    opts = spec.options
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(spec.seed)
     n_theta = structure.n_theta
     target = -(spec.eta_rate * 0.5 + _STAB_MARGIN)
     best = None
     history_all = []
-    used = 0
-    for restart in range(opts.restarts):
-        used = restart + 1
+    for restart in range(spec.restarts):
         scale = _INIT_SCALES[restart % len(_INIT_SCALES)]
         theta0 = scale * rng.standard_normal(n_theta)
         theta_s = _stabilize(spec.plant, structure, theta0, target)
@@ -431,5 +431,5 @@ def minimize_kreiss(spec: SynthesisSpec,
     cl = assemble_closed_loop(spec.plant, controller)
     final = kreiss_norm(cl.channel())
     return SynthesisResult(controller=controller, theta=theta, report=final,
-                           constraints=constraints, restarts_used=used,
-                           history=history_all)
+                           constraints=constraints,
+                           restarts_used=spec.restarts, history=history_all)

@@ -32,7 +32,6 @@ from kreisslab.loop import (
 )
 from kreisslab.models import (
     Brunton4Params,
-    SimulationOptions,
     brunton2_model,
     brunton4_model,
     closed_loop_field,
@@ -51,7 +50,6 @@ from kreisslab.norms import (
 from kreisslab.oracles import kreiss_halfplane_grid, m0_time_grid
 from kreisslab.statespace import StateSpace, tf_to_ss
 from kreisslab.synth import (
-    SynthOptions,
     SynthesisSpec,
     minimize_kreiss,
     rolloff_norm,
@@ -265,8 +263,7 @@ def test_criterion_10_simulations():
     bmodel = brunton2_model(params)
     first = benchmarks.BRUNTON_CONTROLLERS["first_order"].controller
     btraj = simulate_closed_loop(bmodel, first, [0.4, 0.0], t_on=50.0,
-                                 t_final=250.0,
-                                 options=SimulationOptions(n_points=2501))
+                                 t_final=250.0)
     radii = np.linalg.norm(btraj.x, axis=0)
     r0 = np.sqrt(params.sigma_u)
     after = btraj.t >= 150.0
@@ -282,7 +279,7 @@ def test_criterion_11_synthesis():
     plant_b = benchmarks.brunton_plant()
     spec_b = SynthesisSpec(plant=plant_b, eta_rate=0.1,
                            rolloff_weight=benchmarks.rolloff_weight(),
-                           options=SynthOptions(restarts=10, seed=0))
+                           restarts=10, seed=0)
     res_b = minimize_kreiss(spec_b, ControllerStructure.full(1, 1, 1))
     cl_b = assemble_closed_loop(plant_b, res_b.controller)
     oracle_b = kreiss_halfplane_grid(cl_b.channel()).value
@@ -291,8 +288,7 @@ def test_criterion_11_synthesis():
                   <= 1e-3 * max(1.0, oracle_b))
 
     plant_l = benchmarks.lorenz_plant(benchmarks.lorenz_chaos(), "x")
-    spec_l = SynthesisSpec(plant=plant_l,
-                           options=SynthOptions(restarts=10, seed=0))
+    spec_l = SynthesisSpec(plant=plant_l, restarts=10, seed=0)
     res_l = minimize_kreiss(spec_l, ControllerStructure.static(1, 1))
     cl_l = assemble_closed_loop(plant_l, res_l.controller)
     oracle_l = kreiss_halfplane_grid(cl_l.channel()).value
@@ -325,8 +321,7 @@ def test_criterion_12_appendix_certificates():
         x0 = rng.uniform(-bound, bound, size=2)
         while np.linalg.norm(x0) > bound:
             x0 = rng.uniform(-bound, bound, size=2)
-        traj = simulate_closed_loop(model, ctrl, x0, t_on=0.0, t_final=40.0,
-                                    options=SimulationOptions(n_points=201))
+        traj = simulate_closed_loop(model, ctrl, x0, t_on=0.0, t_final=40.0)
         if np.max(np.linalg.norm(traj.x, axis=0)) > bound * (1 + 1e-6):
             dominated = False
             break

@@ -23,7 +23,6 @@ from kreisslab.errors import PreconditionError, SchemaError
 from kreisslab.loop import ControllerRealization
 from kreisslab.models import (
     Brunton2Params,
-    SimulationOptions,
     brunton2_model,
     closed_loop_field,
     simulate_closed_loop,
@@ -214,8 +213,7 @@ def test_boundedness_bound_dominates_simulations():
     rng = np.random.default_rng(4)
     for _ in range(10):
         x0 = rng.uniform(-bound / 2, bound / 2, size=2)
-        traj = simulate_closed_loop(model, ctrl, x0, t_on=0.0, t_final=60.0,
-                                    options=SimulationOptions(n_points=601))
+        traj = simulate_closed_loop(model, ctrl, x0, t_on=0.0, t_final=60.0)
         radii = np.linalg.norm(traj.x, axis=0)
         assert np.max(radii) <= bound * (1.0 + 1e-6)
 
@@ -230,11 +228,9 @@ def test_window_soundness_inside_converges_outside_recaptures():
             x0 = rng.uniform(-1.5 * r0, 1.5 * r0, size=2)
             traj = simulate_closed_loop(
                 model, ControllerRealization.static([[K]]), x0,
-                t_on=0.0, t_final=300.0,
-                options=SimulationOptions(n_points=601))
+                t_on=0.0, t_final=300.0)
             assert np.linalg.norm(traj.x[:, -1]) <= 1e-4
     # unstable side: the limit cycle captures
     traj = simulate_closed_loop(model, ControllerRealization.static([[-0.1]]),
-                                [0.2, 0.0], t_on=0.0, t_final=300.0,
-                                options=SimulationOptions(n_points=601))
+                                [0.2, 0.0], t_on=0.0, t_final=300.0)
     assert np.linalg.norm(traj.x[:, -1]) > 0.05

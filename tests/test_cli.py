@@ -317,6 +317,19 @@ def test_certify_yorke_pass(capsys):
     assert json.loads(out)["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_certify_yorke_needs_a_sample(capsys, samples):
+    # no sample is no evidence: a count below 1 is a schema error, not a
+    # pass on nothing or a numpy traceback
+    code, out, err = run(capsys, "certify",
+                         PROBLEMS / "brunton2_first_order_certframe.json",
+                         "--method", "yorke", "--samples", samples,
+                         "--certificate",
+                         PROBLEMS / "brunton2_first_order_V.json")
+    assert (code, out) == (3, "")
+    assert err == "schema error: --samples: samples must be at least 1\n"
+
+
 def test_reports_are_deterministic(capsys, tmp_path):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"
@@ -371,3 +384,12 @@ def test_synthesize_zero_actuation_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "synthesize", bad, "--structure", "static",
                        "--restarts", "1")
     assert code == 4
+
+
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_synthesize_needs_a_restart(capsys, restarts):
+    code, out, err = run(capsys, "synthesize",
+                         PROBLEMS / "lorenz_chaos_synth.json",
+                         "--structure", "static", "--restarts", restarts)
+    assert (code, out) == (3, "")
+    assert err == "schema error: --restarts: restarts must be at least 1\n"

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from kreisslab import lmi
-from kreisslab.errors import DimensionError
+from kreisslab.errors import DimensionError, PreconditionError
 from kreisslab.lmi import (
     LmiBlock,
     LmiProblem,
@@ -165,6 +165,12 @@ def test_lossless_violated_by_perturbed_nonlinearity():
     bad = replace(model, phi=phi_bad)
     _, max_rel = lossless_check(bad, samples=2000, seed=0)
     assert max_rel > 1e-3
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_lossless_check_needs_a_sample(samples):
+    with pytest.raises(PreconditionError, match="at least 1"):
+        lossless_check(lorenz_model(lorenz_chaos()), samples=samples)
 
 
 # ---------------------------------------------------------------------------

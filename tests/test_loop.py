@@ -106,7 +106,7 @@ def test_structure_theta_order_is_block_by_block():
 
 
 def test_structure_masked_entries_stay_zero():
-    st = ControllerStructure.static_masked([[True, False, True]])
+    st = ControllerStructure(0, np.array([[True, False, True]]))
     ctrl = st.unpack([2.0, -3.0])
     assert np.allclose(ctrl.D_K, [[2.0, 0.0, -3.0]])
     assert st.n_theta == 2

@@ -17,7 +17,6 @@ from kreisslab.loop import ControllerRealization, assemble_closed_loop
 from kreisslab.models import (
     Brunton4Params,
     LorenzParams,
-    SimulationOptions,
     Trajectory,
     _dopri5,
     brunton2_model,
@@ -115,8 +114,7 @@ def test_limit_cycle_radius_against_long_simulation():
     model = brunton2_model(params)
     r0 = limit_cycle_radius(params)[0]
     for x0 in ([0.05, 0.0], [0.8, 0.0]):
-        traj = simulate_closed_loop(model, None, x0, t_on=250.0, t_final=250.0,
-                                    options=SimulationOptions(n_points=501))
+        traj = simulate_closed_loop(model, None, x0, t_on=250.0, t_final=250.0)
         r_end = np.linalg.norm(traj.x[:, -1])
         assert r_end == pytest.approx(r0, rel=0.01)
 
@@ -126,8 +124,7 @@ def test_brunton_open_loop_radius_monotone_from_outside():
     model = brunton2_model(params)
     r0 = limit_cycle_radius(params)[0]
     traj = simulate_closed_loop(model, None, [1.2, 0.0], t_on=200.0,
-                                t_final=200.0,
-                                options=SimulationOptions(n_points=2001))
+                                t_final=200.0)
     radii = np.linalg.norm(traj.x, axis=0)
     # states beyond r0 are never re-entered from below
     crossed = np.where(radii <= r0 * 1.001)[0]
@@ -201,8 +198,7 @@ def test_controller_state_frozen_before_switch():
     model = lorenz_model(lorenz_chaos(), measurement="x")
     ctrl = LORENZ_CHAOS_KREISS["dynamic_x"].controller
     traj = simulate_closed_loop(model, ctrl, [1.0, 1.0, 1.0], t_on=5.0,
-                                t_final=8.0,
-                                options=SimulationOptions(n_points=301))
+                                t_final=8.0)
     before = traj.t < 5.0
     assert before.sum() > 100 and traj.x_K.shape[0] == 1
     assert np.all(traj.x_K[:, before] == 0.0)
@@ -361,8 +357,7 @@ def test_simulation_reports_blowup():
     # open-loop oscillator with destabilizing anti-damping nonlinearity
     bad = _anti_damped_brunton()
     traj = simulate_closed_loop(bad, None, [1.5, 0.0], t_on=50.0,
-                                t_final=50.0,
-                                options=SimulationOptions(blowup_radius=1e6))
+                                t_final=50.0)
     assert traj.diverged
     assert np.isfinite(traj.final_state).all()
 
@@ -370,19 +365,19 @@ def test_simulation_reports_blowup():
 def test_integrator_step_scaling_matches_fifth_order():
     model = lorenz_model(lorenz_chaos())
     x0 = [1.0, 1.0, 1.0]
-    ref = simulate_closed_loop(model, None, x0, t_on=5.0, t_final=5.0,
-                               options=SimulationOptions(rtol=1e-12,
-                                                         atol=1e-14,
-                                                         n_points=11))
+    # a reference far tighter than the integrator's fixed tolerances
+    field = closed_loop_field(model, None)[0]
+    z0 = np.asarray(x0, dtype=float)
+    ref = _dopri5(field, 0.0, 5.0, z0, np.array([5.0]), 1e-12, 1e-14, 1e9)[1]
     errs = []
     steps = []
     for rtol in (1e-5, 1e-10):
         import scipy.integrate as si
         sol = si.solve_ivp(
             lambda t, z: model.A @ z + model.B_w @ model.phi(z),
-            (0.0, 5.0), np.asarray(x0, dtype=float), method="RK45",
+            (0.0, 5.0), z0, method="RK45",
             rtol=rtol, atol=rtol * 1e-3)
-        errs.append(np.linalg.norm(sol.y[:, -1] - ref.final_state))
+        errs.append(np.linalg.norm(sol.y[:, -1] - ref[:, -1]))
         steps.append(len(sol.t))
     assert errs[1] < errs[0] / 10.0
     # embedded 4/5 pair: steps scale like tol^(-1/5); 1e5 tol ratio -> ~10x
@@ -448,8 +443,7 @@ def test_trajectory_and_curve_csv_formats(tmp_path):
     model = lorenz_model(lorenz_chaos(), measurement="x")
     ctrl = ControllerRealization.static([[-27.01]])
     traj = simulate_closed_loop(model, ctrl, [1.0, 1.0, 1.0], t_on=1.0,
-                                t_final=2.0,
-                                options=SimulationOptions(n_points=21))
+                                t_final=2.0)
     tpath = tmp_path / "traj.csv"
     trajectory_to_csv(traj, tpath)
     with open(tpath) as fh:

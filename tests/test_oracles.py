@@ -17,7 +17,7 @@ from kreisslab.loop import assemble_closed_loop
 from kreisslab.norms import _Impulse
 from kreisslab.problemio import load_problem
 from kreisslab.statespace import StateSpace
-from kreisslab.synth import SynthesisSpec, SynthOptions, minimize_kreiss
+from kreisslab.synth import SynthesisSpec, minimize_kreiss
 
 from conftest import random_stable_statespace
 
@@ -92,7 +92,7 @@ def _synthesized_loop(fname, structure, seed):
     if fname.startswith("brunton"):
         eta, rolloff = 0.0, None
     spec = SynthesisSpec(plant=plant, eta_rate=eta, rolloff_weight=rolloff,
-                         options=SynthOptions(restarts=1, seed=seed))
+                         restarts=1, seed=seed)
     res = minimize_kreiss(spec, controller_structure)
     return assemble_closed_loop(plant, res.controller).channel()
 

@@ -9,7 +9,11 @@ from kreisslab.benchmarks import (
     lorenz_plant,
     rolloff_weight,
 )
-from kreisslab.errors import StabilityError, SynthesisError
+from kreisslab.errors import (
+    PreconditionError,
+    StabilityError,
+    SynthesisError,
+)
 from kreisslab.loop import (
     ControllerRealization,
     ControllerStructure,
@@ -28,7 +32,6 @@ from kreisslab.oracles import hinf_frequency_grid, kreiss_halfplane_grid
 from kreisslab.statespace import StateSpace, series
 from kreisslab.synth import (
     _PENALTY,
-    SynthOptions,
     SynthesisSpec,
     minimize_kreiss,
     _Penalized,
@@ -142,9 +145,7 @@ def test_minimize_normal_plant_reaches_floor():
     # normal stable plant with full static state feedback and no constraints:
     # the identity-restriction floor sigma(J^T J) = 1 is attainable
     plant = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2))
-    spec = SynthesisSpec(plant=plant,
-                         options=SynthOptions(restarts=2, seed=1,
-                                              max_iter=40))
+    spec = SynthesisSpec(plant=plant, restarts=2, seed=1)
     res = minimize_kreiss(spec, ControllerStructure.static(2, 2))
     assert res.report.value == pytest.approx(1.0, abs=1e-3)
     assert res.report.value >= 1.0 - 1e-8  # objective floor
@@ -152,12 +153,11 @@ def test_minimize_normal_plant_reaches_floor():
 
 def test_minimize_lorenz_static_reaches_unit_value():
     spec = SynthesisSpec(plant=lorenz_plant(lorenz_chaos(), "x"),
-                         options=SynthOptions(restarts=3, seed=0,
-                                              max_iter=60))
+                         restarts=3, seed=0)
     res = minimize_kreiss(spec, ControllerStructure.static(1, 1))
     assert res.report.value <= 1.02
     assert res.constraints.satisfied
-    assert len(res.history) <= spec.options.restarts
+    assert len(res.history) <= spec.restarts
     oracle = kreiss_halfplane_grid(
         assemble_closed_loop(spec.plant, res.controller).channel())
     assert res.report.value == pytest.approx(oracle.value, rel=1e-3)
@@ -165,8 +165,7 @@ def test_minimize_lorenz_static_reaches_unit_value():
 
 def test_minimize_monotone_history():
     spec = SynthesisSpec(plant=lorenz_plant(lorenz_chaos(), "x"),
-                         options=SynthOptions(restarts=2, seed=3,
-                                              max_iter=40))
+                         restarts=2, seed=3)
     res = minimize_kreiss(spec, ControllerStructure.static(1, 1))
     for hist in res.history:
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
@@ -185,17 +184,22 @@ def test_minimize_runs_one_descent_per_restart(monkeypatch):
     monkeypatch.setattr(synth, "_descend", counting)
     spec = SynthesisSpec(plant=brunton_plant(), eta_rate=0.1,
                          rolloff_weight=rolloff_weight(),
-                         options=SynthOptions(restarts=2, seed=0))
+                         restarts=2, seed=0)
     with pytest.raises(SynthesisError):
         minimize_kreiss(spec, ControllerStructure.static(1, 1))
-    assert 1 <= len(calls) <= spec.options.restarts
+    assert 1 <= len(calls) <= spec.restarts
+
+
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_spec_needs_a_restart(restarts):
+    plant = StateSpace([[0.5]], [[1.0]], [[1.0]])
+    with pytest.raises(PreconditionError, match="at least 1"):
+        SynthesisSpec(plant=plant, restarts=restarts)
 
 
 def test_minimize_infeasible_actuation_fails():
     plant = StateSpace([[0.5]], [[0.0]], [[1.0]])  # zero control channel
-    spec = SynthesisSpec(plant=plant,
-                         options=SynthOptions(restarts=2, seed=0,
-                                              max_iter=10))
+    spec = SynthesisSpec(plant=plant, restarts=2, seed=0)
     with pytest.raises(SynthesisError):
         minimize_kreiss(spec, ControllerStructure.static(1, 1))
 
@@ -203,8 +207,7 @@ def test_minimize_infeasible_actuation_fails():
 def test_minimize_respects_decay_constraint():
     spec = SynthesisSpec(plant=lorenz_plant(lorenz_chaos(), "x"),
                          eta_rate=0.5,
-                         options=SynthOptions(restarts=3, seed=0,
-                                              max_iter=60))
+                         restarts=3, seed=0)
     res = minimize_kreiss(spec, ControllerStructure.static(1, 1))
     assert res.constraints.alpha <= -0.5 + 1e-8
 
@@ -213,9 +216,7 @@ def test_minimize_judges_the_decay_limit_it_enforced():
     # below the built-in stability margin 0.01 the descent enforces
     # alpha <= -0.01, and the constraint report must judge that same limit
     plant = StateSpace([[0.5]], [[1.0]], [[1.0]])
-    spec = SynthesisSpec(plant=plant, eta_rate=0.005,
-                         options=SynthOptions(restarts=1, seed=0,
-                                              max_iter=20))
+    spec = SynthesisSpec(plant=plant, eta_rate=0.005, restarts=1, seed=0)
     res = minimize_kreiss(spec, ControllerStructure.static(1, 1))
     assert res.constraints.alpha_limit == -0.01
     assert res.constraints.satisfied
