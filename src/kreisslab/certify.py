@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, SchemaError
+from .errors import ArgumentError, PreconditionError, SchemaError
 from .loop import ControllerRealization
 from .models import Brunton2Params
 from .norms import _decay_envelope  # shared with the M0 horizon
@@ -33,10 +33,6 @@ __all__ = [
     "load_certificate",
 ]
 
-#: GainWindow.classify puts a gain this close to an endpoint on the boundary
-_BOUNDARY_TOL = 0.0
-
-
 @dataclass(frozen=True)
 class GainWindow:
     """Open interval of static gains (-2 omega/g, -2 sigma/g)."""
@@ -52,8 +48,7 @@ class GainWindow:
         """"inside" / "boundary" / "outside" with strict endpoints."""
         if self.empty:
             return "outside"
-        if (abs(K - self.lower) <= _BOUNDARY_TOL
-                or abs(K - self.upper) <= _BOUNDARY_TOL):
+        if K in (self.lower, self.upper):
             return "boundary"
         if self.lower < K < self.upper:
             return "inside"
@@ -188,11 +183,13 @@ def yorke_sample_check(cert: PolyCertificate, field, jacobian,
     requires dV/dt < 0 at every sample.  field and jacobian are called
     once, on all states as one (n, samples) array with the batch on the
     last axis; they return (n, samples) and (n, n, samples), or an (n, n)
-    Jacobian that is the same at every state.  Raises PreconditionError
-    for samples < 1: no sample is no evidence.
+    Jacobian that is the same at every state.  Raises ArgumentError for
+    samples < 1 (no sample is no evidence) or seed < 0.
     """
     if samples < 1:
-        raise PreconditionError("samples must be at least 1")
+        raise ArgumentError("samples", "must be at least 1")
+    if seed < 0:
+        raise ArgumentError("seed", "must be at least 0")
     S1 = cert.matrix("V1")
     S2 = cert.matrix("V2")
     rng = np.random.default_rng(seed)

@@ -4,8 +4,9 @@ Subcommands: analyze (norm computations), synthesize (structured Kreiss
 minimization), simulate (switched closed-loop integration), certify
 (global-stability certificates), oracle (brute-force reference values).
 All file formats are documented in problemio.  Exit codes: 0 success,
-1 generic failure, 2 instability, 3 schema error, 4 synthesis failure,
-5 finite-time blowup, 6 indeterminate feasibility, 7 oversized system.
+1 generic failure, 2 instability, 3 schema error or out-of-range flag,
+4 synthesis failure, 5 finite-time blowup, 6 indeterminate feasibility,
+7 oversized system.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import certify as cert_mod, lmi, models, oracles
 from .errors import (
+    ArgumentError,
     IndeterminateError,
     KreisslabError,
     OversizeError,
@@ -96,6 +98,8 @@ def _norm_dispatch(name: str, sys: StateSpace, tol: float):
 
 
 def _oracle_dispatch(name: str, sys: StateSpace, grid: int):
+    if grid < 2:
+        raise SchemaError(f"--grid: needs at least 2 points, got {grid}")
     if name == "m0":
         rep = oracles.m0_time_grid(sys, n_grid=grid)
     elif name == "hinf":
@@ -116,7 +120,10 @@ def _oracle_dispatch(name: str, sys: StateSpace, grid: int):
 def cmd_analyze(args) -> int:
     problem = load_problem(args.problem)
     sys_ = problem.require_system()
-    result = _norm_dispatch(args.norm, sys_, args.tol)
+    try:
+        result = _norm_dispatch(args.norm, sys_, args.tol)
+    except ArgumentError as exc:    # --tol not positive
+        raise SchemaError(f"--tol: {exc}") from None
     if args.certify and args.norm in ("kreiss", "m0", "hinf", "pkgain",
                                       "l2peak"):
         rep = _oracle_dispatch(args.norm, sys_, args.grid)
@@ -158,8 +165,8 @@ def cmd_synthesize(args) -> int:
         spec = SynthesisSpec(plant=plant, eta_rate=problem.eta,
                              rolloff_weight=problem.rolloff_weight,
                              restarts=args.restarts, seed=args.seed)
-    except PreconditionError as exc:    # --restarts below 1
-        raise SchemaError(f"--restarts: {exc}") from None
+    except ArgumentError as exc:    # --restarts below 1 or --seed below 0
+        raise SchemaError(f"--{exc.name}: {exc}") from None
     res = minimize_kreiss(spec, structure)
     oracle = oracles.kreiss_halfplane_grid(
         assemble_closed_loop(plant, res.controller).channel())
@@ -199,7 +206,7 @@ def cmd_simulate(args) -> int:
     try:
         traj = models.simulate_closed_loop(problem.model, problem.controller,
                                            x0, args.t_on, args.t_final)
-    except PreconditionError as exc:    # non-finite or misordered input
+    except PreconditionError as exc:    # x0 or times out of range
         raise SchemaError(str(exc)) from None
     if args.out:
         trajectory_to_csv(traj, args.out)
@@ -220,8 +227,11 @@ def cmd_certify(args) -> int:
     if args.method == "qc":
         if controller is None:
             raise SchemaError("qc certification needs a controller")
-        cert = lmi.qc_analysis_closed_loop(model, controller,
-                                           epsilon=args.epsilon)
+        try:
+            cert = lmi.qc_analysis_closed_loop(model, controller,
+                                               epsilon=args.epsilon)
+        except ArgumentError as exc:    # --epsilon negative or not finite
+            raise SchemaError(f"--{exc.name}: {exc}") from None
         result = {"status": cert.status, "margin": cert.margin,
                   "epsilon": cert.epsilon,
                   "verdict": "PASS" if cert.feasible else
@@ -270,8 +280,8 @@ def cmd_certify(args) -> int:
             rep = cert_mod.yorke_sample_check(cert, field, jac,
                                               samples=args.samples,
                                               seed=args.seed)
-        except PreconditionError as exc:    # --samples below 1
-            raise SchemaError(f"--samples: {exc}") from None
+        except ArgumentError as exc:    # --samples below 1 or --seed below 0
+            raise SchemaError(f"--{exc.name}: {exc}") from None
         result = {"min_neg_vdot": rep.min_neg_vdot, "samples": rep.samples,
                   "verdict": "PASS" if rep.passed else "FAIL",
                   "note": "sampling falsifies; a pass is evidence, not proof"}

@@ -17,6 +17,14 @@ class PreconditionError(KreisslabError):
     """An operation-specific precondition (other than stability) failed."""
 
 
+class ArgumentError(PreconditionError):
+    """A scalar argument lies outside its range; ``name`` names it."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} {rule}")
+        self.name = name
+
+
 class OversizeError(PreconditionError):
     """Input exceeds the dense desk-scale size supported by an operation."""
 

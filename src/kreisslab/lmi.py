@@ -7,7 +7,8 @@ verdict carries a witness checked apart from the solver: a point y for
 "feasible", a Farkas matrix X for "infeasible".  On top of it sit the
 structured Lyapunov analysis for lossless nonlinearities, state-feedback
 synthesis, output-feedback existence via the projection lemma, and
-controller reconstruction from a completed Lyapunov matrix.
+controller reconstruction from a completed Lyapunov matrix; each of these
+raises ArgumentError unless its decay rate eps is finite and at least 0.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import ArgumentError, DimensionError, PreconditionError
 from .linalg import _kron_lyapunov, block_diag, spectral_abscissa
 from .loop import ControllerRealization, assemble_closed_loop, closed_loop_map
 from .statespace import StateSpace
@@ -46,17 +47,21 @@ __all__ = [
 class LmiBlock:
     """One affine symmetric block F0 + sum_i y_i F_i.
 
-    ``coeffs`` holds one F_i per variable, ``None`` where the block omits
-    it; LmiProblem stores them as one symmetric (n_vars, d, d) array with
-    zeros in those places.  Feasibility requires lambda_max <= -margin;
-    non-strict blocks use a small negative margin so that boundary
-    solutions are accepted.
+    ``coeffs`` holds one F_i per variable, a zero matrix where the block
+    omits it; the block keeps F0 and the F_i symmetrized, the F_i stacked
+    as one (n_vars, d, d) array.  Feasibility requires lambda_max <=
+    -margin; non-strict blocks use a small negative margin so that
+    boundary solutions are accepted.
     """
 
     F0: np.ndarray
-    coeffs: object
+    coeffs: np.ndarray
     margin: float
-    name: str = ""
+
+    def __post_init__(self):
+        self.F0 = _sym(self.F0)
+        coeffs = [_sym(F) for F in self.coeffs]
+        self.coeffs = np.array(coeffs).reshape((len(coeffs),) + self.F0.shape)
 
     def value(self, y: np.ndarray) -> np.ndarray:
         return _affine(self.F0, self.coeffs, y)
@@ -74,17 +79,14 @@ def _affine(F0, coeffs, y) -> np.ndarray:
 @dataclass(eq=False)
 class LmiProblem:
     blocks: list
-    n_vars: int
 
     def __post_init__(self):
-        for blk in self.blocks:
-            blk.F0 = _sym(blk.F0)
-            if len(blk.coeffs) != self.n_vars:
-                raise DimensionError("coefficient count must match variables")
-            d = len(blk.F0)
-            blk.coeffs = np.array(
-                [np.zeros((d, d)) if F is None else _sym(F)
-                 for F in blk.coeffs]).reshape(self.n_vars, d, d)
+        if len({len(b.coeffs) for b in self.blocks}) > 1:
+            raise DimensionError("blocks disagree on the variable count")
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.blocks[0].coeffs) if self.blocks else 0
 
     def dimension(self) -> int:
         return sum(b.F0.shape[0] for b in self.blocks)
@@ -345,7 +347,6 @@ class QcCertificate:
     epsilon: float
     status: str
     margin: float
-    partition: tuple
     iterations: int
     reason: str
 
@@ -403,6 +404,12 @@ def _qc_variables(partition):
                                   _sym_vars(dim, d1 + d2, d3)])
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """eps < 0 proves nothing: A^T X + X A + eps X < 0 admits unstable A."""
+    if not 0.0 <= epsilon < math.inf:
+        raise ArgumentError("epsilon", "must be finite and at least 0")
+
+
 def qc_problem(A_cl: np.ndarray, partition, epsilon: float) -> LmiProblem:
     """LMI problem for the reduced structured Lyapunov inequality."""
     A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
@@ -412,9 +419,9 @@ def qc_problem(A_cl: np.ndarray, partition, epsilon: float) -> LmiProblem:
     const, mats = _qc_variables(partition)
     F0 = _lyap(A_cl, const, epsilon)
     blk_stab = LmiBlock(F0=F0, coeffs=_lyap(A_cl, mats, epsilon),
-                        margin=strict_margin(F0), name="lyapunov")
-    blk_pd = LmiBlock(F0=-const, coeffs=-mats, margin=1e-8, name="positivity")
-    return LmiProblem(blocks=[blk_stab, blk_pd], n_vars=len(mats))
+                        margin=strict_margin(F0))
+    blk_pd = LmiBlock(F0=-const, coeffs=-mats, margin=1e-8)
+    return LmiProblem(blocks=[blk_stab, blk_pd])
 
 
 def _qc_warm_start(A_cl, partition, epsilon):
@@ -446,13 +453,13 @@ def qc_analysis(A_cl, partition, epsilon: float = 1e-3) -> QcCertificate:
     engine: A v = lambda v gives v^* (A^T X + X A + eps X) v
     = (2 Re lambda + eps) v^* X v >= 0 for every X > 0.
     """
+    _check_epsilon(epsilon)
     A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
     problem = qc_problem(A_cl, partition, epsilon)
     alpha = spectral_abscissa(A_cl)
     if alpha >= -0.5 * epsilon:
         return QcCertificate(X_cl=None, epsilon=epsilon, status="infeasible",
-                             margin=2.0 * alpha + epsilon,
-                             partition=tuple(partition), iterations=0,
+                             margin=2.0 * alpha + epsilon, iterations=0,
                              reason="spectral abscissa")
     res = sdp_feasibility(problem, y0=_qc_warm_start(A_cl, partition, epsilon))
     X_cl, margin = None, res.margin
@@ -461,8 +468,8 @@ def qc_analysis(A_cl, partition, epsilon: float = 1e-3) -> QcCertificate:
         margin = float(np.max(np.linalg.eigvalsh(
             _lyap(A_cl, X_cl, epsilon))))
     return QcCertificate(X_cl=X_cl, epsilon=epsilon, status=res.status,
-                         margin=margin, partition=tuple(partition),
-                         iterations=res.iterations, reason=res.reason)
+                         margin=margin, iterations=res.iterations,
+                         reason=res.reason)
 
 
 def qc_analysis_closed_loop(model, controller: ControllerRealization,
@@ -472,12 +479,10 @@ def qc_analysis_closed_loop(model, controller: ControllerRealization,
     The model supplies (A, B_u, C_y, B_w, n_phi); states are permuted so
     that the nonlinearity-driven block sits in the middle of the partition.
     """
-    cl = assemble_closed_loop(model.control_channel(), controller,
-                              B_w=model.B_w)
-    perm = _losslessness_permutation(model.B_w, cl.n_K)
-    A_p = cl.A_cl[np.ix_(perm, perm)]
-    n = model.A.shape[0]
-    partition = (n - model.n_phi, model.n_phi, cl.n_K)
+    A_cl = assemble_closed_loop(model.control_channel(), controller).A_cl
+    perm = _losslessness_permutation(model.B_w, controller.n_K)
+    A_p = A_cl[np.ix_(perm, perm)]
+    partition = (model.n - model.n_phi, model.n_phi, controller.n_K)
     return qc_analysis(A_p, partition, epsilon=epsilon)
 
 
@@ -499,11 +504,13 @@ def lossless_check(model, samples: int = 100000, seed: int = 0):
 
     All states are drawn at once and phi is called on the (n, samples)
     batch.  Sampling is falsification-only: a zero maximum is evidence of the
-    lossless identity, not a proof.  Raises PreconditionError for
-    samples < 1.
+    lossless identity, not a proof.  Raises ArgumentError for samples < 1
+    or seed < 0.
     """
     if samples < 1:
-        raise PreconditionError("samples must be at least 1")
+        raise ArgumentError("samples", "must be at least 1")
+    if seed < 0:
+        raise ArgumentError("seed", "must be at least 0")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-_LOSSLESS_RADIUS, _LOSSLESS_RADIUS,
                     size=(samples, model.A.shape[0])).T
@@ -531,6 +538,7 @@ def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3):
     Y > 0 and W, then returns K = W Ytil^{-1} together with (Y, W).  The
     returned gain is re-verified through qc_analysis on A + B K.
     """
+    _check_epsilon(epsilon)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[0]
@@ -545,10 +553,10 @@ def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3):
     F0 = _lyap(A.T, constY, epsilon)
     blk_main = LmiBlock(F0=F0, coeffs=np.concatenate([
         _lyap(A.T, matsY, epsilon), BW + BW.transpose(0, 2, 1)]),
-        margin=strict_margin(F0), name="sf")
-    blk_pd = LmiBlock(F0=-constY, coeffs=list(-matsY) + [None] * n_w,
-                      margin=1e-8, name="Y_pd")
-    problem = LmiProblem(blocks=[blk_main, blk_pd], n_vars=n_y + n_w)
+        margin=strict_margin(F0))
+    blk_pd = LmiBlock(F0=-constY, coeffs=np.concatenate([
+        -matsY, np.zeros((n_w, n, n))]), margin=1e-8)
+    problem = LmiProblem(blocks=[blk_main, blk_pd])
     y0 = np.concatenate([_coordinates(matsY, np.eye(n)), np.zeros(n_w)])
     res = sdp_feasibility(problem, y0=y0)
     if not res.feasible:
@@ -596,6 +604,7 @@ def of_existence(A, B, C, n_phi: int, epsilon: float = 1e-3) -> OfExistence:
     null-space-projected inequalities and the coupling [[X, I], [I, Y]] >= 0;
     max_order = rank(I - Y X) bounds the certifiable controller order.
     """
+    _check_epsilon(epsilon)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -610,27 +619,27 @@ def of_existence(A, B, C, n_phi: int, epsilon: float = 1e-3) -> OfExistence:
 
     blocks = []
 
-    def add_projected(N, A_, first, name):
+    def add_projected(N, A_, first):
         if N.shape[1] == 0:
             return
         F0 = N.T @ _lyap(A_, constX, epsilon) @ N
-        coeffs = list(N.T @ _lyap(A_, matsX, epsilon) @ N)
-        skip = [None] * n_each
-        blocks.append(LmiBlock(F0=F0, coeffs=coeffs + skip if first
-                               else skip + coeffs,
-                               margin=strict_margin(F0), name=name))
+        coeffs = N.T @ _lyap(A_, matsX, epsilon) @ N
+        skip = np.zeros_like(coeffs)
+        blocks.append(LmiBlock(F0=F0, coeffs=np.concatenate(
+            [coeffs, skip] if first else [skip, coeffs]),
+            margin=strict_margin(F0)))
 
-    add_projected(N_C, A, True, "proj_X")
-    add_projected(N_B, A.T, False, "proj_Y")
+    add_projected(N_C, A, True)
+    add_projected(N_B, A.T, False)
 
     if d1 > 0:
         coeffs = np.concatenate([_sym_vars(2 * d1, 0, d1),
                                  _sym_vars(2 * d1, d1, d1)])
         blocks.append(LmiBlock(F0=-np.kron([[0.0, 1.0], [1.0, 0.0]],
                                            np.eye(d1)),
-                               coeffs=-coeffs, margin=-1e-9, name="coupling"))
+                               coeffs=-coeffs, margin=-1e-9))
 
-    problem = LmiProblem(blocks=blocks, n_vars=2 * n_each)
+    problem = LmiProblem(blocks=blocks)
     res = sdp_feasibility(problem, y0=np.tile(
         _coordinates(matsX, 2.0 * np.eye(n)), 2))
     X = _sym_unpack(res.y[:n_each], d1)
@@ -643,14 +652,15 @@ def of_existence(A, B, C, n_phi: int, epsilon: float = 1e-3) -> OfExistence:
     return OfExistence(X=X, Y=Y, max_order=max_order, status=res.status)
 
 
-def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
-                           n_phi: int | None = None):
+def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3):
     """Controller from feasible (X, Y): complete X_cl, solve the Theta LMI.
 
+    X and Y are of_existence's blocks of size n - n_phi, which gives n_phi.
     X_cl = [[Xtil, L], [L^T, I]] with L L^T = Xtil - Ytil^{-1} (rank <= n_K
     required); with X_cl fixed the Lyapunov inequality is linear in
     Theta = [[A_K, B_K], [C_K, D_K]] and is solved by sdp_feasibility.
     """
+    _check_epsilon(epsilon)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -658,10 +668,9 @@ def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     n = A.shape[0]
     d1 = X.shape[0]
-    if n_phi is None:
-        n_phi = n - d1
-    if d1 != n - n_phi or Y.shape[0] != d1:
-        raise DimensionError("X/Y blocks do not match n - n_phi")
+    n_phi = n - d1
+    if n_phi < 0 or Y.shape[0] != d1:
+        raise DimensionError("X and Y must have one size, at most n")
 
     Xtil = block_diag(X, np.eye(n_phi)) if d1 else np.eye(n)
     Ytil = block_diag(Y, np.eye(n_phi)) if d1 else np.eye(n)
@@ -682,8 +691,8 @@ def reconstruct_controller(A, B, C, X, Y, n_K: int, epsilon: float = 1e-3,
     rows, cols = Bhat.shape[1], Chat.shape[0]
     M = (Bhat.T @ X_cl).T @ _units(rows, cols) @ Chat
     blk = LmiBlock(F0=Psi, coeffs=M + M.transpose(0, 2, 1),
-                   margin=strict_margin(Psi), name="theta")
-    problem = LmiProblem(blocks=[blk], n_vars=rows * cols)
+                   margin=strict_margin(Psi))
+    problem = LmiProblem(blocks=[blk])
     res = sdp_feasibility(problem)
     if not res.feasible:
         return None, res

@@ -173,8 +173,6 @@ class ClosedLoop:
     A_cl: np.ndarray
     J: np.ndarray
     B_w_cl: np.ndarray
-    n: int
-    n_K: int
 
     def channel(self) -> StateSpace:
         """Transient channel J^T (sI - A_cl)^{-1} J."""
@@ -223,7 +221,7 @@ def assemble_closed_loop(plant: StateSpace,
         if B_w.shape[0] != n:
             raise DimensionError("B_w must have one row per plant state")
         B_w_cl = np.vstack([B_w, np.zeros((n_K, B_w.shape[1]))])
-    return ClosedLoop(A_cl=A_cl, J=J, B_w_cl=B_w_cl, n=n, n_K=n_K)
+    return ClosedLoop(A_cl=A_cl, J=J, B_w_cl=B_w_cl)
 
 
 def complementary_sensitivity(plant: StateSpace,

@@ -281,7 +281,6 @@ class Trajectory:
     x_K: np.ndarray        # controller states, shape (n_K, len(t))
     u: np.ndarray          # control input, shape (p, len(t))
     y: np.ndarray          # measurement, shape (m, len(t))
-    t_on: float
     diverged: bool
     final_state: np.ndarray
 
@@ -315,19 +314,6 @@ def closed_loop_field(model: NonlinearModel,
             "ij,jk...,lk->il...", cl.B_w_cl, model.phi_jacobian(z[:n]), cl.J)
 
     return f, jac
-
-
-def default_horizon(model: NonlinearModel,
-                    controller: ControllerRealization | None,
-                    t_on: float) -> float:
-    """t_on plus three times the slowest stable closed-loop time constant."""
-    if controller is None:
-        return t_on + 30.0
-    A_cl = assemble_closed_loop(model.control_channel(), controller).A_cl
-    alpha = float(np.max(np.linalg.eigvals(A_cl).real))
-    if alpha >= 0:
-        return t_on + 30.0
-    return t_on + 3.0 / abs(alpha)
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6(1),
@@ -545,27 +531,23 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
 
 def simulate_closed_loop(model: NonlinearModel,
                          controller: ControllerRealization | None,
-                         x0, t_on: float,
-                         t_final: float | None = None) -> Trajectory:
+                         x0, t_on: float, t_final: float) -> Trajectory:
     """Integrate the loop with u = 0 before t_on and u = K y after.
 
     The integration restarts exactly at t_on (controller state starts at
-    zero there).  t_final defaults to three slowest closed-loop time
-    constants past t_on.  Each segment runs the module's Dormand-Prince
-    5(4) stepper at the fixed tolerances _SIM_RTOL and _SIM_ATOL, which
-    takes the steps, field evaluations and samples of scipy's
-    ``solve_ivp(method="RK45")`` with the same blow-up event; the samples
-    are _SIM_POINTS uniform times and t_on.  Finite-time blowup (||z||
-    crossing _BLOWUP_RADIUS, or a step below 10 ulp(t)) is reported as a
-    diverged trajectory; its final_state is the last sample before the
+    zero there) and ends at t_final.  Each segment runs the module's
+    Dormand-Prince 5(4) stepper at the fixed tolerances _SIM_RTOL and
+    _SIM_ATOL, which takes the steps, field evaluations and samples of
+    scipy's ``solve_ivp(method="RK45")`` with the same blow-up event; the
+    samples are _SIM_POINTS uniform times and t_on.  Finite-time blowup
+    (||z|| crossing _BLOWUP_RADIUS, or a step below 10 ulp(t)) is reported
+    as a diverged trajectory; its final_state is the last sample before the
     crossing.  Raises PreconditionError unless x0 and the times are
-    finite, 0 <= t_on <= t_final, t_final > 0 and
-    ||x0|| < _BLOWUP_RADIUS, and NumericalError when a segment needs more
-    than _MAX_STEPS (100,000) step attempts, as a start far out on a fast
-    loop can.
+    finite, x0 has one entry per plant state, 0 <= t_on <= t_final,
+    t_final > 0 and ||x0|| < _BLOWUP_RADIUS, and NumericalError when a
+    segment needs more than _MAX_STEPS (100,000) step attempts, as a start
+    far out on a fast loop can.
     """
-    if t_final is None:
-        t_final = default_horizon(model, controller, t_on)
     if not (math.isfinite(t_on) and math.isfinite(t_final)):
         raise PreconditionError("t_on and t_final must be finite")
     if not 0.0 <= t_on <= t_final or t_final <= 0.0:
@@ -582,7 +564,7 @@ def simulate_closed_loop(model: NonlinearModel,
                                 np.zeros((p, n_K)), np.zeros((p, m)))
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != n:
-        raise DimensionError(f"x0 must have {n} entries")
+        raise PreconditionError(f"x0 must have {n} entries")
     if not np.isfinite(x0).all():
         raise PreconditionError("x0 must be finite")
     # the blow-up event fires on an upward crossing only
@@ -622,8 +604,8 @@ def simulate_closed_loop(model: NonlinearModel,
         after = t_all >= t_on
         u[:, after] = (controller.C_K @ xk[:, after]
                        + controller.D_K @ y[:, after])
-    return Trajectory(t=t_all, x=x, x_K=xk, u=u, y=y, t_on=t_on,
-                      diverged=diverged, final_state=z_all[:, -1])
+    return Trajectory(t=t_all, x=x, x_K=xk, u=u, y=y, diverged=diverged,
+                      final_state=z_all[:, -1])
 
 
 def transient_curve(A_cl, J, t_grid):

@@ -64,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     ConsistencyError,
     EnumerationError,
     NumericalError,
@@ -98,22 +99,16 @@ class NormReport:
 
     maximizer keys depend on the norm: "omega" (frequency), "t" (time),
     "eta" (resolvent family parameter), "channel", "sign_pattern", "row".
-    certification, when present, is an oracle (lower, upper) pair that must
-    bracket value.  evaluations counts inner norm/decomposition calls.
+    evaluations counts inner norm/decomposition calls.
     """
 
     value: float
     maximizer: dict
-    certification: tuple | None = None
     evaluations: int = 0
 
     def as_dict(self) -> dict:
-        out = {"value": self.value, "maximizer": self.maximizer,
-               "evaluations": self.evaluations}
-        if self.certification is not None:
-            out["certification"] = {"lower": self.certification[0],
-                                    "upper": self.certification[1]}
-        return out
+        return {"value": self.value, "maximizer": self.maximizer,
+                "evaluations": self.evaluations}
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,12 @@ class KreissOptions:
 
     grid_points: int = 200
     hinf_tol: float = 1e-8
-    max_local_maxima: int = 8
+
+    def __post_init__(self):
+        if self.grid_points < 2:
+            raise ArgumentError("grid_points", "must be at least 2")
+        if not self.hinf_tol > 0:
+            raise ArgumentError("hinf_tol", "must be positive")
 
 
 @dataclass
@@ -323,8 +323,8 @@ def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     and evaluation count do not depend on the rest of the stack.  Returns
     (values, omegas, evaluations), one entry per member.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    if not tol > 0:
+        raise ArgumentError("tol", "must be positive")
     E, n = A.shape[0], A.shape[-1]
     sigma_d = float(np.linalg.svd(D, compute_uv=False)[0]) if D.size else 0.0
     best = np.full(E, sigma_d)
@@ -404,10 +404,9 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
 
     A gain that moves by one ulp can change the bisection's steps, so the
     value and the evaluation count reproduce only to tol, not bitwise,
-    across numpy and LAPACK builds.
+    across numpy and LAPACK builds.  Raises ArgumentError unless tol is
+    positive.
     """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
     sys.require_stable("H-infinity norm")
     value, omega, evals = _hinf_lockstep(sys.A[None], sys.B, sys.C, sys.D,
                                          tol)
@@ -427,6 +426,9 @@ _REFINE_XTOL = 1e-7
 
 #: a refined point is active when it reaches this fraction of the maximum
 _ACTIVE_RTOL = 1e-6
+
+#: golden-section refinement runs from at most this many local maxima
+_MAX_LOCAL_MAXIMA = 8
 
 
 def kreiss_family_matrix(A: np.ndarray, eta) -> np.ndarray:
@@ -523,7 +525,7 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     local_max = _local_maxima(vals)
     # largest first, ties in grid order
     local_max = local_max[np.argsort(-vals[local_max], kind="stable")]
-    local_max = local_max[: opts.max_local_maxima]
+    local_max = local_max[:_MAX_LOCAL_MAXIMA]
 
     best_val = float(vals[order[0]])
     best_eta = float(grid[order[0]])

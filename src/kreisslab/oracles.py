@@ -52,9 +52,6 @@ class OracleReport:
     argmax: dict
     grid: dict
 
-    def interval(self):
-        return (self.value - self.uncertainty, self.value + self.uncertainty)
-
 
 def _check_size(sys: StateSpace):
     if sys.n > MAX_ORACLE_ORDER:
@@ -242,6 +239,6 @@ def l2_to_peak_sampled(sys: StateSpace) -> OracleReport:
 
 
 def certification_interval(report: OracleReport):
-    """(lower, upper) bracket for a NormReport certification field."""
-    lo, hi = report.interval()
-    return (max(lo, 0.0), hi)
+    """(value - uncertainty, value + uncertainty), the lower end >= 0."""
+    return (max(report.value - report.uncertainty, 0.0),
+            report.value + report.uncertainty)

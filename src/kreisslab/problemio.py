@@ -83,7 +83,6 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
 
 @dataclass(eq=False)
 class Problem:
-    version: int
     system: StateSpace | None = None
     model: NonlinearModel | None = None
     controller: ControllerRealization | None = None
@@ -187,7 +186,7 @@ def load_problem(path) -> Problem:
     version = payload["version"]
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version}")
-    problem = Problem(version=int(version))
+    problem = Problem()
     if "system" in payload:
         problem.system = _parse_system(payload["system"])
     if "model" in payload:

@@ -31,26 +31,22 @@ __all__ = [
 class SubgradientSet:
     """{sum_k Q_k Y_k P_k^H : Y_k >= 0, sum_k Tr(Y_k) = 1}.
 
-    pairs holds the active (Q_k, P_k) singular blocks; multipliers, when
-    set, select one element of the set.
+    pairs holds the active (Q_k, P_k) singular blocks; element(multipliers)
+    selects one element of the set.
     """
 
     pairs: list
-    multipliers: list | None = None
 
     def element(self, multipliers=None) -> np.ndarray:
-        ys = multipliers if multipliers is not None else self.multipliers
-        if ys is None:
+        if multipliers is None:
             # uniform trace split over the active blocks
-            ys = []
             total = sum(q.shape[1] for q, _ in self.pairs)
-            for q, _ in self.pairs:
-                ys.append(np.eye(q.shape[1]) / total)
-        trace = sum(float(np.trace(Y)) for Y in ys)
+            multipliers = [np.eye(q.shape[1]) / total for q, _ in self.pairs]
+        trace = sum(float(np.trace(Y)) for Y in multipliers)
         if abs(trace - 1.0) > 1e-10:
             raise PreconditionError("multiplier traces must sum to 1")
         out = None
-        for (Q, P), Y in zip(self.pairs, ys):
+        for (Q, P), Y in zip(self.pairs, multipliers):
             term = Q @ Y @ P.conj().T
             out = term if out is None else out + term
         return out

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     NumericalError,
-    PreconditionError,
     StabilityError,
     SynthesisError,
 )
@@ -75,8 +75,7 @@ _FD_STEP = 1e-6
 #: H-infinity tolerance of the roll-off norm
 _ROLLOFF_TOL = 1e-7
 #: the coarse eta grid of the descent's Kreiss evaluations
-_DESCENT_KREISS = KreissOptions(grid_points=48, hinf_tol=1e-7,
-                                max_local_maxima=4)
+_DESCENT_KREISS = KreissOptions(grid_points=48, hinf_tol=1e-7)
 
 
 @dataclass(eq=False)
@@ -94,7 +93,9 @@ class SynthesisSpec:
         if self.eta_rate < 0:
             raise SynthesisError("decay rate must be nonnegative")
         if self.restarts < 1:
-            raise PreconditionError("restarts must be at least 1")
+            raise ArgumentError("restarts", "must be at least 1")
+        if self.seed < 0:
+            raise ArgumentError("seed", "must be at least 0")
         if self.rolloff_weight is not None:
             self.rolloff_weight.require_stable("roll-off weight")
 

@@ -137,6 +137,13 @@ def test_yorke_passes_for_linear_contraction():
     assert rep.passed
 
 
+def test_yorke_needs_a_nonnegative_seed():
+    cert = PolyCertificate(V1={(2, 0): 1.0, (0, 2): 1.0}, V2={}, n_vars=2)
+    with pytest.raises(PreconditionError, match="seed must be at least 0"):
+        yorke_sample_check(cert, lambda x: -x, lambda x: -np.eye(2),
+                           samples=10, seed=-1)
+
+
 def test_yorke_determinism_given_seed():
     model = brunton2_model(brunton2_default())
     ctrl = first_order_certificate_controller()

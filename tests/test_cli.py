@@ -197,12 +197,14 @@ def test_oracle_oversize_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("problem,norm", [("example3", "m0"),
                                           ("example3", "hinf"),
-                                          ("example8", "pkgain")])
+                                          ("example8", "pkgain"),
+                                          ("example3", "kreiss")])
 def test_oracle_grid_too_small_is_an_error(capsys, problem, norm):
     code, out, err = run(capsys, "oracle", PROBLEMS / f"{problem}.json",
                          "--norm", norm, "--grid", "0")
-    assert (code, out) == (1, "")
-    assert "at least 2 points" in err
+    assert (code, out) == (3, "")
+    assert err.startswith("schema error: --grid: ") and \
+        "at least 2 points" in err and err.count("\n") == 1
 
 
 def test_simulate_lorenz_converges(capsys, tmp_path):
@@ -244,8 +246,10 @@ def test_simulate_open_loop_chaotic_trace_bounded(capsys, tmp_path):
     ("--x0", "1,1,1", "--t-final", "0"),
     ("--x0", "1,1,1", "--t-on", "-2", "--t-final", "-1"),
     ("--x0", "1e200,1,1", "--t-final", "2"),
+    ("--x0", "0.5,0.2", "--t-final", "5"),
 ], ids=["t_on_after_t_final", "t_final_nan", "t_final_inf", "x0_not_numbers",
-        "x0_nan", "t_final_zero", "negative_times", "x0_beyond_blowup"])
+        "x0_nan", "t_final_zero", "negative_times", "x0_beyond_blowup",
+        "x0_too_short"])
 def test_simulate_time_order_schema_error(capsys, argv):
     # rejected before any step: a NaN or inf bound would never be reached
     code, out, err = run(capsys, "simulate",
@@ -315,6 +319,46 @@ def test_certify_yorke_pass(capsys):
                        "--certificate", PROBLEMS / "brunton2_first_order_V.json")
     assert code == 0
     assert json.loads(out)["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "example3.json", "--norm", "kreiss", "--tol", "0"),
+    ("analyze", "example3.json", "--norm", "hinf", "--tol", "nan"),
+    ("analyze", "example3.json", "--norm", "m0", "--certify", "--grid", "1"),
+    ("oracle", "example3.json", "--norm", "kreiss", "--grid", "-1"),
+    ("synthesize", "lorenz_chaos_synth.json", "--structure", "static",
+     "--restarts", "1", "--seed", "-1"),
+    ("certify", "brunton2_first_order_certframe.json", "--method", "yorke",
+     "--certificate", PROBLEMS / "brunton2_first_order_V.json",
+     "--samples", "10", "--seed", "-1"),
+    ("certify", "lorenz_chaos_static_x.json", "--method", "qc",
+     "--epsilon", "nan"),
+    ("certify", "lorenz_chaos_static_x.json", "--method", "qc",
+     "--epsilon", "inf"),
+], ids=["tol_zero", "tol_nan", "certify_grid", "oracle_grid", "synth_seed",
+        "yorke_seed", "epsilon_nan", "epsilon_inf"])
+def test_out_of_range_flag_is_a_schema_error(capsys, argv):
+    command, problem, *rest = argv
+    flag = rest[-2]     # each case's last flag is the one out of range
+    code, out, err = run(capsys, command, PROBLEMS / problem, *rest)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"schema error: {flag}: ") and err.count("\n") == 1
+
+
+def test_certify_qc_rejects_a_negative_epsilon(capsys, tmp_path):
+    # the gain -20 leaves the Lorenz loop an eigenvalue at +4.51; with
+    # eps < 0 its LMI A^T X + X A + eps X < 0 is feasible and proves nothing
+    payload = json.loads((PROBLEMS / "lorenz_chaos_static_x.json").read_text())
+    payload["controller"]["static"]["data"] = [-20.0]
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "certify", path, "--method", "qc")
+    assert code == 0 and json.loads(out)["verdict"] == "FAIL"
+    code, out, err = run(capsys, "certify", path, "--method", "qc",
+                         "--epsilon", "-20")
+    assert (code, out) == (3, "")
+    assert err == ("schema error: --epsilon: epsilon must be finite and at "
+                   "least 0\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

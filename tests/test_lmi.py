@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,7 +42,7 @@ def test_sdp_scalar_interval_feasible():
     # diag(y - 1, -y) < 0 is feasible exactly on 0 < y < 1
     blk = LmiBlock(F0=np.diag([-1.0, 0.0]), coeffs=[np.diag([1.0, -1.0])],
                    margin=1e-7)
-    res = sdp_feasibility(LmiProblem(blocks=[blk], n_vars=1))
+    res = sdp_feasibility(LmiProblem(blocks=[blk]))
     assert res.feasible
     assert 0.0 < res.y[0] < 1.0
     assert res.margin < 0
@@ -48,15 +50,15 @@ def test_sdp_scalar_interval_feasible():
 
 def test_sdp_constant_identity_infeasible():
     blk = LmiBlock(F0=np.eye(2), coeffs=[], margin=1e-7)
-    res = sdp_feasibility(LmiProblem(blocks=[blk], n_vars=0))
+    res = sdp_feasibility(LmiProblem(blocks=[blk]))
     assert res.status == "infeasible"
     assert res.reason == "no variables"
     X = res.certificate[0]
     assert np.trace(X) == pytest.approx(1.0)
     assert np.sum((blk.F0 + blk.margin * np.eye(2)) * X) > 0.0
     # a variable that appears in no block leaves a constant problem too
-    blk = LmiBlock(F0=-np.eye(2), coeffs=[None], margin=1e-7)
-    res = sdp_feasibility(LmiProblem(blocks=[blk], n_vars=1))
+    blk = LmiBlock(F0=-np.eye(2), coeffs=[np.zeros((2, 2))], margin=1e-7)
+    res = sdp_feasibility(LmiProblem(blocks=[blk]))
     assert (res.status, res.reason, res.certificate) == \
         ("feasible", "no variables", None)
 
@@ -86,31 +88,20 @@ def test_sdp_infeasible_carries_checked_farkas_certificate():
 def test_sdp_rejects_asymmetric_blocks():
     with pytest.raises(DimensionError):
         LmiProblem(blocks=[LmiBlock(F0=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                    coeffs=[], margin=0.0)], n_vars=0)
+                                    coeffs=[], margin=0.0)])
 
 
-def _same_result(a, b):
-    return (a.status, a.reason, a.iterations, a.margin, a.y.tobytes()) == \
-        (b.status, b.reason, b.iterations, b.margin, b.y.tobytes()) and \
-        (a.certificate is None) == (b.certificate is None) and \
-        all(np.array_equal(Xa, Xb) for Xa, Xb
-            in zip(a.certificate or [], b.certificate or []))
-
-
-@pytest.mark.parametrize("F0", [np.diag([-1.0, 0.0]), np.eye(2)])
-def test_none_coefficient_equals_explicit_zero(F0):
-    # a variable a block omits is a zero coefficient in that block; F0 = I
-    # makes the problem infeasible, so the certificates are compared too
-    def solve(hole):
-        return sdp_feasibility(LmiProblem(blocks=[
-            LmiBlock(F0=F0, coeffs=[np.diag([1.0, -1.0]), hole],
-                     margin=1e-7),
-            LmiBlock(F0=[[-0.5]], coeffs=[[[1.0]], [[0.5]]], margin=1e-7)],
-            n_vars=2))
-
-    none, zero = solve(None), solve(np.zeros((2, 2)))
-    assert none.status == ("feasible" if F0[0, 0] < 0 else "infeasible")
-    assert _same_result(none, zero)
+def test_problem_derives_its_variable_count_from_the_blocks():
+    # each block owns its coefficient stack, with a zero matrix for a
+    # variable it omits; the blocks must agree on the count
+    blk = LmiBlock(F0=-np.eye(2), coeffs=[np.eye(2), np.zeros((2, 2))],
+                   margin=0.0)
+    assert blk.coeffs.shape == (2, 2, 2)
+    assert LmiProblem(blocks=[blk]).n_vars == 2
+    assert LmiProblem(blocks=[]).n_vars == 0
+    with pytest.raises(DimensionError):
+        LmiProblem(blocks=[blk, LmiBlock(F0=[[-1.0]], coeffs=[[[1.0]]],
+                                         margin=0.0)])
 
 
 @pytest.mark.parametrize("d", range(5))
@@ -171,6 +162,11 @@ def test_lossless_violated_by_perturbed_nonlinearity():
 def test_lossless_check_needs_a_sample(samples):
     with pytest.raises(PreconditionError, match="at least 1"):
         lossless_check(lorenz_model(lorenz_chaos()), samples=samples)
+
+
+def test_lossless_check_needs_a_nonnegative_seed():
+    with pytest.raises(PreconditionError, match="seed must be at least 0"):
+        lossless_check(lorenz_model(lorenz_chaos()), samples=10, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +234,25 @@ def test_qc_partition_mismatch():
         qc_analysis(lorenz_A(), (2, 2, 2), epsilon=1e-3)
 
 
+@pytest.mark.parametrize("eps", [-20.0, -1e-3, math.nan, math.inf])
+def test_lmi_routes_need_a_finite_nonnegative_epsilon(eps):
+    # with eps < 0, A^T X + X A + eps X < 0 admits an unstable A: the gain
+    # -20 leaves the Lorenz loop an eigenvalue at +4.51
+    A = lorenz_A()
+    routes = [
+        lambda: qc_analysis(A + B_LORENZ @ np.array([[-20.0]]) @ C_X,
+                            (1, 2, 0), epsilon=eps),
+        lambda: sf_synthesis(A, B_LORENZ, n_phi=2, epsilon=eps),
+        lambda: of_existence(A, B_LORENZ, C_X, n_phi=2, epsilon=eps),
+        lambda: reconstruct_controller(A, B_LORENZ, C_X, np.eye(1),
+                                       np.eye(1), n_K=1, epsilon=eps),
+    ]
+    for route in routes:
+        with pytest.raises(PreconditionError,
+                           match="epsilon must be finite and at least 0"):
+            route()
+
+
 # ---------------------------------------------------------------------------
 # Elimination soundness: full form with mu0 = -1 vs reduced structure
 # ---------------------------------------------------------------------------
@@ -290,10 +305,9 @@ def _full_qc_feasibility(A_cl, B_w_cl, eps):
         E = xmat(z) - X0
         coeffs_l.append(A_cl.T @ E + E @ A_cl + eps * E)
         coeffs_p.append(-E)
-    blocks = [LmiBlock(F0=lyap0, coeffs=coeffs_l, margin=strict_margin(lyap0),
-                       name="lyap"),
-              LmiBlock(F0=-X0, coeffs=coeffs_p, margin=1e-8, name="pd")]
-    res = sdp_feasibility(LmiProblem(blocks=blocks, n_vars=null.shape[1]))
+    blocks = [LmiBlock(F0=lyap0, coeffs=coeffs_l, margin=strict_margin(lyap0)),
+              LmiBlock(F0=-X0, coeffs=coeffs_p, margin=1e-8)]
+    res = sdp_feasibility(LmiProblem(blocks=blocks))
     return res.status
 
 
@@ -365,8 +379,7 @@ def test_congruence_equivalence_sf_forms(rng):
                            margin=strict_margin(lyap(const))),
                   LmiBlock(F0=-const, coeffs=[-M for M in mats],
                            margin=1e-8)]
-        return sdp_feasibility(LmiProblem(blocks=blocks,
-                                          n_vars=len(mats))).status
+        return sdp_feasibility(LmiProblem(blocks=blocks)).status
 
     for _ in range(8):
         A = rng.standard_normal((3, 3))
@@ -413,7 +426,7 @@ def test_reconstruct_controller_lorenz_chaos():
     A = lorenz_A(28.0)
     res = of_existence(A, B_LORENZ, C_X, n_phi=2, epsilon=1e-3)
     ctrl, theta_res = reconstruct_controller(A, B_LORENZ, C_X, res.X, res.Y,
-                                             n_K=1, epsilon=1e-3, n_phi=2)
+                                             n_K=1, epsilon=1e-3)
     assert theta_res.feasible
     plant = StateSpace(A, B_LORENZ, C_X)
     cl = assemble_closed_loop(plant, ctrl)
@@ -425,7 +438,7 @@ def test_reconstruct_controller_fixed_point_regime():
     A = lorenz_A(10.0)
     res = of_existence(A, B_LORENZ, C_X, n_phi=2, epsilon=1e-3)
     ctrl, theta_res = reconstruct_controller(A, B_LORENZ, C_X, res.X, res.Y,
-                                             n_K=1, epsilon=1e-3, n_phi=2)
+                                             n_K=1, epsilon=1e-3)
     assert theta_res.feasible
     plant = StateSpace(A, B_LORENZ, C_X)
     cl = assemble_closed_loop(plant, ctrl)
@@ -440,7 +453,7 @@ def test_reconstruct_static_agrees_with_sf_route():
     assert res.feasible
     ctrl, theta_res = reconstruct_controller(A, B_LORENZ, C, res.X,
                                              np.atleast_2d(1.0 / res.X),
-                                             n_K=0, epsilon=1e-3, n_phi=2)
+                                             n_K=0, epsilon=1e-3)
     assert theta_res.feasible
     A_cl = A + B_LORENZ @ ctrl.D_K
     assert qc_analysis(A_cl, (1, 2, 0), epsilon=1e-3).feasible

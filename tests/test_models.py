@@ -220,6 +220,8 @@ def test_simulation_rejects_bad_times():
     model = lorenz_model(lorenz_chaos())
     with pytest.raises(PreconditionError):
         simulate_closed_loop(model, None, [1, 1, 1], t_on=10.0, t_final=5.0)
+    with pytest.raises(PreconditionError, match="x0 must have 3 entries"):
+        simulate_closed_loop(model, None, [0.5, 0.2], t_on=0.0, t_final=5.0)
 
 
 def test_simulation_step_budget(monkeypatch):
@@ -337,7 +339,7 @@ def test_trajectory_csv_matches_per_element_format(tmp_path):
         x_K=np.array([[np.nan, 1e300, -1e-300]]),
         u=np.array([[0.1, 0.2, -0.0], [1.0, 2.0, 3.0]]),
         y=np.array([[5.0, np.nan, 6.0], [-7.5, 8.25, 123456789.123456789]]),
-        t_on=0.5, diverged=False, final_state=np.zeros(3))
+        diverged=False, final_state=np.zeros(3))
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path)
     ref = tmp_path / "ref.csv"
@@ -422,19 +424,6 @@ def test_transient_curve_peak_matches_m0():
 def test_transient_curve_requires_stability():
     with pytest.raises(StabilityError):
         transient_curve(np.eye(2), np.eye(2), [0.0, 1.0])
-
-
-def test_default_horizon_tracks_slowest_mode():
-    from kreisslab.models import default_horizon
-    model = lorenz_model(lorenz_chaos(), measurement="x")
-    ctrl = ControllerRealization.static([[-27.01]])
-    plant = StateSpace(model.A, model.B_u, model.C_y)
-    alpha = np.max(np.linalg.eigvals(
-        assemble_closed_loop(plant, ctrl).A_cl).real)
-    horizon = default_horizon(model, ctrl, t_on=15.0)
-    assert horizon == pytest.approx(15.0 + 3.0 / abs(alpha))
-    traj = simulate_closed_loop(model, ctrl, [1.0, 1.0, 1.0], t_on=15.0)
-    assert traj.t[-1] == pytest.approx(horizon)
 
 
 def test_trajectory_and_curve_csv_formats(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -146,6 +148,23 @@ def test_kreiss_rejects_direct_transmission():
 def test_kreiss_requires_stability():
     with pytest.raises(StabilityError):
         kreiss_norm(StateSpace([[0.1]], [[1.0]], [[1.0]]))
+
+
+@pytest.mark.parametrize("grid_points", [1, 0])
+def test_kreiss_grid_needs_both_ends(grid_points):
+    # one grid point returned 0.0 for EX3 (Kreiss norm 0.17157), none
+    # indexed an empty grid
+    with pytest.raises(PreconditionError, match="grid_points"):
+        KreissOptions(grid_points=grid_points)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+def test_hinf_tolerance_must_be_positive(tol):
+    # a NaN tolerance passed a "tol <= 0" test and reached LAPACK
+    with pytest.raises(PreconditionError, match="tol must be positive"):
+        hinf_norm(EX3, tol=tol)
+    with pytest.raises(PreconditionError, match="hinf_tol must be positive"):
+        KreissOptions(hinf_tol=tol)
 
 
 def test_kreiss_similarity_invariance(rng):

@@ -197,6 +197,12 @@ def test_spec_needs_a_restart(restarts):
         SynthesisSpec(plant=plant, restarts=restarts)
 
 
+def test_spec_needs_a_nonnegative_seed():
+    plant = StateSpace([[0.5]], [[1.0]], [[1.0]])
+    with pytest.raises(PreconditionError, match="seed must be at least 0"):
+        SynthesisSpec(plant=plant, seed=-1)
+
+
 def test_minimize_infeasible_actuation_fails():
     plant = StateSpace([[0.5]], [[0.0]], [[1.0]])  # zero control channel
     spec = SynthesisSpec(plant=plant, restarts=2, seed=0)
