@@ -5,8 +5,9 @@ quadratic/cubic nonlinearities, fixed-point and limit-cycle geometry, the
 closed-loop vector field and its Jacobian (built on assemble_closed_loop,
 evaluated on one state or a batch of states), switched-on closed-loop
 integration of that field (an in-house Dormand-Prince 5(4) stepper that
-takes scipy's RK45 steps, restarted exactly at the switch time, with a
-blow-up event) and transient-amplification curves.
+takes scipy's RK45 steps, restarted exactly at the switch time, whose
+samples stop before the first one beyond the blow-up radius) and
+transient-amplification curves.
 """
 
 from __future__ import annotations
@@ -360,81 +361,22 @@ def _norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
-#: scipy.optimize.brentq's default iteration cap
-_BRENT_MAX_ITER = 100
-
-
-def _brentq(f, xa, xb, xtol, rtol):
-    """A root of f in [xa, xb], where f changes sign, by Brent's method:
-    the steps, evaluations and result of scipy.optimize.brentq with the
-    same tolerances (scipy/optimize/Zeros/brentq.c, after Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4), which
-    also stops on a NaN value."""
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry     # good short step
-            else:
-                spre = scur = sbis          # bisect
-        else:
-            spre = scur = sbis              # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(
-        f"Failed to converge after {_BRENT_MAX_ITER} iterations.")
-
-
 def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
     """Integrate z' = field(z) from z(t0) = z0 to t_bound > t0.
 
-    Runs the algorithm of scipy's ``solve_ivp(method="RK45")`` with a
-    terminal, upward blow-up event ||z|| - radius, on the numpy and BLAS
-    calls of scipy 1.17's RK45, so its steps, field evaluations and
-    samples are bitwise those of that call; what it leaves out is
-    solve_ivp's per-step machinery.  Returns (t, z, nfev, diverged), the samples at the sorted
-    times t_eval in [t0, t_bound] that the integration reached, shaped
-    (k,) and (n, k).  diverged is set when the event fired (the samples
-    stop at the crossing, located on the step's dense output) or when the
-    step size fell below 10 ulp(t) or became NaN (an overflowed field, on
-    which solve_ivp steps forever).  Raises NumericalError after
+    Runs the algorithm of scipy's ``solve_ivp(method="RK45")`` on the
+    numpy and BLAS calls of scipy 1.17's RK45, so its steps and field
+    evaluations are bitwise those of that call with a terminal, upward
+    blow-up event ||z|| - radius; what it leaves out is solve_ivp's
+    per-step machinery.  Needs ||z0|| < radius.  Returns (t, z, nfev,
+    diverged), the samples at the sorted times t_eval in [t0, t_bound]
+    that the integration reached, shaped (k,) and (n, k).  diverged is set
+    when a step ends at or beyond the radius (its dense-output samples
+    stop before the first one beyond it: solve_ivp's samples, which stop
+    at the event's root, unless one lies within a few ulp of the crossing
+    or the norm crosses the radius more than once inside the step) or when
+    the step size fell below 10 ulp(t) or became NaN (an overflowed field,
+    on which solve_ivp steps forever).  Raises NumericalError after
     _MAX_STEPS step attempts.
     """
     rtol = max(rtol, 100 * _EPS)
@@ -464,7 +406,6 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
     times = t_eval.tolist()
     i = 0
     zs = []
-    g = _norm(y) - radius
     t = t0
     diverged = False
     steps = 0
@@ -504,25 +445,24 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
             break
         t_old, y_old = t, y
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
-        Q = K_all.dot(_DP_P)    # dense output y_old + h Q (x, x^2, x^3, x^4)
-        g_new = _norm(y) - radius
-        if g <= 0 <= g_new:
-            def blowup(s):
-                p = np.cumprod(np.tile((s - t_old) / h, 4))
-                return _norm(h * np.dot(Q, p) + y_old) - radius
-
-            t = _brentq(blowup, t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-            diverged = True
-        g = g_new
+        # every step starts inside the radius, so this is an upward crossing
+        diverged = _norm(y) >= radius
         j = i
         while j < len(times) and times[j] <= t:
             j += 1
         if j > i:
+            # dense output y_old + h Q (x, x^2, x^3, x^4)
+            Q = K_all.dot(_DP_P)
             p = np.empty((4, j - i))
             p[:] = (t_eval[i:j] - t_old) / h
             p.cumprod(axis=0, out=p)
             z = h * np.dot(Q, p)
             z += y_old[:, None]
+            if diverged:    # stop before the first sample beyond the radius
+                beyond = np.linalg.norm(z, axis=0) > radius
+                if beyond.any():
+                    j = i + int(beyond.argmax())
+                    z = z[:, :j - i]
             zs.append(z)
             i = j
     return (t_eval[:i], np.hstack(zs) if zs else np.empty((n, 0)), nfev,
@@ -537,16 +477,16 @@ def simulate_closed_loop(model: NonlinearModel,
     The integration restarts exactly at t_on (controller state starts at
     zero there) and ends at t_final.  Each segment runs the module's
     Dormand-Prince 5(4) stepper at the fixed tolerances _SIM_RTOL and
-    _SIM_ATOL, which takes the steps, field evaluations and samples of
-    scipy's ``solve_ivp(method="RK45")`` with the same blow-up event; the
-    samples are _SIM_POINTS uniform times and t_on.  Finite-time blowup
-    (||z|| crossing _BLOWUP_RADIUS, or a step below 10 ulp(t)) is reported
-    as a diverged trajectory; its final_state is the last sample before the
-    crossing.  Raises PreconditionError unless x0 and the times are
-    finite, x0 has one entry per plant state, 0 <= t_on <= t_final,
-    t_final > 0 and ||x0|| < _BLOWUP_RADIUS, and NumericalError when a
-    segment needs more than _MAX_STEPS (100,000) step attempts, as a start
-    far out on a fast loop can.
+    _SIM_ATOL, which takes the steps and field evaluations of scipy's
+    ``solve_ivp(method="RK45")``; the samples are _SIM_POINTS uniform times
+    and t_on.  Finite-time blowup (a step ending with ||z|| at or beyond
+    _BLOWUP_RADIUS, or a step below 10 ulp(t)) is reported as a diverged
+    trajectory; its samples stop before the first one beyond the radius,
+    and its final_state is the last of them.  Raises PreconditionError
+    unless x0 and the times are finite, x0 has one entry per plant state,
+    0 <= t_on <= t_final, t_final > 0 and ||x0|| < _BLOWUP_RADIUS, and
+    NumericalError when a segment needs more than _MAX_STEPS (100,000)
+    step attempts, as a start far out on a fast loop can.
     """
     if not (math.isfinite(t_on) and math.isfinite(t_final)):
         raise PreconditionError("t_on and t_final must be finite")
@@ -567,7 +507,7 @@ def simulate_closed_loop(model: NonlinearModel,
         raise PreconditionError(f"x0 must have {n} entries")
     if not np.isfinite(x0).all():
         raise PreconditionError("x0 must be finite")
-    # the blow-up event fires on an upward crossing only
+    # _dopri5 reads a step ending beyond the radius as an upward crossing
     if math.hypot(*x0) >= _BLOWUP_RADIUS:
         raise PreconditionError("x0 must lie inside the blow-up radius")
 

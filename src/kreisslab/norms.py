@@ -918,8 +918,11 @@ def peak_gain(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     choosing the horizon.  One kernel call evaluates every channel on an
     oscillation-resolving grid; the sign changes of all channels are then
     polished together to 1e-14 horizon, and each channel's segments and
-    tail are integrated in one call.
+    tail are integrated in one call.  Raises ArgumentError unless tol is
+    positive.
     """
+    if not tol > 0:
+        raise ArgumentError("tol", "must be positive")
     sys.require_stable("peak-gain norm")
     if sys.n == 0:
         value = float(np.abs(sys.D).sum(axis=1).max())

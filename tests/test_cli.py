@@ -62,7 +62,7 @@ def test_cli_runs_without_scipy(capsys, tmp_path):
     src = str(Path(kreisslab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # an unstable controller pole: x_K grows until the blow-up event fires
+    # an unstable controller pole: x_K grows past the blow-up radius
     problem = json.loads((PROBLEMS / "lorenz_chaos_qc_dynamic.json")
                          .read_text())
     problem["controller"] = {"tf": {"num": [1.0], "den": [1.0, -5.0]}}
@@ -139,6 +139,47 @@ def test_analyze_certified_within_oracle_bounds(capsys):
     lo = payload["certification"]["lower"]
     hi = payload["certification"]["upper"]
     assert lo <= payload["value"] <= hi
+
+
+HURWITZ_PROBLEMS = ["contraction", "example3", "example3_eps", "example4",
+                    "example4_matrix", "example8"]
+
+
+@pytest.mark.parametrize("norm", ["kreiss", "m0", "hinf", "pkgain",
+                                  "l2peak"])
+def test_analyze_certify_passes_on_every_bundled_system(capsys, norm):
+    # kreiss, m0 and hinf values above the grid's upper end (example8's
+    # Kreiss norm at the default grid among them) are the grid's misses
+    for name in HURWITZ_PROBLEMS:
+        code, out, err = run(capsys, "analyze", PROBLEMS / f"{name}.json",
+                             "--norm", norm, "--certify")
+        assert code == 0, (name, err)
+        cert = json.loads(out)["certification"]
+        value = json.loads(out)["value"]
+        assert cert["oracle_miss"] == (value > cert["upper"])
+        assert value >= cert["lower"] - 1e-12
+        if norm in ("pkgain", "l2peak"):
+            assert not cert["oracle_miss"]
+
+
+@pytest.mark.parametrize("norm", ["kreiss", "m0", "hinf", "pkgain",
+                                  "l2peak"])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_analyze_certify_escape_is_an_error(capsys, monkeypatch, norm, side):
+    # a value below the oracle's lower end always fails; one above its
+    # upper end fails only for the norms that do not report an attained gain
+    shift = 1.0 if side == "below" else -2.0
+    monkeypatch.setattr(
+        "kreisslab.oracles.certification_interval",
+        lambda rep: (rep.value + shift, rep.value + shift + 1.0))
+    code, out, err = run(capsys, "analyze", PROBLEMS / "example3.json",
+                         "--norm", norm, "--certify")
+    if side == "above" and norm in ("kreiss", "m0", "hinf"):
+        assert code == 0
+        assert json.loads(out)["certification"]["oracle_miss"] is True
+    else:
+        assert code == 1
+        assert "escapes its oracle bounds" in err
 
 
 def test_analyze_unstable_exit_code(capsys, tmp_path):

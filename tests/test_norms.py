@@ -6,6 +6,7 @@ import scipy.linalg
 
 from kreisslab import norms
 from kreisslab.errors import (
+    ArgumentError,
     EnumerationError,
     PreconditionError,
     StabilityError,
@@ -165,6 +166,14 @@ def test_hinf_tolerance_must_be_positive(tol):
         hinf_norm(EX3, tol=tol)
     with pytest.raises(PreconditionError, match="hinf_tol must be positive"):
         KreissOptions(hinf_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_peak_gain_tolerance_must_be_positive(tol):
+    # tol -1 and nan returned 0.0 (the peak gain is 0.5): the tail horizon
+    # never met a target that is not positive
+    with pytest.raises(ArgumentError, match="tol must be positive"):
+        peak_gain(EX3, tol=tol)
 
 
 def test_kreiss_similarity_invariance(rng):
