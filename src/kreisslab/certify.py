@@ -142,9 +142,9 @@ def load_certificate(path) -> PolyCertificate:
 
     Monomial keys are comma-separated exponent tuples, e.g. "1,0,1".
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
         n_vars = len(payload["variables"])
 
         def parse(block):
@@ -156,7 +156,7 @@ def load_certificate(path) -> PolyCertificate:
 
         return PolyCertificate(V1=parse(payload["V1"]),
                                V2=parse(payload["V2"]), n_vars=n_vars)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, AttributeError) as exc:
         raise SchemaError(f"bad certificate file: {exc}") from exc
 
 

@@ -3,10 +3,11 @@
 Subcommands: analyze (norm computations), synthesize (structured Kreiss
 minimization), simulate (switched closed-loop integration), certify
 (global-stability certificates), oracle (brute-force reference values).
-All file formats are documented in problemio.  Exit codes: 0 success,
-1 generic failure, 2 instability, 3 schema error or out-of-range flag,
-4 synthesis failure, 5 finite-time blowup, 6 indeterminate feasibility,
-7 oversized system.
+All file formats are documented in problemio.  ``main`` turns every
+failure into one stderr line and an exit code: 0 success, 1 generic
+failure, 2 instability, 3 schema error, malformed command line or
+out-of-range flag, 4 synthesis failure, 5 finite-time blowup,
+6 indeterminate feasibility, 7 oversized system.
 """
 
 from __future__ import annotations
@@ -60,6 +61,29 @@ EXIT_BLOWUP = 5
 EXIT_INDETERMINATE = 6
 EXIT_OVERSIZE = 7
 
+#: the norms with a brute-force oracle, for oracle and analyze --certify
+_ORACLE_NORMS = ("kreiss", "m0", "hinf", "pkgain", "l2peak")
+
+#: failure class -> exit code and stderr prefix, the first match winning;
+#: an ArgumentError is an out-of-range flag and names it
+_FAILURES = (
+    (ArgumentError, EXIT_SCHEMA, "schema error: --{name}: "),
+    (SchemaError, EXIT_SCHEMA, "schema error: "),
+    (StabilityError, EXIT_UNSTABLE, "stability error: "),
+    (SynthesisError, EXIT_SYNTH, "synthesis failed: "),
+    (IndeterminateError, EXIT_INDETERMINATE, "indeterminate: "),
+    (OversizeError, EXIT_OVERSIZE, "oversized system: "),
+    (KreisslabError, EXIT_FAIL, "error: "),
+    (OSError, EXIT_FAIL, "error: "),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise SchemaError: argparse's exit 2 means instability."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
 
 def _write_result(args, inputs: dict, result: dict,
                   metadata: dict | None = None) -> int:
@@ -72,6 +96,8 @@ def _write_result(args, inputs: dict, result: dict,
 
 
 def _norm_dispatch(name: str, sys: StateSpace, tol: float):
+    if not tol > 0:
+        raise ArgumentError("tol", "must be positive")
     kw = KreissOptions(hinf_tol=min(tol, 1e-6))
     if name == "kreiss":
         return kreiss_norm(sys, kw).as_dict()
@@ -101,31 +127,26 @@ def _oracle_dispatch(name: str, sys: StateSpace, grid: int):
     if grid < 2:
         raise SchemaError(f"--grid: needs at least 2 points, got {grid}")
     if name == "m0":
-        rep = oracles.m0_time_grid(sys, n_grid=grid)
-    elif name == "hinf":
-        rep = oracles.hinf_frequency_grid(sys, n_grid=grid)
-    elif name == "kreiss":
-        n_omega = max(200, int(np.sqrt(grid * 5)))
-        n_x = max(50, grid // n_omega)
-        rep = oracles.kreiss_halfplane_grid(sys, n_x=n_x, n_omega=n_omega)
-    elif name == "pkgain":
-        rep = oracles.peak_gain_grid(sys, n_grid=grid)
-    elif name == "l2peak":
-        rep = oracles.l2_to_peak_sampled(sys)
-    else:
-        raise SchemaError(f"unknown oracle norm '{name}'")
-    return rep
+        return oracles.m0_time_grid(sys, n_grid=grid)
+    if name == "hinf":
+        return oracles.hinf_frequency_grid(sys, n_grid=grid)
+    if name == "pkgain":
+        return oracles.peak_gain_grid(sys, n_grid=grid)
+    if name == "l2peak":
+        return oracles.l2_to_peak_sampled(sys)
+    n_omega = max(200, int(np.sqrt(grid * 5)))      # kreiss
+    n_x = max(50, grid // n_omega)
+    return oracles.kreiss_halfplane_grid(sys, n_x=n_x, n_omega=n_omega)
 
 
 def cmd_analyze(args) -> int:
+    if args.certify and args.norm not in _ORACLE_NORMS:
+        raise SchemaError(f"--certify: norm '{args.norm}' has no oracle "
+                          f"(choose from {', '.join(_ORACLE_NORMS)})")
     problem = load_problem(args.problem)
     sys_ = problem.require_system()
-    try:
-        result = _norm_dispatch(args.norm, sys_, args.tol)
-    except ArgumentError as exc:    # --tol not positive
-        raise SchemaError(f"--tol: {exc}") from None
-    if args.certify and args.norm in ("kreiss", "m0", "hinf", "pkgain",
-                                      "l2peak"):
+    result = _norm_dispatch(args.norm, sys_, args.tol)
+    if args.certify:
         rep = _oracle_dispatch(args.norm, sys_, args.grid)
         lo, hi = oracles.certification_interval(rep)
         value = result["value"]
@@ -165,12 +186,9 @@ def cmd_synthesize(args) -> int:
     plant, structure = _structure_for(problem, args.structure)
     if not np.any(plant.B):
         raise SynthesisError("plant has a zero control channel")
-    try:
-        spec = SynthesisSpec(plant=plant, eta_rate=problem.eta,
-                             rolloff_weight=problem.rolloff_weight,
-                             restarts=args.restarts, seed=args.seed)
-    except ArgumentError as exc:    # --restarts below 1 or --seed below 0
-        raise SchemaError(f"--{exc.name}: {exc}") from None
+    spec = SynthesisSpec(plant=plant, eta_rate=problem.eta,
+                         rolloff_weight=problem.rolloff_weight,
+                         restarts=args.restarts, seed=args.seed)
     res = minimize_kreiss(spec, structure)
     oracle = oracles.kreiss_halfplane_grid(
         assemble_closed_loop(plant, res.controller).channel())
@@ -231,11 +249,8 @@ def cmd_certify(args) -> int:
     if args.method == "qc":
         if controller is None:
             raise SchemaError("qc certification needs a controller")
-        try:
-            cert = lmi.qc_analysis_closed_loop(model, controller,
-                                               epsilon=args.epsilon)
-        except ArgumentError as exc:    # --epsilon negative or not finite
-            raise SchemaError(f"--{exc.name}: {exc}") from None
+        cert = lmi.qc_analysis_closed_loop(model, controller,
+                                           epsilon=args.epsilon)
         result = {"status": cert.status, "margin": cert.margin,
                   "epsilon": cert.epsilon,
                   "verdict": "PASS" if cert.feasible else
@@ -280,12 +295,9 @@ def cmd_certify(args) -> int:
             raise SchemaError("yorke needs --certificate FILE")
         cert = cert_mod.load_certificate(args.certificate)
         field, jac = models.closed_loop_field(model, controller)
-        try:
-            rep = cert_mod.yorke_sample_check(cert, field, jac,
-                                              samples=args.samples,
-                                              seed=args.seed)
-        except ArgumentError as exc:    # --samples below 1 or --seed below 0
-            raise SchemaError(f"--{exc.name}: {exc}") from None
+        rep = cert_mod.yorke_sample_check(cert, field, jac,
+                                          samples=args.samples,
+                                          seed=args.seed)
         result = {"min_neg_vdot": rep.min_neg_vdot, "samples": rep.samples,
                   "verdict": "PASS" if rep.passed else "FAIL",
                   "note": "sampling falsifies; a pass is evidence, not proof"}
@@ -306,7 +318,7 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kreisslab",
         description="Transient-assessment norms, Kreiss-norm controller "
                     "synthesis and stability certification")
@@ -315,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compute a system norm")
     p.add_argument("problem")
     p.add_argument("--norm", required=True,
-                   choices=["kreiss", "m0", "hinf", "pkgain", "l2peak",
-                            "entrywise", "signpattern", "hankel", "cb"])
+                   choices=[*_ORACLE_NORMS, "entrywise", "signpattern",
+                            "hankel", "cb"])
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--certify", action="store_true")
     p.add_argument("--grid", type=int, default=100000)
@@ -354,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force reference value")
     p.add_argument("problem")
-    p.add_argument("--norm", required=True,
-                   choices=["kreiss", "m0", "hinf", "pkgain", "l2peak"])
+    p.add_argument("--norm", required=True, choices=_ORACLE_NORMS)
     p.add_argument("--grid", type=int, default=100000)
     p.add_argument("--report")
     p.set_defaults(func=cmd_oracle)
@@ -363,28 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; every failure leaves through ``_FAILURES``."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except StabilityError as exc:
-        print(f"stability error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except SynthesisError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_SYNTH
-    except IndeterminateError as exc:
-        print(f"indeterminate: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    except OversizeError as exc:
-        print(f"oversized system: {exc}", file=sys.stderr)
-        return EXIT_OVERSIZE
-    except KreisslabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except (KreisslabError, OSError) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in _FAILURES
+                            if isinstance(exc, cls))
+        print(prefix.format(name=getattr(exc, "name", None)) + str(exc),
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -524,13 +524,6 @@ def lossless_check(model, samples: int = 100000, seed: int = 0):
 # State-feedback synthesis (lossless channel)
 # ---------------------------------------------------------------------------
 
-def _diagY_embed(n, d1):
-    """Constant and variable basis of diag(Y, I_{n-d1}), Y symmetric."""
-    const = np.zeros((n, n))
-    const[d1:, d1:] = np.eye(n - d1)
-    return const, _sym_vars(n, 0, d1)
-
-
 def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3):
     """State-feedback gain certifying the structured Lyapunov inequality.
 
@@ -546,7 +539,7 @@ def sf_synthesis(A, B, n_phi: int, epsilon: float = 1e-3):
     d1 = n - n_phi
     if d1 < 0:
         raise DimensionError("n_phi exceeds the state dimension")
-    constY, matsY = _diagY_embed(n, d1)
+    constY, matsY = _qc_variables((d1, n_phi, 0))   # diag(Y, I)
     n_y = len(matsY)
     n_w = p * n
     BW = B @ _units(p, n)
@@ -614,7 +607,7 @@ def of_existence(A, B, C, n_phi: int, epsilon: float = 1e-3) -> OfExistence:
         raise DimensionError("n_phi exceeds the state dimension")
     N_C = null_space_basis(C)
     N_B = null_space_basis(B.T)
-    constX, matsX = _diagY_embed(n, d1)
+    constX, matsX = _qc_variables((d1, n_phi, 0))   # diag(X, I)
     n_each = len(matsX)
 
     blocks = []

@@ -588,8 +588,8 @@ def _mode_sum(E: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 class _Impulse:
-    """The impulse response C A^k e^{At} B, k = 0 or 1, on batches of times,
-    and the transfer gains sigma_max(G(s)) on batches of complex points.
+    """The impulse response C e^{At} B and its channels' derivatives on
+    batches of times, and sigma_max(G(s)) on batches of complex points.
 
     When cond(V) of the eigenvector basis V of A is below ``_MODAL_COND``,
     every entry is the residue sum of Re(r_l lam_l^k e^{lam_l t}) over the
@@ -615,18 +615,18 @@ class _Impulse:
             self.res = (res, res * w[:, None])
         self.output = (sys.C, sys.C @ sys.A)            # C A^k, k = 0, 1
 
-    def matrices(self, t: np.ndarray, k: int = 0) -> np.ndarray:
-        """C A^k e^{A t_q} B for every time t_q: (T, m, p)."""
+    def matrices(self, t: np.ndarray) -> np.ndarray:
+        """C e^{A t_q} B for every time t_q: (T, m, p)."""
         sys = self.sys
         out = np.empty((t.size, sys.m, sys.p))
         for lo in range(0, t.size, _TIME_CHUNK):
             sl = slice(lo, lo + _TIME_CHUNK)
             if self.modal:
                 E = np.exp(np.outer(self.lam, t[sl]))[:, None, :]
-                out[sl] = _mode_sum(E, self.res[k][:, :, None]).T.reshape(
+                out[sl] = _mode_sum(E, self.res[0][:, :, None]).T.reshape(
                     -1, sys.m, sys.p)
             else:
-                out[sl] = (self.output[k] @ expm(
+                out[sl] = (sys.C @ expm(
                     sys.A * t[sl, None, None])) @ sys.B
         return out
 
@@ -641,11 +641,11 @@ class _Impulse:
         G += sys.D                # in place: a copy slows the oracle grids
         return _sigma_max(G)
 
-    def grid(self, ts: np.ndarray, k: int = 0) -> np.ndarray:
-        """matrices(ts, k) on a uniform grid ts of at least two points
+    def grid(self, ts: np.ndarray) -> np.ndarray:
+        """matrices(ts) on a uniform grid ts of at least two points
         from 0."""
         if self.modal:
-            return self.matrices(ts, k)
+            return self.matrices(ts)
         sys = self.sys
         step = expm(sys.A * (ts[1] - ts[0]))
         out = np.empty((ts.size, sys.m, sys.p))
@@ -656,7 +656,7 @@ class _Impulse:
             X[0] = sys.B if lo == 0 else step @ X[-1]
             for q in range(1, size):
                 X[q] = step @ X[q - 1]
-            out[lo:lo + size] = self.output[k] @ X[:size]
+            out[lo:lo + size] = sys.C @ X[:size]
         return out
 
     def channels(self, t: np.ndarray, c: np.ndarray) -> np.ndarray:

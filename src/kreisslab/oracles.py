@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import OversizeError, PreconditionError
 from .norms import (_Impulse, _on_imaginary_axis, _sigma_max,  # shared kernels
-                    _tail_horizon, _write_hamiltonians)
+                    _tail_horizon, _write_hamiltonians, cb_lower_bound)
 from .statespace import StateSpace
 
 __all__ = [
@@ -160,7 +160,7 @@ def kreiss_halfplane_grid(sys: StateSpace, n_x: int = 400,
     omegas = np.concatenate([[0.0], np.geomspace(w_hi * 1e-6, w_hi,
                                                  n_omega - 1)])
     channel = _Impulse(sys)
-    value = float(np.linalg.svd(sys.C @ sys.B, compute_uv=False)[0])
+    value = cb_lower_bound(sys)
     arg = {"x": math.inf, "omega": 0.0}
     coarse = value
     rows = (_rows_above(sys, xs, value * (1.0 - 1e-9)) if value > 0

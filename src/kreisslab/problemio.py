@@ -15,7 +15,8 @@ Problems are JSON documents with explicit-dimension row-major matrices:
     }
 
 A matrix is {"rows": r, "cols": c, "data": [row-major numbers]}; other
-top-level keys are ignored.  Reports
+top-level keys are ignored.  Each block must be a JSON object, and
+``constraints.eta`` (default 0) a finite number >= 0.  Reports
 are JSON with deterministic content under a fixed seed; timestamps live in
 a separate metadata block.  Trajectories and transient curves export as
 CSV.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -105,63 +107,66 @@ class Problem:
         raise SchemaError("problem provides neither 'system' nor 'model'")
 
 
-def _parse_system(obj) -> StateSpace:
+def _block(payload: dict, key: str, parse):
+    """parse(payload[key]), or None when the block is absent.  The block
+    must be a JSON object, and any failure to parse it becomes one
+    SchemaError that names the block."""
+    if key not in payload:
+        return None
+    obj = payload[key]
+    if not isinstance(obj, dict):
+        raise SchemaError(f"'{key}' block must be a JSON object")
     try:
-        A = matrix_from_json(obj["A"], "A")
-        B = matrix_from_json(obj["B"], "B")
-        C = matrix_from_json(obj["C"], "C")
+        return parse(obj)
     except KeyError as exc:
-        raise SchemaError(f"system block missing {exc}") from exc
-    D = matrix_from_json(obj["D"], "D") if "D" in obj else None
-    try:
-        return StateSpace(A, B, C, D)
+        raise SchemaError(f"'{key}' block lacks {exc}") from exc
     except Exception as exc:
-        raise SchemaError(f"bad system block: {exc}") from exc
+        raise SchemaError(f"bad '{key}' block: {exc}") from exc
+
+
+def _parse_system(obj) -> StateSpace:
+    D = matrix_from_json(obj["D"], "D") if "D" in obj else None
+    return StateSpace(matrix_from_json(obj["A"], "A"),
+                      matrix_from_json(obj["B"], "B"),
+                      matrix_from_json(obj["C"], "C"), D)
 
 
 def _parse_model(obj) -> NonlinearModel:
     kind = obj.get("type")
     params = obj.get("params", {})
-    try:
-        if kind == "lorenz":
-            return lorenz_model(LorenzParams(**params),
-                                measurement=obj.get("measurement", "x"))
-        if kind == "brunton2":
-            return brunton2_model(Brunton2Params(**params))
-        if kind == "brunton4":
-            if not params:
-                raise SchemaError(
-                    "brunton4 requires an externally supplied parameter set")
-            return brunton4_model(Brunton4Params(**params))
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"bad model parameters: {exc}") from exc
+    if kind == "lorenz":
+        return lorenz_model(LorenzParams(**params),
+                            measurement=obj.get("measurement", "x"))
+    if kind == "brunton2":
+        return brunton2_model(Brunton2Params(**params))
+    if kind == "brunton4":
+        if not params:
+            raise SchemaError(
+                "brunton4 requires an externally supplied parameter set")
+        return brunton4_model(Brunton4Params(**params))
     raise SchemaError(f"unknown model type '{kind}'")
 
 
 def _parse_controller(obj) -> ControllerRealization:
     if "tf" in obj:
-        tf = obj["tf"]
-        try:
-            return ControllerRealization.from_tf(tf["num"], tf["den"])
-        except Exception as exc:
-            raise SchemaError(f"bad controller tf: {exc}") from exc
+        return ControllerRealization.from_tf(obj["tf"]["num"],
+                                             obj["tf"]["den"])
     if "static" in obj:
         return ControllerRealization.static(
             matrix_from_json(obj["static"], "static gain"))
-    try:
-        return ControllerRealization(
-            matrix_from_json(obj["A_K"], "A_K"),
-            matrix_from_json(obj["B_K"], "B_K"),
-            matrix_from_json(obj["C_K"], "C_K"),
-            matrix_from_json(obj["D_K"], "D_K"))
-    except KeyError as exc:
-        raise SchemaError(f"controller block missing {exc}") from exc
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(f"bad controller block: {exc}") from exc
+    return ControllerRealization(
+        *(matrix_from_json(obj[k], k) for k in ("A_K", "B_K", "C_K", "D_K")))
+
+
+def _parse_constraints(obj) -> tuple[float, StateSpace | None]:
+    """(eta, roll-off weight); eta must be a finite number >= 0."""
+    eta = float(obj.get("eta", 0.0))
+    if not 0.0 <= eta < math.inf:
+        raise SchemaError(f"eta must be finite and at least 0, got {eta}")
+    if "rolloff_weight" not in obj:
+        return eta, None
+    w = obj["rolloff_weight"]
+    return eta, tf_to_ss(w["num"], w["den"])
 
 
 def controller_to_json(controller: ControllerRealization) -> dict:
@@ -186,22 +191,12 @@ def load_problem(path) -> Problem:
     version = payload["version"]
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version}")
-    problem = Problem()
-    if "system" in payload:
-        problem.system = _parse_system(payload["system"])
-    if "model" in payload:
-        problem.model = _parse_model(payload["model"])
-    if "controller" in payload:
-        problem.controller = _parse_controller(payload["controller"])
-    constraints = payload.get("constraints", {})
-    if constraints:
-        problem.eta = float(constraints.get("eta", 0.0))
-        if "rolloff_weight" in constraints:
-            w = constraints["rolloff_weight"]
-            try:
-                problem.rolloff_weight = tf_to_ss(w["num"], w["den"])
-            except Exception as exc:
-                raise SchemaError(f"bad rolloff weight: {exc}") from exc
+    problem = Problem(
+        system=_block(payload, "system", _parse_system),
+        model=_block(payload, "model", _parse_model),
+        controller=_block(payload, "controller", _parse_controller))
+    problem.eta, problem.rolloff_weight = (
+        _block(payload, "constraints", _parse_constraints) or (0.0, None))
     return problem
 
 

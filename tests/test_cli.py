@@ -386,6 +386,51 @@ def test_out_of_range_flag_is_a_schema_error(capsys, argv):
     assert err.startswith(f"schema error: {flag}: ") and err.count("\n") == 1
 
 
+SYNTH_PROBLEM = json.loads((PROBLEMS / "lorenz_chaos_synth.json").read_text())
+SYSTEM_PROBLEM = json.loads((PROBLEMS / "example3.json").read_text())
+SYNTH_ARGS = ("synthesize", "--structure", "static", "--restarts", "1")
+
+
+@pytest.mark.parametrize("problem, argv", [
+    ({**SYSTEM_PROBLEM, "system": [1]}, ("analyze", "--norm", "kreiss")),
+    ({**SYNTH_PROBLEM, "model": "lorenz"}, SYNTH_ARGS),
+    ({**SYNTH_PROBLEM, "constraints": [1]}, SYNTH_ARGS),
+    *(({**SYNTH_PROBLEM, "constraints": {"eta": eta}}, SYNTH_ARGS)
+      for eta in ("abc", None, float("nan"), float("inf"), -0.5)),
+    (SYSTEM_PROBLEM, ("analyze", "--norm", "bogus")),
+    (SYSTEM_PROBLEM, ("analyze", "--norm", "kreiss", "--tol", "abc")),
+    (SYSTEM_PROBLEM, ("analyze",)),
+    *((SYSTEM_PROBLEM, ("analyze", "--norm", norm, "--certify"))
+      for norm in ("entrywise", "signpattern", "hankel", "cb")),
+    (json.loads((PROBLEMS / "brunton2_first_order_certframe.json")
+                .read_text()),
+     ("certify", "--method", "yorke", "--samples", "10", "--certificate",
+      PROBLEMS / "no_such_certificate.json")),
+], ids=["system_list", "model_string", "constraints_list", "eta_string",
+        "eta_null", "eta_nan", "eta_inf", "eta_negative", "norm_unknown",
+        "tol_not_a_number", "norm_missing", "certify_entrywise",
+        "certify_signpattern", "certify_hankel", "certify_cb",
+        "certificate_missing"])
+def test_bad_input_is_one_schema_error_line(capsys, tmp_path, problem, argv):
+    # json.dumps writes NaN and Infinity tokens, and json.load reads them
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    command, *rest = argv
+    code, out, err = run(capsys, command, path, *rest)
+    assert (code, out) == (3, "")
+    assert err.startswith("schema error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unwritable_report_is_one_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", PROBLEMS / "example3.json",
+                         "--norm", "cb", "--report",
+                         tmp_path / "missing" / "report.json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_certify_qc_rejects_a_negative_epsilon(capsys, tmp_path):
     # the gain -20 leaves the Lorenz loop an eigenvalue at +4.51; with
     # eps < 0 its LMI A^T X + X A + eps X < 0 is feasible and proves nothing
