@@ -118,9 +118,7 @@ def _norm_dispatch(name: str, sys: StateSpace, tol: float):
         return {"value": float(data.sigma[0]),
                 "maximizer": {},
                 "sigma": [float(v) for v in data.sigma]}
-    if name == "cb":
-        return {"value": cb_lower_bound(sys), "maximizer": {}}
-    raise SchemaError(f"unknown norm '{name}'")
+    return {"value": cb_lower_bound(sys), "maximizer": {}}     # cb
 
 
 def _oracle_dispatch(name: str, sys: StateSpace, grid: int):
@@ -177,6 +175,12 @@ def _structure_for(problem: Problem, spec_text: str):
             n_K = int(spec_text.split(":", 1)[1])
         except ValueError as exc:
             raise SchemaError(f"bad structure '{spec_text}'") from exc
+        if n_K < 0:
+            raise SchemaError(f"--structure: needs order >= 0, got {n_K}")
+        if plant.n + n_K > oracles.MAX_ORACLE_ORDER:  # refuse before synthesis
+            raise OversizeError(
+                f"--structure: the oracle supports closed-loop order n <= "
+                f"{oracles.MAX_ORACLE_ORDER}, got {plant.n + n_K}")
         return plant, ControllerStructure.full(n_K, plant.m, plant.p)
     raise SchemaError(f"unknown structure '{spec_text}'")
 
@@ -290,7 +294,7 @@ def cmd_certify(args) -> int:
             result = {"dc_gain": val,
                       "bound": 2.0 * params.omega_u / params.g,
                       "verdict": "PASS" if ok else "FAIL"}
-    elif args.method == "yorke":
+    else:                                            # yorke
         if args.certificate is None:
             raise SchemaError("yorke needs --certificate FILE")
         cert = cert_mod.load_certificate(args.certificate)
@@ -301,8 +305,6 @@ def cmd_certify(args) -> int:
         result = {"min_neg_vdot": rep.min_neg_vdot, "samples": rep.samples,
                   "verdict": "PASS" if rep.passed else "FAIL",
                   "note": "sampling falsifies; a pass is evidence, not proof"}
-    else:
-        raise SchemaError(f"unknown method '{args.method}'")
     return _write_result(args, {"method": args.method, "seed": args.seed,
                                 "samples": args.samples}, result, metadata)
 

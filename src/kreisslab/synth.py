@@ -5,11 +5,12 @@ spectral-abscissa decay constraint and an optional roll-off bound
 ||W T||_inf <= 1, by nonsmooth descent: the search direction is the
 negated minimum-norm element of the convex hull of active subgradients
 (Kreiss actives through the resolvent chain rule, tied rightmost
-eigenvalues, weighted roll-off gradient), with an Armijo line search on an
-exact-penalty function of fixed weight.  Each seeded restart stabilizes a
-random start by spectral-abscissa descent and then runs one penalized
-descent; the best result that meets the constraints is reported after a
-dense re-evaluation.
+eigenvalues, weighted roll-off gradient), exact by Wolfe's finite
+algorithm, with an Armijo line search on an exact-penalty function of
+fixed weight.  Each seeded restart stabilizes a random start by
+spectral-abscissa descent and then runs one penalized descent; the best
+result that meets the constraints is reported after a dense
+re-evaluation.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ _STAB_MARGIN = 1e-2
 _INIT_SCALES = (0.5, 2.0, 8.0, 32.0, 128.0)
 #: eigenvalues within this relative distance of the spectral abscissa tie
 _TIE_TOL = 1e-7
+#: a row enters the min-norm corral when g . x < x . x - this * max |g|^2
+_MIN_NORM_TOL = 1e-12
 #: relative step of the roll-off's finite-difference gradient
 _FD_STEP = 1e-6
 #: H-infinity tolerance of the roll-off norm
@@ -124,7 +127,6 @@ class ConstraintReport:
 @dataclass(eq=False)
 class SynthesisResult:
     controller: ControllerRealization
-    theta: np.ndarray
     report: NormReport
     constraints: ConstraintReport
     restarts_used: int
@@ -148,54 +150,55 @@ def rolloff_norm(plant: StateSpace, controller: ControllerRealization,
 # ---------------------------------------------------------------------------
 
 def _min_norm_element(grads):
-    """Minimum-norm convex combination of the rows of grads."""
+    """Minimum-norm point x of the hull of the rows of grads and its weights
+    lam (x = lam @ grads), exact by Wolfe's finite algorithm (Wolfe 1976).
+    Minor cycles solve least squares, so affinely dependent rows are fine.
+    Each major cycle ends at the affine minimizer of a row subset and must
+    lower |x|^2 strictly, so none repeats and the loop ends under rounding."""
     G = np.atleast_2d(np.asarray(grads, dtype=float))
-    J = G.shape[0]
-    if J == 1:
-        return G[0]
-    gram = G @ G.T
-    lam = np.full(J, 1.0 / J)
-    lip = max(np.linalg.norm(gram, 2), 1e-300)
-    for _ in range(500):
-        grad = gram @ lam
-        new = _project_simplex(lam - grad / lip)
-        if np.max(np.abs(new - lam)) < 1e-14:
-            lam = new
+    sq = np.einsum("ij,ij->i", G, G)
+    S, lam = np.array([np.argmin(sq)]), np.ones(1)
+    x = G[S[0]]
+    while True:
+        gx = G @ x
+        if gx.min() >= x @ x - _MIN_NORM_TOL * sq.max():
             break
-        lam = new
-    return lam @ G
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    tau = css[rho - 1] / rho
-    return np.clip(v - tau, 0.0, None)
+        T, mu = np.append(S, np.argmin(gx)), np.append(lam, 0.0)
+        while True:  # to the affine minimizer of T inside its hull
+            P = G[T]
+            b = np.linalg.lstsq((P[1:] - P[0]).T, -P[0], rcond=None)[0]
+            alpha = np.concatenate([[1.0 - b.sum()], b])
+            neg = alpha < 0
+            if neg.any():  # walk toward alpha until a weight reaches zero
+                ratio = mu[neg] / (mu[neg] - alpha[neg])
+                alpha = mu + ratio.min() * (alpha - mu)
+                alpha[np.flatnonzero(neg)[np.argmin(ratio)]] = 0.0
+            T, mu = T[alpha > 0], alpha[alpha > 0]
+            if not neg.any():
+                break
+        y = mu @ G[T]
+        if y @ y >= x @ x:
+            break
+        S, lam, x = T, mu, y
+    return x, np.bincount(S, weights=lam, minlength=len(G))
 
 
 def _abscissa_with_grads(plant: StateSpace, structure: ControllerStructure,
                          cl: ClosedLoop):
-    """Spectral abscissa of cl.A_cl and subgradients of tied eigenvalues."""
-    A = cl.A_cl
-    w, V = np.linalg.eig(A)
-    wl, U = np.linalg.eig(A.T)
+    """Spectral abscissa of cl.A_cl and subgradients of tied eigenvalues:
+    d lambda_i = u_i^T dA v_i with u_i^T row i of pinv(V), which is V^{-1}
+    unless A_cl is defective and then keeps the gradients finite."""
+    w, V = np.linalg.eig(cl.A_cl)
+    U = np.linalg.pinv(V)
     alpha = float(np.max(w.real))
     grads = []
-    order = np.argsort(-w.real)
-    for idx in order:
+    for idx in np.argsort(-w.real):
         lam = w[idx]
         if lam.real < alpha - _TIE_TOL * (1.0 + abs(alpha)):
             break
         if lam.imag < -1e-12:  # conjugate partner gives the same Re-gradient
             continue
-        v = V[:, idx]
-        j = int(np.argmin(np.abs(wl - lam)))
-        u = U[:, j]
-        s = u.T @ v if abs(u.T @ v) > 1e-14 else 1e-14
-        G_A = np.real(np.outer(u, v) / s)
+        G_A = np.real(np.outer(U[idx], V[:, idx]))
         grads.append(structure.grad_from_closed_loop(G_A, plant))
     return alpha, grads
 
@@ -249,23 +252,21 @@ def _stabilize(plant: StateSpace, structure: ControllerStructure,
     for _ in range(_STAB_MAX_ITER):
         if alpha <= target:
             return theta
-        d = -_min_norm_element(grads)
+        d = -_min_norm_element(grads)[0]
         nd = np.linalg.norm(d)
         if nd < 1e-14:
             return None
         d = d / nd
-        improved = False
         while step >= _STEP_MIN:
             cand = theta + step * d
             a_new, g_new = abscissa(cand)
             if a_new < alpha - _ARMIJO_C1 * step * nd:
                 theta, alpha, grads = cand, a_new, g_new
                 step = min(step * 2.0, 100.0)
-                improved = True
                 break
             step *= 0.5
-        if not improved:
-            return theta if alpha <= target else None
+        else:  # no step lowers alpha, which is still above target
+            return None
     return theta if alpha <= target else None
 
 
@@ -333,17 +334,15 @@ class _Penalized:
 
     def subgradients(self, data):
         """Convex-hull generators of the penalized objective at a point."""
-        combos = [a.gradient for a in data["kreiss"].active]
         out = []
         a_excess = data["alpha"] - self.spec.alpha_limit
         r_active = (data["rolloff"] is not None and data["rolloff"] > 1.0)
-        for gk in combos:
-            g = gk.copy()
+        for active in data["kreiss"].active:
+            g = active.gradient
             if r_active:
                 g = g + _PENALTY * data["rolloff_grad"]
             if a_excess > 0:
-                for ga in data["alpha_grads"]:
-                    out.append(g + _PENALTY * ga)
+                out.extend(g + _PENALTY * ga for ga in data["alpha_grads"])
             else:
                 out.append(g)
         return out
@@ -365,13 +364,12 @@ def _descend(spec: SynthesisSpec, structure: ControllerStructure,
     history = [F]
     for _ in range(_MAX_ITER):
         grads = pen.subgradients(data)
-        g = _min_norm_element(grads)
+        g = _min_norm_element(grads)[0]
         ng = np.linalg.norm(g)
         if ng <= _STAT_TOL * (1.0 + abs(F)):
             break
         d = -g / ng
         etas = np.array([a.eta for a in data["kreiss"].active])
-        accepted = False
         while step >= _STEP_MIN:
             cand = theta + step * d
             F_quick = pen.quick(cand, etas)
@@ -382,10 +380,9 @@ def _descend(spec: SynthesisSpec, structure: ControllerStructure,
                     theta, F, data = cand, F_cand, data_cand
                     history.append(F)
                     step = min(step * 2.0, 10.0)
-                    accepted = True
                     break
             step *= 0.5
-        if not accepted:
+        else:  # no step was accepted
             break
     return theta, data, history
 
@@ -431,6 +428,6 @@ def minimize_kreiss(spec: SynthesisSpec,
     controller = structure.unpack(theta)
     cl = assemble_closed_loop(spec.plant, controller)
     final = kreiss_norm(cl.channel())
-    return SynthesisResult(controller=controller, theta=theta, report=final,
+    return SynthesisResult(controller=controller, report=final,
                            constraints=constraints,
                            restarts_used=spec.restarts, history=history_all)

@@ -523,3 +523,24 @@ def test_synthesize_needs_a_restart(capsys, restarts):
                          "--structure", "static", "--restarts", restarts)
     assert (code, out) == (3, "")
     assert err == "schema error: --restarts: restarts must be at least 1\n"
+
+
+@pytest.mark.parametrize("problem, order, code, message", [
+    ("lorenz_chaos_synth.json", "-1", 3,
+     "schema error: --structure: needs order >= 0, got -1\n"),
+    ("lorenz_fp_static_x.json", "10", 7,
+     "oversized system: --structure: the oracle supports closed-loop "
+     "order n <= 12, got 13\n"),
+], ids=["of:-1", "of:10"])
+def test_synthesize_refuses_an_order_before_synthesis(capsys, monkeypatch,
+                                                      problem, order, code,
+                                                      message):
+    from kreisslab import cli
+
+    def never(*args):
+        raise AssertionError("minimize_kreiss ran")
+
+    monkeypatch.setattr(cli, "minimize_kreiss", never)
+    got = run(capsys, "synthesize", PROBLEMS / problem,
+              "--structure", f"of:{order}", "--restarts", "1")
+    assert got == (code, "", message)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,130 @@ from kreisslab.synth import (
     SynthesisSpec,
     minimize_kreiss,
     _Penalized,
+    _abscissa_with_grads,
+    _min_norm_element,
     rolloff_norm,
 )
+
+
+def _bundle_corpus(count=3000, seed=7):
+    """Bundles of 1-8 rows in 1-9 columns at scales 1e-3 to 1e3: a third
+    generic, a third near-parallel, a third affinely dependent (low rank,
+    duplicate rows, the origin inside the hull)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        rows, cols = rng.integers(1, 9), rng.integers(1, 10)
+        if k % 3 == 0:
+            G = rng.standard_normal((rows, cols))
+        elif k % 3 == 1:
+            G = rng.standard_normal(cols) + 10.0 ** rng.uniform(-9, -2) \
+                * rng.standard_normal((rows, cols))
+        else:
+            rank = rng.integers(1, max(2, min(rows, cols)))
+            G = rng.standard_normal((rows, rank)) \
+                @ rng.standard_normal((rank, cols))
+            G[-1] = G[0]
+            if k % 2:
+                G = G - G.mean(axis=0)
+        yield G * 10.0 ** rng.uniform(-3, 3)
+
+
+def test_min_norm_element_near_parallel_pair_is_exact():
+    x, lam = _min_norm_element([[1.0, 0.0], [1.0, 0.01]])
+    assert np.allclose(x, [1.0, 0.0], rtol=0, atol=1e-12)
+    assert np.allclose(lam, [1.0, 0.0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("grads", [
+    [[1.0, 2.0], [-1.0, -2.0]],
+    [[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]],
+])
+def test_min_norm_element_origin_in_hull(grads):
+    x, lam = _min_norm_element(grads)
+    assert np.allclose(x, 0.0, rtol=0, atol=1e-14)
+    assert np.allclose(lam @ np.array(grads), x, rtol=0, atol=1e-14)
+
+
+def test_min_norm_element_is_optimal_on_a_corpus():
+    # Wolfe's optimality test: no row beats x . x, so x is the min-norm
+    # point; the corpus must finish, affinely dependent bundles included
+    bad, done = [], []
+
+    def check():
+        for G in _bundle_corpus():
+            x, lam = _min_norm_element(G)
+            big = np.max(np.einsum("ij,ij->i", G, G))
+            if not (lam.min() >= 0 and abs(lam.sum() - 1) <= 1e-12
+                    and np.allclose(lam @ G, x, rtol=0,
+                                    atol=1e-12 * np.sqrt(big))
+                    and np.min(G @ x) >= x @ x - 1e-9 * big):
+                bad.append(G)
+        done.append(True)
+
+    worker = threading.Thread(target=check, daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "min-norm kernel did not finish"
+    assert done and not bad
+
+
+def test_abscissa_grads_of_a_repeated_eigenvalue():
+    # A_cl = -I_2: each tied eigenvalue moves with its own diagonal entry
+    plant = StateSpace(-np.eye(2), np.eye(2), np.eye(2))
+    structure = ControllerStructure.static(2, 2)
+    cl = assemble_closed_loop(plant, structure.unpack(np.zeros(4)))
+    alpha, grads = _abscissa_with_grads(plant, structure, cl)
+    assert alpha == -1.0
+    assert np.allclose(grads, [[1, 0, 0, 0], [0, 0, 0, 1]], rtol=0,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("n_K", [0, 1])
+def test_abscissa_grads_match_central_differences(n_K):
+    from conftest import random_stable_statespace
+    rng = np.random.default_rng(2024 + n_K)
+    checked = 0
+    while checked < 12:
+        plant = random_stable_statespace(rng, 3, p=1, m=1)
+        structure = ControllerStructure.full(n_K, 1, 1)
+        theta = 0.3 * rng.standard_normal(structure.n_theta)
+        cl = assemble_closed_loop(plant, structure.unpack(theta))
+        w = np.sort_complex(np.linalg.eigvals(cl.A_cl))[::-1]
+        # a simple real rightmost eigenvalue or one complex pair, apart
+        # from the rest of the spectrum
+        top = 2 if w[0].imag else 1
+        if w[0].real >= 0 or w[0].real - w[top].real < 0.05:
+            continue
+        alpha, grads = _abscissa_with_grads(plant, structure, cl)
+        assert len(grads) == 1
+        d = rng.standard_normal(structure.n_theta)
+        h = 1e-6
+
+        def abscissa(th):
+            A = assemble_closed_loop(plant, structure.unpack(th)).A_cl
+            return spectral_abscissa(A)
+
+        fd = (abscissa(theta + h * d) - abscissa(theta - h * d)) / (2 * h)
+        assert fd == pytest.approx(grads[0] @ d, rel=1e-6,
+                                   abs=1e-6 * np.linalg.norm(grads[0])
+                                   * np.linalg.norm(d))
+        checked += 1
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0, 4.0], [-1.0, -3.0]],     # eig returns two equal eigenvectors
+    [[-1.0, 1.0], [0.0, -1.0]],     # and two 2e-16 apart
+])
+def test_abscissa_grads_of_a_jordan_block_are_finite(A):
+    plant = StateSpace(A, np.eye(2), np.eye(2))
+    structure = ControllerStructure.static(2, 2)
+    theta = np.zeros(4)
+    cl = assemble_closed_loop(plant, structure.unpack(theta))
+    alpha, grads = _abscissa_with_grads(plant, structure, cl)
+    assert alpha == pytest.approx(-1.0, abs=1e-6)
+    assert grads and np.all(np.isfinite(grads))
+    F, _ = _Penalized(SynthesisSpec(plant=plant), structure).full(theta)
+    assert F >= 1.0
 
 
 def test_rolloff_zero_controller_is_zero():
