@@ -163,26 +163,28 @@ def cmd_analyze(args) -> int:
 def _structure_for(problem: Problem, spec_text: str):
     plant = problem.plant()
     if spec_text == "static":
-        return plant, ControllerStructure.static(plant.m, plant.p)
-    if spec_text == "statefb":
+        structure = ControllerStructure.static(plant.m, plant.p)
+    elif spec_text == "statefb":
         if problem.model is None:
             raise SchemaError("statefb structure needs a model block")
-        full = StateSpace(problem.model.A, problem.model.B_u,
-                          np.eye(problem.model.A.shape[0]))
-        return full, ControllerStructure.static(full.m, full.p)
-    if spec_text.startswith("of:"):
+        plant = StateSpace(problem.model.A, problem.model.B_u,
+                           np.eye(problem.model.A.shape[0]))
+        structure = ControllerStructure.static(plant.m, plant.p)
+    elif spec_text.startswith("of:"):
         try:
             n_K = int(spec_text.split(":", 1)[1])
         except ValueError as exc:
             raise SchemaError(f"bad structure '{spec_text}'") from exc
         if n_K < 0:
             raise SchemaError(f"--structure: needs order >= 0, got {n_K}")
-        if plant.n + n_K > oracles.MAX_ORACLE_ORDER:  # refuse before synthesis
-            raise OversizeError(
-                f"--structure: the oracle supports closed-loop order n <= "
-                f"{oracles.MAX_ORACLE_ORDER}, got {plant.n + n_K}")
-        return plant, ControllerStructure.full(n_K, plant.m, plant.p)
-    raise SchemaError(f"unknown structure '{spec_text}'")
+        structure = ControllerStructure.full(n_K, plant.m, plant.p)
+    else:
+        raise SchemaError(f"unknown structure '{spec_text}'")
+    if plant.n + structure.n_K > oracles.MAX_ORACLE_ORDER:  # before synthesis
+        raise OversizeError(
+            f"--structure: the oracle supports closed-loop order n <= "
+            f"{oracles.MAX_ORACLE_ORDER}, got {plant.n + structure.n_K}")
+    return plant, structure
 
 
 def cmd_synthesize(args) -> int:

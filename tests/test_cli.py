@@ -162,6 +162,20 @@ def test_analyze_certify_passes_on_every_bundled_system(capsys, norm):
             assert not cert["oracle_miss"]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "peak_gain gives 156.8834, and oracles.peak_gain_grid at --grid 2000 "
+    "gives [154.31, 156.71]: its 2,000 points over the 6,873 s horizon lie "
+    "3.4 s apart, which aliases the 6.35 s period of the lightly damped "
+    "pole pair, so 3 |fine - coarse| is not a bound there; --grid 5000 and "
+    "above bracket the value"))
+def test_analyze_certify_pkgain_on_a_coarse_grid(capsys):
+    code, out, err = run(capsys, "analyze", PROBLEMS / "example4_matrix.json",
+                         "--norm", "pkgain", "--certify", "--grid", "2000")
+    assert code == 0, err
+    cert = json.loads(out)["certification"]
+    assert cert["lower"] <= json.loads(out)["value"] <= cert["upper"]
+
+
 @pytest.mark.parametrize("norm", ["kreiss", "m0", "hinf", "pkgain",
                                   "l2peak"])
 @pytest.mark.parametrize("side", ["below", "above"])
@@ -525,15 +539,19 @@ def test_synthesize_needs_a_restart(capsys, restarts):
     assert err == "schema error: --restarts: restarts must be at least 1\n"
 
 
-@pytest.mark.parametrize("problem, order, code, message", [
-    ("lorenz_chaos_synth.json", "-1", 3,
+@pytest.mark.parametrize("problem, structure, code, message", [
+    ("lorenz_chaos_synth.json", "of:-1", 3,
      "schema error: --structure: needs order >= 0, got -1\n"),
-    ("lorenz_fp_static_x.json", "10", 7,
+    ("lorenz_fp_static_x.json", "of:10", 7,
      "oversized system: --structure: the oracle supports closed-loop "
      "order n <= 12, got 13\n"),
-], ids=["of:-1", "of:10"])
+    (None, "static", 7,
+     "oversized system: --structure: the oracle supports closed-loop "
+     "order n <= 12, got 13\n"),
+], ids=["of:-1", "of:10", "static_n13"])
 def test_synthesize_refuses_an_order_before_synthesis(capsys, monkeypatch,
-                                                      problem, order, code,
+                                                      tmp_path, problem,
+                                                      structure, code,
                                                       message):
     from kreisslab import cli
 
@@ -541,6 +559,14 @@ def test_synthesize_refuses_an_order_before_synthesis(capsys, monkeypatch,
         raise AssertionError("minimize_kreiss ran")
 
     monkeypatch.setattr(cli, "minimize_kreiss", never)
-    got = run(capsys, "synthesize", PROBLEMS / problem,
-              "--structure", f"of:{order}", "--restarts", "1")
+    path = PROBLEMS / str(problem)
+    if problem is None:  # a stable system with 13 states
+        path = tmp_path / "n13.json"
+        A = (-np.eye(13)).ravel().tolist()
+        path.write_text(json.dumps({"version": 1, "system": {
+            "A": {"rows": 13, "cols": 13, "data": A},
+            "B": {"rows": 13, "cols": 1, "data": [1.0] * 13},
+            "C": {"rows": 1, "cols": 13, "data": [1.0] * 13}}}))
+    got = run(capsys, "synthesize", path, "--structure", structure,
+              "--restarts", "1")
     assert got == (code, "", message)

@@ -67,6 +67,17 @@ def test_hinf_static_channel_scaling():
         assert rep.value == pytest.approx(abs(c), rel=1e-8)
 
 
+def test_hinf_peak_between_the_pole_probes():
+    # s/((s + 1)(s + 1000)) peaks at 1/1001 at omega = sqrt(1000), away
+    # from every probe (0, 1, 1000): the level test alone reaches tol
+    sys = StateSpace([[-1.0, 0.0], [0.0, -1000.0]], [[1.0], [1.0]],
+                     [[-1.0 / 999.0, 1000.0 / 999.0]])
+    rep = hinf_norm(sys)
+    assert rep.value == pytest.approx(1.0 / 1001.0, rel=1e-8)
+    assert rep.maximizer["omega"] == pytest.approx(math.sqrt(1000.0),
+                                                   rel=1e-2)
+
+
 def test_hinf_requires_stability():
     with pytest.raises(StabilityError):
         hinf_norm(StateSpace([[1.0]], [[1.0]], [[1.0]]))
