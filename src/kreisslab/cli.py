@@ -161,15 +161,12 @@ def cmd_analyze(args) -> int:
 
 
 def _structure_for(problem: Problem, spec_text: str):
-    plant = problem.plant()
-    if spec_text == "static":
-        structure = ControllerStructure.static(plant.m, plant.p)
-    elif spec_text == "statefb":
+    plant, n_K = problem.plant(), 0
+    if spec_text == "statefb":
         if problem.model is None:
             raise SchemaError("statefb structure needs a model block")
         plant = StateSpace(problem.model.A, problem.model.B_u,
                            np.eye(problem.model.A.shape[0]))
-        structure = ControllerStructure.static(plant.m, plant.p)
     elif spec_text.startswith("of:"):
         try:
             n_K = int(spec_text.split(":", 1)[1])
@@ -177,14 +174,14 @@ def _structure_for(problem: Problem, spec_text: str):
             raise SchemaError(f"bad structure '{spec_text}'") from exc
         if n_K < 0:
             raise SchemaError(f"--structure: needs order >= 0, got {n_K}")
-        structure = ControllerStructure.full(n_K, plant.m, plant.p)
-    else:
+    elif spec_text != "static":
         raise SchemaError(f"unknown structure '{spec_text}'")
-    if plant.n + structure.n_K > oracles.MAX_ORACLE_ORDER:  # before synthesis
+    # before the structure's (n_K + p) x (n_K + m) mask and synthesis
+    if plant.n + n_K > oracles.MAX_ORACLE_ORDER:
         raise OversizeError(
             f"--structure: the oracle supports closed-loop order n <= "
-            f"{oracles.MAX_ORACLE_ORDER}, got {plant.n + structure.n_K}")
-    return plant, structure
+            f"{oracles.MAX_ORACLE_ORDER}, got {plant.n + n_K}")
+    return plant, ControllerStructure.full(n_K, plant.m, plant.p)
 
 
 def cmd_synthesize(args) -> int:

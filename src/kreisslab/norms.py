@@ -274,7 +274,8 @@ def _gains(A: np.ndarray, member: np.ndarray, s: np.ndarray,
 def _probe_frequencies(A: np.ndarray) -> np.ndarray:
     """Per member, Bruinsma and Steinbuch's test frequencies: 0, the pole
     magnitudes and nonzero imaginary parts; rows sorted, repeats and padding
-    NaN.  No sweep is needed: _hinf_lockstep's level test bounds the value."""
+    NaN.  No sweep is needed: _hinf_lockstep's level test bounds the value
+    from any positive start."""
     lam = np.linalg.eigvals(A)
     mags = np.abs(lam)
     imag = np.abs(lam.imag)
@@ -287,6 +288,16 @@ def _probe_frequencies(A: np.ndarray) -> np.ndarray:
     repeat = probes[:, 1:] == probes[:, :-1]
     probes[:, 1:][repeat] = np.nan
     return probes
+
+
+def _zero_start_probes(A: np.ndarray) -> np.ndarray:
+    """n + 1 geometric frequencies per Hurwitz member, 1e-3 times its
+    smallest to 1e3 times its largest pole magnitude: the entries of
+    C adj(sI - A) B have degree below n, so with D = 0, the only case with
+    a start of 0, a gain that vanishes at all of them vanishes everywhere."""
+    mags = np.abs(np.linalg.eigvals(A))
+    return np.geomspace(mags.min(axis=1) * 1e-3, mags.max(axis=1) * 1e3,
+                        A.shape[-1] + 1, axis=1)
 
 
 def _write_hamiltonians(H: np.ndarray, A: np.ndarray, gamma: np.ndarray,
@@ -330,16 +341,25 @@ def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     if n == 0 or not np.any(B) or not np.any(C):
         return best, omega_best, np.ones(E, dtype=int)
 
-    probes = _probe_frequencies(A)
-    valid = ~np.isnan(probes)
-    evals = valid.sum(axis=1)
-    g = np.full(probes.shape, -np.inf)
-    g[valid] = _gains(A, np.nonzero(valid)[0], 1j * probes[valid], B, C, D)
-    first = g.argmax(axis=1)                  # the first of equal maxima
-    g_max = g[np.arange(E), first]
-    raised = g_max > best
-    best[raised] = g_max[raised]
-    omega_best[raised] = probes[raised, first[raised]]
+    # every probe of a member can sit on a transmission zero, a start of 0
+    # that no level test raises: such members take a second probe set
+    evals = np.zeros(E, dtype=int)
+    members = np.arange(E)
+    for probe_set in (_probe_frequencies, _zero_start_probes):
+        probes = probe_set(A[members])
+        valid = ~np.isnan(probes)
+        evals[members] += valid.sum(axis=1)
+        g = np.full(probes.shape, -np.inf)
+        g[valid] = _gains(A, members[np.nonzero(valid)[0]],
+                          1j * probes[valid], B, C, D)
+        first = g.argmax(axis=1)              # the first of equal maxima
+        g_max = g[np.arange(members.size), first]
+        raised = g_max > best[members]
+        best[members[raised]] = g_max[raised]
+        omega_best[members[raised]] = probes[raised, first[raised]]
+        members = np.flatnonzero(best == 0.0)
+        if members.size == 0:
+            break
 
     # members with a zero gain everywhere are done at (0, 0)
     active = np.flatnonzero(best > 0.0)

@@ -540,15 +540,19 @@ def test_synthesize_needs_a_restart(capsys, restarts):
 
 
 @pytest.mark.parametrize("problem, structure, code, message", [
-    ("lorenz_chaos_synth.json", "of:-1", 3,
+    (PROBLEMS / "lorenz_chaos_synth.json", "of:-1", 3,
      "schema error: --structure: needs order >= 0, got -1\n"),
-    ("lorenz_fp_static_x.json", "of:10", 7,
+    (PROBLEMS / "lorenz_fp_static_x.json", "of:10", 7,
      "oversized system: --structure: the oracle supports closed-loop "
      "order n <= 12, got 13\n"),
+    # refused before the structure's mask of 10^14 entries is allocated
+    (PROBLEMS / "lorenz_fp_static_x.json", "of:10000000", 7,
+     "oversized system: --structure: the oracle supports closed-loop "
+     "order n <= 12, got 10000003\n"),
     (None, "static", 7,
      "oversized system: --structure: the oracle supports closed-loop "
      "order n <= 12, got 13\n"),
-], ids=["of:-1", "of:10", "static_n13"])
+], ids=["of:-1", "of:10", "of:10000000", "static_n13"])
 def test_synthesize_refuses_an_order_before_synthesis(capsys, monkeypatch,
                                                       tmp_path, problem,
                                                       structure, code,
@@ -559,14 +563,13 @@ def test_synthesize_refuses_an_order_before_synthesis(capsys, monkeypatch,
         raise AssertionError("minimize_kreiss ran")
 
     monkeypatch.setattr(cli, "minimize_kreiss", never)
-    path = PROBLEMS / str(problem)
     if problem is None:  # a stable system with 13 states
-        path = tmp_path / "n13.json"
-        A = (-np.eye(13)).ravel().tolist()
-        path.write_text(json.dumps({"version": 1, "system": {
-            "A": {"rows": 13, "cols": 13, "data": A},
+        problem = tmp_path / "n13.json"
+        problem.write_text(json.dumps({"version": 1, "system": {
+            "A": {"rows": 13, "cols": 13,
+                  "data": (-np.eye(13)).ravel().tolist()},
             "B": {"rows": 13, "cols": 1, "data": [1.0] * 13},
             "C": {"rows": 1, "cols": 13, "data": [1.0] * 13}}}))
-    got = run(capsys, "synthesize", path, "--structure", structure,
+    got = run(capsys, "synthesize", problem, "--structure", structure,
               "--restarts", "1")
     assert got == (code, "", message)

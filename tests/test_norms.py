@@ -78,6 +78,17 @@ def test_hinf_peak_between_the_pole_probes():
                                                    rel=1e-2)
 
 
+def test_hinf_peak_with_a_zero_at_every_pole_probe():
+    # s (s^2 + 1)/(s + 1)^4 on a Jordan block vanishes at both pole probes,
+    # 0 and 1; its peak is sin(4 theta)/4 = 1/4 at omega = tan(pi/8)
+    A = -np.eye(4) + np.diag(np.ones(3), 1)
+    sys = StateSpace(A, [[0.0], [0.0], [0.0], [1.0]], [[-2.0, 4.0, -3.0, 1.0]])
+    rep = hinf_norm(sys)
+    assert rep.value == pytest.approx(0.25, rel=1e-8)
+    assert rep.maximizer["omega"] == pytest.approx(math.tan(math.pi / 8),
+                                                   rel=1e-2)
+
+
 def test_hinf_requires_stability():
     with pytest.raises(StabilityError):
         hinf_norm(StateSpace([[1.0]], [[1.0]], [[1.0]]))
