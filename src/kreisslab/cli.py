@@ -75,6 +75,7 @@ _FAILURES = (
     (OversizeError, EXIT_OVERSIZE, "oversized system: "),
     (KreisslabError, EXIT_FAIL, "error: "),
     (OSError, EXIT_FAIL, "error: "),
+    (MemoryError, EXIT_FAIL, "error: "),
 )
 
 
@@ -379,7 +380,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (KreisslabError, OSError) as exc:
+    except (KreisslabError, OSError, MemoryError) as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in _FAILURES
                             if isinstance(exc, cls))
         print(prefix.format(name=getattr(exc, "name", None)) + str(exc),

@@ -99,7 +99,11 @@ class NormReport:
 
     maximizer keys depend on the norm: "omega" (frequency), "t" (time),
     "eta" (resolvent family parameter), "channel", "sign_pattern", "row".
-    evaluations counts inner norm/decomposition calls.
+    evaluations counts the steps of the norm's own search: gains plus
+    Hamiltonian tests (hinf_norm); eta points whose H-infinity norm it took,
+    grid plus golden section, not the work inside those norms (kreiss_norm,
+    summed over subsystems by its variants); time samples plus golden
+    section (transient_peak_m0); impulse-response samples (peak_gain).
     """
 
     value: float
@@ -538,15 +542,15 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     vals, omegas, _ = _family_hinf(sys, grid, opts.hinf_tol)
     evals = len(grid)
 
-    order = np.argsort(vals)[::-1]
+    first = int(np.argmax(vals))  # the first maximum in grid order
     local_max = _local_maxima(vals)
     # largest first, ties in grid order
     local_max = local_max[np.argsort(-vals[local_max], kind="stable")]
     local_max = local_max[:_MAX_LOCAL_MAXIMA]
 
-    best_val = float(vals[order[0]])
-    best_eta = float(grid[order[0]])
-    best_omega = float(omegas[order[0]])
+    best_val = float(vals[first])
+    best_eta = float(grid[first])
+    best_omega = float(omegas[first])
     refined = []
     for i in local_max:
         a = grid[i - 1] if i > 0 else grid[0]

@@ -7,8 +7,9 @@ negated minimum-norm element of the convex hull of active subgradients
 (Kreiss actives through the resolvent chain rule, tied rightmost
 eigenvalues, weighted roll-off gradient), exact by Wolfe's finite
 algorithm, with an Armijo line search on an exact-penalty function of
-fixed weight.  Each seeded restart stabilizes a random start by
-spectral-abscissa descent and then runs one penalized descent; the best
+fixed weight.  Each seeded restart runs one descent loop in two phases
+from a random start: phase I drives the spectral abscissa below a decay
+target, and phase II minimizes the penalized Kreiss objective.  The best
 result that meets the constraints is reported after a dense
 re-evaluation.
 """
@@ -52,9 +53,7 @@ __all__ = [
 ]
 
 
-#: spectral-abscissa descent steps of the stabilization phase
-_STAB_MAX_ITER = 200
-#: accepted-step cap of one penalized descent
+#: accepted-step cap of one descent
 _MAX_ITER = 100
 #: exact-penalty weight on the decay and roll-off excesses
 _PENALTY = 10.0
@@ -236,43 +235,37 @@ def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
 
 
 # ---------------------------------------------------------------------------
-# Stabilization phase
+# Descent objectives: phase I (decay) and phase II (penalized Kreiss)
 # ---------------------------------------------------------------------------
 
-def _stabilize(plant: StateSpace, structure: ControllerStructure,
-               theta0: np.ndarray, target: float) -> np.ndarray | None:
-    """Descend the spectral abscissa of A_cl(theta) below target."""
-    def abscissa(th):
-        cl = assemble_closed_loop(plant, structure.unpack(th))
-        return _abscissa_with_grads(plant, structure, cl)
+@dataclass(eq=False)
+class _Violation:
+    """Phase I: F = max(alpha - target, 0), the abscissa's excess."""
 
-    theta = theta0.copy()
-    alpha, grads = abscissa(theta)
-    step = _STEP0
-    for _ in range(_STAB_MAX_ITER):
-        if alpha <= target:
-            return theta
-        d = -_min_norm_element(grads)[0]
-        nd = np.linalg.norm(d)
-        if nd < 1e-14:
-            return None
-        d = d / nd
-        while step >= _STEP_MIN:
-            cand = theta + step * d
-            a_new, g_new = abscissa(cand)
-            if a_new < alpha - _ARMIJO_C1 * step * nd:
-                theta, alpha, grads = cand, a_new, g_new
-                step = min(step * 2.0, 100.0)
-                break
-            step *= 0.5
-        else:  # no step lowers alpha, which is still above target
-            return None
-    return theta if alpha <= target else None
+    spec: SynthesisSpec
+    structure: ControllerStructure
+    target: float
 
+    def full(self, theta):
+        """(F, data) with the tied eigenvalues' gradients while F > 0."""
+        plant = self.spec.plant
+        cl = assemble_closed_loop(plant, self.structure.unpack(theta))
+        alpha, grads = _abscissa_with_grads(plant, self.structure, cl)
+        F = max(alpha - self.target, 0.0)
+        if F == 0:  # feasible: a zero generator stops the descent
+            grads = [np.zeros_like(theta)]
+        return F, {"grads": grads, "screen": None}
 
-# ---------------------------------------------------------------------------
-# Penalized descent
-# ---------------------------------------------------------------------------
+    def quick(self, theta, screen):
+        """F from one eig, bitwise the alpha of _abscissa_with_grads."""
+        cl = assemble_closed_loop(self.spec.plant,
+                                  self.structure.unpack(theta))
+        alpha = float(np.max(np.linalg.eig(cl.A_cl)[0].real))
+        return max(alpha - self.target, 0.0)
+
+    def subgradients(self, data):
+        return data["grads"]
+
 
 class _Penalized:
     """Exact penalty F = K + _PENALTY (alpha excess + rolloff excess)."""
@@ -309,7 +302,8 @@ class _Penalized:
             r_val, r_grad = _rolloff_with_grad(plant, self.structure, theta,
                                                controller, weight)
         data = {"kreiss": ks, "alpha": alpha, "alpha_grads": a_grads,
-                "rolloff": r_val, "rolloff_grad": r_grad}
+                "rolloff": r_val, "rolloff_grad": r_grad,
+                "screen": np.array([a.eta for a in ks.active])}
         return self._objective(ks.value, alpha, r_val), data
 
     def quick(self, theta, etas):
@@ -348,14 +342,13 @@ class _Penalized:
         return out
 
 
-def _descend(spec: SynthesisSpec, structure: ControllerStructure,
-             theta0: np.ndarray):
-    """Armijo descent on the penalized objective from one start.
+def _descend(pen, theta0: np.ndarray):
+    """Armijo descent on the objective pen (a _Violation or a _Penalized)
+    from one start; each trial point is screened by pen.quick first.
 
     Returns (theta, data, history) at the last accepted point, or None when
     the start itself cannot be evaluated.
     """
-    pen = _Penalized(spec, structure)
     theta = theta0.copy()
     F, data = pen.full(theta)
     if data is None:
@@ -369,10 +362,9 @@ def _descend(spec: SynthesisSpec, structure: ControllerStructure,
         if ng <= _STAT_TOL * (1.0 + abs(F)):
             break
         d = -g / ng
-        etas = np.array([a.eta for a in data["kreiss"].active])
         while step >= _STEP_MIN:
             cand = theta + step * d
-            F_quick = pen.quick(cand, etas)
+            F_quick = pen.quick(cand, data["screen"])
             if F_quick <= F - _ARMIJO_C1 * step * ng:
                 F_cand, data_cand = pen.full(cand)
                 if data_cand is not None and \
@@ -391,24 +383,26 @@ def minimize_kreiss(spec: SynthesisSpec,
                     structure: ControllerStructure) -> SynthesisResult:
     """Best locally optimal structured controller over seeded restarts.
 
-    Each restart draws a random start, stabilizes it by spectral-abscissa
-    descent, then runs one penalized nonsmooth descent at the fixed weight
-    _PENALTY; a restart that ends violating a constraint is dropped.  The
-    winner is re-evaluated with the dense eta grid; constraint satisfaction
-    is mandatory.  history holds the F sequence of each descent.
+    Each restart draws a random start and runs one descent in two phases:
+    phase I lowers the abscissa's excess over the decay target to zero,
+    phase II the penalized Kreiss objective at the fixed weight _PENALTY.
+    A restart that stops short of the target in phase I, or that ends
+    violating a constraint, is dropped.  The winner is re-evaluated with the
+    dense eta grid; constraint satisfaction is mandatory.  history holds
+    the F sequence of each phase II.
     """
     rng = np.random.default_rng(spec.seed)
     n_theta = structure.n_theta
-    target = -(spec.eta_rate * 0.5 + _STAB_MARGIN)
+    viol = _Violation(spec, structure, -(spec.eta_rate * 0.5 + _STAB_MARGIN))
     best = None
     history_all = []
     for restart in range(spec.restarts):
         scale = _INIT_SCALES[restart % len(_INIT_SCALES)]
         theta0 = scale * rng.standard_normal(n_theta)
-        theta_s = _stabilize(spec.plant, structure, theta0, target)
-        if theta_s is None:
+        theta_s, _, phase1 = _descend(viol, theta0)
+        if phase1[-1] > 0:  # the loop does not decay at the target
             continue
-        out = _descend(spec, structure, theta_s)
+        out = _descend(_Penalized(spec, structure), theta_s)
         if out is None:
             continue
         theta, data, history = out

@@ -196,6 +196,23 @@ def test_analyze_certify_escape_is_an_error(capsys, monkeypatch, norm, side):
         assert "escapes its oracle bounds" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "brunton2_first_order_certframe.json", "--method", "yorke",
+     "--certificate", "brunton2_first_order_V.json",
+     "--samples", "100000000000000"],
+    ["analyze", "example3.json", "--norm", "hinf", "--certify",
+     "--grid", "100000000000000"],
+], ids=["yorke_samples", "hinf_grid"])
+def test_an_allocation_failure_is_one_stderr_line(capsys, argv):
+    # each array is beyond the 128 TiB x86-64 user address space, so its
+    # allocation fails at once without touching memory
+    argv = [str(PROBLEMS / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_analyze_unstable_exit_code(capsys, tmp_path):
     bad = tmp_path / "unstable.json"
     bad.write_text(json.dumps({

@@ -34,9 +34,12 @@ from kreisslab.oracles import hinf_frequency_grid, kreiss_halfplane_grid
 from kreisslab.statespace import StateSpace, series
 from kreisslab.synth import (
     _PENALTY,
+    _STAB_MARGIN,
     SynthesisSpec,
     minimize_kreiss,
     _Penalized,
+    _Violation,
+    _descend,
     _abscissa_with_grads,
     _min_norm_element,
     rolloff_norm,
@@ -265,6 +268,38 @@ def test_quick_penalty_is_max_of_per_eta_hinf():
     assert F == expected
 
 
+def test_phase_one_leaves_a_decaying_start_untouched():
+    plant = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2))
+    structure = ControllerStructure.static(2, 2)
+    theta0 = np.array([0.1, -0.2, 0.05, 0.3])
+    viol = _Violation(SynthesisSpec(plant=plant), structure, -_STAB_MARGIN)
+    theta, _, history = _descend(viol, theta0)
+    assert theta.tobytes() == theta0.tobytes()
+    assert history == [0.0]
+
+
+def test_phase_one_stabilizes_the_lorenz_chaos_plant():
+    # measured by x, the open loop's abscissa is 11.8
+    spec = SynthesisSpec(plant=lorenz_plant(lorenz_chaos(), "x"))
+    structure = ControllerStructure.static(1, 1)
+    target = -_STAB_MARGIN
+    theta0 = np.zeros(structure.n_theta)
+    assert spectral_abscissa(assemble_closed_loop(
+        spec.plant, structure.unpack(theta0)).A_cl) > 11.0
+    theta, _, history = _descend(_Violation(spec, structure, target), theta0)
+    assert history[-1] == 0.0
+    cl = assemble_closed_loop(spec.plant, structure.unpack(theta))
+    assert spectral_abscissa(cl.A_cl) <= target
+
+
+def test_minimize_unstabilizable_plant_fails():
+    # the unstable mode x_1 is not reachable from the input
+    plant = StateSpace(np.diag([1.0, -1.0]), [[0.0], [1.0]], np.eye(2))
+    with pytest.raises(SynthesisError):
+        minimize_kreiss(SynthesisSpec(plant=plant),
+                        ControllerStructure.static(2, 1))
+
+
 def test_minimize_normal_plant_reaches_floor():
     # normal stable plant with full static state feedback and no constraints:
     # the identity-restriction floor sigma(J^T J) = 1 is attainable
@@ -297,13 +332,14 @@ def test_minimize_monotone_history():
 
 def test_minimize_runs_one_descent_per_restart(monkeypatch):
     # Brunton with decay rate 0.1 and roll-off is infeasible for a static
-    # gain: no restart may retry its descent from where it ended
+    # gain: no restart may retry its phase-II descent from where it ended
     calls = []
     descend = synth._descend
 
-    def counting(*args):
-        calls.append(args)
-        return descend(*args)
+    def counting(pen, theta0):
+        if isinstance(pen, _Penalized):
+            calls.append(theta0)
+        return descend(pen, theta0)
 
     monkeypatch.setattr(synth, "_descend", counting)
     spec = SynthesisSpec(plant=brunton_plant(), eta_rate=0.1,
