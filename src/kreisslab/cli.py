@@ -7,13 +7,16 @@ All file formats are documented in problemio.  ``main`` turns every
 failure into one stderr line and an exit code: 0 success, 1 generic
 failure, 2 instability, 3 schema error, malformed command line or
 out-of-range flag, 4 synthesis failure, 5 finite-time blowup,
-6 indeterminate feasibility, 7 oversized system.
+6 indeterminate feasibility, 7 oversized system.  A norm value or an
+oracle end that is not finite is a generic failure, never a report, so
+numpy's floating-point warnings stay off.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,6 +26,7 @@ from .errors import (
     ArgumentError,
     IndeterminateError,
     KreisslabError,
+    NumericalError,
     OversizeError,
     PreconditionError,
     SchemaError,
@@ -96,6 +100,12 @@ def _write_result(args, inputs: dict, result: dict,
     return EXIT_OK
 
 
+def _require_finite(what: str, *values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise NumericalError(
+            f"{what} is not finite: {', '.join(map(str, values))}")
+
+
 def _norm_dispatch(name: str, sys: StateSpace, tol: float):
     if not tol > 0:
         raise ArgumentError("tol", "must be positive")
@@ -126,16 +136,19 @@ def _oracle_dispatch(name: str, sys: StateSpace, grid: int):
     if grid < 2:
         raise SchemaError(f"--grid: needs at least 2 points, got {grid}")
     if name == "m0":
-        return oracles.m0_time_grid(sys, n_grid=grid)
-    if name == "hinf":
-        return oracles.hinf_frequency_grid(sys, n_grid=grid)
-    if name == "pkgain":
-        return oracles.peak_gain_grid(sys, n_grid=grid)
-    if name == "l2peak":
-        return oracles.l2_to_peak_sampled(sys)
-    n_omega = max(200, int(np.sqrt(grid * 5)))      # kreiss
-    n_x = max(50, grid // n_omega)
-    return oracles.kreiss_halfplane_grid(sys, n_x=n_x, n_omega=n_omega)
+        rep = oracles.m0_time_grid(sys, n_grid=grid)
+    elif name == "hinf":
+        rep = oracles.hinf_frequency_grid(sys, n_grid=grid)
+    elif name == "pkgain":
+        rep = oracles.peak_gain_grid(sys, n_grid=grid)
+    elif name == "l2peak":
+        rep = oracles.l2_to_peak_sampled(sys)
+    else:                                            # kreiss
+        n_omega = max(200, int(np.sqrt(grid * 5)))
+        n_x = max(50, grid // n_omega)
+        rep = oracles.kreiss_halfplane_grid(sys, n_x=n_x, n_omega=n_omega)
+    _require_finite(f"the {name} oracle", rep.value, rep.uncertainty)
+    return rep
 
 
 def cmd_analyze(args) -> int:
@@ -145,6 +158,7 @@ def cmd_analyze(args) -> int:
     problem = load_problem(args.problem)
     sys_ = problem.require_system()
     result = _norm_dispatch(args.norm, sys_, args.tol)
+    _require_finite(f"the {args.norm} value", result["value"])
     if args.certify:
         rep = _oracle_dispatch(args.norm, sys_, args.grid)
         lo, hi = oracles.certification_interval(rep)
@@ -379,7 +393,8 @@ def main(argv=None) -> int:
     """Run one command line; every failure leaves through ``_FAILURES``."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (KreisslabError, OSError, MemoryError) as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in _FAILURES
                             if isinstance(exc, cls))

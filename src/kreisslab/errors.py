@@ -30,7 +30,8 @@ class OversizeError(PreconditionError):
 
 
 class NumericalError(KreisslabError):
-    """An iterative kernel failed to converge within its iteration cap."""
+    """An iterative kernel failed to converge within its iteration cap, or
+    a value came out not finite."""
 
 
 class ConsistencyError(KreisslabError):

@@ -18,6 +18,20 @@ takes exactly the steps it would take alone: ``hinf_norm`` is the
 one-member call, and the value ``kreiss_norm`` computes at a grid point
 is bitwise the ``hinf_norm`` of that family member.
 
+The Kreiss norm and M0 are maxima over one parameter, eta and t.  Each
+takes its local maxima on a grid and refines them with exact
+derivatives in ``_refine_maxima``: a safeguarded secant on the slope,
+inside the grid bracket of each maximum, until the bracket is narrower
+than its tolerance.  Every refined value is attained: ``hinf_norm`` of a
+family member, or sigma_max(C e^{At} B) at a time.  The Kreiss slope is
+the envelope derivative at the member's peak frequency, which Newton
+steps on d sigma / d omega first polish (Benner and Mitchell, SIAM J.
+Sci. Comput. 40(5), 2018); at eta = 0 its sign is that of
+``attainment_check``'s Y_sym_max, so a maximum there with Y_sym_max < 0
+takes no step.  The M0 slope is Re(q^T C A e^{At} B p), and all local
+maxima of one system step in lockstep, with one impulse evaluation per
+round.
+
 Every time-domain value comes from one impulse-response kernel,
 ``_Impulse``: C A^k e^{At} B (k = 0, 1) on a whole batch of times, from
 the residues of a well-conditioned eigenvector basis in chunks of
@@ -52,7 +66,8 @@ alone, never on the rest of the stack, so the Kreiss grid stays bitwise
 the H-infinity norm of each family member; for that reason short stacks
 take the closed form too, although one LAPACK call is faster below about
 thirty 3 x 3 matrices.  ``_gains``, the M0 grid and refinement, the
-oracles and ``models.transient_curve`` call it.
+oracles and ``models.transient_curve`` call it.  The refinement's slopes
+need the top singular vectors too, and take them from LAPACK.
 """
 
 from __future__ import annotations
@@ -101,9 +116,10 @@ class NormReport:
     "eta" (resolvent family parameter), "channel", "sign_pattern", "row".
     evaluations counts the steps of the norm's own search: gains plus
     Hamiltonian tests (hinf_norm); eta points whose H-infinity norm it took,
-    grid plus golden section, not the work inside those norms (kreiss_norm,
-    summed over subsystems by its variants); time samples plus golden
-    section (transient_peak_m0); impulse-response samples (peak_gain).
+    grid plus derivative refinement, not the work inside those norms nor
+    the slopes at points already taken (kreiss_norm, summed over subsystems
+    by its variants); time samples, grid plus derivative refinement
+    (transient_peak_m0); impulse-response samples (peak_gain).
     """
 
     value: float
@@ -443,14 +459,20 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
 #: the eta grid stops here, short of the pole of eta/(2-eta) at 2
 _ETA_CAP = 2.0 - 1e-6
 
-#: golden-section refinement stops at eta brackets this narrow
+#: derivative refinement stops at eta brackets this narrow
 _REFINE_XTOL = 1e-7
 
 #: a refined point is active when it reaches this fraction of the maximum
 _ACTIVE_RTOL = 1e-6
 
-#: golden-section refinement runs from at most this many local maxima
+#: derivative refinement runs from at most this many local maxima
 _MAX_LOCAL_MAXIMA = 8
+
+#: rounds of _refine_maxima; a bracket shrinks to its xtol in far fewer
+_REFINE_MAX_ROUNDS = 100
+
+#: Newton steps that polish a member's peak frequency before its slope
+_POLISH_STEPS = 8
 
 
 def kreiss_family_matrix(A: np.ndarray, eta) -> np.ndarray:
@@ -468,32 +490,118 @@ def _family_hinf(sys: StateSpace, eta: np.ndarray, tol: float):
                           sys.D, tol)
 
 
-def _golden_max(f, a: float, b: float, xtol: float):
-    """Golden-section maximization; f returns (value, payload).  Each step
-    shrinks b - a by 1/phi, so a Kreiss bracket ([0, 2), xtol 1e-7) takes at
-    most 2 + 35 evaluations and an M0 one ([0, horizon], xtol 1e-9 horizon)
-    2 + 44; both xtols lie far above an ulp of the ends, so widths shrink."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, p1 = f(x1)
-    f2, p2 = f(x2)
-    evals = 2
-    while b - a > xtol:
-        if f1 >= f2:
-            b = x2
-            x2, f2, p2 = x1, f1, p1
-            x1 = b - invphi * (b - a)
-            f1, p1 = f(x1)
-        else:
-            a = x1
-            x1, f1, p1 = x2, f2, p2
-            x2 = a + invphi * (b - a)
-            f2, p2 = f(x2)
-        evals += 1
-    if f1 >= f2:
-        return x1, f1, p1, evals
-    return x2, f2, p2, evals
+def _refine_maxima(probe, grid_slopes, grid, vals, payloads, peaks, d,
+                   xtol: float):
+    """Local maxima of a function h of one variable, refined in lockstep.
+
+    Maximum j starts at the grid point x = grid[peaks_j], with value
+    vals[peaks_j], payload payloads[peaks_j] and slope d_j (0 where it
+    takes no step).  Its far end is the grid neighbour the slope points
+    to, whose value is no higher, with slope grid_slopes([index]); a
+    boundary maximum whose slope points off the grid has none.  Each round
+    takes one trial point per unfinished maximum between its near end
+    (whose slope points into the bracket) and its far end: the secant root
+    of h' when the slopes of the two ends point at each other, the
+    midpoint otherwise, and never closer than xtol / 2 to an end.  A trial
+    whose slope points onward becomes the near end when the ends' slopes
+    point at each other or when it is at least as high as the near end;
+    otherwise it becomes the far end.  Either way the bracket keeps a
+    local maximum inside, and a maximum is done when its bracket is
+    narrower than xtol or a trial's slope is 0.  An end kept twice in a
+    row halves the other end's slope (the Illinois rule), so the secant
+    closes both sides.  probe(t) returns (values, slopes, payloads) at the
+    points t.  Returns the best point of each maximum, the first of equal
+    values, as (x, value, payload), and the number of probed points.
+    """
+    j = peaks + np.sign(d).astype(int)
+    has_far = (d != 0.0) & (j >= 0) & (j < grid.size)
+    far = np.where(has_far, grid[np.clip(j, 0, grid.size - 1)], np.nan)
+    d_far = np.zeros(peaks.size)
+    d_far[has_far] = grid_slopes(j[has_far])
+    x, fx, px = grid[peaks], vals[peaks], payloads[peaks]
+    near, f_near, d_near = x.copy(), fx.copy(), d.copy()
+    best_x, best_f, best_p = x.copy(), fx.copy(), px.copy()
+    moved = np.zeros(x.size)      # +1 near, -1 far: the end replaced last
+    active = np.flatnonzero(np.abs(far - near) > xtol)
+    evals = 0
+    for _ in range(_REFINE_MAX_ROUNDS):
+        if active.size == 0:
+            break
+        a = active
+        width = far[a] - near[a]
+        facing = d_near[a] * d_far[a] < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(facing, d_near[a] / (d_near[a] - d_far[a]), 0.5)
+        margin = 0.5 * xtol / np.abs(width)
+        t = near[a] + np.clip(frac, margin, 1.0 - margin) * width
+        f, d, p = probe(t)
+        evals += t.size
+        up = f > best_f[a]
+        best_x[a[up]], best_f[a[up]], best_p[a[up]] = t[up], f[up], p[up]
+        onward = (d * d_near[a] > 0.0) & (facing | (f >= f_near[a]))
+        step = np.where(onward, 1.0, -1.0)
+        # Illinois: the end that stayed twice has a stale slope
+        stale = facing & (moved[a] == step)
+        d_far[a[stale & onward]] *= 0.5
+        d_near[a[stale & ~onward]] *= 0.5
+        moved[a] = step
+        n, r = a[onward], a[~onward]
+        near[n], f_near[n], d_near[n] = t[onward], f[onward], d[onward]
+        far[r], d_far[r] = t[~onward], d[~onward]
+        active = a[(np.abs(far[a] - near[a]) > xtol) & (d != 0.0)]
+    return best_x, best_f, best_p, evals
+
+
+def _sigma_derivatives(G: np.ndarray, G1: np.ndarray, G2: np.ndarray):
+    """(sigma', sigma'', u, v) of sigma = sigma_max(G(x)) at a point where
+    G(x) = G, G'(x) = G1 and G''(x) = G2, with (u, v) its top singular
+    pair.  sigma is the top eigenvalue of the Hermitian dilation [[0, G],
+    [G^H, 0]], whose other eigenvectors are [u_k; +-v_k] / sqrt(2) for
+    +-sigma_k, k >= 2, [u_1; -v_1] / sqrt(2) for -sigma_1, and [u_k; 0] or
+    [0; v_k] for the zeros beyond min(m, p); sigma'' is the second-order
+    perturbation sum over them.  Valid where sigma_1 is simple and
+    positive."""
+    U, s, Vh = np.linalg.svd(G)
+    u, v = U[:, 0], Vh[0].conj()
+    a = U.conj().T @ G1 @ Vh.conj().T           # a[k, l] = u_k^H G1 v_l
+    r = s.size - 1
+    col, row = a[1:, 0], a[0, 1:].conj()
+    # the -sigma_1 and zero eigenvalues, then the pairs +-sigma_k
+    far = (a[0, 0].imag ** 2 + np.sum(np.abs(col[r:]) ** 2)
+           + np.sum(np.abs(row[r:]) ** 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pairs = (np.abs(col[:r] + row[:r]) ** 2 / (s[0] - s[1:])
+                 + np.abs(col[:r] - row[:r]) ** 2 / (s[0] + s[1:]))
+        d2 = (u.conj() @ G2 @ v).real + far / s[0] + 0.5 * np.sum(pairs)
+    return a[0, 0].real, d2, u, v
+
+
+def _family_slope(sys: StateSpace, eta: float, omega: float) -> float:
+    """d/d eta of the H-infinity norm h(eta) of the family member at eta,
+    whose peak frequency hinf_norm put near omega.
+
+    With c = eta/(2 - eta) and R = (j omega I - c A + I)^{-1}, the member's
+    gain is sigma_max(C R B); d/d omega of C R B is -j C R^2 B, its second
+    derivative -2 C R^3 B, and d/dc is C R A R B.  Newton steps on
+    d sigma / d omega first move omega to the peak, which the bisection
+    fixes only to about sqrt(tol); then the envelope theorem gives h'(eta)
+    = Re(u^H C R A R B v) 2/(2 - eta)^2 there."""
+    c = eta / (2.0 - eta)
+    eye = np.eye(sys.n)
+    shifted = eye - c * sys.A
+    for it in range(_POLISH_STEPS):
+        M = 1j * omega * eye + shifted
+        X = np.linalg.solve(M, sys.B)                    # R B
+        Y = np.linalg.solve(M.T, sys.C.T).T              # C R
+        d1, d2, u, v = _sigma_derivatives(sys.C @ X, -1j * (Y @ X),
+                                          -2.0 * (Y @ np.linalg.solve(M, X)))
+        step = -d1 / d2 if d2 < 0.0 else 0.0
+        if it == _POLISH_STEPS - 1 \
+                or not abs(step) > 1e-13 * (1.0 + abs(omega)):
+            break
+        omega += step
+    return float((u.conj() @ (Y @ sys.A @ X) @ v).real * 2.0
+                 / (2.0 - eta) ** 2)
 
 
 def _local_maxima(vals: np.ndarray) -> np.ndarray:
@@ -524,7 +632,10 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     the family member (eta/(2-eta) A - I, B, C), which is Hurwitz whenever
     A is.  One lockstep kernel call evaluates the whole endpoint-clustered
     eta grid, each value equal to hinf_norm of that member; each local
-    maximum is then refined by golden section over hinf_norm.  The
+    maximum is then refined inside its grid bracket by ``_refine_maxima``,
+    with each new value from hinf_norm and each slope from
+    ``_family_slope``.  A maximum at eta = 0 with Y_sym_max < 0 (a
+    negative slope there, see ``attainment_check``) takes no step.  The
     maximizer records the active eta, the inner peak frequency and every
     near-active grid point.
     """
@@ -533,10 +644,15 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     sys.require_stable("Kreiss norm")
     sigma_cb = cb_lower_bound(sys)
 
-    def value_at(eta: float):
-        fam = StateSpace(kreiss_family_matrix(sys.A, eta), sys.B, sys.C)
-        rep = hinf_norm(fam, tol=opts.hinf_tol)
-        return rep.value, rep.maximizer["omega"]
+    def slopes(etas, oms):
+        return np.array([_family_slope(sys, e, w) for e, w in zip(etas, oms)])
+
+    def probe(etas):
+        reps = [hinf_norm(StateSpace(kreiss_family_matrix(sys.A, e), sys.B,
+                                     sys.C), tol=opts.hinf_tol)
+                for e in etas]
+        oms = np.array([r.maximizer["omega"] for r in reps])
+        return np.array([r.value for r in reps]), slopes(etas, oms), oms
 
     grid = _eta_grid(opts.grid_points)
     vals, omegas, _ = _family_hinf(sys, grid, opts.hinf_tol)
@@ -548,22 +664,28 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     local_max = local_max[np.argsort(-vals[local_max], kind="stable")]
     local_max = local_max[:_MAX_LOCAL_MAXIMA]
 
+    def grid_slopes(idx):
+        return slopes(grid[idx], omegas[idx])
+
+    # the member CB/(s + 1) at eta = 0 falls off when Y_sym_max < 0: a
+    # maximum there takes no step
+    falls = (sigma_cb > 0 and 0 in local_max
+             and attainment_check(sys).Y_sym_max < 0)
+    steps = ~((local_max == 0) & falls)
+    d = np.zeros(local_max.size)
+    d[steps] = grid_slopes(local_max[steps])
+    eta_r, val_r, om_r, used = _refine_maxima(
+        probe, grid_slopes, grid, vals, omegas, local_max, d, _REFINE_XTOL)
+    evals += used
+
     best_val = float(vals[first])
     best_eta = float(grid[first])
     best_omega = float(omegas[first])
     refined = []
-    for i in local_max:
-        a = grid[i - 1] if i > 0 else grid[0]
-        b = grid[i + 1] if i < len(grid) - 1 else grid[-1]
-        if b - a <= _REFINE_XTOL:
-            refined.append((float(grid[i]), float(vals[i]), float(omegas[i])))
-            continue
-        eta_r, val_r, om_r, used = _golden_max(value_at, float(a), float(b),
-                                               xtol=_REFINE_XTOL)
-        evals += used
-        refined.append((eta_r, val_r, om_r))
-        if val_r > best_val:
-            best_val, best_eta, best_omega = val_r, eta_r, om_r
+    for e, v, om in zip(eta_r, val_r, om_r):
+        refined.append((float(e), float(v), float(om)))
+        if v > best_val:
+            best_val, best_eta, best_omega = float(v), float(e), float(om)
 
     actives = [
         {"eta": e, "value": v, "omega": om}
@@ -636,18 +758,18 @@ class _Impulse:
             self.res = (res, res * w[:, None])
         self.output = (sys.C, sys.C @ sys.A)            # C A^k, k = 0, 1
 
-    def matrices(self, t: np.ndarray) -> np.ndarray:
-        """C e^{A t_q} B for every time t_q: (T, m, p)."""
+    def matrices(self, t: np.ndarray, k: int = 0) -> np.ndarray:
+        """C A^k e^{A t_q} B (k = 0, 1) for every time t_q: (T, m, p)."""
         sys = self.sys
         out = np.empty((t.size, sys.m, sys.p))
         for lo in range(0, t.size, _TIME_CHUNK):
             sl = slice(lo, lo + _TIME_CHUNK)
             if self.modal:
                 E = np.exp(np.outer(self.lam, t[sl]))[:, None, :]
-                out[sl] = _mode_sum(E, self.res[0][:, :, None]).T.reshape(
+                out[sl] = _mode_sum(E, self.res[k][:, :, None]).T.reshape(
                     -1, sys.m, sys.p)
             else:
-                out[sl] = (sys.C @ expm(
+                out[sl] = (self.output[k] @ expm(
                     sys.A * t[sl, None, None])) @ sys.B
         return out
 
@@ -774,16 +896,30 @@ _M0_HALF_SAMPLES = 600
 #: the M0 horizon is where the decay envelope falls below this
 _M0_TAIL_EPS = 1e-12
 
-#: M0 golden-section refinement stops at this fraction of the horizon
+#: M0 derivative refinement stops at brackets this fraction of the horizon
 _M0_XTOL_REL = 1e-9
+
+
+def _impulse_slopes(imp: _Impulse, t: np.ndarray):
+    """(sigma, sigma') with sigma = sigma_max(F) for F = C e^{A t_q} B at
+    every time t_q, from one stacked _sigma_max, and its slope sigma' =
+    Re(q^T C A e^{A t_q} B p) with (q, p) the top singular pair of F."""
+    F = imp.matrices(t)
+    U, _, Vh = np.linalg.svd(F)
+    return _sigma_max(F), np.einsum("qi,qij,qj->q", U[:, :, 0],
+                                    imp.matrices(t, 1), Vh[:, 0])
 
 
 def transient_peak_m0(sys: StateSpace) -> NormReport:
     """Worst-case transient peak M0(G) = sup_{t>=0} sigma_max(C e^{At} B).
 
     The horizon is chosen from Van Loan's decay envelope so that the
-    remaining tail cannot exceed the sampled maximum; grid maxima are then
-    sharpened by golden section.  Ties report the smallest t.
+    remaining tail cannot exceed the sampled maximum.  Every grid maximum
+    within half of the largest is then refined inside its grid bracket by
+    ``_refine_maxima``, all in lockstep, with the slope d/dt sigma_max(C
+    e^{At} B) = Re(q^T C A e^{At} B p) for the top singular pair (q, p).
+    Ties report the smallest t.  Raises NumericalError when the impulse
+    response is not finite on the grid.
     """
     _strictly_proper_channel(sys, "transient peak")
     sys.require_stable("transient peak")
@@ -795,24 +931,26 @@ def transient_peak_m0(sys: StateSpace) -> NormReport:
         np.linspace(0.0, horizon, _M0_HALF_SAMPLES),
     ]))
     vals = _sigma_max(imp.matrices(grid))
+    if not np.isfinite(vals).all():
+        raise NumericalError("transient peak: the impulse response is not "
+                             "finite on the time grid")
     evals = len(grid)
 
-    def at(t: float):
-        return float(_sigma_max(imp.matrices(np.array([t])))[0]), None
+    def grid_slopes(idx):
+        return _impulse_slopes(imp, grid[idx])[1]
 
     best_val = float(vals.max())
     best_t = float(grid[int(np.argmax(vals))])
-    for i in _local_maxima(vals):
-        if vals[i] < 0.5 * best_val:
-            continue
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, len(grid) - 1)]
-        t_r, v_r, _, used = _golden_max(at, float(a), float(b),
-                                        xtol=_M0_XTOL_REL * horizon)
-        evals += used
-        if v_r > best_val * (1 + 1e-12) or (
-                abs(v_r - best_val) <= 1e-9 * best_val and t_r < best_t):
-            best_val, best_t = v_r, t_r
+    peaks = _local_maxima(vals)
+    peaks = peaks[vals[peaks] >= 0.5 * best_val]
+    t_r, v_r, _, used = _refine_maxima(
+        lambda t: (*_impulse_slopes(imp, t), t), grid_slopes, grid, vals,
+        grid, peaks, grid_slopes(peaks), _M0_XTOL_REL * horizon)
+    evals += used
+    for t, v in zip(t_r, v_r):
+        if v > best_val * (1 + 1e-12) or (
+                abs(v - best_val) <= 1e-9 * best_val and t < best_t):
+            best_val, best_t = float(v), float(t)
     return NormReport(float(best_val), {"t": float(best_t)}, evaluations=evals)
 
 

@@ -28,7 +28,6 @@ from .errors import (
     SynthesisError,
 )
 from .loop import (
-    ClosedLoop,
     ControllerRealization,
     ControllerStructure,
     assemble_closed_loop,
@@ -78,6 +77,9 @@ _FD_STEP = 1e-6
 _ROLLOFF_TOL = 1e-7
 #: the coarse eta grid of the descent's Kreiss evaluations
 _DESCENT_KREISS = KreissOptions(grid_points=48, hinf_tol=1e-7)
+#: the Kreiss floor sigma_max(CB) of every closed-loop channel
+#: J^T (sI - A_cl)^{-1} J, whose CB = J^T J is the identity
+_KREISS_FLOOR = 1.0
 
 
 @dataclass(eq=False)
@@ -182,12 +184,20 @@ def _min_norm_element(grads):
     return x, np.bincount(S, weights=lam, minlength=len(G))
 
 
-def _abscissa_with_grads(plant: StateSpace, structure: ControllerStructure,
-                         cl: ClosedLoop):
-    """Spectral abscissa of cl.A_cl and subgradients of tied eigenvalues:
-    d lambda_i = u_i^T dA v_i with u_i^T row i of pinv(V), which is V^{-1}
-    unless A_cl is defective and then keeps the gradients finite."""
+def _loop_eig(spec: SynthesisSpec, structure: ControllerStructure, theta):
+    """(cl, w, V): the closed loop at theta and its eigendecomposition.  A
+    screen hands it to the full evaluation of the same point."""
+    cl = assemble_closed_loop(spec.plant, structure.unpack(theta))
     w, V = np.linalg.eig(cl.A_cl)
+    return cl, w, V
+
+
+def _abscissa_with_grads(plant: StateSpace, structure: ControllerStructure,
+                         w: np.ndarray, V: np.ndarray):
+    """Spectral abscissa of A_cl, from its eigenvalues w and eigenvectors V
+    (np.linalg.eig), and subgradients of tied eigenvalues: d lambda_i =
+    u_i^T dA v_i with u_i^T row i of pinv(V), which is V^{-1} unless A_cl
+    is defective and then keeps the gradients finite."""
     U = np.linalg.pinv(V)
     alpha = float(np.max(w.real))
     grads = []
@@ -246,22 +256,23 @@ class _Violation:
     structure: ControllerStructure
     target: float
 
-    def full(self, theta):
-        """(F, data) with the tied eigenvalues' gradients while F > 0."""
-        plant = self.spec.plant
-        cl = assemble_closed_loop(plant, self.structure.unpack(theta))
-        alpha, grads = _abscissa_with_grads(plant, self.structure, cl)
-        F = max(alpha - self.target, 0.0)
+    def full(self, theta, state=None):
+        """(F, data) with the tied eigenvalues' gradients while F > 0; the
+        pinv of the eigenvectors is taken only then."""
+        _, w, V = state or _loop_eig(self.spec, self.structure, theta)
+        F = max(float(np.max(w.real)) - self.target, 0.0)
         if F == 0:  # feasible: a zero generator stops the descent
             grads = [np.zeros_like(theta)]
+        else:
+            grads = _abscissa_with_grads(self.spec.plant, self.structure,
+                                         w, V)[1]
         return F, {"grads": grads, "screen": None}
 
     def quick(self, theta, screen):
-        """F from one eig, bitwise the alpha of _abscissa_with_grads."""
-        cl = assemble_closed_loop(self.spec.plant,
-                                  self.structure.unpack(theta))
-        alpha = float(np.max(np.linalg.eig(cl.A_cl)[0].real))
-        return max(alpha - self.target, 0.0)
+        """(F, state) from one assembly and one eig: F is exact here, and
+        full reuses the state at an accepted point."""
+        state = _loop_eig(self.spec, self.structure, theta)
+        return max(float(np.max(state[1].real)) - self.target, 0.0), state
 
     def subgradients(self, data):
         return data["grads"]
@@ -284,12 +295,13 @@ class _Penalized:
             F += _PENALTY * (rolloff - 1.0)
         return F
 
-    def full(self, theta):
-        """(F, data) with every subgradient piece evaluated."""
+    def full(self, theta, state=None):
+        """(F, data) with every subgradient piece evaluated; state is the
+        screen's (cl, w, V) at theta, if it ran."""
         plant, weight = self.spec.plant, self.spec.rolloff_weight
         controller = self.structure.unpack(theta)
-        cl = assemble_closed_loop(plant, controller)
-        alpha, a_grads = _abscissa_with_grads(plant, self.structure, cl)
+        cl, w, V = state or _loop_eig(self.spec, self.structure, theta)
+        alpha, a_grads = _abscissa_with_grads(plant, self.structure, w, V)
         if alpha >= 0:
             return math.inf, None
         try:
@@ -307,24 +319,25 @@ class _Penalized:
         return self._objective(ks.value, alpha, r_val), data
 
     def quick(self, theta, etas):
-        """Penalty evaluated with the inner max restricted to given etas."""
+        """(F, state): the penalty with the inner max restricted to given
+        etas, and the (cl, w, V) that full reuses at an accepted point."""
         plant, weight = self.spec.plant, self.spec.rolloff_weight
-        controller = self.structure.unpack(theta)
-        cl = assemble_closed_loop(plant, controller)
-        # eig, not eigvals: bitwise the alpha of _abscissa_with_grads
-        alpha = float(np.max(np.linalg.eig(cl.A_cl)[0].real))
+        state = _loop_eig(self.spec, self.structure, theta)
+        cl, w, _ = state
+        alpha = float(np.max(w.real))
         if alpha >= 0:
-            return math.inf
+            return math.inf, state
         try:
             # one lockstep call over the etas; each value equals hinf_norm
             # of that family member
             values = _family_hinf(cl.channel(), etas, 1e-6)[0]
             r_val = (None if weight is None
-                     else rolloff_norm(plant, controller, weight))
+                     else rolloff_norm(plant, self.structure.unpack(theta),
+                                       weight))
         except (NumericalError, StabilityError):
-            return math.inf
+            return math.inf, state
         kreiss = float(np.max(values, initial=0.0))
-        return self._objective(kreiss, alpha, r_val)
+        return self._objective(kreiss, alpha, r_val), state
 
     def subgradients(self, data):
         """Convex-hull generators of the penalized objective at a point."""
@@ -344,7 +357,8 @@ class _Penalized:
 
 def _descend(pen, theta0: np.ndarray):
     """Armijo descent on the objective pen (a _Violation or a _Penalized)
-    from one start; each trial point is screened by pen.quick first.
+    from one start; each trial point is screened by pen.quick first, and
+    pen.full of a point that passes reuses the screen's loop and eig.
 
     Returns (theta, data, history) at the last accepted point, or None when
     the start itself cannot be evaluated.
@@ -364,9 +378,9 @@ def _descend(pen, theta0: np.ndarray):
         d = -g / ng
         while step >= _STEP_MIN:
             cand = theta + step * d
-            F_quick = pen.quick(cand, data["screen"])
+            F_quick, state = pen.quick(cand, data["screen"])
             if F_quick <= F - _ARMIJO_C1 * step * ng:
-                F_cand, data_cand = pen.full(cand)
+                F_cand, data_cand = pen.full(cand, state)
                 if data_cand is not None and \
                         F_cand <= F - 0.5 * _ARMIJO_C1 * step * ng:
                     theta, F, data = cand, F_cand, data_cand
@@ -387,7 +401,10 @@ def minimize_kreiss(spec: SynthesisSpec,
     phase I lowers the abscissa's excess over the decay target to zero,
     phase II the penalized Kreiss objective at the fixed weight _PENALTY.
     A restart that stops short of the target in phase I, or that ends
-    violating a constraint, is dropped.  The winner is re-evaluated with the
+    violating a constraint, is dropped.  A later restart replaces the best
+    only with a strictly smaller Kreiss value, so the first feasible
+    restart at the floor _KREISS_FLOOR ends the search, and restarts_used
+    counts the restarts that ran.  The winner is re-evaluated with the
     dense eta grid; constraint satisfaction is mandatory.  history holds
     the F sequence of each phase II.
     """
@@ -415,6 +432,8 @@ def minimize_kreiss(spec: SynthesisSpec,
         value = data["kreiss"].value
         if rep.satisfied and (best is None or value < best[1]):
             best = (theta.copy(), value, rep)
+            if value <= _KREISS_FLOOR:
+                break
     if best is None:
         raise SynthesisError(
             "no stabilizing/feasible controller found within the restart cap")
@@ -424,4 +443,4 @@ def minimize_kreiss(spec: SynthesisSpec,
     final = kreiss_norm(cl.channel())
     return SynthesisResult(controller=controller, report=final,
                            constraints=constraints,
-                           restarts_used=spec.restarts, history=history_all)
+                           restarts_used=restart + 1, history=history_all)

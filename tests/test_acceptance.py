@@ -55,7 +55,7 @@ from kreisslab.synth import (
     rolloff_norm,
 )
 
-from conftest import random_stable_statespace
+from conftest import random_suite
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -120,19 +120,9 @@ def test_criterion_04_example8():
                   f"m0={m0:.4f} (2.5226±0.02)")
 
 
-def _random_suite(seed, count):
-    rng = np.random.default_rng(seed)
-    for k in range(count):
-        n = int(rng.integers(2, 7))
-        p = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        yield random_stable_statespace(rng, n, p=p, m=m,
-                                       oscillatory=bool(k % 2))
-
-
 def test_criterion_05_kreiss_sandwich_100():
     violations = 0
-    for sys in _random_suite(seed=2024, count=100):
+    for sys in random_suite(seed=2024, count=100):
         k = kreiss_norm(sys).value
         m0 = m0_time_grid(sys, n_grid=30000).value
         if not (k <= m0 + 1e-6 + 1e-6 * m0):
@@ -145,7 +135,7 @@ def test_criterion_05_kreiss_sandwich_100():
 
 def test_criterion_06_peak_gain_sandwich_100():
     violations = 0
-    for sys in _random_suite(seed=77, count=100):
+    for sys in random_suite(seed=77, count=100):
         pk = peak_gain(sys).value
         hinf = hinf_norm(sys).value
         sig = hankel_singular_values(sys).sigma

@@ -12,6 +12,8 @@ import kreisslab
 from kreisslab import models
 from kreisslab.cli import main
 
+from conftest import random_stable_statespace
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
@@ -211,6 +213,34 @@ def test_an_allocation_failure_is_one_stderr_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _matrix(M):
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": M.ravel().tolist()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--norm", "m0"], ["--norm", "pkgain"], ["--norm", "m0", "--certify"],
+], ids=["m0", "pkgain", "m0_certify"])
+def test_a_value_that_is_not_finite_is_an_error(capsys, tmp_path, argv):
+    # rand26_n6 of the analyze benchmark's seed-1 suite, with its states
+    # scaled by 10^linspace(-5.5, 5.5, 6): the same transfer function, but
+    # its eigenvector basis is too ill-conditioned for the residue form, and
+    # linalg.expm of A t overflows
+    rng = np.random.default_rng(1)
+    for k in range(27):
+        sys_ = random_stable_statespace(
+            rng, 2 + k % 11, p=1 + k % 3, m=1 + (k // 3) % 3,
+            margin=0.01 if k % 5 == 4 else 0.3, oscillatory=bool(k % 2))
+    d = 10.0 ** np.linspace(-5.5, 5.5, 6)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"version": 1, "system": {
+        "A": _matrix(d[:, None] * sys_.A / d),
+        "B": _matrix(d[:, None] * sys_.B), "C": _matrix(sys_.C / d)}}))
+    code, out, err = run(capsys, "analyze", path, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "not finite" in err
 
 
 def test_analyze_unstable_exit_code(capsys, tmp_path):

@@ -35,7 +35,7 @@ from kreisslab.oracles import (
 )
 from kreisslab.statespace import StateSpace, tf_to_ss
 
-from conftest import random_stable_statespace
+from conftest import random_stable_statespace, random_suite
 
 EX3 = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [-1.0]], [[1.0, 1.0]])
 EX3_EPS = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [-0.75]], [[1.0, 1.0]])
@@ -635,6 +635,81 @@ def test_sigma_transfer_matches_lapack_svd(rng, name):
     want = np.array([np.linalg.svd(sys.transfer(z), compute_uv=False)[0]
                      for z in s])
     assert np.max(np.abs(imp.sigma_transfer(s) - want) / want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Derivative refinement of the Kreiss and M0 maxima
+# ---------------------------------------------------------------------------
+
+def _slope_cases():
+    return {"example8": EX8, "light_n11": _lightly_damped_n11(),
+            "mimo": random_stable_statespace(np.random.default_rng(14), 4,
+                                             p=2, m=3)}
+
+
+@pytest.mark.parametrize("name", ["example8", "light_n11", "mimo"])
+def test_family_slope_matches_central_differences(name):
+    sys = _slope_cases()[name]
+
+    def member(eta, tol):
+        return hinf_norm(StateSpace(kreiss_family_matrix(sys.A, eta), sys.B,
+                                    sys.C), tol=tol)
+
+    step = 1e-5
+    for eta in (0.3, 0.9, 1.5):
+        # from the peak frequency kreiss_norm has, good to about sqrt(tol)
+        slope = norms._family_slope(
+            sys, eta, member(eta, KreissOptions().hinf_tol).maximizer["omega"])
+        central = (member(eta + step, 1e-13).value
+                   - member(eta - step, 1e-13).value) / (2.0 * step)
+        assert slope == pytest.approx(central, rel=1e-5)
+
+
+@pytest.mark.parametrize("name", ["example8", "light_n11", "mimo"])
+def test_impulse_slope_matches_central_differences(name):
+    sys = _slope_cases()[name]
+
+    def peak(t):       # sigma_max(C e^{At} B) from scipy's expm
+        return np.linalg.svd(sys.C @ scipy.linalg.expm(sys.A * t) @ sys.B,
+                             compute_uv=False)[0]
+
+    ts = np.array([0.2, 0.7, 1.9])
+    values, slopes = norms._impulse_slopes(norms._Impulse(sys), ts)
+    step = 1e-5
+    for t, value, slope in zip(ts, values, slopes):
+        assert value == pytest.approx(peak(t), rel=1e-12)
+        central = (peak(t + step) - peak(t - step)) / (2.0 * step)
+        assert slope == pytest.approx(central, rel=1e-5)
+
+
+def test_kreiss_maximum_at_eta_zero_takes_no_step(monkeypatch):
+    # 1/(s + 1) + 1/(s + 2): CB = 2 and Y = (CAB)(CB) = -6, so the family's
+    # value falls from sigma_max(CB) at eta = 0
+    sys = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]])
+    assert attainment_check(sys).Y_sym_max < 0
+    calls = []
+    monkeypatch.setattr(norms, "hinf_norm",
+                        lambda *a, **k: calls.append(a) or hinf_norm(*a, **k))
+    rep = kreiss_norm(sys)
+    assert calls == []
+    assert rep.evaluations == norms._eta_grid(200).size
+    assert rep.value == cb_lower_bound(sys)
+    assert rep.maximizer["eta"] == 0.0
+    assert [act["eta"] for act in rep.maximizer["actives"]] == [0.0]
+
+
+def test_refined_values_reach_their_grid_maxima(monkeypatch):
+    # the grid values are what _local_maxima receives
+    seen = []
+    local_maxima = norms._local_maxima
+    monkeypatch.setattr(norms, "_local_maxima",
+                        lambda vals: seen.append(vals.max())
+                        or local_maxima(vals))
+    for sys in random_suite(seed=2024, count=100):
+        for norm in (kreiss_norm, transient_peak_m0):
+            seen.clear()
+            value = norm(sys).value
+            assert len(seen) == 1 and value >= seen[0]
 
 
 def test_local_maxima_matches_the_neighbour_rule(rng):

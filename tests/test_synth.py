@@ -26,6 +26,7 @@ from kreisslab.linalg import spectral_abscissa
 from kreisslab.norms import (
     KreissOptions,
     _family_hinf,
+    cb_lower_bound,
     hinf_norm,
     kreiss_family_matrix,
     kreiss_norm,
@@ -112,7 +113,8 @@ def test_abscissa_grads_of_a_repeated_eigenvalue():
     plant = StateSpace(-np.eye(2), np.eye(2), np.eye(2))
     structure = ControllerStructure.static(2, 2)
     cl = assemble_closed_loop(plant, structure.unpack(np.zeros(4)))
-    alpha, grads = _abscissa_with_grads(plant, structure, cl)
+    alpha, grads = _abscissa_with_grads(plant, structure,
+                                        *np.linalg.eig(cl.A_cl))
     assert alpha == -1.0
     assert np.allclose(grads, [[1, 0, 0, 0], [0, 0, 0, 1]], rtol=0,
                        atol=1e-12)
@@ -134,7 +136,8 @@ def test_abscissa_grads_match_central_differences(n_K):
         top = 2 if w[0].imag else 1
         if w[0].real >= 0 or w[0].real - w[top].real < 0.05:
             continue
-        alpha, grads = _abscissa_with_grads(plant, structure, cl)
+        alpha, grads = _abscissa_with_grads(plant, structure,
+                                            *np.linalg.eig(cl.A_cl))
         assert len(grads) == 1
         d = rng.standard_normal(structure.n_theta)
         h = 1e-6
@@ -159,7 +162,8 @@ def test_abscissa_grads_of_a_jordan_block_are_finite(A):
     structure = ControllerStructure.static(2, 2)
     theta = np.zeros(4)
     cl = assemble_closed_loop(plant, structure.unpack(theta))
-    alpha, grads = _abscissa_with_grads(plant, structure, cl)
+    alpha, grads = _abscissa_with_grads(plant, structure,
+                                        *np.linalg.eig(cl.A_cl))
     assert alpha == pytest.approx(-1.0, abs=1e-6)
     assert grads and np.all(np.isfinite(grads))
     F, _ = _Penalized(SynthesisSpec(plant=plant), structure).full(theta)
@@ -264,7 +268,7 @@ def test_quick_penalty_is_max_of_per_eta_hinf():
         tol=1e-6).value for eta in etas)
     excess = spectral_abscissa(channel.A) - pen.spec.alpha_limit
     expected = kreiss_part + (_PENALTY * excess if excess > 0 else 0.0)
-    F = pen.quick(structure.pack(ctrl), np.array(etas))
+    F, _ = pen.quick(structure.pack(ctrl), np.array(etas))
     assert F == expected
 
 
@@ -290,6 +294,48 @@ def test_phase_one_stabilizes_the_lorenz_chaos_plant():
     assert history[-1] == 0.0
     cl = assemble_closed_loop(spec.plant, structure.unpack(theta))
     assert spectral_abscissa(cl.A_cl) <= target
+
+
+def test_phase_one_assembles_each_trial_point_once(monkeypatch):
+    # the screen's loop and eig serve the full evaluation of an accepted
+    # point, and a feasible point takes no pinv
+    spec = SynthesisSpec(plant=lorenz_plant(lorenz_chaos(), "x"))
+    structure = ControllerStructure.static(1, 1)
+    viol = _Violation(spec, structure, -_STAB_MARGIN)
+    counts = {"assemble": 0, "pinv": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(synth, "assemble_closed_loop",
+                        counting("assemble", assemble_closed_loop))
+    monkeypatch.setattr(synth.np.linalg, "pinv",
+                        counting("pinv", np.linalg.pinv))
+    quick = []
+    monkeypatch.setattr(viol, "quick", lambda theta, screen: quick.append(
+        theta) or _Violation.quick(viol, theta, screen))
+    _, _, history = _descend(viol, np.zeros(structure.n_theta))
+    assert history[-1] == 0.0 and len(history) > 2
+    assert counts["assemble"] == len(quick) + 1
+    # every accepted point but the last, feasible one, and the start
+    assert counts["pinv"] == len(history) - 1
+
+
+def test_minimize_stops_at_the_floor():
+    # restart 0 already reaches K = 1 = sigma_max(J^T J) on the Lorenz
+    # static loop, and no later restart can replace it
+    plant = lorenz_plant(lorenz_chaos(), "x")
+    structure = ControllerStructure.static(1, 1)
+    res = minimize_kreiss(SynthesisSpec(plant=plant, restarts=10), structure)
+    one = minimize_kreiss(SynthesisSpec(plant=plant, restarts=1), structure)
+    cl = assemble_closed_loop(plant, res.controller)
+    assert cb_lower_bound(cl.channel()) == synth._KREISS_FLOOR
+    assert res.report.value == synth._KREISS_FLOOR
+    assert res.restarts_used == 1 and len(res.history) == 1
+    assert res.controller.D_K.tobytes() == one.controller.D_K.tobytes()
 
 
 def test_minimize_unstabilizable_plant_fails():
