@@ -23,10 +23,13 @@ takes its local maxima on a grid and refines them with exact
 derivatives in ``_refine_maxima``: a safeguarded secant on the slope,
 inside the grid bracket of each maximum, until the bracket is narrower
 than its tolerance.  Every refined value is attained: ``hinf_norm`` of a
-family member, or sigma_max(C e^{At} B) at a time.  The Kreiss slope is
-the envelope derivative at the member's peak frequency, which Newton
-steps on d sigma / d omega first polish (Benner and Mitchell, SIAM J.
-Sci. Comput. 40(5), 2018); at eta = 0 its sign is that of
+family member, or sigma_max(C e^{At} B) at a time.  One kernel,
+``_peak_point``, polishes a peak for both the Kreiss slope and the
+synthesis subgradient (``subgrad.kreiss_subgradient``): Newton steps on
+d sigma / d omega move a bisection's frequency to the peak (Benner and
+Mitchell, SIAM J. Sci. Comput. 40(5), 2018), and the resolvent products
+there give the derivative by A.  The Kreiss slope is the envelope
+derivative at the member's polished peak; at eta = 0 its sign is that of
 ``attainment_check``'s Y_sym_max, so a maximum there with Y_sym_max < 0
 takes no step.  The M0 slope is Re(q^T C A e^{At} B p), and all local
 maxima of one system step in lockstep, with one impulse evaluation per
@@ -471,7 +474,7 @@ _MAX_LOCAL_MAXIMA = 8
 #: rounds of _refine_maxima; a bracket shrinks to its xtol in far fewer
 _REFINE_MAX_ROUNDS = 100
 
-#: Newton steps that polish a member's peak frequency before its slope
+#: Newton steps of _peak_point that polish a peak frequency
 _POLISH_STEPS = 8
 
 
@@ -553,12 +556,12 @@ def _refine_maxima(probe, grid_slopes, grid, vals, payloads, peaks, d,
 
 
 def _sigma_derivatives(G: np.ndarray, G1: np.ndarray, G2: np.ndarray):
-    """(sigma', sigma'', u, v) of sigma = sigma_max(G(x)) at a point where
-    G(x) = G, G'(x) = G1 and G''(x) = G2, with (u, v) its top singular
-    pair.  sigma is the top eigenvalue of the Hermitian dilation [[0, G],
-    [G^H, 0]], whose other eigenvectors are [u_k; +-v_k] / sqrt(2) for
-    +-sigma_k, k >= 2, [u_1; -v_1] / sqrt(2) for -sigma_1, and [u_k; 0] or
-    [0; v_k] for the zeros beyond min(m, p); sigma'' is the second-order
+    """(sigma, sigma', sigma'', u, v) of sigma = sigma_max(G(x)) at a point
+    where G(x) = G, G'(x) = G1 and G''(x) = G2, with (u, v) its top
+    singular pair.  sigma is the top eigenvalue of the Hermitian dilation
+    [[0, G], [G^H, 0]], whose other eigenvectors are [u_k; +-v_k] / sqrt(2)
+    for +-sigma_k, k >= 2, [u_1; -v_1] / sqrt(2) for -sigma_1, and [u_k; 0]
+    or [0; v_k] for the zeros beyond min(m, p); sigma'' is the second-order
     perturbation sum over them.  Valid where sigma_1 is simple and
     positive."""
     U, s, Vh = np.linalg.svd(G)
@@ -573,33 +576,44 @@ def _sigma_derivatives(G: np.ndarray, G1: np.ndarray, G2: np.ndarray):
         pairs = (np.abs(col[:r] + row[:r]) ** 2 / (s[0] - s[1:])
                  + np.abs(col[:r] - row[:r]) ** 2 / (s[0] + s[1:]))
         d2 = (u.conj() @ G2 @ v).real + far / s[0] + 0.5 * np.sum(pairs)
-    return a[0, 0].real, d2, u, v
+    return s[0], a[0, 0].real, d2, u, v
+
+
+def _peak_point(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
+                omega: float):
+    """(omega, sigma, u, v, X, Y) at the peak of sigma_max(G(j omega)),
+    G(s) = C (sI - A)^{-1} B + D, near the given omega.
+
+    With R = (j omega I - A)^{-1}, d/d omega of C R B is -j C R^2 B and its
+    second derivative -2 C R^3 B.  Newton steps on d sigma / d omega move
+    omega to the peak, which a bisection fixes only to about sqrt(tol).
+    Returns the polished omega, sigma there with its top singular pair
+    (u, v), X = R B and Y = C R: the derivative of sigma by any matrix that
+    moves A is then Re(u^H Y dA X v)."""
+    eye = np.eye(A.shape[0])
+    for it in range(_POLISH_STEPS):
+        M = 1j * omega * eye - A
+        X = np.linalg.solve(M, B)                        # R B
+        Y = np.linalg.solve(M.T, C.T).T                  # C R
+        sigma, d1, d2, u, v = _sigma_derivatives(
+            C @ X + D, -1j * (Y @ X), -2.0 * (Y @ np.linalg.solve(M, X)))
+        step = -d1 / d2 if d2 < 0.0 else 0.0
+        if it == _POLISH_STEPS - 1 \
+                or not abs(step) > 1e-13 * (1.0 + abs(omega)):
+            break
+        omega += step
+    return float(omega), float(sigma), u, v, X, Y
 
 
 def _family_slope(sys: StateSpace, eta: float, omega: float) -> float:
     """d/d eta of the H-infinity norm h(eta) of the family member at eta,
     whose peak frequency hinf_norm put near omega.
 
-    With c = eta/(2 - eta) and R = (j omega I - c A + I)^{-1}, the member's
-    gain is sigma_max(C R B); d/d omega of C R B is -j C R^2 B, its second
-    derivative -2 C R^3 B, and d/dc is C R A R B.  Newton steps on
-    d sigma / d omega first move omega to the peak, which the bisection
-    fixes only to about sqrt(tol); then the envelope theorem gives h'(eta)
-    = Re(u^H C R A R B v) 2/(2 - eta)^2 there."""
-    c = eta / (2.0 - eta)
-    eye = np.eye(sys.n)
-    shifted = eye - c * sys.A
-    for it in range(_POLISH_STEPS):
-        M = 1j * omega * eye + shifted
-        X = np.linalg.solve(M, sys.B)                    # R B
-        Y = np.linalg.solve(M.T, sys.C.T).T              # C R
-        d1, d2, u, v = _sigma_derivatives(sys.C @ X, -1j * (Y @ X),
-                                          -2.0 * (Y @ np.linalg.solve(M, X)))
-        step = -d1 / d2 if d2 < 0.0 else 0.0
-        if it == _POLISH_STEPS - 1 \
-                or not abs(step) > 1e-13 * (1.0 + abs(omega)):
-            break
-        omega += step
+    With c = eta/(2 - eta), the member is c A - I; ``_peak_point`` polishes
+    its peak, and since d/dc of C R B is C R A R B, the envelope theorem
+    gives h'(eta) = Re(u^H C R A R B v) 2/(2 - eta)^2 there."""
+    _, _, u, v, X, Y = _peak_point(kreiss_family_matrix(sys.A, eta), sys.B,
+                                   sys.C, sys.D, omega)
     return float((u.conj() @ (Y @ sys.A @ X) @ v).real * 2.0
                  / (2.0 - eta) ** 2)
 

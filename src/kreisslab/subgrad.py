@@ -1,9 +1,9 @@
-"""Clarke subgradients of the H-infinity and closed-loop Kreiss norms.
+"""Clarke subgradient of the closed-loop Kreiss norm.
 
-Covers the H-infinity norm at its (finitely many) peak frequencies and
-the closed-loop Kreiss norm as a function of structured controller
-parameters (chain rule through the resolvent of each active family member
-that kreiss_norm reports).
+The closed-loop Kreiss norm is a function of structured controller
+parameters; its gradient at each active family member that kreiss_norm
+reports comes by the chain rule through the member's resolvent at its
+polished peak (``norms._peak_point``).
 """
 
 from __future__ import annotations
@@ -12,56 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
-from .linalg import svd_triple
 from .loop import ClosedLoop, ControllerStructure
-from .norms import KreissOptions, kreiss_family_matrix, kreiss_norm
+from .norms import KreissOptions, _peak_point, kreiss_family_matrix, kreiss_norm
 from .statespace import StateSpace
 
 __all__ = [
-    "SubgradientSet",
     "ActivePoint",
     "KreissSubgradient",
-    "hinf_subgradient_set",
     "kreiss_subgradient",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class SubgradientSet:
-    """{sum_k Q_k Y_k P_k^H : Y_k >= 0, sum_k Tr(Y_k) = 1}.
-
-    pairs holds the active (Q_k, P_k) singular blocks; element(multipliers)
-    selects one element of the set.
-    """
-
-    pairs: list
-
-    def element(self, multipliers=None) -> np.ndarray:
-        if multipliers is None:
-            # uniform trace split over the active blocks
-            total = sum(q.shape[1] for q, _ in self.pairs)
-            multipliers = [np.eye(q.shape[1]) / total for q, _ in self.pairs]
-        trace = sum(float(np.trace(Y)) for Y in multipliers)
-        if abs(trace - 1.0) > 1e-10:
-            raise PreconditionError("multiplier traces must sum to 1")
-        out = None
-        for (Q, P), Y in zip(self.pairs, multipliers):
-            term = Q @ Y @ P.conj().T
-            out = term if out is None else out + term
-        return out
-
-
-def hinf_subgradient_set(sys: StateSpace, peaks) -> SubgradientSet:
-    """Active singular blocks of G(j omega_k) at the peak frequencies."""
-    peaks = list(peaks)
-    if not peaks:
-        raise PreconditionError("peak frequency list is empty")
-    pairs = []
-    for w in peaks:
-        triple = svd_triple(sys.transfer(1j * float(w)))
-        pairs.append((triple.Q, triple.P))
-    return SubgradientSet(pairs=pairs)
 
 
 @dataclass
@@ -79,27 +38,6 @@ class KreissSubgradient:
     active: list = field(default_factory=list)
 
 
-def closed_loop_gradient(A_cl: np.ndarray, J: np.ndarray, eta: float,
-                         omega: float) -> tuple[float, np.ndarray]:
-    """(value, d sigma_max / d A_cl) of the channel at a family point.
-
-    At s = j omega the family member c A_cl - I, c = eta/(2-eta), has
-    resolvent M = s I - (c A_cl - I); the gradient is
-    c Re(M^{-1} J p q^H J^T M^{-1})^T for the top singular pair (q, p) of
-    J^T M^{-1} J.
-    """
-    c = eta / (2.0 - eta)
-    M = 1j * omega * np.eye(A_cl.shape[0]) - kreiss_family_matrix(A_cl, eta)
-    X = np.linalg.solve(M, J.astype(complex))        # M^{-1} J
-    Y = np.linalg.solve(M.T, J.astype(complex)).T    # J^T M^{-1}
-    G = J.T @ X
-    triple = svd_triple(G)
-    q = triple.Q[:, :1]
-    p = triple.P[:, :1]
-    W = c * (X @ p @ q.conj().T @ Y)
-    return float(triple.sigma_max), np.real(W).T
-
-
 def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
                        cl: ClosedLoop,
                        opts: KreissOptions | None = None) -> KreissSubgradient:
@@ -107,18 +45,26 @@ def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
 
     cl is the loop assembled at theta.  kreiss_norm of its channel supplies
     the active (eta, omega) pairs and raises StabilityError for a
-    non-Hurwitz A_cl; each pair is pulled back through the resolvent
-    derivative and the controller structure mask.  The leading gradient
-    belongs to the best active point; the full active list supports
-    max-rule convex combinations.
+    non-Hurwitz A_cl.  At each pair ``norms._peak_point`` polishes omega to
+    the peak of the member c A_cl - I, c = eta/(2-eta), so an active's
+    omega and value are the polished peak and sigma_max there; the
+    gradient d sigma / d A_cl = c Re(X v u^H Y)^T is pulled back through
+    the controller structure mask.  The leading gradient belongs to the
+    best active point; the full active list supports max-rule convex
+    combinations.
     """
-    worst = kreiss_norm(cl.channel(), opts)
+    channel = cl.channel()
+    worst = kreiss_norm(channel, opts)
     actives = []
     for act in worst.maximizer["actives"]:
-        val, G_A = closed_loop_gradient(cl.A_cl, cl.J, act["eta"], act["omega"])
+        eta = act["eta"]
+        omega, val, u, v, X, Y = _peak_point(
+            kreiss_family_matrix(channel.A, eta), channel.B, channel.C,
+            channel.D, act["omega"])
+        G_A = np.real(eta / (2.0 - eta) * np.outer(X @ v, u.conj() @ Y)).T
         grad = structure.grad_from_closed_loop(G_A, plant)
-        actives.append(ActivePoint(eta=act["eta"], omega=act["omega"],
-                                   value=val, gradient=grad))
+        actives.append(ActivePoint(eta=eta, omega=omega, value=val,
+                                   gradient=grad))
     best = max(actives, key=lambda a: a.value)
     return KreissSubgradient(value=worst.value, gradient=best.gradient,
                              active=actives)

@@ -212,11 +212,10 @@ def _abscissa_with_grads(plant: StateSpace, structure: ControllerStructure,
     return alpha, grads
 
 
-def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
-                       theta: np.ndarray, controller: ControllerRealization,
-                       weight: StateSpace):
-    """||W T||_inf at theta (unpacked to controller) and a central
-    finite-difference gradient.
+def _rolloff_grad(plant: StateSpace, structure: ControllerStructure,
+                  theta: np.ndarray, base: float, weight: StateSpace):
+    """Central finite-difference gradient of ||W T||_inf at theta, whose
+    value there is base.
 
     Perturbations that cross the stability boundary fall back to one-sided
     differences from the stable side.
@@ -227,7 +226,6 @@ def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
         except StabilityError:
             return None
 
-    base = rolloff_norm(plant, controller, weight)
     grad = np.zeros_like(theta)
     for i in range(theta.size):
         step = _FD_STEP * (1.0 + abs(theta[i]))
@@ -241,7 +239,7 @@ def _rolloff_with_grad(plant: StateSpace, structure: ControllerStructure,
             grad[i] = (up - base) / step
         elif dn is not None:
             grad[i] = (base - dn) / step
-    return base, grad
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +295,11 @@ class _Penalized:
 
     def full(self, theta, state=None):
         """(F, data) with every subgradient piece evaluated; state is the
-        screen's (cl, w, V) at theta, if it ran."""
+        screen's (cl, w, V, roll-off value) at theta, if it ran."""
         plant, weight = self.spec.plant, self.spec.rolloff_weight
-        controller = self.structure.unpack(theta)
-        cl, w, V = state or _loop_eig(self.spec, self.structure, theta)
+        if state is None:  # the start, which no screen saw
+            state = _loop_eig(self.spec, self.structure, theta) + (None,)
+        cl, w, V, r_val = state
         alpha, a_grads = _abscissa_with_grads(plant, self.structure, w, V)
         if alpha >= 0:
             return math.inf, None
@@ -309,10 +308,13 @@ class _Penalized:
                                     opts=_DESCENT_KREISS)
         except (NumericalError, StabilityError):
             return math.inf, None
-        r_val = r_grad = None
+        r_grad = None
         if weight is not None:
-            r_val, r_grad = _rolloff_with_grad(plant, self.structure, theta,
-                                               controller, weight)
+            if r_val is None:
+                r_val = rolloff_norm(plant, self.structure.unpack(theta),
+                                     weight)
+            r_grad = _rolloff_grad(plant, self.structure, theta, r_val,
+                                   weight)
         data = {"kreiss": ks, "alpha": alpha, "alpha_grads": a_grads,
                 "rolloff": r_val, "rolloff_grad": r_grad,
                 "screen": np.array([a.eta for a in ks.active])}
@@ -320,13 +322,13 @@ class _Penalized:
 
     def quick(self, theta, etas):
         """(F, state): the penalty with the inner max restricted to given
-        etas, and the (cl, w, V) that full reuses at an accepted point."""
+        etas, and the (cl, w, V, roll-off value) that full reuses at an
+        accepted point."""
         plant, weight = self.spec.plant, self.spec.rolloff_weight
-        state = _loop_eig(self.spec, self.structure, theta)
-        cl, w, _ = state
+        cl, w, V = _loop_eig(self.spec, self.structure, theta)
         alpha = float(np.max(w.real))
         if alpha >= 0:
-            return math.inf, state
+            return math.inf, None
         try:
             # one lockstep call over the etas; each value equals hinf_norm
             # of that family member
@@ -335,9 +337,9 @@ class _Penalized:
                      else rolloff_norm(plant, self.structure.unpack(theta),
                                        weight))
         except (NumericalError, StabilityError):
-            return math.inf, state
+            return math.inf, None
         kreiss = float(np.max(values, initial=0.0))
-        return self._objective(kreiss, alpha, r_val), state
+        return self._objective(kreiss, alpha, r_val), (cl, w, V, r_val)
 
     def subgradients(self, data):
         """Convex-hull generators of the penalized objective at a point."""
@@ -358,7 +360,8 @@ class _Penalized:
 def _descend(pen, theta0: np.ndarray):
     """Armijo descent on the objective pen (a _Violation or a _Penalized)
     from one start; each trial point is screened by pen.quick first, and
-    pen.full of a point that passes reuses the screen's loop and eig.
+    pen.full of a point that passes reuses the screen's state: its loop and
+    eig, and phase II's roll-off value.
 
     Returns (theta, data, history) at the last accepted point, or None when
     the start itself cannot be evaluated.

@@ -433,3 +433,25 @@ def test_minimize_judges_the_decay_limit_it_enforced():
     assert res.constraints.alpha_limit == -0.01
     assert res.constraints.satisfied
     assert res.constraints.alpha <= -0.01 + 1e-8
+
+
+def test_no_rolloff_value_is_computed_twice(monkeypatch):
+    # the screen's roll-off value is the full evaluation's finite-difference
+    # base, so no controller is evaluated twice
+    seen = []
+
+    def recording(plant, controller, weight):
+        seen.append(b"".join(M.tobytes() for M in (
+            controller.A_K, controller.B_K, controller.C_K, controller.D_K)))
+        return rolloff_norm(plant, controller, weight)
+
+    rolloff_norm = synth.rolloff_norm
+    monkeypatch.setattr(synth, "rolloff_norm", recording)
+    spec = SynthesisSpec(plant=brunton_plant(), eta_rate=0.1,
+                         rolloff_weight=rolloff_weight(), restarts=1, seed=0)
+    try:
+        minimize_kreiss(spec, ControllerStructure.full(1, 1, 1))
+    except SynthesisError:
+        pass  # restart 0 ends infeasible; its descent is what counts here
+    assert len(seen) > 0
+    assert len(set(seen)) == len(seen)
