@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .loop import ClosedLoop, ControllerStructure
-from .norms import KreissOptions, _peak_point, kreiss_family_matrix, kreiss_norm
+from .norms import (KreissOptions, _peak_point, kreiss_family_matrix,
+                    kreiss_norm)
 from .statespace import StateSpace
 
 __all__ = [
