@@ -9,14 +9,16 @@ with the sigma_max(CB) lower bound and its attainment test.
 Every H-infinity norm here comes from one kernel, ``_hinf_lockstep``:
 the Hamiltonian bisection with midpoint acceleration of Bruinsma and
 Steinbuch (Systems & Control Letters 14(4), 1990), run in lockstep on a
-stack of members (A_e, B, C, D).  Gains at all (member, frequency) pairs
-come from stacked dense solves and SVDs in chunks of ``_GAIN_CHUNK``
-pairs, and the Hamiltonians of the members still iterating from one
-stacked eigvals.  The dense solve needs no eigenvector basis, so a
-defective A (a Jordan block) is handled like any other.  Each member
-takes exactly the steps it would take alone: ``hinf_norm`` is the
-one-member call, and the value ``kreiss_norm`` computes at a grid point
-is bitwise the ``hinf_norm`` of that family member.
+stack of members (A_e, B, C, D), the Hamiltonians of the members still
+iterating from one stacked eigvals.  ``hinf_norm``, the one-member call,
+takes its pole probes from eigvals and its gains from stacked dense
+solves (``_gains``), which need no eigenvector basis.  The Kreiss family
+c A - I shares A's eigenvectors: ``_family_hinf`` takes every member's
+poles c lam - 1 and gains (``_residue_gains``) from one eigendecomposition
+of A where cond(V) eps <= 1e-3 tol, and ``_gains`` otherwise.  Each member
+takes exactly the steps it would take alone, so a Kreiss grid value does
+not depend on the rest of the grid and lies within tol of ``hinf_norm``
+of that member (bitwise on the dense path).
 
 The Kreiss norm and M0 are maxima over one parameter, eta and t.  Each
 takes its local maxima on a grid and refines them with exact
@@ -51,8 +53,10 @@ Newton steps (the derivative is k = 1) and integrates each channel's
 segments from the same residues.  The oracles and
 ``models.transient_curve`` use the same kernel.  The same class also
 evaluates sigma_max(C (sI - A)^{-1} B + D) on a batch of complex points s,
-the oracles' frequency grids: from the same residues for a modal A, and
-from ``_gains``'s stacked dense solves for a defective one.
+the oracles' frequency grids: from the same residues through
+``_residue_gains``, the Kreiss family's gain kernel, for a modal A, and
+from ``_gains``'s stacked dense solves for a defective one.  Every mode
+sum in time adds its modes in order (``_mode_sum``).
 
 Every largest singular value of a stack of matrices comes from one
 kernel, ``_sigma_max``.  With k = min(m, p) <= 3 it builds the k x k
@@ -65,11 +69,11 @@ k = 2, and Smith's trigonometric formula for k = 3 (O. K. Smith,
 LAPACK SVD stays for k >= 4 and for the 3 x 3 Gram matrices whose top
 two eigenvalues nearly tie (r = q / p^{3/2} within ``_TIE_GAP`` of -1),
 where the formula loses accuracy.  Every value depends on its own matrix
-alone, never on the rest of the stack, so the Kreiss grid stays bitwise
-the H-infinity norm of each family member; for that reason short stacks
-take the closed form too, although one LAPACK call is faster below about
-thirty 3 x 3 matrices.  ``_gains``, the M0 grid and refinement, the
-oracles and ``models.transient_curve`` call it.  The refinement's slopes
+alone, never on the rest of the stack, so no Kreiss grid value depends
+on the rest of the grid; for that reason short stacks take the closed
+form too, although one LAPACK call is faster below about thirty 3 x 3
+matrices.  ``_gains``, ``_residue_gains``, the M0 grid and refinement,
+the oracles and ``models.transient_curve`` call it.  The refinement's slopes
 need the top singular vectors too, and take them from LAPACK.
 """
 
@@ -294,16 +298,25 @@ def _gains(A: np.ndarray, member: np.ndarray, s: np.ndarray,
     return _sigma_max(G)
 
 
-def _probe_frequencies(A: np.ndarray) -> np.ndarray:
-    """Per member, Bruinsma and Steinbuch's test frequencies: 0, the pole
-    magnitudes and nonzero imaginary parts; rows sorted, repeats and padding
-    NaN.  No sweep is needed: _hinf_lockstep's level test bounds the value
-    from any positive start."""
-    lam = np.linalg.eigvals(A)
-    mags = np.abs(lam)
-    imag = np.abs(lam.imag)
+def _residue_gains(s: np.ndarray, poles: np.ndarray, res: np.ndarray,
+                   D: np.ndarray) -> np.ndarray:
+    """sigma_max(sum_l res[l] / (s_k - poles[k, l]) + D) for every point
+    s_k, res[l] the residue of mode l flattened row by row; poles holds one
+    row for all points or one row per point."""
+    G = ((1.0 / (s[:, None] - poles)) @ res).reshape(-1, *D.shape)
+    G += D                # in place: a copy slows the oracle grids
+    return _sigma_max(G)
+
+
+def _probe_frequencies(poles: np.ndarray) -> np.ndarray:
+    """Per row of an (E, n) stack of poles, Bruinsma and Steinbuch's test
+    frequencies: 0, the pole magnitudes and nonzero imaginary parts; rows
+    sorted, repeats and padding NaN.  No sweep is needed: _hinf_lockstep's
+    level test bounds the value from any positive start."""
+    mags = np.abs(poles)
+    imag = np.abs(poles.imag)
     probes = np.concatenate([
-        np.zeros((A.shape[0], 1)),
+        np.zeros((poles.shape[0], 1)),
         np.where(imag > 0, imag, np.nan),
         np.where(mags > 0, mags, np.nan),
     ], axis=1)
@@ -313,14 +326,15 @@ def _probe_frequencies(A: np.ndarray) -> np.ndarray:
     return probes
 
 
-def _zero_start_probes(A: np.ndarray) -> np.ndarray:
-    """n + 1 geometric frequencies per Hurwitz member, 1e-3 times its
-    smallest to 1e3 times its largest pole magnitude: the entries of
-    C adj(sI - A) B have degree below n, so with D = 0, the only case with
-    a start of 0, a gain that vanishes at all of them vanishes everywhere."""
-    mags = np.abs(np.linalg.eigvals(A))
+def _zero_start_probes(poles: np.ndarray) -> np.ndarray:
+    """n + 1 geometric frequencies per row of an (E, n) stack of Hurwitz
+    poles, 1e-3 times its smallest to 1e3 times its largest magnitude: the
+    entries of C adj(sI - A) B have degree below n, so with D = 0, the only
+    case with a start of 0, a gain that vanishes at all of them vanishes
+    everywhere."""
+    mags = np.abs(poles)
     return np.geomspace(mags.min(axis=1) * 1e-3, mags.max(axis=1) * 1e3,
-                        A.shape[-1] + 1, axis=1)
+                        poles.shape[-1] + 1, axis=1)
 
 
 def _write_hamiltonians(H: np.ndarray, A: np.ndarray, gamma: np.ndarray,
@@ -345,15 +359,18 @@ def _on_imaginary_axis(w: np.ndarray) -> np.ndarray:
 
 
 def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
-                   D: np.ndarray, tol: float):
+                   D: np.ndarray, tol: float, modal=None):
     """H-infinity norms of the members (A[e], B, C, D) of a stack, e < E.
 
     Runs the bisection of hinf_norm on every member in lockstep: each
     round evaluates the gains of all members at once and the Hamiltonians
-    of the members still iterating in one stacked eigvals.  Every member
-    takes exactly the steps it would take alone, so its value, frequency
-    and evaluation count do not depend on the rest of the stack.  Returns
-    (values, omegas, evaluations), one entry per member.
+    of the members still iterating in one stacked eigvals.  The pole
+    probes and gains come from eigvals and ``_gains``'s dense solves, or,
+    given modal = (poles, res) with poles[e] the eigenvalues of A[e] and
+    res the residues all members share, from ``_residue_gains``.  Every
+    member takes exactly the steps it would take alone, so its value,
+    frequency and evaluation count do not depend on the rest of the stack.
+    Returns (values, omegas, evaluations), one entry per member.
     """
     if not tol > 0:
         raise ArgumentError("tol", "must be positive")
@@ -364,17 +381,23 @@ def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     if n == 0 or not np.any(B) or not np.any(C):
         return best, omega_best, np.ones(E, dtype=int)
 
+    poles, res = (np.linalg.eigvals(A), None) if modal is None else modal
+
+    def gains(member, s):
+        if res is None:
+            return _gains(A, member, s, B, C, D)
+        return _residue_gains(s, poles[member], res, D)
+
     # every probe of a member can sit on a transmission zero, a start of 0
     # that no level test raises: such members take a second probe set
     evals = np.zeros(E, dtype=int)
     members = np.arange(E)
     for probe_set in (_probe_frequencies, _zero_start_probes):
-        probes = probe_set(A[members])
+        probes = probe_set(poles[members])
         valid = ~np.isnan(probes)
         evals[members] += valid.sum(axis=1)
         g = np.full(probes.shape, -np.inf)
-        g[valid] = _gains(A, members[np.nonzero(valid)[0]],
-                          1j * probes[valid], B, C, D)
+        g[valid] = gains(members[np.nonzero(valid)[0]], 1j * probes[valid])
         first = g.argmax(axis=1)              # the first of equal maxima
         g_max = g[np.arange(members.size), first]
         raised = g_max > best[members]
@@ -409,8 +432,7 @@ def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
         valid = ~np.isnan(cand)
         evals[active] += valid.sum(axis=1)
         g = np.full(cand.shape, -np.inf)
-        g[valid] = _gains(A, active[np.nonzero(valid)[0]], 1j * cand[valid],
-                          B, C, D)
+        g[valid] = gains(active[np.nonzero(valid)[0]], 1j * cand[valid])
         # candidates in order, each against the level raised so far
         b, om = best[active], omega_best[active]
         improved = np.zeros(active.size, dtype=bool)
@@ -441,7 +463,8 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     their midpoints.  The returned value is an attained lower bound within
     relative tol of the true norm; the attaining frequency is reported
     (inf when only D attains it).  This is the one-member call of the
-    lockstep kernel that kreiss_norm runs over its whole eta grid.
+    lockstep kernel that kreiss_norm runs over its whole eta grid, with
+    dense gains.
 
     A gain that moves by one ulp can change the bisection's steps, so the
     value and the evaluation count reproduce only to tol, not bitwise,
@@ -488,9 +511,18 @@ def kreiss_family_matrix(A: np.ndarray, eta) -> np.ndarray:
 def _family_hinf(sys: StateSpace, eta: np.ndarray, tol: float):
     """_hinf_lockstep over kreiss_family_matrix(sys.A, eta_e) with the
     B, C, D of sys, for every eta_e in one call.  Each member is Hurwitz
-    whenever sys.A is, so none is checked again."""
+    whenever sys.A is, so none is checked again.  The member c A - I,
+    c = eta/(2 - eta), has A's eigenvectors V, poles c lam_l - 1 and
+    residues r_l (``_Impulse``), so one eigendecomposition gives every
+    member's probes and gains.  Their rounding grows like cond(V) eps, so
+    this holds only where cond(V) eps <= 1e-3 tol, three digits below the
+    bisection's tolerance; any other A (a Jordan block, a nearly defective
+    A) takes the dense path."""
+    imp, modal = _Impulse(sys), None
+    if imp.modal and imp.cond * _EPS <= 1e-3 * tol:
+        modal = ((eta / (2.0 - eta))[:, None] * imp.lam - 1.0, imp.res[0])
     return _hinf_lockstep(kreiss_family_matrix(sys.A, eta), sys.B, sys.C,
-                          sys.D, tol)
+                          sys.D, tol, modal)
 
 
 def _refine_maxima(probe, grid_slopes, grid, vals, payloads, peaks, d,
@@ -645,11 +677,11 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     Computed as the maximum over eta in [0, 2) of the H-infinity norm of
     the family member (eta/(2-eta) A - I, B, C), which is Hurwitz whenever
     A is.  One lockstep kernel call evaluates the whole endpoint-clustered
-    eta grid, each value equal to hinf_norm of that member; each local
-    maximum is then refined inside its grid bracket by ``_refine_maxima``,
-    with each new value from hinf_norm and each slope from
-    ``_family_slope``.  A maximum at eta = 0 with Y_sym_max < 0 (a
-    negative slope there, see ``attainment_check``) takes no step.  The
+    eta grid (``_family_hinf``), each value within hinf_tol of hinf_norm
+    of that member; each local maximum is then refined inside its grid
+    bracket by ``_refine_maxima``, each new value from hinf_norm and each
+    slope from ``_family_slope``.  A maximum at eta = 0 with Y_sym_max < 0
+    (a negative slope there, see ``attainment_check``) takes no step.  The
     maximizer records the active eta, the inner peak frequency and every
     near-active grid point.
     """
@@ -741,7 +773,12 @@ _MODAL_COND = 1e8
 
 def _mode_sum(E: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Sum over the leading (mode) axis of Re(E R), added in mode order."""
-    return np.add.accumulate(E.real * R.real - E.imag * R.imag, axis=0)[-1]
+    P = E.real * R.real
+    P -= E.imag * R.imag
+    acc = P[0]
+    for row in P[1:]:
+        acc += row
+    return acc
 
 
 class _Impulse:
@@ -762,13 +799,16 @@ class _Impulse:
     def __init__(self, sys: StateSpace):
         self.sys = sys
         w, V = np.linalg.eig(sys.A)
-        self.modal = bool(np.linalg.cond(V) < _MODAL_COND)
+        # an empty basis (n = 0) is perfectly conditioned
+        self.cond = float(np.linalg.cond(V)) if sys.n else 1.0
+        self.modal = self.cond < _MODAL_COND
         if self.modal:
             self.lam = w
             left = sys.C @ V                           # m x n
             right = np.linalg.solve(V, sys.B)          # n x p
             # res[l, i p + j] = left[i, l] right[l, j]
-            res = (left.T[:, :, None] * right[:, None, :]).reshape(sys.n, -1)
+            res = (left.T[:, :, None] * right[:, None, :]).reshape(
+                sys.n, sys.m * sys.p)
             self.res = (res, res * w[:, None])
         self.output = (sys.C, sys.C @ sys.A)            # C A^k, k = 0, 1
 
@@ -788,15 +828,14 @@ class _Impulse:
         return out
 
     def sigma_transfer(self, s: np.ndarray) -> np.ndarray:
-        """sigma_max(C (s_q I - A)^{-1} B + D) for every complex point s_q."""
+        """sigma_max(C (s_q I - A)^{-1} B + D) for every complex point s_q:
+        the residue gains of the Kreiss family at its one member A, or
+        ``_gains``'s dense solves for a defective A."""
         sys = self.sys
         if not self.modal:
             return _gains(sys.A[None], np.zeros(s.size, dtype=int), s,
                           sys.B, sys.C, sys.D)
-        G = (1.0 / (s[:, None] - self.lam)) @ self.res[0]
-        G = G.reshape(-1, sys.m, sys.p)
-        G += sys.D                # in place: a copy slows the oracle grids
-        return _sigma_max(G)
+        return _residue_gains(s, self.lam, self.res[0], sys.D)
 
     def grid(self, ts: np.ndarray) -> np.ndarray:
         """matrices(ts) on a uniform grid ts of at least two points

@@ -330,8 +330,8 @@ class _Penalized:
         if alpha >= 0:
             return math.inf, None
         try:
-            # one lockstep call over the etas; each value equals hinf_norm
-            # of that family member
+            # one lockstep call over the etas; each value is that family
+            # member's own, whatever the other etas, within tol of hinf_norm
             values = _family_hinf(cl.channel(), etas, 1e-6)[0]
             r_val = (None if weight is None
                      else rolloff_norm(plant, self.structure.unpack(theta),

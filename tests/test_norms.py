@@ -252,12 +252,85 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
     kreiss_norm(sys)
     (grid, (values, omegas, evals), tol), = calls
     assert grid.size > 100
-    for eta, value, omega, count in zip(grid, values, omegas, evals):
+    for i, (eta, value, omega, count) in enumerate(zip(grid, values, omegas,
+                                                       evals)):
+        # bitwise: the stacked kernel takes each member's own steps
+        alone = family_hinf(sys, grid[i:i + 1], tol)
+        assert (alone[0][0], alone[1][0], alone[2][0]) \
+            == (value, omega, count)
+        # the residue gains of a modal A round differently from the dense
+        # solves of hinf_norm, far below tol
         rep = hinf_norm(StateSpace(kreiss_family_matrix(sys.A, eta),
                                    sys.B, sys.C), tol=tol)
-        # bitwise: the stacked kernel takes each member's own steps
-        assert (rep.value, rep.maximizer["omega"], rep.evaluations) \
-            == (value, omega, count)
+        assert value == pytest.approx(rep.value, rel=1e-12, abs=0.0)
+        assert rep.evaluations == count
+        if name == "example8":          # a Jordan block: the dense path
+            assert (rep.value, rep.maximizer["omega"]) == (value, omega)
+
+
+def test_residue_gains_match_dense_gains(rng):
+    grid = norms._eta_grid(200)
+    for sys in random_suite(seed=2024, count=100):
+        imp = norms._Impulse(sys)
+        poles = (grid / (2.0 - grid))[:, None] * imp.lam - 1.0
+        member = rng.integers(0, grid.size, 40)
+        s = 1j * 10.0 ** rng.uniform(-3.0, 3.0, 40)
+        got = norms._residue_gains(s, poles[member], imp.res[0], sys.D)
+        want = norms._gains(kreiss_family_matrix(sys.A, grid), member, s,
+                            sys.B, sys.C, sys.D)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def _split_jordan(cond):
+    """A 4 x 4 Jordan block at -1 split by d into distinct poles, with d
+    chosen so that the eigenvector basis has about the given cond(V)."""
+    d = (1.5 / cond) ** (1.0 / 3.0)
+    A = -np.eye(4) + np.diag(np.ones(3), 1) - d * np.diag(np.arange(4.0))
+    return StateSpace(A, np.ones((4, 1)), np.ones((1, 4)))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+def test_residue_path_gate(cond, tol):
+    sys = _split_jordan(cond)
+    imp = norms._Impulse(sys)
+    assert cond / 3.0 < imp.cond < 3.0 * cond
+    grid = norms._eta_grid(200)
+    family = norms._family_hinf(sys, grid, tol)
+    dense = norms._hinf_lockstep(kreiss_family_matrix(sys.A, grid), sys.B,
+                                 sys.C, sys.D, tol)
+    if imp.cond * norms._EPS <= 1e-3 * tol:
+        assert np.max(np.abs(family[0] - dense[0]) / dense[0]) \
+            <= 1e-3 * tol
+    else:
+        assert all(np.array_equal(f, d) for f, d in zip(family, dense))
+
+
+def test_kreiss_family_takes_no_dense_step_per_member(monkeypatch):
+    sys = _lightly_damped_n11()
+    gain_stacks, eig_stacks = [], []
+    gains, eigvals = norms._gains, np.linalg.eigvals
+
+    def recording_gains(A, *args):
+        gain_stacks.append(A.shape[0])
+        return gains(A, *args)
+
+    def recording_eigvals(M):
+        if M.ndim == 3 and M.shape[-1] == sys.n:   # not a Hamiltonian
+            eig_stacks.append(M.shape[0])
+        return eigvals(M)
+
+    monkeypatch.setattr(norms, "_gains", recording_gains)
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    kreiss_norm(sys)
+    # the refinement's one-member hinf_norm calls
+    assert gain_stacks and set(gain_stacks) == {1}
+    assert set(eig_stacks) <= {1}
+
+
+def test_kreiss_of_a_system_without_states():
+    sys = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
+    assert kreiss_norm(sys).value == 0.0
 
 
 def test_gain_chunk_size_leaves_reports_identical(monkeypatch):
