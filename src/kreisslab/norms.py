@@ -703,6 +703,13 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     grid = _eta_grid(opts.grid_points)
     vals, omegas, _ = _family_hinf(sys, grid, opts.hinf_tol)
     evals = len(grid)
+    # the member at eta = 0 is CB/(s + 1), whose norm is sigma_max(CB);
+    # its grid value has the bisection's tol and the residues' rounding
+    if vals[0] < sigma_cb - 10 * opts.hinf_tol * max(1.0, sigma_cb) - 1e-12:
+        raise ConsistencyError(
+            f"Kreiss value {vals[0]:.6g} at eta = 0 fell below the "
+            f"sigma_max(CB) lower bound {sigma_cb:.6g}")
+    vals[0] = sigma_cb
 
     first = int(np.argmax(vals))  # the first maximum in grid order
     local_max = _local_maxima(vals)
@@ -742,12 +749,6 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
         if v >= (1.0 - _ACTIVE_RTOL) * best_val
     ]
 
-    tol_floor = 10 * opts.hinf_tol * max(1.0, sigma_cb) + 1e-12
-    if best_val < sigma_cb - tol_floor:
-        raise ConsistencyError(
-            f"Kreiss value {best_val:.6g} fell below the sigma_max(CB) lower "
-            f"bound {sigma_cb:.6g}")
-    best_val = max(best_val, sigma_cb)
     return NormReport(best_val,
                       {"eta": best_eta, "omega": best_omega, "actives": actives},
                       evaluations=evals)

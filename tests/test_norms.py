@@ -245,7 +245,7 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
 
     def recording(sys_, eta, tol):
         out = family_hinf(sys_, eta, tol)
-        calls.append((eta, out, tol))
+        calls.append((eta, tuple(a.copy() for a in out), tol))
         return out
 
     monkeypatch.setattr(norms, "_family_hinf", recording)

@@ -8,6 +8,7 @@ from kreisslab.benchmarks import (
     BRUNTON_CONTROLLERS,
     brunton_plant,
     lorenz_chaos,
+    lorenz_fixed_point,
     lorenz_plant,
     rolloff_weight,
 )
@@ -323,11 +324,18 @@ def test_phase_one_assembles_each_trial_point_once(monkeypatch):
     assert counts["pinv"] == len(history) - 1
 
 
-def test_minimize_stops_at_the_floor():
+@pytest.mark.parametrize("case", ["static", "statefb"])
+def test_minimize_stops_at_the_floor(case):
     # restart 0 already reaches K = 1 = sigma_max(J^T J) on the Lorenz
-    # static loop, and no later restart can replace it
-    plant = lorenz_plant(lorenz_chaos(), "x")
-    structure = ControllerStructure.static(1, 1)
+    # static loop and on the fixed-point state feedback, and no later
+    # restart can replace it; the latter's family takes the residue gains,
+    # whose rounding the eta = 0 value must not carry above the floor
+    if case == "static":
+        plant = lorenz_plant(lorenz_chaos(), "x")
+    else:
+        model = lorenz_plant(lorenz_fixed_point(), "x")
+        plant = StateSpace(model.A, model.B, np.eye(model.n))
+    structure = ControllerStructure.static(plant.m, plant.p)
     res = minimize_kreiss(SynthesisSpec(plant=plant, restarts=10), structure)
     one = minimize_kreiss(SynthesisSpec(plant=plant, restarts=1), structure)
     cl = assemble_closed_loop(plant, res.controller)
