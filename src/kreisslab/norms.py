@@ -676,14 +676,14 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
 
     Computed as the maximum over eta in [0, 2) of the H-infinity norm of
     the family member (eta/(2-eta) A - I, B, C), which is Hurwitz whenever
-    A is.  One lockstep kernel call evaluates the whole endpoint-clustered
-    eta grid (``_family_hinf``), each value within hinf_tol of hinf_norm
-    of that member; each local maximum is then refined inside its grid
-    bracket by ``_refine_maxima``, each new value from hinf_norm and each
-    slope from ``_family_slope``.  A maximum at eta = 0 with Y_sym_max < 0
-    (a negative slope there, see ``attainment_check``) takes no step.  The
-    maximizer records the active eta, the inner peak frequency and every
-    near-active grid point.
+    A is.  One lockstep kernel call evaluates the endpoint-clustered eta
+    grid (``_family_hinf``), each value within hinf_tol of hinf_norm of
+    that member, and sigma_max(CB) exactly at eta = 0; each local maximum
+    is refined inside its grid bracket by ``_refine_maxima``, each new
+    value from hinf_norm and each slope from ``_family_slope``.  A maximum
+    at eta = 0 with Y_sym_max < 0 (a negative slope there, see
+    ``attainment_check``) takes no step.  The maximizer records the active
+    eta, the inner peak frequency and every near-active grid point.
     """
     opts = opts or KreissOptions()
     _strictly_proper_channel(sys, "Kreiss norm")

@@ -324,25 +324,24 @@ def test_phase_one_assembles_each_trial_point_once(monkeypatch):
     assert counts["pinv"] == len(history) - 1
 
 
-@pytest.mark.parametrize("case", ["static", "statefb"])
-def test_minimize_stops_at_the_floor(case):
+def test_minimize_stops_at_the_floor():
     # restart 0 already reaches K = 1 = sigma_max(J^T J) on the Lorenz
     # static loop and on the fixed-point state feedback, and no later
     # restart can replace it; the latter's family takes the residue gains,
     # whose rounding the eta = 0 value must not carry above the floor
-    if case == "static":
-        plant = lorenz_plant(lorenz_chaos(), "x")
-    else:
-        model = lorenz_plant(lorenz_fixed_point(), "x")
-        plant = StateSpace(model.A, model.B, np.eye(model.n))
-    structure = ControllerStructure.static(plant.m, plant.p)
-    res = minimize_kreiss(SynthesisSpec(plant=plant, restarts=10), structure)
-    one = minimize_kreiss(SynthesisSpec(plant=plant, restarts=1), structure)
-    cl = assemble_closed_loop(plant, res.controller)
-    assert cb_lower_bound(cl.channel()) == synth._KREISS_FLOOR
-    assert res.report.value == synth._KREISS_FLOOR
-    assert res.restarts_used == 1 and len(res.history) == 1
-    assert res.controller.D_K.tobytes() == one.controller.D_K.tobytes()
+    fp = lorenz_plant(lorenz_fixed_point(), "x")
+    for plant in (lorenz_plant(lorenz_chaos(), "x"),
+                  StateSpace(fp.A, fp.B, np.eye(fp.n))):
+        structure = ControllerStructure.static(plant.m, plant.p)
+        res = minimize_kreiss(SynthesisSpec(plant=plant, restarts=10),
+                              structure)
+        one = minimize_kreiss(SynthesisSpec(plant=plant, restarts=1),
+                              structure)
+        cl = assemble_closed_loop(plant, res.controller)
+        assert cb_lower_bound(cl.channel()) == synth._KREISS_FLOOR
+        assert res.report.value == synth._KREISS_FLOOR
+        assert res.restarts_used == 1 and len(res.history) == 1
+        assert res.controller.D_K.tobytes() == one.controller.D_K.tobytes()
 
 
 def test_minimize_unstabilizable_plant_fails():
