@@ -20,7 +20,6 @@ from .loop import (
     assemble_closed_loop,
 )
 from .norms import (
-    KreissOptions,
     NormReport,
     cb_lower_bound,
     hinf_norm,
@@ -35,7 +34,6 @@ __all__ = [
     "ClosedLoop",
     "ControllerRealization",
     "ControllerStructure",
-    "KreissOptions",
     "NormReport",
     "assemble_closed_loop",
     "cb_lower_bound",

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .loop import ControllerStructure, assemble_closed_loop
 from .norms import (
-    KreissOptions,
     cb_lower_bound,
     entrywise_kreiss,
     hankel_singular_values,
@@ -109,9 +108,9 @@ def _require_finite(what: str, *values) -> None:
 def _norm_dispatch(name: str, sys: StateSpace, tol: float):
     if not tol > 0:
         raise ArgumentError("tol", "must be positive")
-    kw = KreissOptions(hinf_tol=min(tol, 1e-6))
+    kreiss_tol = min(tol, 1e-6)
     if name == "kreiss":
-        return kreiss_norm(sys, kw).as_dict()
+        return kreiss_norm(sys, tol=kreiss_tol).as_dict()
     if name == "m0":
         return transient_peak_m0(sys).as_dict()
     if name == "hinf":
@@ -121,9 +120,9 @@ def _norm_dispatch(name: str, sys: StateSpace, tol: float):
     if name == "l2peak":
         return {"value": l2_to_peak(sys), "maximizer": {}}
     if name == "entrywise":
-        return entrywise_kreiss(sys, kw).as_dict()
+        return entrywise_kreiss(sys, tol=kreiss_tol).as_dict()
     if name == "signpattern":
-        return sign_pattern_kreiss(sys, kw).as_dict()
+        return sign_pattern_kreiss(sys, tol=kreiss_tol).as_dict()
     if name == "hankel":
         data = hankel_singular_values(sys)
         return {"value": float(data.sigma[0]),

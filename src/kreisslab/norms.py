@@ -20,6 +20,14 @@ takes exactly the steps it would take alone, so a Kreiss grid value does
 not depend on the rest of the grid and lies within tol of ``hinf_norm``
 of that member (bitwise on the dense path).
 
+The Kreiss norm does not depend on the time unit: C (sI - A / rho)^{-1} B
+= rho G(rho s), so K(A / rho, B, C) = K(A, B, C).  ``kreiss_norm`` searches
+the family of A / rho, rho the power of two nearest the spectral radius of
+A (an exact division), whose maxima sit at the same etas whatever the time
+unit, so one 48-point grid, ``_ETA_GRID``, serves every Kreiss evaluation.
+A reported eta belongs to the family of A: the member at eta' is c A - I
+with c = (eta' / (2 - eta')) / rho, reported as eta = 2 c / (1 + c).
+
 The Kreiss norm and M0 are maxima over one parameter, eta and t.  Each
 takes its local maxima on a grid and refines them with exact
 derivatives in ``_refine_maxima``: a safeguarded secant on the slope,
@@ -97,7 +105,6 @@ from .statespace import StateSpace
 
 __all__ = [
     "NormReport",
-    "KreissOptions",
     "HankelData",
     "AttainmentCheck",
     "hinf_norm",
@@ -136,20 +143,6 @@ class NormReport:
     def as_dict(self) -> dict:
         return {"value": self.value, "maximizer": self.maximizer,
                 "evaluations": self.evaluations}
-
-
-@dataclass(frozen=True)
-class KreissOptions:
-    """Tuning for the outer eta maximization of the Kreiss norm."""
-
-    grid_points: int = 200
-    hinf_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.grid_points < 2:
-            raise ArgumentError("grid_points", "must be at least 2")
-        if not self.hinf_tol > 0:
-            raise ArgumentError("hinf_tol", "must be positive")
 
 
 @dataclass
@@ -482,8 +475,11 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
 # Kreiss system norm
 # ---------------------------------------------------------------------------
 
-#: the eta grid stops here, short of the pole of eta/(2-eta) at 2
-_ETA_CAP = 2.0 - 1e-6
+#: the endpoint-clustered eta grid of every Kreiss evaluation, on A / rho;
+#: it stops short of the pole of eta/(2-eta) at 2 (np.unique here would
+#: import numpy.ma with the package)
+_ETA_GRID = np.minimum(1.0 - np.cos(math.pi * np.linspace(0.0, 1.0, 48)),
+                       2.0 - 1e-6)
 
 #: derivative refinement stops at eta brackets this narrow
 _REFINE_XTOL = 1e-7
@@ -664,48 +660,56 @@ def _strictly_proper_channel(sys: StateSpace, what: str) -> None:
         raise PreconditionError(f"{what} requires a strictly proper system (D = 0)")
 
 
-def _eta_grid(n_points: int) -> np.ndarray:
-    u = np.linspace(0.0, 1.0, n_points)
-    eta = 1.0 - np.cos(math.pi * u)
-    eta = np.clip(eta, 0.0, _ETA_CAP)
-    return np.unique(eta)
+def _time_scale(A: np.ndarray) -> float:
+    """The power of two nearest the spectral radius of A; 1 for n = 0."""
+    if A.shape[0] == 0:
+        return 1.0
+    return 2.0 ** round(math.log2(np.abs(np.linalg.eigvals(A)).max()))
 
 
-def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormReport:
+def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     """Kreiss system norm sup_{Re s > 0} Re(s) sigma_max(C (sI-A)^{-1} B).
 
     Computed as the maximum over eta in [0, 2) of the H-infinity norm of
     the family member (eta/(2-eta) A - I, B, C), which is Hurwitz whenever
-    A is.  One lockstep kernel call evaluates the endpoint-clustered eta
-    grid (``_family_hinf``), each value within hinf_tol of hinf_norm of
-    that member, and sigma_max(CB) exactly at eta = 0; each local maximum
-    is refined inside its grid bracket by ``_refine_maxima``, each new
-    value from hinf_norm and each slope from ``_family_slope``.  A maximum
-    at eta = 0 with Y_sym_max < 0 (a negative slope there, see
+    A is.  The search runs on (A / rho, B, C), rho from ``_time_scale``
+    (see the module docstring).  One lockstep kernel call evaluates the
+    grid ``_ETA_GRID`` (``_family_hinf``), each value within tol of
+    hinf_norm of that member, and sigma_max(CB) exactly at eta = 0; each
+    local maximum is refined inside its grid bracket by ``_refine_maxima``,
+    each new value from hinf_norm and each slope from ``_family_slope``.  A
+    maximum at eta = 0 with Y_sym_max < 0 (a negative slope there, see
     ``attainment_check``) takes no step.  The maximizer records the active
-    eta, the inner peak frequency and every near-active grid point.
+    eta, the inner peak frequency and every near-active grid point, each
+    eta in the family of the given A.  Raises ArgumentError unless tol is
+    positive.
     """
-    opts = opts or KreissOptions()
     _strictly_proper_channel(sys, "Kreiss norm")
     sys.require_stable("Kreiss norm")
     sigma_cb = cb_lower_bound(sys)
+    rho = _time_scale(sys.A)
+    sys = StateSpace(sys.A / rho, sys.B, sys.C)        # the same norm
 
     def slopes(etas, oms):
         return np.array([_family_slope(sys, e, w) for e, w in zip(etas, oms)])
 
     def probe(etas):
         reps = [hinf_norm(StateSpace(kreiss_family_matrix(sys.A, e), sys.B,
-                                     sys.C), tol=opts.hinf_tol)
+                                     sys.C), tol=tol)
                 for e in etas]
         oms = np.array([r.maximizer["omega"] for r in reps])
         return np.array([r.value for r in reps]), slopes(etas, oms), oms
 
-    grid = _eta_grid(opts.grid_points)
-    vals, omegas, _ = _family_hinf(sys, grid, opts.hinf_tol)
+    def caller_eta(eta: float) -> float:    # in the family of A itself
+        c = eta / (2.0 - eta) / rho
+        return 2.0 * c / (1.0 + c)
+
+    grid = _ETA_GRID
+    vals, omegas, _ = _family_hinf(sys, grid, tol)
     evals = len(grid)
     # the member at eta = 0 is CB/(s + 1), whose norm is sigma_max(CB);
     # its grid value has the bisection's tol and the residues' rounding
-    if vals[0] < sigma_cb - 10 * opts.hinf_tol * max(1.0, sigma_cb) - 1e-12:
+    if vals[0] < sigma_cb - 10 * tol * max(1.0, sigma_cb) - 1e-12:
         raise ConsistencyError(
             f"Kreiss value {vals[0]:.6g} at eta = 0 fell below the "
             f"sigma_max(CB) lower bound {sigma_cb:.6g}")
@@ -741,7 +745,7 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
             best_val, best_eta, best_omega = float(v), float(e), float(om)
 
     actives = [
-        {"eta": e, "value": v, "omega": om}
+        {"eta": caller_eta(e), "value": v, "omega": om}
         for e, v, om in sorted(
             set(refined) | {(float(grid[i]), float(vals[i]), float(omegas[i]))
                             for i in local_max},
@@ -750,15 +754,16 @@ def kreiss_norm(sys: StateSpace, opts: KreissOptions | None = None) -> NormRepor
     ]
 
     return NormReport(best_val,
-                      {"eta": best_eta, "omega": best_omega, "actives": actives},
+                      {"eta": caller_eta(best_eta), "omega": best_omega,
+                       "actives": actives},
                       evaluations=evals)
 
 
-def kreiss_matrix(A, opts: KreissOptions | None = None) -> NormReport:
+def kreiss_matrix(A, tol: float = 1e-8) -> NormReport:
     """Kreiss constant of a matrix: the system norm with B = C = I."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     eye = np.eye(A.shape[0])
-    return kreiss_norm(StateSpace(A, eye, eye), opts)
+    return kreiss_norm(StateSpace(A, eye, eye), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +1047,7 @@ def attainment_check(sys: StateSpace, tol: float | None = None) -> AttainmentChe
 # Entry-wise and sign-pattern variants
 # ---------------------------------------------------------------------------
 
-def _max_kreiss(key: str, subsystems, opts) -> NormReport:
+def _max_kreiss(key: str, subsystems, tol: float) -> NormReport:
     """kreiss_norm maximized over (label, StateSpace) pairs.
 
     The first maximum wins; its label goes under maximizer[key], and the
@@ -1051,7 +1056,7 @@ def _max_kreiss(key: str, subsystems, opts) -> NormReport:
     best = None
     evals = 0
     for label, sub in subsystems:
-        rep = kreiss_norm(sub, opts)
+        rep = kreiss_norm(sub, tol)
         evals += rep.evaluations
         if best is None or rep.value > best[0].value:
             best = (rep, label)
@@ -1061,22 +1066,20 @@ def _max_kreiss(key: str, subsystems, opts) -> NormReport:
     return NormReport(float(rep.value), maximizer, evaluations=evals)
 
 
-def entrywise_kreiss(sys: StateSpace,
-                     opts: KreissOptions | None = None) -> NormReport:
+def entrywise_kreiss(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     """max over scalar channels (i, k) of the SISO Kreiss norm of (A, b_k, c_i)."""
     _strictly_proper_channel(sys, "entry-wise Kreiss norm")
     sys.require_stable("entry-wise Kreiss norm")
     return _max_kreiss("channel", (
         ([i, k], StateSpace(sys.A, sys.B[:, k:k + 1], sys.C[i:i + 1, :]))
-        for i in range(sys.m) for k in range(sys.p)), opts)
+        for i in range(sys.m) for k in range(sys.p)), tol)
 
 
 #: sign_pattern_kreiss enumerates 2^(p-1) sign vectors and refuses p above this
 _SIGN_PATTERN_MAX_INPUTS = 16
 
 
-def sign_pattern_kreiss(sys: StateSpace,
-                        opts: KreissOptions | None = None) -> NormReport:
+def sign_pattern_kreiss(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     """max over sign vectors r in {-1,1}^p of the Kreiss norm of (A, B r, C)."""
     _strictly_proper_channel(sys, "sign-pattern Kreiss norm")
     sys.require_stable("sign-pattern Kreiss norm")
@@ -1089,7 +1092,7 @@ def sign_pattern_kreiss(sys: StateSpace,
     return _max_kreiss("sign_pattern", (
         ([int(v) for v in r],
          StateSpace(sys.A, (sys.B @ np.array(r)).reshape(-1, 1), sys.C))
-        for r in signs), opts)
+        for r in signs), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .loop import ClosedLoop, ControllerStructure
-from .norms import (KreissOptions, _peak_point, kreiss_family_matrix,
-                    kreiss_norm)
+from .norms import _peak_point, kreiss_family_matrix, kreiss_norm
 from .statespace import StateSpace
 
 __all__ = [
@@ -40,12 +39,11 @@ class KreissSubgradient:
 
 
 def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
-                       cl: ClosedLoop,
-                       opts: KreissOptions | None = None) -> KreissSubgradient:
+                       cl: ClosedLoop, tol: float = 1e-8) -> KreissSubgradient:
     """Clarke subgradient of theta -> K(J^T (sI - A_cl(theta))^{-1} J).
 
-    cl is the loop assembled at theta.  kreiss_norm of its channel supplies
-    the active (eta, omega) pairs and raises StabilityError for a
+    cl is the loop assembled at theta.  kreiss_norm of its channel at tol
+    supplies the active (eta, omega) pairs and raises StabilityError for a
     non-Hurwitz A_cl.  At each pair ``norms._peak_point`` polishes omega to
     the peak of the member c A_cl - I, c = eta/(2-eta), so an active's
     omega and value are the polished peak and sigma_max there; the
@@ -55,7 +53,7 @@ def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
     combinations.
     """
     channel = cl.channel()
-    worst = kreiss_norm(channel, opts)
+    worst = kreiss_norm(channel, tol)
     actives = []
     for act in worst.maximizer["actives"]:
         eta = act["eta"]

@@ -10,8 +10,8 @@ algorithm, with an Armijo line search on an exact-penalty function of
 fixed weight.  Each seeded restart runs one descent loop in two phases
 from a random start: phase I drives the spectral abscissa below a decay
 target, and phase II minimizes the penalized Kreiss objective.  The best
-result that meets the constraints is reported after a dense
-re-evaluation.
+result that meets the constraints is reported after a re-evaluation at
+kreiss_norm's default tolerance.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .loop import (
     complementary_sensitivity,
 )
 from .norms import (
-    KreissOptions,
     NormReport,
     _family_hinf,
     hinf_norm,
@@ -75,8 +74,8 @@ _MIN_NORM_TOL = 1e-12
 _FD_STEP = 1e-6
 #: H-infinity tolerance of the roll-off norm
 _ROLLOFF_TOL = 1e-7
-#: the coarse eta grid of the descent's Kreiss evaluations
-_DESCENT_KREISS = KreissOptions(grid_points=48, hinf_tol=1e-7)
+#: H-infinity tolerance of the descent's Kreiss evaluations
+_DESCENT_KREISS = 1e-7
 #: the Kreiss floor sigma_max(CB) of every closed-loop channel
 #: J^T (sI - A_cl)^{-1} J, whose CB = J^T J is the identity
 _KREISS_FLOOR = 1.0
@@ -305,7 +304,7 @@ class _Penalized:
             return math.inf, None
         try:
             ks = kreiss_subgradient(plant, self.structure, cl,
-                                    opts=_DESCENT_KREISS)
+                                    tol=_DESCENT_KREISS)
         except (NumericalError, StabilityError):
             return math.inf, None
         r_grad = None
@@ -407,9 +406,9 @@ def minimize_kreiss(spec: SynthesisSpec,
     violating a constraint, is dropped.  A later restart replaces the best
     only with a strictly smaller Kreiss value, so the first feasible
     restart at the floor _KREISS_FLOOR ends the search, and restarts_used
-    counts the restarts that ran.  The winner is re-evaluated with the
-    dense eta grid; constraint satisfaction is mandatory.  history holds
-    the F sequence of each phase II.
+    counts the restarts that ran.  The winner is re-evaluated at
+    kreiss_norm's default tol; constraint satisfaction is mandatory.
+    history holds the F sequence of each phase II.
     """
     rng = np.random.default_rng(spec.seed)
     n_theta = structure.n_theta

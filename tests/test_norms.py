@@ -13,7 +13,6 @@ from kreisslab.errors import (
 )
 from kreisslab.linalg import expm, spectral_abscissa
 from kreisslab.norms import (
-    KreissOptions,
     attainment_check,
     cb_lower_bound,
     entrywise_kreiss,
@@ -28,6 +27,7 @@ from kreisslab.norms import (
     transient_peak_m0,
 )
 from kreisslab.oracles import (
+    certification_interval,
     hinf_frequency_grid,
     kreiss_halfplane_grid,
     l2_to_peak_sampled,
@@ -42,7 +42,10 @@ EX3_EPS = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [-0.75]], [[1.0, 1.0]])
 EX8 = StateSpace([[-0.0939, 1.0], [0.0, -0.0939]],
                  [[0.4722, 0.7973], [0.0339, 0.5553]], np.eye(2))
 EX4 = tf_to_ss([1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.9608])
-FAST = KreissOptions(grid_points=80)
+#: a 200-point eta grid: the family kernel checks take more members than
+#: kreiss_norm's own grid
+ETA_200 = np.unique(np.clip(1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 200)),
+                            0.0, 2.0 - 1e-6))
 # a Jordan pair of rotations: impulse response t e^{-0.1 t} sin(40 t)
 _ROT = np.array([[-0.1, 40.0], [-40.0, -0.1]])
 JORDAN_OSC = StateSpace(
@@ -115,7 +118,7 @@ def test_hinf_with_direct_transmission(rng):
 # ---------------------------------------------------------------------------
 
 def test_kreiss_contraction_semigroup_floor():
-    rep = kreiss_norm(StateSpace(-np.eye(2), np.eye(2), np.eye(2)), FAST)
+    rep = kreiss_norm(StateSpace(-np.eye(2), np.eye(2), np.eye(2)))
     assert rep.value == pytest.approx(1.0, rel=1e-6)
 
 
@@ -130,8 +133,7 @@ def test_kreiss_example8():
 
 
 def test_kreiss_matrix_contraction():
-    assert kreiss_matrix(-np.eye(2), FAST).value == pytest.approx(1.0,
-                                                                  rel=1e-6)
+    assert kreiss_matrix(-np.eye(2)).value == pytest.approx(1.0, rel=1e-6)
 
 
 def test_kreiss_matrix_companion():
@@ -139,7 +141,7 @@ def test_kreiss_matrix_companion():
 
 
 def test_kreiss_matrix_normal_diag():
-    assert kreiss_matrix(np.diag([-1.0, -2.0]), FAST).value == pytest.approx(
+    assert kreiss_matrix(np.diag([-1.0, -2.0])).value == pytest.approx(
         1.0, rel=1e-6)
 
 
@@ -173,21 +175,13 @@ def test_kreiss_requires_stability():
         kreiss_norm(StateSpace([[0.1]], [[1.0]], [[1.0]]))
 
 
-@pytest.mark.parametrize("grid_points", [1, 0])
-def test_kreiss_grid_needs_both_ends(grid_points):
-    # one grid point returned 0.0 for EX3 (Kreiss norm 0.17157), none
-    # indexed an empty grid
-    with pytest.raises(PreconditionError, match="grid_points"):
-        KreissOptions(grid_points=grid_points)
-
-
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
 def test_hinf_tolerance_must_be_positive(tol):
     # a NaN tolerance passed a "tol <= 0" test and reached LAPACK
     with pytest.raises(PreconditionError, match="tol must be positive"):
         hinf_norm(EX3, tol=tol)
-    with pytest.raises(PreconditionError, match="hinf_tol must be positive"):
-        KreissOptions(hinf_tol=tol)
+    with pytest.raises(PreconditionError, match="tol must be positive"):
+        kreiss_norm(EX3, tol=tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
@@ -200,25 +194,34 @@ def test_peak_gain_tolerance_must_be_positive(tol):
 
 def test_kreiss_similarity_invariance(rng):
     sys = random_stable_statespace(rng, 3, p=2, m=2)
-    base = kreiss_norm(sys, FAST).value
+    base = kreiss_norm(sys).value
     base_m0 = transient_peak_m0(sys).value
     T = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
     Ti = np.linalg.inv(T)
     sim = StateSpace(T @ sys.A @ Ti, T @ sys.B, sys.C @ Ti)
-    assert kreiss_norm(sim, FAST).value == pytest.approx(base, rel=1e-6)
+    assert kreiss_norm(sim).value == pytest.approx(base, rel=1e-6)
     assert transient_peak_m0(sim).value == pytest.approx(base_m0, rel=1e-6)
+
+
+def test_kreiss_norm_scales_with_time():
+    # K(a A, a B, C) = a K(A, B, C): a grid tied to one time scale missed
+    # the maxima of 8 of these 200 rescaled systems
+    for sys in random_suite(seed=2024, count=100):
+        base = kreiss_norm(sys).value
+        for a in (1e-4, 1e4):
+            value = kreiss_norm(StateSpace(a * sys.A, a * sys.B, sys.C)).value
+            assert value == pytest.approx(a * base, rel=1e-9)
 
 
 def test_kreiss_homogeneity_and_triangle(rng):
     sys = random_stable_statespace(rng, 3, p=1, m=2)
-    k0 = kreiss_norm(sys, FAST).value
+    k0 = kreiss_norm(sys).value
     scaled = StateSpace(sys.A, sys.B, 3.0 * sys.C)
-    assert kreiss_norm(scaled, FAST).value == pytest.approx(3.0 * k0,
-                                                            rel=1e-6)
+    assert kreiss_norm(scaled).value == pytest.approx(3.0 * k0, rel=1e-6)
     other = random_stable_statespace(rng, 3, p=1, m=2)
     C2 = other.C
-    k1 = kreiss_norm(StateSpace(sys.A, sys.B, C2), FAST).value
-    k_sum = kreiss_norm(StateSpace(sys.A, sys.B, sys.C + C2), FAST).value
+    k1 = kreiss_norm(StateSpace(sys.A, sys.B, C2)).value
+    k_sum = kreiss_norm(StateSpace(sys.A, sys.B, sys.C + C2)).value
     assert k_sum <= k0 + k1 + 1e-8
 
 
@@ -245,22 +248,27 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
 
     def recording(sys_, eta, tol):
         out = family_hinf(sys_, eta, tol)
-        calls.append((eta, tuple(a.copy() for a in out), tol))
+        calls.append((sys_, eta, tuple(a.copy() for a in out), tol))
         return out
 
     monkeypatch.setattr(norms, "_family_hinf", recording)
     kreiss_norm(sys)
-    (grid, (values, omegas, evals), tol), = calls
-    assert grid.size > 100
+    (scaled, grid, (values, omegas, evals), tol), = calls
+    # the one grid, on A divided exactly by a power of two
+    assert np.array_equal(grid, norms._ETA_GRID)
+    rho = norms._time_scale(sys.A)
+    assert math.frexp(rho)[0] == 0.5
+    assert np.array_equal(scaled.A * rho, sys.A)
+    assert np.array_equal(scaled.B, sys.B) and np.array_equal(scaled.C, sys.C)
     for i, (eta, value, omega, count) in enumerate(zip(grid, values, omegas,
                                                        evals)):
         # bitwise: the stacked kernel takes each member's own steps
-        alone = family_hinf(sys, grid[i:i + 1], tol)
+        alone = family_hinf(scaled, grid[i:i + 1], tol)
         assert (alone[0][0], alone[1][0], alone[2][0]) \
             == (value, omega, count)
         # the residue gains of a modal A round differently from the dense
         # solves of hinf_norm, far below tol
-        rep = hinf_norm(StateSpace(kreiss_family_matrix(sys.A, eta),
+        rep = hinf_norm(StateSpace(kreiss_family_matrix(scaled.A, eta),
                                    sys.B, sys.C), tol=tol)
         assert value == pytest.approx(rep.value, rel=1e-12, abs=0.0)
         assert rep.evaluations == count
@@ -269,7 +277,7 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
 
 
 def test_residue_gains_match_dense_gains(rng):
-    grid = norms._eta_grid(200)
+    grid = ETA_200
     for sys in random_suite(seed=2024, count=100):
         imp = norms._Impulse(sys)
         poles = (grid / (2.0 - grid))[:, None] * imp.lam - 1.0
@@ -295,7 +303,7 @@ def test_residue_path_gate(cond, tol):
     sys = _split_jordan(cond)
     imp = norms._Impulse(sys)
     assert cond / 3.0 < imp.cond < 3.0 * cond
-    grid = norms._eta_grid(200)
+    grid = ETA_200
     family = norms._family_hinf(sys, grid, tol)
     dense = norms._hinf_lockstep(kreiss_family_matrix(sys.A, grid), sys.B,
                                  sys.C, sys.D, tol)
@@ -411,6 +419,23 @@ def test_m0_rejects_unstable():
         transient_peak_m0(StateSpace([[0.0]], [[1.0]], [[1.0]]))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "transient_peak_m0 gives 5.98e24 at t = 2099.2, where ||e^{At}|| is "
+    "5.9e-31 by the Jordan form; the oracle's grid gives 3.898e6 and the "
+    "Kreiss matrix theorem bounds M0 by e n K = 2.44e7: cond(V) = 1.25e13 "
+    "sends _Impulse to linalg.expm, whose squaring phase passes through "
+    "the transient hump of this non-normal A, while the oracle's "
+    "recurrence stays accurate"))
+def test_m0_of_a_non_normal_jordan_hump_meets_its_bounds():
+    J = -0.05 * np.eye(6) + np.eye(6, k=1)
+    T = np.random.default_rng(0).standard_normal((6, 6))
+    sys = StateSpace(T @ J @ np.linalg.inv(T), np.eye(6), np.eye(6))
+    value = transient_peak_m0(sys).value
+    assert value <= np.e * sys.n * kreiss_norm(sys).value
+    lo, hi = certification_interval(m0_time_grid(sys))
+    assert lo <= value <= hi
+
+
 def _henrici_cases(rng):
     """(name, A): random, symmetric (normal), nearly normal and Jordan."""
     for n in range(2, 13):
@@ -462,7 +487,7 @@ def test_cb_lower_bound_values():
 def test_kreiss_dominates_cb(rng):
     for _ in range(10):
         sys = random_stable_statespace(rng, 4, p=2, m=2)
-        assert cb_lower_bound(sys) <= kreiss_norm(sys, FAST).value + 1e-8
+        assert cb_lower_bound(sys) <= kreiss_norm(sys).value + 1e-8
 
 
 def test_attainment_first_printed_example():
@@ -500,18 +525,22 @@ def test_attainment_requires_nonzero_cb():
 def test_attainment_holds_whenever_bound_attained(rng):
     # a residual gap g = K - sigma(CB) bounds the slope at eta = 0 by
     # lambda_max(Y + Y^T) <= 4 sigma(CB) g / eta_1 (first grid step), so the
-    # necessity check is asserted at that resolution-consistent tolerance
-    eta1 = 1.0 - np.cos(np.pi / (FAST.grid_points - 1))
+    # necessity check is asserted at that resolution-consistent tolerance;
+    # eta_1 is the first step of kreiss_norm's grid on A / rho, taken back
+    # to the family of A, and at least that of an 80-point grid on A
     hits = 0
     for _ in range(30):
         sys = random_stable_statespace(rng, 3, p=1, m=1, oscillatory=False)
         sigma_cb = cb_lower_bound(sys)
         if sigma_cb <= 1e-9:
             continue
-        k = kreiss_norm(sys, FAST).value
+        k = kreiss_norm(sys).value
         gap = abs(k - sigma_cb)
         if gap <= 1e-4 * max(1.0, k):
             hits += 1
+            step = norms._ETA_GRID[1]
+            c1 = step / (2.0 - step) / norms._time_scale(sys.A)
+            eta1 = max(2.0 * c1 / (1.0 + c1), 1.0 - np.cos(np.pi / 79))
             tol = 2.0 * 4.0 * sigma_cb * max(gap, 1e-12) / eta1 + 1e-9
             assert attainment_check(sys, tol=tol).necessary_ok
     assert hits > 0  # the regime was actually exercised
@@ -522,13 +551,13 @@ def test_attainment_holds_whenever_bound_attained(rng):
 # ---------------------------------------------------------------------------
 
 def test_entrywise_reduces_to_siso():
-    rep = entrywise_kreiss(EX3, FAST)
-    assert rep.value == pytest.approx(kreiss_norm(EX3, FAST).value, rel=1e-9)
+    rep = entrywise_kreiss(EX3)
+    assert rep.value == pytest.approx(kreiss_norm(EX3).value, rel=1e-9)
     assert rep.maximizer["channel"] == [0, 0]
 
 
 def test_entrywise_example8_channels_against_oracle():
-    rep = entrywise_kreiss(EX8, FAST)
+    rep = entrywise_kreiss(EX8)
     best = 0.0
     for i in range(2):
         for k in range(2):
@@ -539,7 +568,7 @@ def test_entrywise_example8_channels_against_oracle():
 
 
 def test_entrywise_upper_bound_on_channel_peaks():
-    rep = entrywise_kreiss(EX8, FAST)
+    rep = entrywise_kreiss(EX8)
     n = EX8.n
     worst_peak = 0.0
     for i in range(2):
@@ -550,22 +579,22 @@ def test_entrywise_upper_bound_on_channel_peaks():
 
 
 def test_sign_pattern_single_input_equals_kreiss():
-    rep = sign_pattern_kreiss(EX3, FAST)
-    assert rep.value == pytest.approx(kreiss_norm(EX3, FAST).value, rel=1e-9)
+    rep = sign_pattern_kreiss(EX3)
+    assert rep.value == pytest.approx(kreiss_norm(EX3).value, rel=1e-9)
 
 
 def test_sign_pattern_duplicated_column_doubles():
     b = np.array([[1.0], [-1.0]])
     sys = StateSpace(np.diag([-1.0, -2.0]), np.hstack([b, b]), [[1.0, 1.0]])
-    rep = sign_pattern_kreiss(sys, FAST)
-    siso = kreiss_norm(EX3, FAST).value
+    rep = sign_pattern_kreiss(sys)
+    siso = kreiss_norm(EX3).value
     assert rep.value == pytest.approx(2.0 * siso, rel=1e-6)
     assert rep.maximizer["sign_pattern"] in ([1, 1], [-1, -1])
 
 
 def test_sign_pattern_matches_enumeration_oracle(rng):
     sys = random_stable_statespace(rng, 3, p=2, m=2)
-    rep = sign_pattern_kreiss(sys, FAST)
+    rep = sign_pattern_kreiss(sys)
     best = 0.0
     for r in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
         sub = StateSpace(sys.A, (sys.B @ np.array(r, dtype=float)).reshape(-1, 1),
@@ -732,7 +761,7 @@ def test_family_slope_matches_central_differences(name):
     for eta in (0.3, 0.9, 1.5):
         # from the peak frequency kreiss_norm has, good to about sqrt(tol)
         slope = norms._family_slope(
-            sys, eta, member(eta, KreissOptions().hinf_tol).maximizer["omega"])
+            sys, eta, member(eta, 1e-8).maximizer["omega"])
         central = (member(eta + step, 1e-13).value
                    - member(eta - step, 1e-13).value) / (2.0 * step)
         assert slope == pytest.approx(central, rel=1e-5)
@@ -765,7 +794,7 @@ def test_kreiss_maximum_at_eta_zero_takes_no_step(monkeypatch):
                         lambda *a, **k: calls.append(a) or hinf_norm(*a, **k))
     rep = kreiss_norm(sys)
     assert calls == []
-    assert rep.evaluations == norms._eta_grid(200).size
+    assert rep.evaluations == norms._ETA_GRID.size
     assert rep.value == cb_lower_bound(sys)
     assert rep.maximizer["eta"] == 0.0
     assert [act["eta"] for act in rep.maximizer["actives"]] == [0.0]
@@ -991,7 +1020,7 @@ def test_kreiss_sandwich_small_sample(rng):
     for _ in range(8):
         n = int(rng.integers(2, 5))
         sys = random_stable_statespace(rng, n, p=2, m=2)
-        k = kreiss_norm(sys, FAST).value
+        k = kreiss_norm(sys).value
         m0 = m0_time_grid(sys, n_grid=50000).value
         assert k <= m0 + 1e-6 + 1e-6 * m0
         assert m0 <= np.e * n * k + 1e-6

@@ -3,11 +3,11 @@ import pytest
 
 from kreisslab.errors import StabilityError
 from kreisslab.loop import ControllerStructure, assemble_closed_loop
-from kreisslab.norms import KreissOptions, kreiss_norm
+from kreisslab.norms import kreiss_norm
 from kreisslab.statespace import StateSpace
 from kreisslab.subgrad import kreiss_subgradient
 
-OPTS = KreissOptions(grid_points=120, hinf_tol=1e-9)
+TOL = 1e-9
 
 
 BRUNTON = StateSpace([[0.1, -1.0], [1.0, 0.1]], [[0.0], [1.0]], [[0.0, 1.0]])
@@ -18,13 +18,13 @@ def _loop(structure, theta, plant=BRUNTON):
 
 
 def _kreiss_of_theta(structure, theta):
-    return kreiss_norm(_loop(structure, theta).channel(), OPTS).value
+    return kreiss_norm(_loop(structure, theta).channel(), tol=TOL).value
 
 
 def test_kreiss_subgradient_static_matches_fd():
     st = ControllerStructure.static(1, 1)
     theta = np.array([-0.5])
-    ks = kreiss_subgradient(BRUNTON, st, _loop(st, theta), OPTS)
+    ks = kreiss_subgradient(BRUNTON, st, _loop(st, theta), tol=TOL)
     h = 1e-6
     fd = (_kreiss_of_theta(st, theta + h)
           - _kreiss_of_theta(st, theta - h)) / (2 * h)
@@ -34,7 +34,7 @@ def test_kreiss_subgradient_static_matches_fd():
 def test_kreiss_subgradient_dynamic_matches_fd():
     st = ControllerStructure.full(1, 1, 1)
     theta = np.array([-1.5, 1.0, -2.0, 0.001])
-    ks = kreiss_subgradient(BRUNTON, st, _loop(st, theta), OPTS)
+    ks = kreiss_subgradient(BRUNTON, st, _loop(st, theta), tol=TOL)
     h = 1e-6
     fd = np.zeros(4)
     for i in range(4):
@@ -46,20 +46,20 @@ def test_kreiss_subgradient_dynamic_matches_fd():
 
 
 def test_kreiss_subgradient_is_taken_at_the_peak():
-    # the bisection fixes the peak frequency only to about sqrt(hinf_tol);
+    # the bisection fixes the peak frequency only to about sqrt(tol);
     # the gradient at the polished peak matches a tight Kreiss norm
     st = ControllerStructure.full(1, 1, 1)
     theta = np.array([-1.5, 1.0, -2.0, 0.001])
-    tight = KreissOptions(grid_points=400, hinf_tol=1e-13)
-    ks = kreiss_subgradient(BRUNTON, st, _loop(st, theta), OPTS)
+    tight = 1e-13
+    ks = kreiss_subgradient(BRUNTON, st, _loop(st, theta), tol=TOL)
     h = 1e-5
     fd = np.zeros(4)
     for i in range(4):
         e = np.zeros(4)
         e[i] = h
-        fd[i] = (kreiss_norm(_loop(st, theta + e).channel(), tight).value
+        fd[i] = (kreiss_norm(_loop(st, theta + e).channel(), tol=tight).value
                  - kreiss_norm(_loop(st, theta - e).channel(),
-                               tight).value) / (2 * h)
+                               tol=tight).value) / (2 * h)
     assert np.linalg.norm(ks.gradient - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -71,7 +71,7 @@ def test_kreiss_subgradient_double_active_symmetric():
     plant = StateSpace(A, [[1.0], [-1.0]], [[1.0, 1.0]])
     st = ControllerStructure.static(1, 1)
     ks = kreiss_subgradient(plant, st, _loop(st, np.array([0.0]), plant),
-                            OPTS)
+                            tol=TOL)
     assert len(ks.active) >= 1
     for act in ks.active:
         assert act.value >= (1 - 1e-5) * ks.value
@@ -85,7 +85,7 @@ def test_kreiss_subgradient_double_active_symmetric():
 def test_kreiss_subgradient_rejects_unstable_family():
     st = ControllerStructure.static(1, 1)
     with pytest.raises(StabilityError):
-        kreiss_subgradient(BRUNTON, st, _loop(st, np.array([0.0])), OPTS)
+        kreiss_subgradient(BRUNTON, st, _loop(st, np.array([0.0])), tol=TOL)
 
 
 def test_kreiss_subgradient_descent_at_nonoptimal_gain():
@@ -96,7 +96,7 @@ def test_kreiss_subgradient_descent_at_nonoptimal_gain():
     scan = [_kreiss_of_theta(st, np.array([k])) for k in gains]
     k_best = gains[int(np.argmin(scan))]
     theta = np.array([-0.5])
-    ks = kreiss_subgradient(BRUNTON, st, _loop(st, theta), OPTS)
+    ks = kreiss_subgradient(BRUNTON, st, _loop(st, theta), tol=TOL)
     assert ks.value > min(scan)
     step = -np.sign(ks.gradient[0]) * 0.05
     assert _kreiss_of_theta(st, theta + step) < ks.value
@@ -110,6 +110,6 @@ def test_kreiss_subgradient_homogeneity_in_channel(rng):
     c = 2.5
     plant = StateSpace(A, [[1.0], [-1.0]], [[1.0, 1.0]])
     scaled = StateSpace(A, [[1.0], [-1.0]], [[c, c]])
-    base = kreiss_norm(plant, OPTS).value
-    assert kreiss_norm(scaled, OPTS).value == pytest.approx(c * base,
+    base = kreiss_norm(plant, tol=TOL).value
+    assert kreiss_norm(scaled, tol=TOL).value == pytest.approx(c * base,
                                                             rel=1e-8)

@@ -25,7 +25,6 @@ from kreisslab.loop import (
 )
 from kreisslab.linalg import spectral_abscissa
 from kreisslab.norms import (
-    KreissOptions,
     _family_hinf,
     cb_lower_bound,
     kreiss_norm,
@@ -219,7 +218,7 @@ def test_worst_case_contraction_family():
     cl = assemble_closed_loop(
         StateSpace(-np.eye(2), np.eye(2), np.eye(2)),
         ControllerRealization.static(np.zeros((2, 2))))
-    rep = kreiss_norm(cl.channel(), KreissOptions(grid_points=80))
+    rep = kreiss_norm(cl.channel())
     assert rep.value == pytest.approx(1.0, rel=1e-6)
     # the eta = 0 endpoint already contributes sigma_max(J^T J) = 1
     assert min(a["eta"] for a in rep.maximizer["actives"]) \
