@@ -21,12 +21,13 @@ not depend on the rest of the grid and lies within tol of ``hinf_norm``
 of that member (bitwise on the dense path).
 
 The Kreiss norm does not depend on the time unit: C (sI - A / rho)^{-1} B
-= rho G(rho s), so K(A / rho, B, C) = K(A, B, C).  ``kreiss_norm`` searches
-the family of A / rho, rho the power of two nearest the spectral radius of
-A (an exact division), whose maxima sit at the same etas whatever the time
-unit, so one 48-point grid, ``_ETA_GRID``, serves every Kreiss evaluation.
-A reported eta belongs to the family of A: the member at eta' is c A - I
-with c = (eta' / (2 - eta')) / rho, reported as eta = 2 c / (1 + c).
+= rho G(rho s), so K(A / rho, B, C) = K(A, B, C).  ``kreiss_norm`` runs
+one 48-point grid, ``_ETA_GRID``, in windows: window rho takes the members
+c A - I, c = (eta' / (2 - eta')) / rho, bitwise those of c' (A / rho) - I
+for rho a power of two.  The first rho is nearest the spectral radius; a
+stiff A takes more, 2^10 apart, down to its slow modes (``_time_scales``).
+A reported point carries its c and eta = 2 c / (1 + c), which rounds to 2
+for c beyond 2^53.
 
 The Kreiss norm and M0 are maxima over one parameter, eta and t.  Each
 takes its local maxima on a grid and refines them with exact
@@ -475,11 +476,16 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
 # Kreiss system norm
 # ---------------------------------------------------------------------------
 
-#: the endpoint-clustered eta grid of every Kreiss evaluation, on A / rho;
-#: it stops short of the pole of eta/(2-eta) at 2 (np.unique here would
-#: import numpy.ma with the package)
+#: the endpoint-clustered eta grid of every Kreiss window, short of the
+#: pole at 2 (np.unique here would import numpy.ma with the package)
 _ETA_GRID = np.minimum(1.0 - np.cos(math.pi * np.linspace(0.0, 1.0, 48)),
                        2.0 - 1e-6)
+
+#: c' = eta'/(2-eta') of every grid point
+_C_GRID = _ETA_GRID / (2.0 - _ETA_GRID)
+
+#: each further window of a stiff A lies this factor below the last
+_WINDOW_STEP = 2.0 ** -10
 
 #: derivative refinement stops at eta brackets this narrow
 _REFINE_XTOL = 1e-7
@@ -498,27 +504,28 @@ _POLISH_STEPS = 8
 
 
 def kreiss_family_matrix(A: np.ndarray, eta) -> np.ndarray:
-    """Shifted/scaled member (eta/(2-eta)) A - I of the resolvent family;
-    an array of etas gives the members stacked along a leading axis."""
-    c = np.asarray(eta / (2.0 - eta))
-    return c[..., None, None] * A - np.eye(A.shape[0])
+    """Member (eta/(2-eta)) A - I of the resolvent family; etas stack."""
+    return _family_matrix(A, eta / (2.0 - eta))
 
 
-def _family_hinf(sys: StateSpace, eta: np.ndarray, tol: float):
-    """_hinf_lockstep over kreiss_family_matrix(sys.A, eta_e) with the
-    B, C, D of sys, for every eta_e in one call.  Each member is Hurwitz
-    whenever sys.A is, so none is checked again.  The member c A - I,
-    c = eta/(2 - eta), has A's eigenvectors V, poles c lam_l - 1 and
-    residues r_l (``_Impulse``), so one eigendecomposition gives every
-    member's probes and gains.  Their rounding grows like cond(V) eps, so
-    this holds only where cond(V) eps <= 1e-3 tol, three digits below the
-    bisection's tolerance; any other A (a Jordan block, a nearly defective
-    A) takes the dense path."""
-    imp, modal = _Impulse(sys), None
+def _family_matrix(A: np.ndarray, c) -> np.ndarray:
+    """The member c A - I; an array of c stacks the members."""
+    return np.asarray(c)[..., None, None] * A - np.eye(A.shape[0])
+
+
+def _family_hinf(sys: StateSpace, c: np.ndarray, tol: float, imp=None):
+    """_hinf_lockstep over the members c_e A - I, A = sys.A, with the B, C,
+    D of sys, for every c_e in one call; each is Hurwitz whenever A is.
+    The member c A - I has A's eigenvectors V, poles c lam_l - 1 and
+    residues r_l (imp, the ``_Impulse`` of sys), so one eigendecomposition
+    gives every member's probes and gains.  Their rounding grows like
+    cond(V) eps, so this holds only where cond(V) eps <= 1e-3 tol; any
+    other A (a Jordan block, a nearly defective A) takes the dense path."""
+    imp, modal = imp or _Impulse(sys), None
     if imp.modal and imp.cond * _EPS <= 1e-3 * tol:
-        modal = ((eta / (2.0 - eta))[:, None] * imp.lam - 1.0, imp.res[0])
-    return _hinf_lockstep(kreiss_family_matrix(sys.A, eta), sys.B, sys.C,
-                          sys.D, tol, modal)
+        modal = (c[:, None] * imp.lam - 1.0, imp.res[0])
+    return _hinf_lockstep(_family_matrix(sys.A, c), sys.B, sys.C, sys.D,
+                          tol, modal)
 
 
 def _refine_maxima(probe, grid_slopes, grid, vals, payloads, peaks, d,
@@ -633,17 +640,13 @@ def _peak_point(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
     return float(omega), float(sigma), u, v, X, Y
 
 
-def _family_slope(sys: StateSpace, eta: float, omega: float) -> float:
-    """d/d eta of the H-infinity norm h(eta) of the family member at eta,
-    whose peak frequency hinf_norm put near omega.
-
-    With c = eta/(2 - eta), the member is c A - I; ``_peak_point`` polishes
-    its peak, and since d/dc of C R B is C R A R B, the envelope theorem
-    gives h'(eta) = Re(u^H C R A R B v) 2/(2 - eta)^2 there."""
-    _, _, u, v, X, Y = _peak_point(kreiss_family_matrix(sys.A, eta), sys.B,
-                                   sys.C, sys.D, omega)
-    return float((u.conj() @ (Y @ sys.A @ X) @ v).real * 2.0
-                 / (2.0 - eta) ** 2)
+def _family_slope(sys: StateSpace, c: float, omega: float) -> float:
+    """d/dc of the H-infinity norm h(c) of the member c A - I, whose peak
+    hinf_norm put near omega: at the peak that ``_peak_point`` polishes,
+    d/dc C R B = C R A R B gives h'(c) = Re(u^H C R A R B v)."""
+    _, _, u, v, X, Y = _peak_point(_family_matrix(sys.A, c), sys.B, sys.C,
+                                   sys.D, omega)
+    return float((u.conj() @ (Y @ sys.A @ X) @ v).real)
 
 
 def _local_maxima(vals: np.ndarray) -> np.ndarray:
@@ -660,53 +663,41 @@ def _strictly_proper_channel(sys: StateSpace, what: str) -> None:
         raise PreconditionError(f"{what} requires a strictly proper system (D = 0)")
 
 
-def _time_scale(A: np.ndarray) -> float:
-    """The power of two nearest the spectral radius of A; 1 for n = 0."""
-    if A.shape[0] == 0:
-        return 1.0
-    return 2.0 ** round(math.log2(np.abs(np.linalg.eigvals(A)).max()))
+def _time_scales(lam: np.ndarray) -> list:
+    """The powers of two rho of kreiss_norm's windows for a Hurwitz A with
+    eigenvalues lam, largest first: nearest the spectral radius, then
+    ``_WINDOW_STEP`` apart until the last inner grid point reaches Re s =
+    rho / c' <= |alpha| / n, alpha the spectral abscissa (a Jordan block
+    of order k at -a peaks at Re s = a / (k - 1)); [1.0] for n = 0."""
+    if lam.size == 0:
+        return [1.0]
+    scales = [2.0 ** round(math.log2(np.abs(lam).max()))]
+    while scales[-1] / _C_GRID[-2] > -float(lam.real.max()) / lam.size:
+        scales.append(scales[-1] * _WINDOW_STEP)
+    return scales
 
 
-def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
-    """Kreiss system norm sup_{Re s > 0} Re(s) sigma_max(C (sI-A)^{-1} B).
-
-    Computed as the maximum over eta in [0, 2) of the H-infinity norm of
-    the family member (eta/(2-eta) A - I, B, C), which is Hurwitz whenever
-    A is.  The search runs on (A / rho, B, C), rho from ``_time_scale``
-    (see the module docstring).  One lockstep kernel call evaluates the
-    grid ``_ETA_GRID`` (``_family_hinf``), each value within tol of
-    hinf_norm of that member, and sigma_max(CB) exactly at eta = 0; each
-    local maximum is refined inside its grid bracket by ``_refine_maxima``,
-    each new value from hinf_norm and each slope from ``_family_slope``.  A
-    maximum at eta = 0 with Y_sym_max < 0 (a negative slope there, see
-    ``attainment_check``) takes no step.  The maximizer records the active
-    eta, the inner peak frequency and every near-active grid point, each
-    eta in the family of the given A.  Raises ArgumentError unless tol is
-    positive.
-    """
-    _strictly_proper_channel(sys, "Kreiss norm")
-    sys.require_stable("Kreiss norm")
-    sigma_cb = cb_lower_bound(sys)
-    rho = _time_scale(sys.A)
-    sys = StateSpace(sys.A / rho, sys.B, sys.C)        # the same norm
+def _kreiss_window(sys: StateSpace, imp, rho: float, sigma_cb: float,
+                   tol: float):
+    """kreiss_norm's search over the members c A - I, c = (eta' / (2 -
+    eta')) / rho, eta' on ``_ETA_GRID`` and refined in eta'.  Returns the
+    set of (c, value, omega) of every refined point and grid maximum, and
+    the number of eta' points taken."""
+    def c_of(etas):
+        return etas / (2.0 - etas) / rho
 
     def slopes(etas, oms):
-        return np.array([_family_slope(sys, e, w) for e, w in zip(etas, oms)])
+        return np.array([_family_slope(sys, c, w) * 2.0 / (2.0 - e) ** 2 / rho
+                         for e, c, w in zip(etas, c_of(etas), oms)])
 
     def probe(etas):
-        reps = [hinf_norm(StateSpace(kreiss_family_matrix(sys.A, e), sys.B,
-                                     sys.C), tol=tol)
-                for e in etas]
+        reps = [hinf_norm(StateSpace(_family_matrix(sys.A, c), sys.B, sys.C),
+                          tol=tol) for c in c_of(etas)]
         oms = np.array([r.maximizer["omega"] for r in reps])
         return np.array([r.value for r in reps]), slopes(etas, oms), oms
 
-    def caller_eta(eta: float) -> float:    # in the family of A itself
-        c = eta / (2.0 - eta) / rho
-        return 2.0 * c / (1.0 + c)
-
-    grid = _ETA_GRID
-    vals, omegas, _ = _family_hinf(sys, grid, tol)
-    evals = len(grid)
+    grid, c_grid = _ETA_GRID, _C_GRID / rho
+    vals, omegas, _ = _family_hinf(sys, c_grid, tol, imp)
     # the member at eta = 0 is CB/(s + 1), whose norm is sigma_max(CB);
     # its grid value has the bisection's tol and the residues' rounding
     if vals[0] < sigma_cb - 10 * tol * max(1.0, sigma_cb) - 1e-12:
@@ -715,11 +706,10 @@ def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
             f"sigma_max(CB) lower bound {sigma_cb:.6g}")
     vals[0] = sigma_cb
 
-    first = int(np.argmax(vals))  # the first maximum in grid order
     local_max = _local_maxima(vals)
     # largest first, ties in grid order
-    local_max = local_max[np.argsort(-vals[local_max], kind="stable")]
-    local_max = local_max[:_MAX_LOCAL_MAXIMA]
+    local_max = local_max[np.argsort(-vals[local_max], kind="stable")][
+        :_MAX_LOCAL_MAXIMA]
 
     def grid_slopes(idx):
         return slopes(grid[idx], omegas[idx])
@@ -733,30 +723,40 @@ def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     d[steps] = grid_slopes(local_max[steps])
     eta_r, val_r, om_r, used = _refine_maxima(
         probe, grid_slopes, grid, vals, omegas, local_max, d, _REFINE_XTOL)
-    evals += used
+    points = {(float(c_grid[i]), float(vals[i]), float(omegas[i]))
+              for i in local_max}
+    points.update(zip(c_of(eta_r).tolist(), val_r.tolist(), om_r.tolist()))
+    return points, grid.size + used
 
-    best_val = float(vals[first])
-    best_eta = float(grid[first])
-    best_omega = float(omegas[first])
-    refined = []
-    for e, v, om in zip(eta_r, val_r, om_r):
-        refined.append((float(e), float(v), float(om)))
-        if v > best_val:
-            best_val, best_eta, best_omega = float(v), float(e), float(om)
 
-    actives = [
-        {"eta": caller_eta(e), "value": v, "omega": om}
-        for e, v, om in sorted(
-            set(refined) | {(float(grid[i]), float(vals[i]), float(omegas[i]))
-                            for i in local_max},
-            key=lambda t: t[0])
-        if v >= (1.0 - _ACTIVE_RTOL) * best_val
-    ]
+def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
+    """Kreiss system norm sup_{Re s > 0} Re(s) sigma_max(C (sI-A)^{-1} B).
 
-    return NormReport(best_val,
-                      {"eta": caller_eta(best_eta), "omega": best_omega,
-                       "actives": actives},
-                      evaluations=evals)
+    The maximum over c >= 0 of the H-infinity norm of the member (c A - I,
+    B, C), Hurwitz whenever A is, whose frequency omega maps to s = (1 +
+    j omega) / c.  Each window of ``_time_scales`` evaluates ``_ETA_GRID``
+    in one lockstep kernel call (``_family_hinf``), each value within tol
+    of hinf_norm of that member, and sigma_max(CB) exactly at eta = 0; each
+    local maximum is refined inside its grid bracket by ``_refine_maxima``,
+    each new value from hinf_norm and each slope from ``_family_slope``.  A
+    maximum at eta = 0 with Y_sym_max < 0 (see ``attainment_check``) takes
+    no step.  The maximizer holds the eta and peak frequency of the best
+    point, the least c of equal values, and as "actives" every near-active
+    point with its c.  Raises ArgumentError unless tol is positive.
+    """
+    _strictly_proper_channel(sys, "Kreiss norm")
+    sys.require_stable("Kreiss norm")
+    sigma_cb = cb_lower_bound(sys)
+    imp = _Impulse(sys)
+    wins = [_kreiss_window(sys, imp, rho, sigma_cb, tol)
+            for rho in _time_scales(imp.lam)]
+    points = sorted(set().union(*(w[0] for w in wins)), key=lambda t: t[0])
+    best_c, best_val, best_omega = max(points, key=lambda t: t[1])
+    actives = [{"eta": 2.0 * c / (1.0 + c), "c": c, "value": v, "omega": om}
+               for c, v, om in points if v >= (1.0 - _ACTIVE_RTOL) * best_val]
+    return NormReport(best_val, {"eta": 2.0 * best_c / (1.0 + best_c),
+                                 "omega": best_omega, "actives": actives},
+                      evaluations=sum(w[1] for w in wins))
 
 
 def kreiss_matrix(A, tol: float = 1e-8) -> NormReport:
@@ -808,8 +808,8 @@ class _Impulse:
         # an empty basis (n = 0) is perfectly conditioned
         self.cond = float(np.linalg.cond(V)) if sys.n else 1.0
         self.modal = self.cond < _MODAL_COND
+        self.lam = w
         if self.modal:
-            self.lam = w
             left = sys.C @ V                           # m x n
             right = np.linalg.solve(V, sys.B)          # n x p
             # res[l, i p + j] = left[i, l] right[l, j]

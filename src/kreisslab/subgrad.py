@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .loop import ClosedLoop, ControllerStructure
-from .norms import _peak_point, kreiss_family_matrix, kreiss_norm
+from .norms import _family_matrix, _peak_point, kreiss_norm
 from .statespace import StateSpace
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
 @dataclass
 class ActivePoint:
     eta: float
+    c: float
     omega: float
     value: float
     gradient: np.ndarray
@@ -43,9 +44,9 @@ def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
     """Clarke subgradient of theta -> K(J^T (sI - A_cl(theta))^{-1} J).
 
     cl is the loop assembled at theta.  kreiss_norm of its channel at tol
-    supplies the active (eta, omega) pairs and raises StabilityError for a
-    non-Hurwitz A_cl.  At each pair ``norms._peak_point`` polishes omega to
-    the peak of the member c A_cl - I, c = eta/(2-eta), so an active's
+    supplies the active points (eta, c, omega) and raises StabilityError
+    for a non-Hurwitz A_cl.  At each point ``norms._peak_point`` polishes
+    omega to the peak of the member c A_cl - I, so an active's
     omega and value are the polished peak and sigma_max there; the
     gradient d sigma / d A_cl = c Re(X v u^H Y)^T is pulled back through
     the controller structure mask.  The leading gradient belongs to the
@@ -56,14 +57,14 @@ def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
     worst = kreiss_norm(channel, tol)
     actives = []
     for act in worst.maximizer["actives"]:
-        eta = act["eta"]
+        c = act["c"]
         omega, val, u, v, X, Y = _peak_point(
-            kreiss_family_matrix(channel.A, eta), channel.B, channel.C,
-            channel.D, act["omega"])
-        G_A = np.real(eta / (2.0 - eta) * np.outer(X @ v, u.conj() @ Y)).T
+            _family_matrix(channel.A, c), channel.B, channel.C, channel.D,
+            act["omega"])
+        G_A = np.real(c * np.outer(X @ v, u.conj() @ Y)).T
         grad = structure.grad_from_closed_loop(G_A, plant)
-        actives.append(ActivePoint(eta=eta, omega=omega, value=val,
-                                   gradient=grad))
+        actives.append(ActivePoint(eta=act["eta"], c=c, omega=omega,
+                                   value=val, gradient=grad))
     best = max(actives, key=lambda a: a.value)
     return KreissSubgradient(value=worst.value, gradient=best.gradient,
                              active=actives)

@@ -316,22 +316,22 @@ class _Penalized:
                                    weight)
         data = {"kreiss": ks, "alpha": alpha, "alpha_grads": a_grads,
                 "rolloff": r_val, "rolloff_grad": r_grad,
-                "screen": np.array([a.eta for a in ks.active])}
+                "screen": np.array([a.c for a in ks.active])}
         return self._objective(ks.value, alpha, r_val), data
 
-    def quick(self, theta, etas):
-        """(F, state): the penalty with the inner max restricted to given
-        etas, and the (cl, w, V, roll-off value) that full reuses at an
-        accepted point."""
+    def quick(self, theta, cs):
+        """(F, state): the penalty with the inner max restricted to the
+        members c A_cl - I of the given cs, and the (cl, w, V, roll-off
+        value) that full reuses at an accepted point."""
         plant, weight = self.spec.plant, self.spec.rolloff_weight
         cl, w, V = _loop_eig(self.spec, self.structure, theta)
         alpha = float(np.max(w.real))
         if alpha >= 0:
             return math.inf, None
         try:
-            # one lockstep call over the etas; each value is that family
-            # member's own, whatever the other etas, within tol of hinf_norm
-            values = _family_hinf(cl.channel(), etas, 1e-6)[0]
+            # one lockstep call over the cs; each value is that family
+            # member's own, whatever the other cs, within tol of hinf_norm
+            values = _family_hinf(cl.channel(), cs, 1e-6)[0]
             r_val = (None if weight is None
                      else rolloff_norm(plant, self.structure.unpack(theta),
                                        weight))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from kreisslab import norms
 from kreisslab.errors import (
@@ -213,6 +214,51 @@ def test_kreiss_norm_scales_with_time():
             assert value == pytest.approx(a * base, rel=1e-9)
 
 
+def _stiff_jordan(scale=1.0):
+    """blockdiag(-1e4, [[-1e-3, 1], [0, -1e-3]]) times scale, B = C = I:
+    eigenvalues 1e7 apart, and the slow Jordan block peaks at Re s = 1e-3
+    with K = max_x x a (a + sqrt(a^2 + 4)) / 2, a = 1 / (x + 1e-3)."""
+    A = np.zeros((3, 3))
+    A[0, 0] = -1e4
+    A[1:, 1:] = [[-1e-3, 1.0], [0.0, -1e-3]]
+    return StateSpace(scale * A, np.eye(3), np.eye(3))
+
+
+def _stiff_jordan_kreiss():
+    def value(log_x):
+        a = 1.0 / (math.exp(log_x) + 1e-3)
+        return -math.exp(log_x) * a * (a + math.sqrt(a * a + 4.0)) / 2.0
+    best = scipy.optimize.minimize_scalar(
+        value, bounds=(math.log(1e-4), math.log(1e-2)), method="bounded",
+        options={"xatol": 1e-10})
+    return -best.fun
+
+
+def test_kreiss_norm_of_a_stiff_system():
+    # one window near the spectral radius stopped at Re s = 4e-3 and read
+    # 37 % low; the slow block takes its own window
+    sys = _stiff_jordan()
+    rep = kreiss_norm(sys)
+    oracle = kreiss_halfplane_grid(sys)
+    assert rep.value >= certification_interval(oracle)[0]
+    assert rep.value == pytest.approx(_stiff_jordan_kreiss(), rel=1e-9)
+    assert len(norms._time_scales(np.linalg.eigvals(sys.A))) > 1
+
+
+def test_kreiss_actives_carry_their_member():
+    # slowed by 2^-60, the peak's member c A - I has c near 1e21, whose
+    # eta = 2 c / (1 + c) rounds to 2; the reported c still gives the
+    # member bitwise, and with it the value
+    sys = _stiff_jordan(2.0 ** -60)
+    rep = kreiss_norm(sys)
+    assert rep.value == kreiss_norm(_stiff_jordan()).value
+    assert rep.maximizer["eta"] == 2.0
+    for act in rep.maximizer["actives"]:
+        assert act["eta"] == 2.0 * act["c"] / (1.0 + act["c"])
+        value = norms._family_hinf(sys, np.array([act["c"]]), 1e-8)[0][0]
+        assert value == pytest.approx(act["value"], rel=1e-12)
+
+
 def test_kreiss_homogeneity_and_triangle(rng):
     sys = random_stable_statespace(rng, 3, p=1, m=2)
     k0 = kreiss_norm(sys).value
@@ -246,34 +292,39 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
     calls = []
     family_hinf = norms._family_hinf
 
-    def recording(sys_, eta, tol):
-        out = family_hinf(sys_, eta, tol)
-        calls.append((sys_, eta, tuple(a.copy() for a in out), tol))
+    def recording(sys_, c, tol, imp=None):
+        out = family_hinf(sys_, c, tol, imp)
+        calls.append((sys_, c, tuple(a.copy() for a in out), tol))
         return out
 
     monkeypatch.setattr(norms, "_family_hinf", recording)
     kreiss_norm(sys)
-    (scaled, grid, (values, omegas, evals), tol), = calls
-    # the one grid, on A divided exactly by a power of two
-    assert np.array_equal(grid, norms._ETA_GRID)
-    rho = norms._time_scale(sys.A)
-    assert math.frexp(rho)[0] == 0.5
-    assert np.array_equal(scaled.A * rho, sys.A)
-    assert np.array_equal(scaled.B, sys.B) and np.array_equal(scaled.C, sys.C)
-    for i, (eta, value, omega, count) in enumerate(zip(grid, values, omegas,
-                                                       evals)):
-        # bitwise: the stacked kernel takes each member's own steps
-        alone = family_hinf(scaled, grid[i:i + 1], tol)
-        assert (alone[0][0], alone[1][0], alone[2][0]) \
-            == (value, omega, count)
-        # the residue gains of a modal A round differently from the dense
-        # solves of hinf_norm, far below tol
-        rep = hinf_norm(StateSpace(kreiss_family_matrix(scaled.A, eta),
-                                   sys.B, sys.C), tol=tol)
-        assert value == pytest.approx(rep.value, rel=1e-12, abs=0.0)
-        assert rep.evaluations == count
-        if name == "example8":          # a Jordan block: the dense path
-            assert (rep.value, rep.maximizer["omega"]) == (value, omega)
+    rhos = norms._time_scales(np.linalg.eigvals(sys.A))
+    assert len(calls) == len(rhos)
+    assert rhos[0] == 2.0 ** round(math.log2(np.abs(np.linalg.eigvals(
+        sys.A)).max()))
+    assert rhos == [rhos[0] * 2.0 ** (-10 * k) for k in range(len(rhos))]
+    for (sys_, c, (values, omegas, evals), tol), rho in zip(calls, rhos):
+        # one grid per window, whose members are bitwise those of the
+        # grid on A divided exactly by a power of two
+        assert sys_ is sys and math.frexp(rho)[0] == 0.5
+        assert np.array_equal(norms._family_matrix(sys.A, c),
+                              kreiss_family_matrix(sys.A / rho,
+                                                   norms._ETA_GRID))
+        for i, (c_i, value, omega, count) in enumerate(zip(c, values, omegas,
+                                                           evals)):
+            # bitwise: the stacked kernel takes each member's own steps
+            alone = family_hinf(sys, c[i:i + 1], tol)
+            assert (alone[0][0], alone[1][0], alone[2][0]) \
+                == (value, omega, count)
+            # the residue gains of a modal A round differently from the
+            # dense solves of hinf_norm, far below tol
+            rep = hinf_norm(StateSpace(norms._family_matrix(sys.A, c_i),
+                                       sys.B, sys.C), tol=tol)
+            assert value == pytest.approx(rep.value, rel=1e-12, abs=0.0)
+            assert rep.evaluations == count
+            if name == "example8":          # a Jordan block: the dense path
+                assert (rep.value, rep.maximizer["omega"]) == (value, omega)
 
 
 def test_residue_gains_match_dense_gains(rng):
@@ -304,7 +355,7 @@ def test_residue_path_gate(cond, tol):
     imp = norms._Impulse(sys)
     assert cond / 3.0 < imp.cond < 3.0 * cond
     grid = ETA_200
-    family = norms._family_hinf(sys, grid, tol)
+    family = norms._family_hinf(sys, grid / (2.0 - grid), tol)
     dense = norms._hinf_lockstep(kreiss_family_matrix(sys.A, grid), sys.B,
                                  sys.C, sys.D, tol)
     if imp.cond * norms._EPS <= 1e-3 * tol:
@@ -526,8 +577,8 @@ def test_attainment_holds_whenever_bound_attained(rng):
     # a residual gap g = K - sigma(CB) bounds the slope at eta = 0 by
     # lambda_max(Y + Y^T) <= 4 sigma(CB) g / eta_1 (first grid step), so the
     # necessity check is asserted at that resolution-consistent tolerance;
-    # eta_1 is the first step of kreiss_norm's grid on A / rho, taken back
-    # to the family of A, and at least that of an 80-point grid on A
+    # eta_1 is the smallest nonzero grid point of kreiss_norm's windows,
+    # that of the first one, and at least that of an 80-point grid on A
     hits = 0
     for _ in range(30):
         sys = random_stable_statespace(rng, 3, p=1, m=1, oscillatory=False)
@@ -538,8 +589,8 @@ def test_attainment_holds_whenever_bound_attained(rng):
         gap = abs(k - sigma_cb)
         if gap <= 1e-4 * max(1.0, k):
             hits += 1
-            step = norms._ETA_GRID[1]
-            c1 = step / (2.0 - step) / norms._time_scale(sys.A)
+            c1 = norms._C_GRID[1] / norms._time_scales(
+                np.linalg.eigvals(sys.A))[0]
             eta1 = max(2.0 * c1 / (1.0 + c1), 1.0 - np.cos(np.pi / 79))
             tol = 2.0 * 4.0 * sigma_cb * max(gap, 1e-12) / eta1 + 1e-9
             assert attainment_check(sys, tol=tol).necessary_ok
@@ -759,9 +810,11 @@ def test_family_slope_matches_central_differences(name):
 
     step = 1e-5
     for eta in (0.3, 0.9, 1.5):
-        # from the peak frequency kreiss_norm has, good to about sqrt(tol)
+        # from the peak frequency kreiss_norm has, good to about sqrt(tol);
+        # d/d eta = d/dc 2 / (2 - eta)^2
         slope = norms._family_slope(
-            sys, eta, member(eta, 1e-8).maximizer["omega"])
+            sys, eta / (2.0 - eta), member(eta, 1e-8).maximizer["omega"]) \
+            * 2.0 / (2.0 - eta) ** 2
         central = (member(eta + step, 1e-13).value
                    - member(eta - step, 1e-13).value) / (2.0 * step)
         assert slope == pytest.approx(central, rel=1e-5)

@@ -45,6 +45,24 @@ def test_kreiss_subgradient_dynamic_matches_fd():
     assert np.linalg.norm(ks.gradient - fd) <= 1e-3 * np.linalg.norm(fd)
 
 
+def test_kreiss_subgradient_of_a_slow_loop():
+    # K(a A_cl, J, J^T) = K(A_cl, J, J^T): slowed by 2^-60, the loop's
+    # active members have c beyond 2^53, where eta rounds to 2, and the
+    # subgradient takes each member from its reported c
+    st = ControllerStructure.full(1, 1, 1)
+    theta = np.array([-1.5, 1.0, -2.0, 0.001])
+    a = 2.0 ** -60
+    slow = StateSpace(a * BRUNTON.A, a * BRUNTON.B, BRUNTON.C)
+    # theta = (A_K, B_K, C_K, D_K): the slow loop is a times the loop
+    scale = np.array([a, a, 1.0, 1.0])
+    ks = kreiss_subgradient(BRUNTON, st, _loop(st, theta), tol=TOL)
+    ks_slow = kreiss_subgradient(slow, st, _loop(st, scale * theta, slow),
+                                 tol=TOL)
+    assert max(p.eta for p in ks_slow.active) == 2.0
+    assert ks_slow.value == pytest.approx(ks.value, rel=1e-12)
+    assert ks_slow.gradient * scale == pytest.approx(ks.gradient, rel=1e-9)
+
+
 def test_kreiss_subgradient_is_taken_at_the_peak():
     # the bisection fixes the peak frequency only to about sqrt(tol);
     # the gradient at the polished peak matches a tight Kreiss norm

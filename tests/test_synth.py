@@ -240,9 +240,9 @@ def test_worst_case_matches_dense_eta_grid(rng):
     rep = kreiss_norm(cl.channel())
     etas = np.linspace(0.0, 2.0 - 1e-6, 10000)
     # one batched call; each value is within tol = 1e-7 of hinf_norm of the
-    # family member (A_eta, J, J^T) at that eta
-    dense = float(np.max(_family_hinf(cl.channel(), etas, 1e-7)[0],
-                         initial=0.0))
+    # family member (c A - I, J, J^T) at c = eta / (2 - eta)
+    dense = float(np.max(_family_hinf(cl.channel(), etas / (2.0 - etas),
+                                      1e-7)[0], initial=0.0))
     assert rep.value == pytest.approx(dense, rel=1e-3)
 
 
@@ -259,15 +259,16 @@ def test_quick_penalty_is_max_of_per_eta_hinf():
     ctrl = BRUNTON_CONTROLLERS["static"].controller
     structure = ControllerStructure.static(1, 1)
     pen = _Penalized(SynthesisSpec(plant=plant), structure)
-    etas = [0.0, 0.35, 1.2, 1.97]
+    etas = np.array([0.0, 0.35, 1.2, 1.97])
+    cs = etas / (2.0 - etas)              # the screen takes the members' c
     channel = assemble_closed_loop(plant, ctrl).channel()
     # each family member alone: the screen's value may not depend on the
-    # other etas of its call
-    kreiss_part = max(_family_hinf(channel, np.array([eta]), 1e-6)[0][0]
-                      for eta in etas)
+    # other members of its call
+    kreiss_part = max(_family_hinf(channel, np.array([c]), 1e-6)[0][0]
+                      for c in cs)
     excess = spectral_abscissa(channel.A) - pen.spec.alpha_limit
     expected = kreiss_part + (_PENALTY * excess if excess > 0 else 0.0)
-    F, _ = pen.quick(structure.pack(ctrl), np.array(etas))
+    F, _ = pen.quick(structure.pack(ctrl), cs)
     assert F == expected
 
 
