@@ -24,9 +24,10 @@ The Kreiss norm does not depend on the time unit: C (sI - A / rho)^{-1} B
 = rho G(rho s), so K(A / rho, B, C) = K(A, B, C).  ``kreiss_norm`` runs
 one 48-point grid, ``_ETA_GRID``, in windows: window rho takes the members
 c A - I, c = (eta' / (2 - eta')) / rho, bitwise those of c' (A / rho) - I
-for rho a power of two.  The first rho is nearest the spectral radius; a
-stiff A takes more, 2^10 apart, down to its slow modes (``_time_scales``).
-A reported point carries its c and eta = 2 c / (1 + c), which rounds to 2
+for rho a power of two.  One window nearest the spectral radius serves
+most A; a stiff A moves it down to its slow modes and, where one window
+cannot span both ends, takes more, 2^10 apart (``_time_scales``).  A
+reported point carries its c and eta = 2 c / (1 + c), which rounds to 2
 for c beyond 2^53.
 
 The Kreiss norm and M0 are maxima over one parameter, eta and t.  Each
@@ -484,7 +485,7 @@ _ETA_GRID = np.minimum(1.0 - np.cos(math.pi * np.linspace(0.0, 1.0, 48)),
 #: c' = eta'/(2-eta') of every grid point
 _C_GRID = _ETA_GRID / (2.0 - _ETA_GRID)
 
-#: each further window of a stiff A lies this factor below the last
+#: the windows of a stiff A lie this factor apart
 _WINDOW_STEP = 2.0 ** -10
 
 #: derivative refinement stops at eta brackets this narrow
@@ -665,15 +666,24 @@ def _strictly_proper_channel(sys: StateSpace, what: str) -> None:
 
 def _time_scales(lam: np.ndarray) -> list:
     """The powers of two rho of kreiss_norm's windows for a Hurwitz A with
-    eigenvalues lam, largest first: nearest the spectral radius, then
-    ``_WINDOW_STEP`` apart until the last inner grid point reaches Re s =
-    rho / c' <= |alpha| / n, alpha the spectral abscissa (a Jordan block
-    of order k at -a peaks at Re s = a / (k - 1)); [1.0] for n = 0."""
+    eigenvalues lam, smallest first; [1.0] for n = 0.
+
+    Window rho reaches down to Re s = rho / c' at its last inner grid
+    point.  The search must reach |alpha| / n, alpha the spectral abscissa
+    (a Jordan block of order k at -a peaks at Re s = a / (k - 1)).  One
+    window nearest the spectral radius does, unless A is stiff; then the
+    lowest window is the largest rho that does, and windows follow
+    ``_WINDOW_STEP`` apart until one lies at most that step below the
+    spectral radius."""
     if lam.size == 0:
         return [1.0]
-    scales = [2.0 ** round(math.log2(np.abs(lam).max()))]
-    while scales[-1] / _C_GRID[-2] > -float(lam.real.max()) / lam.size:
-        scales.append(scales[-1] * _WINDOW_STEP)
+    top = 2.0 ** round(math.log2(np.abs(lam).max()))
+    low = -float(lam.real.max()) / lam.size * _C_GRID[-2]
+    if top <= low:
+        return [top]
+    scales = [2.0 ** math.floor(math.log2(low))]
+    while scales[-1] < top * _WINDOW_STEP:
+        scales.append(scales[-1] / _WINDOW_STEP)
     return scales
 
 

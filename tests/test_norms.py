@@ -285,9 +285,10 @@ def _biproper():
     return tf_to_ss([1.0, 0.2, 4.0], [1.0, 0.4, 1.0])
 
 
-@pytest.mark.parametrize("name", ["example3", "example8", "light_n11"])
+@pytest.mark.parametrize("name",
+                         ["example3", "example8", "light_n11", "stiff"])
 def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
-    sys = {"example3": EX3, "example8": EX8,
+    sys = {"example3": EX3, "example8": EX8, "stiff": _stiff_jordan(),
            "light_n11": _lightly_damped_n11()}[name]
     calls = []
     family_hinf = norms._family_hinf
@@ -299,11 +300,17 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
 
     monkeypatch.setattr(norms, "_family_hinf", recording)
     kreiss_norm(sys)
-    rhos = norms._time_scales(np.linalg.eigvals(sys.A))
+    lam = np.linalg.eigvals(sys.A)
+    rhos = norms._time_scales(lam)
     assert len(calls) == len(rhos)
-    assert rhos[0] == 2.0 ** round(math.log2(np.abs(np.linalg.eigvals(
-        sys.A)).max()))
-    assert rhos == [rhos[0] * 2.0 ** (-10 * k) for k in range(len(rhos))]
+    # the windows reach Re s = |alpha| / n, and the spectral radius lies
+    # in the top one: nearest it, unless A is stiff
+    top = 2.0 ** round(math.log2(np.abs(lam).max()))
+    reach = -lam.real.max() / lam.size
+    assert rhos == [rhos[0] * 2.0 ** (10 * k) for k in range(len(rhos))]
+    assert rhos[0] / norms._C_GRID[-2] <= reach
+    assert top * 2.0 ** -10 <= rhos[-1] <= top
+    assert (rhos == [top]) == (name in ("example3", "example8"))
     for (sys_, c, (values, omegas, evals), tol), rho in zip(calls, rhos):
         # one grid per window, whose members are bitwise those of the
         # grid on A divided exactly by a power of two
@@ -578,7 +585,7 @@ def test_attainment_holds_whenever_bound_attained(rng):
     # lambda_max(Y + Y^T) <= 4 sigma(CB) g / eta_1 (first grid step), so the
     # necessity check is asserted at that resolution-consistent tolerance;
     # eta_1 is the smallest nonzero grid point of kreiss_norm's windows,
-    # that of the first one, and at least that of an 80-point grid on A
+    # that of the top one, and at least that of an 80-point grid on A
     hits = 0
     for _ in range(30):
         sys = random_stable_statespace(rng, 3, p=1, m=1, oscillatory=False)
@@ -590,7 +597,7 @@ def test_attainment_holds_whenever_bound_attained(rng):
         if gap <= 1e-4 * max(1.0, k):
             hits += 1
             c1 = norms._C_GRID[1] / norms._time_scales(
-                np.linalg.eigvals(sys.A))[0]
+                np.linalg.eigvals(sys.A))[-1]
             eta1 = max(2.0 * c1 / (1.0 + c1), 1.0 - np.cos(np.pi / 79))
             tol = 2.0 * 4.0 * sigma_cb * max(gap, 1e-12) / eta1 + 1e-9
             assert attainment_check(sys, tol=tol).necessary_ok
