@@ -24,11 +24,10 @@ The Kreiss norm does not depend on the time unit: C (sI - A / rho)^{-1} B
 = rho G(rho s), so K(A / rho, B, C) = K(A, B, C).  ``kreiss_norm`` runs
 one 48-point grid, ``_ETA_GRID``, in windows: window rho takes the members
 c A - I, c = (eta' / (2 - eta')) / rho, bitwise those of c' (A / rho) - I
-for rho a power of two.  One window nearest the spectral radius serves
-most A; a stiff A moves it down to its slow modes and, where one window
-cannot span both ends, takes more, 2^10 apart (``_time_scales``).  A
-reported point carries its c and eta = 2 c / (1 + c), which rounds to 2
-for c beyond 2^53.
+for rho a power of two: the first nearest the spectral radius, and for a
+stiff A more, each at most 2^10 lower on the grid below the reach of the
+one before, down to its slow modes (``_time_scales``).  Each point carries
+its c; its eta = 2 c / (1 + c) rounds to 2 for c beyond 2^53.
 
 The Kreiss norm and M0 are maxima over one parameter, eta and t.  Each
 takes its local maxima on a grid and refines them with exact
@@ -485,7 +484,7 @@ _ETA_GRID = np.minimum(1.0 - np.cos(math.pi * np.linspace(0.0, 1.0, 48)),
 #: c' = eta'/(2-eta') of every grid point
 _C_GRID = _ETA_GRID / (2.0 - _ETA_GRID)
 
-#: the windows of a stiff A lie this factor apart
+#: each further window of a stiff A lies at most this factor below the last
 _WINDOW_STEP = 2.0 ** -10
 
 #: derivative refinement stops at eta brackets this narrow
@@ -515,13 +514,12 @@ def _family_matrix(A: np.ndarray, c) -> np.ndarray:
 
 
 def _family_hinf(sys: StateSpace, c: np.ndarray, tol: float, imp=None):
-    """_hinf_lockstep over the members c_e A - I, A = sys.A, with the B, C,
-    D of sys, for every c_e in one call; each is Hurwitz whenever A is.
-    The member c A - I has A's eigenvectors V, poles c lam_l - 1 and
-    residues r_l (imp, the ``_Impulse`` of sys), so one eigendecomposition
-    gives every member's probes and gains.  Their rounding grows like
-    cond(V) eps, so this holds only where cond(V) eps <= 1e-3 tol; any
-    other A (a Jordan block, a nearly defective A) takes the dense path."""
+    """_hinf_lockstep over the members c_e A - I (Hurwitz whenever A =
+    sys.A is) with the B, C, D of sys, all c_e in one call.  They share A's
+    eigenvectors V, poles c lam_l - 1 and residues r_l (imp, the
+    ``_Impulse`` of sys), which give every member's probes and gains where
+    their rounding, cond(V) eps, is at most 1e-3 tol; any other A (a
+    Jordan block, a nearly defective A) takes the dense path."""
     imp, modal = imp or _Impulse(sys), None
     if imp.modal and imp.cond * _EPS <= 1e-3 * tol:
         modal = (c[:, None] * imp.lam - 1.0, imp.res[0])
@@ -665,34 +663,29 @@ def _strictly_proper_channel(sys: StateSpace, what: str) -> None:
 
 
 def _time_scales(lam: np.ndarray) -> list:
-    """The powers of two rho of kreiss_norm's windows for a Hurwitz A with
-    eigenvalues lam, smallest first; [1.0] for n = 0.
-
-    Window rho reaches down to Re s = rho / c' at its last inner grid
-    point.  The search must reach |alpha| / n, alpha the spectral abscissa
-    (a Jordan block of order k at -a peaks at Re s = a / (k - 1)).  One
-    window nearest the spectral radius does, unless A is stiff; then the
-    lowest window is the largest rho that does, and windows follow
-    ``_WINDOW_STEP`` apart until one lies at most that step below the
-    spectral radius."""
+    """The windows (rho, start) of kreiss_norm for a Hurwitz A with
+    eigenvalues lam: [(1.0, 0)] for n = 0.  Window rho takes the grid from
+    index start and reaches Re s = rho / c' at its last inner point.  The
+    first, nearest the spectral radius, takes the whole grid; each next
+    lies at most ``_WINDOW_STEP`` below the last, until one reaches |alpha|
+    / n (a Jordan block of order k at -a peaks at Re s = a / (k - 1)), and
+    starts at the last point inside the reach of the window before it."""
     if lam.size == 0:
-        return [1.0]
-    top = 2.0 ** round(math.log2(np.abs(lam).max()))
+        return [(1.0, 0)]
     low = -float(lam.real.max()) / lam.size * _C_GRID[-2]
-    if top <= low:
-        return [top]
-    scales = [2.0 ** math.floor(math.log2(low))]
-    while scales[-1] < top * _WINDOW_STEP:
-        scales.append(scales[-1] / _WINDOW_STEP)
-    return scales
+    last = 2.0 ** math.floor(math.log2(low))
+    wins = [(2.0 ** round(math.log2(np.abs(lam).max())), 0)]
+    while wins[-1][0] > low:
+        rho = max(wins[-1][0] * _WINDOW_STEP, last)
+        wins.append((rho, int(np.searchsorted(
+            _C_GRID, _C_GRID[-2] * rho / wins[-1][0], side="right")) - 1))
+    return wins
 
 
-def _kreiss_window(sys: StateSpace, imp, rho: float, sigma_cb: float,
-                   tol: float):
-    """kreiss_norm's search over the members c A - I, c = (eta' / (2 -
-    eta')) / rho, eta' on ``_ETA_GRID`` and refined in eta'.  Returns the
-    set of (c, value, omega) of every refined point and grid maximum, and
-    the number of eta' points taken."""
+def _kreiss_window(sys: StateSpace, imp, rho, start, sigma_cb, tol: float):
+    """kreiss_norm's search over the members c A - I, c = c' / rho, on
+    ``_C_GRID[start:]`` and refined in eta': the set of (c, value, omega)
+    of its grid maxima and refined points, and the number of eta' taken."""
     def c_of(etas):
         return etas / (2.0 - etas) / rho
 
@@ -706,27 +699,26 @@ def _kreiss_window(sys: StateSpace, imp, rho: float, sigma_cb: float,
         oms = np.array([r.maximizer["omega"] for r in reps])
         return np.array([r.value for r in reps]), slopes(etas, oms), oms
 
-    grid, c_grid = _ETA_GRID, _C_GRID / rho
+    grid, c_grid = _ETA_GRID[start:], _C_GRID[start:] / rho
     vals, omegas, _ = _family_hinf(sys, c_grid, tol, imp)
-    # the member at eta = 0 is CB/(s + 1), whose norm is sigma_max(CB);
-    # its grid value has the bisection's tol and the residues' rounding
-    if vals[0] < sigma_cb - 10 * tol * max(1.0, sigma_cb) - 1e-12:
-        raise ConsistencyError(
-            f"Kreiss value {vals[0]:.6g} at eta = 0 fell below the "
-            f"sigma_max(CB) lower bound {sigma_cb:.6g}")
-    vals[0] = sigma_cb
+    if start == 0:
+        # the member at eta = 0 is CB/(s + 1), whose norm is sigma_max(CB);
+        # its grid value has the bisection's tol and the residues' rounding
+        if vals[0] < sigma_cb - 10 * tol * max(1.0, sigma_cb) - 1e-12:
+            raise ConsistencyError(
+                f"Kreiss value {vals[0]:.6g} at eta = 0 fell below the "
+                f"sigma_max(CB) lower bound {sigma_cb:.6g}")
+        vals[0] = sigma_cb
 
-    local_max = _local_maxima(vals)
-    # largest first, ties in grid order
+    local_max = _local_maxima(vals)     # largest first, ties in grid order
     local_max = local_max[np.argsort(-vals[local_max], kind="stable")][
         :_MAX_LOCAL_MAXIMA]
 
     def grid_slopes(idx):
         return slopes(grid[idx], omegas[idx])
 
-    # the member CB/(s + 1) at eta = 0 falls off when Y_sym_max < 0: a
-    # maximum there takes no step
-    falls = (sigma_cb > 0 and 0 in local_max
+    # a maximum at eta = 0 takes no step when CB/(s + 1) falls off there
+    falls = (start == 0 and sigma_cb > 0 and 0 in local_max
              and attainment_check(sys).Y_sym_max < 0)
     steps = ~((local_max == 0) & falls)
     d = np.zeros(local_max.size)
@@ -743,23 +735,22 @@ def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     """Kreiss system norm sup_{Re s > 0} Re(s) sigma_max(C (sI-A)^{-1} B).
 
     The maximum over c >= 0 of the H-infinity norm of the member (c A - I,
-    B, C), Hurwitz whenever A is, whose frequency omega maps to s = (1 +
-    j omega) / c.  Each window of ``_time_scales`` evaluates ``_ETA_GRID``
-    in one lockstep kernel call (``_family_hinf``), each value within tol
-    of hinf_norm of that member, and sigma_max(CB) exactly at eta = 0; each
-    local maximum is refined inside its grid bracket by ``_refine_maxima``,
-    each new value from hinf_norm and each slope from ``_family_slope``.  A
-    maximum at eta = 0 with Y_sym_max < 0 (see ``attainment_check``) takes
-    no step.  The maximizer holds the eta and peak frequency of the best
-    point, the least c of equal values, and as "actives" every near-active
-    point with its c.  Raises ArgumentError unless tol is positive.
-    """
+    B, C), Hurwitz whenever A is, at frequency omega: s = (1 + j omega) / c.
+    Each window of ``_time_scales`` evaluates ``_ETA_GRID`` in one lockstep
+    call (``_family_hinf``), each value within tol of hinf_norm of that
+    member, sigma_max(CB) exactly at eta = 0, and ``_refine_maxima`` takes
+    each local maximum's values from hinf_norm and slopes from
+    ``_family_slope``; one at eta = 0 with Y_sym_max < 0 (see
+    ``attainment_check``) takes no step.  The maximizer holds the eta and
+    omega of the best point, the least c of equal values, and as "actives"
+    every near-active point with its c.  Raises ArgumentError unless tol is
+    positive."""
     _strictly_proper_channel(sys, "Kreiss norm")
     sys.require_stable("Kreiss norm")
     sigma_cb = cb_lower_bound(sys)
     imp = _Impulse(sys)
-    wins = [_kreiss_window(sys, imp, rho, sigma_cb, tol)
-            for rho in _time_scales(imp.lam)]
+    wins = [_kreiss_window(sys, imp, rho, start, sigma_cb, tol)
+            for rho, start in _time_scales(imp.lam)]
     points = sorted(set().union(*(w[0] for w in wins)), key=lambda t: t[0])
     best_c, best_val, best_omega = max(points, key=lambda t: t[1])
     actives = [{"eta": 2.0 * c / (1.0 + c), "c": c, "value": v, "omega": om}

@@ -301,23 +301,28 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
     monkeypatch.setattr(norms, "_family_hinf", recording)
     kreiss_norm(sys)
     lam = np.linalg.eigvals(sys.A)
-    rhos = norms._time_scales(lam)
-    assert len(calls) == len(rhos)
-    # the windows reach Re s = |alpha| / n, and the spectral radius lies
-    # in the top one: nearest it, unless A is stiff
-    top = 2.0 ** round(math.log2(np.abs(lam).max()))
-    reach = -lam.real.max() / lam.size
-    assert rhos == [rhos[0] * 2.0 ** (10 * k) for k in range(len(rhos))]
-    assert rhos[0] / norms._C_GRID[-2] <= reach
-    assert top * 2.0 ** -10 <= rhos[-1] <= top
-    assert (rhos == [top]) == (name in ("example3", "example8"))
-    for (sys_, c, (values, omegas, evals), tol), rho in zip(calls, rhos):
+    wins = norms._time_scales(lam)
+    assert len(calls) == len(wins)
+    # the first window lies nearest the spectral radius and takes the whole
+    # grid; a stiff A takes more, down to Re s = |alpha| / n
+    assert wins[0] == (2.0 ** round(math.log2(np.abs(lam).max())), 0)
+    assert wins[-1][0] / norms._C_GRID[-2] <= -lam.real.max() / lam.size
+    assert (len(wins) > 1) == (name in ("light_n11", "stiff"))
+    for (above, _), (rho, start) in zip(wins, wins[1:]):
+        # at most 2^10 lower, from the last point that the one before
+        # reaches at its last inner point
+        assert above * 2.0 ** -10 <= rho < above
+        reach = above / norms._C_GRID[-2]
+        assert (rho / norms._C_GRID[start] >= reach
+                > rho / norms._C_GRID[start + 1])
+    for (sys_, c, (values, omegas, evals), tol), (rho, start) in zip(calls,
+                                                                     wins):
         # one grid per window, whose members are bitwise those of the
         # grid on A divided exactly by a power of two
         assert sys_ is sys and math.frexp(rho)[0] == 0.5
         assert np.array_equal(norms._family_matrix(sys.A, c),
                               kreiss_family_matrix(sys.A / rho,
-                                                   norms._ETA_GRID))
+                                                   norms._ETA_GRID[start:]))
         for i, (c_i, value, omega, count) in enumerate(zip(c, values, omegas,
                                                            evals)):
             # bitwise: the stacked kernel takes each member's own steps
@@ -585,7 +590,7 @@ def test_attainment_holds_whenever_bound_attained(rng):
     # lambda_max(Y + Y^T) <= 4 sigma(CB) g / eta_1 (first grid step), so the
     # necessity check is asserted at that resolution-consistent tolerance;
     # eta_1 is the smallest nonzero grid point of kreiss_norm's windows,
-    # that of the top one, and at least that of an 80-point grid on A
+    # that of the first one, and at least that of an 80-point grid on A
     hits = 0
     for _ in range(30):
         sys = random_stable_statespace(rng, 3, p=1, m=1, oscillatory=False)
@@ -597,7 +602,7 @@ def test_attainment_holds_whenever_bound_attained(rng):
         if gap <= 1e-4 * max(1.0, k):
             hits += 1
             c1 = norms._C_GRID[1] / norms._time_scales(
-                np.linalg.eigvals(sys.A))[-1]
+                np.linalg.eigvals(sys.A))[0][0]
             eta1 = max(2.0 * c1 / (1.0 + c1), 1.0 - np.cos(np.pi / 79))
             tol = 2.0 * 4.0 * sigma_cb * max(gap, 1e-12) / eta1 + 1e-9
             assert attainment_check(sys, tol=tol).necessary_ok
