@@ -21,15 +21,15 @@ not depend on the rest of the grid and lies within tol of ``hinf_norm``
 of that member (bitwise on the dense path).
 
 The Kreiss norm does not depend on the time unit: C (sI - A / rho)^{-1} B
-= rho G(rho s), so K(A / rho, B, C) = K(A, B, C).  ``kreiss_norm`` runs
-one 48-point grid, ``_ETA_GRID``, in windows: window rho takes the members
-c A - I, c = (eta' / (2 - eta')) / rho, bitwise those of c' (A / rho) - I
-for rho a power of two: the first nearest the spectral radius, and for a
-stiff A more, each at most 2^10 lower on the grid below the reach of the
-one before, down to its slow modes (``_time_scales``).  Each point carries
-its c; its eta = 2 c / (1 + c) rounds to 2 for c beyond 2^53.
+= rho G(rho s), so K(A / rho, B, C) = K(A, B, C).  ``kreiss_norm``
+searches one grid of members c A - I (``_time_scales``): windows c = c' /
+rho of the 48 points c' of ``_C_GRID``, bitwise c' (A / rho) - I for rho a
+power of two, the first nearest the spectral radius and for a stiff A more,
+each at most 2^10 lower, down to its slow modes.  It refines in x =
+log1p(rho c), rho the first window's.  Each point carries its c; its eta =
+2 c / (1 + c) rounds to 2 for c beyond 2^53.
 
-The Kreiss norm and M0 are maxima over one parameter, eta and t.  Each
+The Kreiss norm and M0 are maxima over one parameter, c and t.  Each
 takes its local maxima on a grid and refines them with exact
 derivatives in ``_refine_maxima``: a safeguarded secant on the slope,
 inside the grid bracket of each maximum, until the bracket is narrower
@@ -40,7 +40,7 @@ synthesis subgradient (``subgrad.kreiss_subgradient``): Newton steps on
 d sigma / d omega move a bisection's frequency to the peak (Benner and
 Mitchell, SIAM J. Sci. Comput. 40(5), 2018), and the resolvent products
 there give the derivative by A.  The Kreiss slope is the envelope
-derivative at the member's polished peak; at eta = 0 its sign is that of
+derivative at the member's polished peak; at c = 0 its sign is that of
 ``attainment_check``'s Y_sym_max, so a maximum there with Y_sym_max < 0
 takes no step.  The M0 slope is Re(q^T C A e^{At} B p), and all local
 maxima of one system step in lockstep, with one impulse evaluation per
@@ -457,7 +457,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     their midpoints.  The returned value is an attained lower bound within
     relative tol of the true norm; the attaining frequency is reported
     (inf when only D attains it).  This is the one-member call of the
-    lockstep kernel that kreiss_norm runs over its whole eta grid, with
+    lockstep kernel that kreiss_norm runs over its whole c grid, with
     dense gains.
 
     A gain that moves by one ulp can change the bisection's steps, so the
@@ -476,8 +476,8 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
 # Kreiss system norm
 # ---------------------------------------------------------------------------
 
-#: the endpoint-clustered eta grid of every Kreiss window, short of the
-#: pole at 2 (np.unique here would import numpy.ma with the package)
+#: the endpoint-clustered eta grid behind every Kreiss window, short of
+#: the pole at 2 (np.unique here would import numpy.ma with the package)
 _ETA_GRID = np.minimum(1.0 - np.cos(math.pi * np.linspace(0.0, 1.0, 48)),
                        2.0 - 1e-6)
 
@@ -487,7 +487,7 @@ _C_GRID = _ETA_GRID / (2.0 - _ETA_GRID)
 #: each further window of a stiff A lies at most this factor below the last
 _WINDOW_STEP = 2.0 ** -10
 
-#: derivative refinement stops at eta brackets this narrow
+#: derivative refinement stops at brackets this narrow in x = log1p(rho c)
 _REFINE_XTOL = 1e-7
 
 #: a refined point is active when it reaches this fraction of the maximum
@@ -662,102 +662,96 @@ def _strictly_proper_channel(sys: StateSpace, what: str) -> None:
         raise PreconditionError(f"{what} requires a strictly proper system (D = 0)")
 
 
-def _time_scales(lam: np.ndarray) -> list:
-    """The windows (rho, start) of kreiss_norm for a Hurwitz A with
-    eigenvalues lam: [(1.0, 0)] for n = 0.  Window rho takes the grid from
-    index start and reaches Re s = rho / c' at its last inner point.  The
-    first, nearest the spectral radius, takes the whole grid; each next
-    lies at most ``_WINDOW_STEP`` below the last, until one reaches |alpha|
-    / n (a Jordan block of order k at -a peaks at Re s = a / (k - 1)), and
-    starts at the last point inside the reach of the window before it."""
+def _time_scales(lam: np.ndarray):
+    """(c, rho): the members c of kreiss_norm's windows for a Hurwitz A with
+    eigenvalues lam, ascending without repeats, and the first window's rho
+    (1 for n = 0).  Window rho takes c' / rho for c' in ``_C_GRID[start:]``
+    and reaches Re s = rho / c' at its last inner point.  The first, rho
+    the power of two nearest the spectral radius, takes all of ``_C_GRID``;
+    each next lies at most ``_WINDOW_STEP`` below the last, until one
+    reaches |alpha| / n (a Jordan block of order k at -a peaks at Re s = a /
+    (k - 1)), and starts at the last point inside the last one's reach."""
     if lam.size == 0:
-        return [(1.0, 0)]
+        return _C_GRID, 1.0
     low = -float(lam.real.max()) / lam.size * _C_GRID[-2]
     last = 2.0 ** math.floor(math.log2(low))
-    wins = [(2.0 ** round(math.log2(np.abs(lam).max())), 0)]
-    while wins[-1][0] > low:
-        rho = max(wins[-1][0] * _WINDOW_STEP, last)
-        wins.append((rho, int(np.searchsorted(
-            _C_GRID, _C_GRID[-2] * rho / wins[-1][0], side="right")) - 1))
-    return wins
-
-
-def _kreiss_window(sys: StateSpace, imp, rho, start, sigma_cb, tol: float):
-    """kreiss_norm's search over the members c A - I, c = c' / rho, on
-    ``_C_GRID[start:]`` and refined in eta': the set of (c, value, omega)
-    of its grid maxima and refined points, and the number of eta' taken."""
-    def c_of(etas):
-        return etas / (2.0 - etas) / rho
-
-    def slopes(etas, oms):
-        return np.array([_family_slope(sys, c, w) * 2.0 / (2.0 - e) ** 2 / rho
-                         for e, c, w in zip(etas, c_of(etas), oms)])
-
-    def probe(etas):
-        reps = [hinf_norm(StateSpace(_family_matrix(sys.A, c), sys.B, sys.C),
-                          tol=tol) for c in c_of(etas)]
-        oms = np.array([r.maximizer["omega"] for r in reps])
-        return np.array([r.value for r in reps]), slopes(etas, oms), oms
-
-    grid, c_grid = _ETA_GRID[start:], _C_GRID[start:] / rho
-    vals, omegas, _ = _family_hinf(sys, c_grid, tol, imp)
-    if start == 0:
-        # the member at eta = 0 is CB/(s + 1), whose norm is sigma_max(CB);
-        # its grid value has the bisection's tol and the residues' rounding
-        if vals[0] < sigma_cb - 10 * tol * max(1.0, sigma_cb) - 1e-12:
-            raise ConsistencyError(
-                f"Kreiss value {vals[0]:.6g} at eta = 0 fell below the "
-                f"sigma_max(CB) lower bound {sigma_cb:.6g}")
-        vals[0] = sigma_cb
-
-    local_max = _local_maxima(vals)     # largest first, ties in grid order
-    local_max = local_max[np.argsort(-vals[local_max], kind="stable")][
-        :_MAX_LOCAL_MAXIMA]
-
-    def grid_slopes(idx):
-        return slopes(grid[idx], omegas[idx])
-
-    # a maximum at eta = 0 takes no step when CB/(s + 1) falls off there
-    falls = (start == 0 and sigma_cb > 0 and 0 in local_max
-             and attainment_check(sys).Y_sym_max < 0)
-    steps = ~((local_max == 0) & falls)
-    d = np.zeros(local_max.size)
-    d[steps] = grid_slopes(local_max[steps])
-    eta_r, val_r, om_r, used = _refine_maxima(
-        probe, grid_slopes, grid, vals, omegas, local_max, d, _REFINE_XTOL)
-    points = {(float(c_grid[i]), float(vals[i]), float(omegas[i]))
-              for i in local_max}
-    points.update(zip(c_of(eta_r).tolist(), val_r.tolist(), om_r.tolist()))
-    return points, grid.size + used
+    first = above = 2.0 ** round(math.log2(np.abs(lam).max()))
+    cs = [_C_GRID / first]
+    while above > low:
+        rho = max(above * _WINDOW_STEP, last)
+        start = int(np.searchsorted(_C_GRID, _C_GRID[-2] * rho / above,
+                                    side="right")) - 1
+        cs.append(_C_GRID[start:] / rho)
+        above = rho
+    c = np.sort(np.concatenate(cs))
+    return c[np.diff(c, prepend=-1.0) > 0.0], first
 
 
 def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     """Kreiss system norm sup_{Re s > 0} Re(s) sigma_max(C (sI-A)^{-1} B).
 
-    The maximum over c >= 0 of the H-infinity norm of the member (c A - I,
-    B, C), Hurwitz whenever A is, at frequency omega: s = (1 + j omega) / c.
-    Each window of ``_time_scales`` evaluates ``_ETA_GRID`` in one lockstep
-    call (``_family_hinf``), each value within tol of hinf_norm of that
-    member, sigma_max(CB) exactly at eta = 0, and ``_refine_maxima`` takes
-    each local maximum's values from hinf_norm and slopes from
-    ``_family_slope``; one at eta = 0 with Y_sym_max < 0 (see
+    The maximum over c >= 0 of the H-infinity norm h(c) of the member
+    (c A - I, B, C), Hurwitz whenever A is, at frequency omega: s = (1 + j
+    omega) / c.  One lockstep call (``_family_hinf``) evaluates the grid of
+    ``_time_scales``, each value within tol of hinf_norm of that member,
+    sigma_max(CB) exactly at c = 0.  One ``_refine_maxima`` call refines
+    the grid's local maxima in x = log1p(rho c), rho the first window's,
+    with values from hinf_norm and slopes dh/dx = h'(c) (c + 1 / rho) from
+    ``_family_slope``; one at c = 0 with Y_sym_max < 0 (see
     ``attainment_check``) takes no step.  The maximizer holds the eta and
     omega of the best point, the least c of equal values, and as "actives"
-    every near-active point with its c.  Raises ArgumentError unless tol is
-    positive."""
+    every near-active grid maximum or refined point with its c.  Raises
+    ArgumentError unless tol is positive."""
     _strictly_proper_channel(sys, "Kreiss norm")
     sys.require_stable("Kreiss norm")
     sigma_cb = cb_lower_bound(sys)
     imp = _Impulse(sys)
-    wins = [_kreiss_window(sys, imp, rho, start, sigma_cb, tol)
-            for rho, start in _time_scales(imp.lam)]
-    points = sorted(set().union(*(w[0] for w in wins)), key=lambda t: t[0])
-    best_c, best_val, best_omega = max(points, key=lambda t: t[1])
-    actives = [{"eta": 2.0 * c / (1.0 + c), "c": c, "value": v, "omega": om}
-               for c, v, om in points if v >= (1.0 - _ACTIVE_RTOL) * best_val]
+    c, rho = _time_scales(imp.lam)
+
+    def slopes(at):
+        """dh/dx = h'(c) (c + 1 / rho) at the rows (c, omega) of at."""
+        return np.array([_family_slope(sys, ci, w) * (ci + 1.0 / rho)
+                         for ci, w in at])
+
+    def probe(xs):
+        cs = np.expm1(xs) / rho
+        reps = [hinf_norm(StateSpace(_family_matrix(sys.A, ci), sys.B, sys.C),
+                          tol=tol) for ci in cs]
+        at = np.column_stack([cs, [r.maximizer["omega"] for r in reps]])
+        return np.array([r.value for r in reps]), slopes(at), at
+
+    vals, omegas, _ = _family_hinf(sys, c, tol, imp)
+    # the member at c = 0 is CB/(s + 1), whose norm is sigma_max(CB); its
+    # grid value has the bisection's tol and the residues' rounding
+    if vals[0] < sigma_cb - 10 * tol * max(1.0, sigma_cb) - 1e-12:
+        raise ConsistencyError(
+            f"Kreiss value {vals[0]:.6g} at eta = 0 fell below the "
+            f"sigma_max(CB) lower bound {sigma_cb:.6g}")
+    vals[0] = sigma_cb
+    at_grid = np.column_stack([c, omegas])
+
+    local_max = _local_maxima(vals)     # largest first, ties in grid order
+    local_max = local_max[np.argsort(-vals[local_max], kind="stable")][
+        :_MAX_LOCAL_MAXIMA]
+    # a maximum at c = 0 takes no step when CB/(s + 1) falls off there
+    falls = (sigma_cb > 0 and 0 in local_max
+             and attainment_check(sys).Y_sym_max < 0)
+    steps = ~((local_max == 0) & falls)
+    d = np.zeros(local_max.size)
+    d[steps] = slopes(at_grid[local_max[steps]])
+    _, val_r, at_r, used = _refine_maxima(
+        probe, lambda idx: slopes(at_grid[idx]), np.log1p(rho * c), vals,
+        at_grid, local_max, d, _REFINE_XTOL)
+    rows = np.vstack([np.column_stack([at_grid[local_max], vals[local_max]]),
+                      np.column_stack([at_r, val_r])])
+    points = sorted(set(map(tuple, rows.tolist())))     # (c, omega, value)
+    best_c, best_omega, best_val = max(points, key=lambda t: t[2])
+    actives = [{"eta": 2.0 * cp / (1.0 + cp), "c": cp, "value": v,
+                "omega": om}
+               for cp, om, v in points if v >= (1.0 - _ACTIVE_RTOL) * best_val]
     return NormReport(best_val, {"eta": 2.0 * best_c / (1.0 + best_c),
                                  "omega": best_omega, "actives": actives},
-                      evaluations=sum(w[1] for w in wins))
+                      evaluations=c.size + used)
 
 
 def kreiss_matrix(A, tol: float = 1e-8) -> NormReport:
@@ -910,7 +904,7 @@ class _Impulse:
 _EPS = float(np.finfo(float).eps)
 
 
-def _decay_envelope(A: np.ndarray):
+def _decay_envelope(A: np.ndarray, lam: np.ndarray | None = None):
     """(env, alpha, nu): env(t) = e^{alpha t} sum_{k<n} (nu t)^k / k! bounds
     ||e^{At}||_2 (Van Loan, SIAM J. Numer. Anal. 14(6), 1977) for alpha the
     spectral abscissa and any nu >= ||N||_2, N the strictly upper part of a
@@ -920,8 +914,9 @@ def _decay_envelope(A: np.ndarray):
     the root for the rounding in that difference, which cancels for a normal
     or nearly normal A, so that nu stays above ||N||_2 there too (about 9
     times the largest shortfall seen on 30,000 random, nearly normal and
-    rotated Jordan matrices with n = 2..12)."""
-    lam = np.linalg.eigvals(A)
+    rotated Jordan matrices with n = 2..12).  lam, the eigenvalues of A,
+    come from eigvals unless given."""
+    lam = np.linalg.eigvals(A) if lam is None else lam
     alpha = float(np.max(lam.real))
     n = A.shape[0]
     fro2 = float(np.sum(A * A))
@@ -938,8 +933,9 @@ def _decay_envelope(A: np.ndarray):
     return env, alpha, nu
 
 
-def _tail_horizon(A: np.ndarray, tail_eps: float) -> float:
-    env, alpha, _ = _decay_envelope(A)
+def _tail_horizon(A: np.ndarray, tail_eps: float,
+                  lam: np.ndarray | None = None) -> float:
+    env, alpha, _ = _decay_envelope(A, lam)
     if alpha >= 0:
         raise PreconditionError("horizon needs a Hurwitz matrix")
     t = 1.0 / abs(alpha)
@@ -984,7 +980,7 @@ def transient_peak_m0(sys: StateSpace) -> NormReport:
     _strictly_proper_channel(sys, "transient peak")
     sys.require_stable("transient peak")
     imp = _Impulse(sys)
-    horizon = _tail_horizon(sys.A, _M0_TAIL_EPS)
+    horizon = _tail_horizon(sys.A, _M0_TAIL_EPS, imp.lam)
     grid = np.unique(np.concatenate([
         [0.0],
         np.geomspace(horizon * 1e-6, horizon, _M0_HALF_SAMPLES),
@@ -1145,9 +1141,8 @@ def peak_gain(sys: StateSpace, tol: float = 1e-8) -> NormReport:
         value = float(np.abs(sys.D).sum(axis=1).max())
         return NormReport(value, {"row": 0}, evaluations=1)
     imp = _Impulse(sys)
-    horizon = _tail_horizon(sys.A, min(tol, 1e-10))
-    lam = np.linalg.eigvals(sys.A)
-    omega_max = float(np.abs(lam.imag).max())
+    horizon = _tail_horizon(sys.A, min(tol, 1e-10), imp.lam)
+    omega_max = float(np.abs(imp.lam.imag).max())
     n_grid = int(max(2000, min(200000, 16 * math.ceil(horizon * omega_max / math.pi)
                                if omega_max > 0 else 0)))
     grid = np.linspace(0.0, horizon, n_grid)

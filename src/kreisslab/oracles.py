@@ -76,9 +76,10 @@ def m0_time_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     _check_size(sys)
     _check_grid(n_grid)
     sys.require_stable("M0 oracle")
-    horizon = _tail_horizon(sys.A, 1e-12)
+    imp = _Impulse(sys)
+    horizon = _tail_horizon(sys.A, 1e-12, imp.lam)
     ts = np.linspace(0.0, horizon, n_grid)
-    vals = _sigma_max(_Impulse(sys).grid(ts))
+    vals = _sigma_max(imp.grid(ts))
     coarse = float(np.max(vals[::2]))
     value = float(np.max(vals))
     t_star = float(ts[int(np.argmax(vals))])
@@ -185,9 +186,10 @@ def peak_gain_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     _check_size(sys)
     _check_grid(n_grid)
     sys.require_stable("peak-gain oracle")
-    horizon = _tail_horizon(sys.A, 1e-12)
+    imp = _Impulse(sys)
+    horizon = _tail_horizon(sys.A, 1e-12, imp.lam)
     ts = np.linspace(0.0, horizon, n_grid)
-    g = np.abs(_Impulse(sys).grid(ts))                         # N x m x p
+    g = np.abs(imp.grid(ts))                                   # N x m x p
     rows = np.trapezoid(g, ts, axis=0).sum(axis=1)
     rows_c = np.trapezoid(g[::2], ts[::2], axis=0).sum(axis=1)
     rows += np.abs(sys.D).sum(axis=1)

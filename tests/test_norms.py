@@ -242,7 +242,21 @@ def test_kreiss_norm_of_a_stiff_system():
     oracle = kreiss_halfplane_grid(sys)
     assert rep.value >= certification_interval(oracle)[0]
     assert rep.value == pytest.approx(_stiff_jordan_kreiss(), rel=1e-9)
-    assert len(norms._time_scales(np.linalg.eigvals(sys.A))) > 1
+
+
+def test_kreiss_norm_searches_one_grid(monkeypatch):
+    # the windows of a stiff A form one grid: one family evaluation and one
+    # refinement report the slow block's peak once, which separate windows
+    # found, refined and reported twice
+    calls = []
+    for name in ("_family_hinf", "_refine_maxima"):
+        monkeypatch.setattr(norms, name,
+                            lambda *a, fn=getattr(norms, name), name=name:
+                            calls.append(name) or fn(*a))
+    rep = kreiss_norm(_stiff_jordan())
+    assert calls == ["_family_hinf", "_refine_maxima"]
+    assert len(rep.maximizer["actives"]) == 1
+    assert rep.value == pytest.approx(_stiff_jordan_kreiss(), rel=1e-9)
 
 
 def test_kreiss_actives_carry_their_member():
@@ -301,42 +315,32 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
     monkeypatch.setattr(norms, "_family_hinf", recording)
     kreiss_norm(sys)
     lam = np.linalg.eigvals(sys.A)
-    wins = norms._time_scales(lam)
-    assert len(calls) == len(wins)
-    # the first window lies nearest the spectral radius and takes the whole
-    # grid; a stiff A takes more, down to Re s = |alpha| / n
-    assert wins[0] == (2.0 ** round(math.log2(np.abs(lam).max())), 0)
-    assert wins[-1][0] / norms._C_GRID[-2] <= -lam.real.max() / lam.size
-    assert (len(wins) > 1) == (name in ("light_n11", "stiff"))
-    for (above, _), (rho, start) in zip(wins, wins[1:]):
-        # at most 2^10 lower, from the last point that the one before
-        # reaches at its last inner point
-        assert above * 2.0 ** -10 <= rho < above
-        reach = above / norms._C_GRID[-2]
-        assert (rho / norms._C_GRID[start] >= reach
-                > rho / norms._C_GRID[start + 1])
-    for (sys_, c, (values, omegas, evals), tol), (rho, start) in zip(calls,
-                                                                     wins):
-        # one grid per window, whose members are bitwise those of the
-        # grid on A divided exactly by a power of two
-        assert sys_ is sys and math.frexp(rho)[0] == 0.5
-        assert np.array_equal(norms._family_matrix(sys.A, c),
-                              kreiss_family_matrix(sys.A / rho,
-                                                   norms._ETA_GRID[start:]))
-        for i, (c_i, value, omega, count) in enumerate(zip(c, values, omegas,
-                                                           evals)):
-            # bitwise: the stacked kernel takes each member's own steps
-            alone = family_hinf(sys, c[i:i + 1], tol)
-            assert (alone[0][0], alone[1][0], alone[2][0]) \
-                == (value, omega, count)
-            # the residue gains of a modal A round differently from the
-            # dense solves of hinf_norm, far below tol
-            rep = hinf_norm(StateSpace(norms._family_matrix(sys.A, c_i),
-                                       sys.B, sys.C), tol=tol)
-            assert value == pytest.approx(rep.value, rel=1e-12, abs=0.0)
-            assert rep.evaluations == count
-            if name == "example8":          # a Jordan block: the dense path
-                assert (rep.value, rep.maximizer["omega"]) == (value, omega)
+    # one grid in one call, ascending from c = 0 without repeats: the
+    # first window _C_GRID / rho, rho the power of two nearest the spectral
+    # radius, and for a stiff A more members, down to Re s = |alpha| / n
+    [(sys_, c, (values, omegas, evals), tol)] = calls
+    rho = 2.0 ** round(math.log2(np.abs(lam).max()))
+    assert sys_ is sys and c[0] == 0.0 and np.all(np.diff(c) > 0.0)
+    # its members are bitwise those of the grid on A divided exactly by rho
+    first = np.isin(c, norms._C_GRID / rho)
+    assert np.array_equal(norms._family_matrix(sys.A, c[first]),
+                          kreiss_family_matrix(sys.A / rho, norms._ETA_GRID))
+    assert 1.0 / c[-2] <= -lam.real.max() / lam.size
+    assert (c.size > norms._C_GRID.size) == (name in ("light_n11", "stiff"))
+    for i, (c_i, value, omega, count) in enumerate(zip(c, values, omegas,
+                                                       evals)):
+        # bitwise: the stacked kernel takes each member's own steps
+        alone = family_hinf(sys, c[i:i + 1], tol)
+        assert (alone[0][0], alone[1][0], alone[2][0]) \
+            == (value, omega, count)
+        # the residue gains of a modal A round differently from the
+        # dense solves of hinf_norm, far below tol
+        rep = hinf_norm(StateSpace(norms._family_matrix(sys.A, c_i),
+                                   sys.B, sys.C), tol=tol)
+        assert value == pytest.approx(rep.value, rel=1e-12, abs=0.0)
+        assert rep.evaluations == count
+        if name == "example8":          # a Jordan block: the dense path
+            assert (rep.value, rep.maximizer["omega"]) == (value, omega)
 
 
 def test_residue_gains_match_dense_gains(rng):
@@ -589,8 +593,8 @@ def test_attainment_holds_whenever_bound_attained(rng):
     # a residual gap g = K - sigma(CB) bounds the slope at eta = 0 by
     # lambda_max(Y + Y^T) <= 4 sigma(CB) g / eta_1 (first grid step), so the
     # necessity check is asserted at that resolution-consistent tolerance;
-    # eta_1 is the smallest nonzero grid point of kreiss_norm's windows,
-    # that of the first one, and at least that of an 80-point grid on A
+    # eta_1 is that of the smallest nonzero member of kreiss_norm's grid,
+    # and at least that of an 80-point grid on A
     hits = 0
     for _ in range(30):
         sys = random_stable_statespace(rng, 3, p=1, m=1, oscillatory=False)
@@ -601,8 +605,7 @@ def test_attainment_holds_whenever_bound_attained(rng):
         gap = abs(k - sigma_cb)
         if gap <= 1e-4 * max(1.0, k):
             hits += 1
-            c1 = norms._C_GRID[1] / norms._time_scales(
-                np.linalg.eigvals(sys.A))[0][0]
+            c1 = norms._time_scales(np.linalg.eigvals(sys.A))[0][1]
             eta1 = max(2.0 * c1 / (1.0 + c1), 1.0 - np.cos(np.pi / 79))
             tol = 2.0 * 4.0 * sigma_cb * max(gap, 1e-12) / eta1 + 1e-9
             assert attainment_check(sys, tol=tol).necessary_ok
