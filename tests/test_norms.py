@@ -242,21 +242,9 @@ def test_kreiss_norm_of_a_stiff_system():
     oracle = kreiss_halfplane_grid(sys)
     assert rep.value >= certification_interval(oracle)[0]
     assert rep.value == pytest.approx(_stiff_jordan_kreiss(), rel=1e-9)
-
-
-def test_kreiss_norm_searches_one_grid(monkeypatch):
-    # the windows of a stiff A form one grid: one family evaluation and one
-    # refinement report the slow block's peak once, which separate windows
-    # found, refined and reported twice
-    calls = []
-    for name in ("_family_hinf", "_refine_maxima"):
-        monkeypatch.setattr(norms, name,
-                            lambda *a, fn=getattr(norms, name), name=name:
-                            calls.append(name) or fn(*a))
-    rep = kreiss_norm(_stiff_jordan())
-    assert calls == ["_family_hinf", "_refine_maxima"]
+    # the windows form one grid, so the peak is refined and reported once;
+    # separate windows found, refined and reported it twice
     assert len(rep.maximizer["actives"]) == 1
-    assert rep.value == pytest.approx(_stiff_jordan_kreiss(), rel=1e-9)
 
 
 def test_kreiss_actives_carry_their_member():
@@ -304,8 +292,8 @@ def _biproper():
 def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
     sys = {"example3": EX3, "example8": EX8, "stiff": _stiff_jordan(),
            "light_n11": _lightly_damped_n11()}[name]
-    calls = []
-    family_hinf = norms._family_hinf
+    calls, refinements = [], []
+    family_hinf, refine_maxima = norms._family_hinf, norms._refine_maxima
 
     def recording(sys_, c, tol, imp=None):
         out = family_hinf(sys_, c, tol, imp)
@@ -313,20 +301,48 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
         return out
 
     monkeypatch.setattr(norms, "_family_hinf", recording)
+    monkeypatch.setattr(norms, "_refine_maxima",
+                        lambda *a: refinements.append(a) or refine_maxima(*a))
     kreiss_norm(sys)
     lam = np.linalg.eigvals(sys.A)
-    # one grid in one call, ascending from c = 0 without repeats: the
-    # first window _C_GRID / rho, rho the power of two nearest the spectral
-    # radius, and for a stiff A more members, down to Re s = |alpha| / n
+    # one grid in one call and one refinement, ascending from c = 0
+    # without repeats
     [(sys_, c, (values, omegas, evals), tol)] = calls
-    rho = 2.0 ** round(math.log2(np.abs(lam).max()))
+    assert len(refinements) == 1
     assert sys_ is sys and c[0] == 0.0 and np.all(np.diff(c) > 0.0)
-    # its members are bitwise those of the grid on A divided exactly by rho
-    first = np.isin(c, norms._C_GRID / rho)
-    assert np.array_equal(norms._family_matrix(sys.A, c[first]),
-                          kreiss_family_matrix(sys.A / rho, norms._ETA_GRID))
-    assert 1.0 / c[-2] <= -lam.real.max() / lam.size
-    assert (c.size > norms._C_GRID.size) == (name in ("light_n11", "stiff"))
+    # each member c > 0 is c' / rho for exactly one c' of the grid and a
+    # power of two rho: the c' of equal mantissa (all 47 differ)
+    windows = {}
+    for i, c_i in enumerate(c[1:], 1):
+        [k] = [k for k, g in enumerate(norms._C_GRID)
+               if k and math.frexp(g)[0] == math.frexp(c_i)[0]]
+        rho = norms._C_GRID[k] / c_i
+        assert math.frexp(rho)[0] == 0.5 and norms._C_GRID[k] / rho == c_i
+        windows.setdefault(rho, []).append((k, i))
+    rhos = sorted(windows, reverse=True)
+    windows[rhos[0]].insert(0, (0, 0))
+    # the first window lies nearest the spectral radius and takes the whole
+    # grid; a stiff A takes more, down to Re s = |alpha| / n
+    assert rhos[0] == 2.0 ** round(math.log2(np.abs(lam).max()))
+    assert [k for k, _ in windows[rhos[0]]] == list(range(norms._C_GRID.size))
+    assert rhos[-1] / norms._C_GRID[-2] <= -lam.real.max() / lam.size
+    assert (len(rhos) > 1) == (name in ("light_n11", "stiff"))
+    for above, rho in zip(rhos, rhos[1:]):
+        # at most 2^10 lower, from the last point that the one before
+        # reaches at its last inner point, to the grid's end
+        start = windows[rho][0][0]
+        assert [k for k, _ in windows[rho]] == list(range(start,
+                                                          norms._C_GRID.size))
+        assert above * 2.0 ** -10 <= rho < above
+        reach = above / norms._C_GRID[-2]
+        assert (rho / norms._C_GRID[start] >= reach
+                > rho / norms._C_GRID[start + 1])
+    for rho, members in windows.items():
+        # bitwise the members of the grid on A divided exactly by rho
+        ks, idx = map(list, zip(*members))
+        assert np.array_equal(norms._family_matrix(sys.A, c[idx]),
+                              kreiss_family_matrix(sys.A / rho,
+                                                   norms._ETA_GRID[ks]))
     for i, (c_i, value, omega, count) in enumerate(zip(c, values, omegas,
                                                        evals)):
         # bitwise: the stacked kernel takes each member's own steps
