@@ -4,8 +4,10 @@ Contract-checked kernels on numpy's LAPACK routines alone: the maximal
 singular block of an SVD, Lyapunov solves (one dense solve of the
 Kronecker-sum system), the matrix exponential of a stack of matrices
 (scaling and squaring with the degree-13 Pade approximant of Higham, SIAM
-J. Matrix Anal. Appl. 26(4), 2005), block-diagonal assembly, the spectral
-abscissa and the Hurwitz test.  All functions are pure.
+J. Matrix Anal. Appl. 26(4), 2005), the diagonal balancing of Parlett and
+Reinsch (Numer. Math. 13, 1969) by powers of two, which numpy does not
+expose, block-diagonal assembly, the spectral abscissa and the Hurwitz
+test.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "svd_triple",
     "solve_lyapunov",
     "expm",
+    "balance",
     "block_diag",
     "spectral_abscissa",
     "is_hurwitz",
@@ -116,12 +119,14 @@ def expm(A) -> np.ndarray:
     Each matrix is scaled by 2^-s, with s the least s >= 0 that brings its
     1-norm to at most theta_13, gets the degree-13 Pade approximant and
     then only its own s squarings, so its value does not depend on the rest
-    of the stack.
+    of the stack.  Raises NumericalError when a 1-norm is not finite.
     """
     A = np.asarray(A, dtype=float)
     shape = A.shape
     A = A.reshape(int(np.prod(shape[:-2])), shape[-1], shape[-1])
     norm = np.abs(A).sum(axis=1).max(axis=1, initial=0.0)
+    if not np.isfinite(norm).all():
+        raise NumericalError("expm of a matrix whose 1-norm is not finite")
     with np.errstate(divide="ignore"):
         s = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0)
     A = A * np.exp2(-s)[:, None, None]
@@ -139,6 +144,38 @@ def expm(A) -> np.ndarray:
         more = s > j
         R[more] = R[more] @ R[more]
     return R.reshape(shape)
+
+
+def balance(A) -> np.ndarray:
+    """d, powers of two, such that diag(d)^{-1} A diag(d) is balanced.
+
+    Parlett and Reinsch's sweeps: state i is rescaled by the power of two
+    that brings the off-diagonal 1-norms of its column and row closest to
+    each other, and only while that lowers their sum by at least 5 %.  A
+    state whose off-diagonal column or row is zero keeps d_i = 1.  Every
+    scaling is exact, so the similarity adds no rounding.
+    """
+    A = as_square(A, "A").copy()
+    d = np.ones(A.shape[0])
+    done = False
+    while not done:
+        done = True
+        for i in range(A.shape[0]):
+            c = np.abs(A[:, i]).sum() - abs(A[i, i])
+            r = np.abs(A[i]).sum() - abs(A[i, i])
+            if c == 0.0 or r == 0.0:
+                continue
+            f, total = 1.0, c + r
+            while c < r / 2.0:
+                f, c = 2.0 * f, 4.0 * c
+            while c >= 2.0 * r:
+                f, c = f / 2.0, c / 4.0
+            if c + r < 0.95 * total * f:
+                done = False
+                d[i] *= f
+                A[:, i] *= f
+                A[i] /= f
+    return d
 
 
 def block_diag(*blocks) -> np.ndarray:

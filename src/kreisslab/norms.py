@@ -48,24 +48,19 @@ round.
 
 Every time-domain value comes from one impulse-response kernel,
 ``_Impulse``: C A^k e^{At} B (k = 0, 1) on a whole batch of times, from
-the residues of a well-conditioned eigenvector basis in chunks of
-``_TIME_CHUNK`` time points, from ``linalg.expm`` (scaling and squaring
-with the degree-13 Pade approximant, one stacked call per chunk) for a
-defective A, or, on a uniform grid, from the recurrence
-X_{q+1} = expm(A dt) X_q.  The horizons of M0 and the peak gain come from
-Van Loan's decay envelope with Henrici's departure from normality, which
-needs the eigenvalues alone (``_decay_envelope``).
-``transient_peak_m0`` takes its grid values from one call and one stacked
-SVD; ``peak_gain`` evaluates every channel on its grid in one call,
-polishes all sign changes of all channels in lockstep with safeguarded
-Newton steps (the derivative is k = 1) and integrates each channel's
-segments from the same residues.  The oracles and
-``models.transient_curve`` use the same kernel.  The same class also
-evaluates sigma_max(C (sI - A)^{-1} B + D) on a batch of complex points s,
-the oracles' frequency grids: from the same residues through
-``_residue_gains``, the Kreiss family's gain kernel, for a modal A, and
-from ``_gains``'s stacked dense solves for a defective one.  Every mode
-sum in time adds its modes in order (``_mode_sum``).
+the residues of a well-conditioned eigenvector basis or, for a system that
+fails that test even once balanced (``linalg.balance``), from one
+propagator that never squares through a transient hump (Moler and Van
+Loan, SIAM Rev. 45(1), 2003).  The horizons of M0 and the peak gain come
+from Van Loan's decay envelope of the balanced A with Henrici's departure
+from normality (``_decay_envelope``).  ``transient_peak_m0`` takes its
+grid values from one call and one stacked SVD; ``peak_gain`` evaluates
+every channel on its grid in one call, polishes all sign changes of all
+channels in lockstep with safeguarded Newton steps (the derivative is
+k = 1) and integrates each channel's segments from the antiderivative
+C A^{-1} e^{At} B.  The oracles and ``models.transient_curve`` use the
+same kernel, whose sigma_max(C (sI - A)^{-1} B + D) on batches of complex
+points gives the oracles' frequency grids.
 
 Every largest singular value of a stack of matrices comes from one
 kernel, ``_sigma_max``.  With k = min(m, p) <= 3 it builds the k x k
@@ -101,7 +96,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .linalg import expm, solve_lyapunov, svd_triple
+from .linalg import _THETA13, balance, expm, solve_lyapunov, svd_triple
 from .statespace import StateSpace
 
 __all__ = [
@@ -771,6 +766,9 @@ _TIME_CHUNK = 1024
 #: an eigenvector basis V with cond(V) below this gives the residue form
 _MODAL_COND = 1e8
 
+#: the most anchors ``_Impulse._response`` takes to its first call's last time
+_MAX_ANCHORS = 2 ** 16
+
 
 def _mode_sum(E: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Sum over the leading (mode) axis of Re(E R), added in mode order."""
@@ -790,20 +788,24 @@ class _Impulse:
     every entry is the residue sum of Re(r_l lam_l^k e^{lam_l t}) over the
     eigenvalues lam_l, formed in chunks of ``_TIME_CHUNK`` time points and
     added in mode order, so a value does not depend on the chunking, and
-    G(s) = sum_l r_l / (s - lam_l) + D.  For a defective A each time takes
-    its own e^{A t} from one stacked ``linalg.expm`` call per chunk, whose
-    values do not depend on the chunking either, a uniform grid takes the
-    recurrence X_{q+1} = expm(A dt) X_q from X_0 = B, and G(s) takes
-    ``_gains``'s dense solves.  Channel c is the entry (c // p, c % p).
-    """
+    G(s) = sum_l r_l / (s - lam_l) + D.  Otherwise sys, which the horizons
+    read too, is (A, B, C) balanced once (``linalg.balance``) and tested
+    again; if still not modal, every time comes from one propagator,
+    ``_response``, and G(s) from ``_gains``'s dense solves.  Channel c is
+    the entry (c // p, c % p)."""
 
     def __init__(self, sys: StateSpace):
-        self.sys = sys
-        w, V = np.linalg.eig(sys.A)
-        # an empty basis (n = 0) is perfectly conditioned
-        self.cond = float(np.linalg.cond(V)) if sys.n else 1.0
-        self.modal = self.cond < _MODAL_COND
-        self.lam = w
+        for attempt in range(2):
+            w, V = np.linalg.eig(sys.A)
+            # an empty basis (n = 0) is perfectly conditioned
+            self.cond = float(np.linalg.cond(V)) if sys.n else 1.0
+            self.modal = self.cond < _MODAL_COND
+            if self.modal or attempt:
+                break
+            d = balance(sys.A)
+            sys = StateSpace(sys.A / d[:, None] * d, sys.B / d[:, None],
+                             sys.C * d, sys.D)
+        self.sys, self.lam = sys, w
         if self.modal:
             left = sys.C @ V                           # m x n
             right = np.linalg.solve(V, sys.B)          # n x p
@@ -812,89 +814,89 @@ class _Impulse:
                 sys.n, sys.m * sys.p)
             self.res = (res, res * w[:, None])
         self.output = (sys.C, sys.C @ sys.A)            # C A^k, k = 0, 1
+        self._anchors = None
+
+    def _response(self, t: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """left e^{A t_q} B for every time t_q >= 0, (T, rows, p): the
+        anchor X_k = e^{A k h} B, k = floor(t_q / h), extended by X_{k+1} =
+        e^{A h} X_k as times need it, times the step e^{A (t_q - k h)} from
+        one stacked ``linalg.expm`` call per chunk.  The first call fixes h,
+        the largest power of two with ||A h||_1 <= theta_13 so that no expm
+        squares, coarsened if its last time would need more anchors than
+        ``_MAX_ANCHORS``."""
+        A, B = self.sys.A, self.sys.B
+        if self._anchors is None:
+            h = 2.0 ** math.floor(math.log2(_THETA13 / np.linalg.norm(A, 1)))
+            if t.max(initial=0.0) > _MAX_ANCHORS * h:
+                h = 2.0 ** math.ceil(math.log2(t.max() / _MAX_ANCHORS))
+            self._h, self._leap, self._anchors = h, expm(A * h), B[None]
+        k = (t // self._h).astype(int)
+        X, have = self._anchors, len(self._anchors)
+        if k.max(initial=0) >= have:
+            X = self._anchors = np.resize(X, (k.max() + 1, *B.shape))
+            for q in range(have, len(X)):
+                X[q] = self._leap @ X[q - 1]
+        out = np.empty((t.size, left.shape[0], B.shape[1]))
+        for lo in range(0, t.size, _TIME_CHUNK):
+            sl = slice(lo, lo + _TIME_CHUNK)
+            tau = t[sl] - k[sl] * self._h                # exact: h is 2^j
+            out[sl] = left @ (expm(A * tau[:, None, None]) @ X[k[sl]])
+        return out
 
     def matrices(self, t: np.ndarray, k: int = 0) -> np.ndarray:
         """C A^k e^{A t_q} B (k = 0, 1) for every time t_q: (T, m, p)."""
         sys = self.sys
+        if not self.modal:
+            return self._response(t, self.output[k])
         out = np.empty((t.size, sys.m, sys.p))
         for lo in range(0, t.size, _TIME_CHUNK):
             sl = slice(lo, lo + _TIME_CHUNK)
-            if self.modal:
-                E = np.exp(np.outer(self.lam, t[sl]))[:, None, :]
-                out[sl] = _mode_sum(E, self.res[k][:, :, None]).T.reshape(
-                    -1, sys.m, sys.p)
-            else:
-                out[sl] = (self.output[k] @ expm(
-                    sys.A * t[sl, None, None])) @ sys.B
+            E = np.exp(np.outer(self.lam, t[sl]))[:, None, :]
+            out[sl] = _mode_sum(E, self.res[k][:, :, None]).T.reshape(
+                -1, sys.m, sys.p)
         return out
 
     def sigma_transfer(self, s: np.ndarray) -> np.ndarray:
         """sigma_max(C (s_q I - A)^{-1} B + D) for every complex point s_q:
         the residue gains of the Kreiss family at its one member A, or
-        ``_gains``'s dense solves for a defective A."""
+        ``_gains``'s dense solves for a system that is not modal."""
         sys = self.sys
         if not self.modal:
             return _gains(sys.A[None], np.zeros(s.size, dtype=int), s,
                           sys.B, sys.C, sys.D)
         return _residue_gains(s, self.lam, self.res[0], sys.D)
 
-    def grid(self, ts: np.ndarray) -> np.ndarray:
-        """matrices(ts) on a uniform grid ts of at least two points
-        from 0."""
-        if self.modal:
-            return self.matrices(ts)
-        sys = self.sys
-        step = expm(sys.A * (ts[1] - ts[0]))
-        out = np.empty((ts.size, sys.m, sys.p))
-        X = np.empty((min(_TIME_CHUNK, ts.size), sys.n, sys.p))
-        for lo in range(0, ts.size, _TIME_CHUNK):
-            size = min(_TIME_CHUNK, ts.size - lo)
-            # X[-1] still holds the last state of the previous chunk
-            X[0] = sys.B if lo == 0 else step @ X[-1]
-            for q in range(1, size):
-                X[q] = step @ X[q - 1]
-            out[lo:lo + size] = sys.C @ X[:size]
-        return out
-
     def channels(self, t: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Channel c_q of k = 0 (row 0) and k = 1 (row 1) at every t_q."""
+        if not self.modal:
+            i, j = np.divmod(c, self.sys.p)
+            M = self._response(t, np.vstack(self.output))    # rows C, C A
+            return M[np.arange(t.size), [i, self.sys.m + i], j]
         out = np.empty((2, t.size))
         for lo in range(0, t.size, _TIME_CHUNK):
             sl = slice(lo, lo + _TIME_CHUNK)
-            if self.modal:
-                E = np.exp(np.outer(self.lam, t[sl]))
-                for k in (0, 1):
-                    out[k, sl] = _mode_sum(E, self.res[k][:, c[sl]])
-            else:
-                X = expm(self.sys.A * t[sl, None, None])
-                i, j = np.divmod(c[sl], self.sys.p)
-                for k in (0, 1):
-                    M = (self.output[k] @ X) @ self.sys.B
-                    out[k, sl] = M[np.arange(i.size), i, j]
+            E = np.exp(np.outer(self.lam, t[sl]))
+            for k in (0, 1):
+                out[k, sl] = _mode_sum(E, self.res[k][:, c[sl]])
         return out
 
     def integrals(self, knots: np.ndarray, c: int) -> np.ndarray:
         """Integrals of channel c over [knots[q], knots[q + 1]] and, last,
         over [knots[-1], inf), from the antiderivative C A^{-1} e^{At} B."""
         sys = self.sys
-        if self.modal:
-            out = np.empty(knots.size)
-            w = (self.res[0][:, c] / self.lam)[:, None]
-            for lo in range(0, knots.size, _TIME_CHUNK):
-                P = np.exp(np.outer(self.lam, knots[lo:lo + _TIME_CHUNK + 1]))
-                if lo + _TIME_CHUNK >= knots.size:
-                    # e^{lam t} vanishes as t -> inf
-                    P = np.hstack([P, np.zeros((sys.n, 1))])
-                out[lo:lo + _TIME_CHUNK] = _mode_sum(P[:, 1:] - P[:, :-1], w)
-            return out
-        i, j = divmod(c, sys.p)
-        left = sys.C[i] @ np.linalg.inv(sys.A)
-        F = np.zeros(knots.size + 1)                  # F(inf) = 0
+        if not self.modal:
+            i, j = divmod(c, sys.p)
+            F = self._response(knots, sys.C[i:i + 1] @ np.linalg.inv(sys.A))
+            return np.diff(F[:, 0, j], append=0.0)           # F(inf) = 0
+        out = np.empty(knots.size)
+        w = (self.res[0][:, c] / self.lam)[:, None]
         for lo in range(0, knots.size, _TIME_CHUNK):
-            sl = slice(lo, min(lo + _TIME_CHUNK, knots.size))
-            F[sl] = left @ expm(sys.A * knots[sl, None, None]) \
-                @ sys.B[:, j]
-        return np.diff(F)
+            P = np.exp(np.outer(self.lam, knots[lo:lo + _TIME_CHUNK + 1]))
+            if lo + _TIME_CHUNK >= knots.size:
+                # e^{lam t} vanishes as t -> inf
+                P = np.hstack([P, np.zeros((sys.n, 1))])
+            out[lo:lo + _TIME_CHUNK] = _mode_sum(P[:, 1:] - P[:, :-1], w)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +982,7 @@ def transient_peak_m0(sys: StateSpace) -> NormReport:
     _strictly_proper_channel(sys, "transient peak")
     sys.require_stable("transient peak")
     imp = _Impulse(sys)
-    horizon = _tail_horizon(sys.A, _M0_TAIL_EPS, imp.lam)
+    horizon = _tail_horizon(imp.sys.A, _M0_TAIL_EPS, imp.lam)
     grid = np.unique(np.concatenate([
         [0.0],
         np.geomspace(horizon * 1e-6, horizon, _M0_HALF_SAMPLES),
@@ -990,24 +992,21 @@ def transient_peak_m0(sys: StateSpace) -> NormReport:
     if not np.isfinite(vals).all():
         raise NumericalError("transient peak: the impulse response is not "
                              "finite on the time grid")
-    evals = len(grid)
 
     def grid_slopes(idx):
         return _impulse_slopes(imp, grid[idx])[1]
 
-    best_val = float(vals.max())
-    best_t = float(grid[int(np.argmax(vals))])
+    best_val, best_t = float(vals.max()), float(grid[int(np.argmax(vals))])
     peaks = _local_maxima(vals)
     peaks = peaks[vals[peaks] >= 0.5 * best_val]
     t_r, v_r, _, used = _refine_maxima(
         lambda t: (*_impulse_slopes(imp, t), t), grid_slopes, grid, vals,
         grid, peaks, grid_slopes(peaks), _M0_XTOL_REL * horizon)
-    evals += used
     for t, v in zip(t_r, v_r):
         if v > best_val * (1 + 1e-12) or (
                 abs(v - best_val) <= 1e-9 * best_val and t < best_t):
             best_val, best_t = float(v), float(t)
-    return NormReport(float(best_val), {"t": float(best_t)}, evaluations=evals)
+    return NormReport(best_val, {"t": best_t}, evaluations=grid.size + used)
 
 
 # ---------------------------------------------------------------------------
@@ -1141,12 +1140,12 @@ def peak_gain(sys: StateSpace, tol: float = 1e-8) -> NormReport:
         value = float(np.abs(sys.D).sum(axis=1).max())
         return NormReport(value, {"row": 0}, evaluations=1)
     imp = _Impulse(sys)
-    horizon = _tail_horizon(sys.A, min(tol, 1e-10), imp.lam)
+    horizon = _tail_horizon(imp.sys.A, min(tol, 1e-10), imp.lam)
     omega_max = float(np.abs(imp.lam.imag).max())
     n_grid = int(max(2000, min(200000, 16 * math.ceil(horizon * omega_max / math.pi)
                                if omega_max > 0 else 0)))
     grid = np.linspace(0.0, horizon, n_grid)
-    vals = imp.grid(grid).reshape(n_grid, -1)        # one column per channel
+    vals = imp.matrices(grid).reshape(n_grid, -1)    # one column per channel
     live = np.abs(vals).max(axis=0) > 0.0           # the rest integrate to 0
     a, b = vals[:-1], vals[1:]
     on_grid_q, on_grid_c = np.nonzero((a == 0.0) & live)

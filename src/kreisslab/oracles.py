@@ -77,9 +77,9 @@ def m0_time_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     _check_grid(n_grid)
     sys.require_stable("M0 oracle")
     imp = _Impulse(sys)
-    horizon = _tail_horizon(sys.A, 1e-12, imp.lam)
+    horizon = _tail_horizon(imp.sys.A, 1e-12, imp.lam)
     ts = np.linspace(0.0, horizon, n_grid)
-    vals = _sigma_max(imp.grid(ts))
+    vals = _sigma_max(imp.matrices(ts))
     coarse = float(np.max(vals[::2]))
     value = float(np.max(vals))
     t_star = float(ts[int(np.argmax(vals))])
@@ -187,9 +187,9 @@ def peak_gain_grid(sys: StateSpace, n_grid: int = 200000) -> OracleReport:
     _check_grid(n_grid)
     sys.require_stable("peak-gain oracle")
     imp = _Impulse(sys)
-    horizon = _tail_horizon(sys.A, 1e-12, imp.lam)
+    horizon = _tail_horizon(imp.sys.A, 1e-12, imp.lam)
     ts = np.linspace(0.0, horizon, n_grid)
-    g = np.abs(imp.grid(ts))                                   # N x m x p
+    g = np.abs(imp.matrices(ts))                               # N x m x p
     rows = np.trapezoid(g, ts, axis=0).sum(axis=1)
     rows_c = np.trapezoid(g[::2], ts[::2], axis=0).sum(axis=1)
     rows += np.abs(sys.D).sum(axis=1)
@@ -220,7 +220,7 @@ def l2_to_peak_sampled(sys: StateSpace) -> OracleReport:
     n_t = 4000
     ts = np.linspace(0.0, T, n_t)
     # H[k] = C e^{A (T - t_k)} B: the matched filter is u(t_k) = H[k]^T v
-    H = _Impulse(sys).grid(ts)[::-1]
+    H = _Impulse(sys).matrices(ts)[::-1]
     wgt = np.full(n_t, ts[1] - ts[0])
     wgt[[0, -1]] /= 2.0
     best = 0.0

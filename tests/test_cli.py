@@ -11,6 +11,7 @@ import pytest
 import kreisslab
 from kreisslab import models
 from kreisslab.cli import main
+from kreisslab.norms import transient_peak_m0
 
 from conftest import random_stable_statespace
 
@@ -219,28 +220,60 @@ def _matrix(M):
     return {"rows": M.shape[0], "cols": M.shape[1], "data": M.ravel().tolist()}
 
 
-@pytest.mark.parametrize("argv", [
-    ["--norm", "m0"], ["--norm", "pkgain"], ["--norm", "m0", "--certify"],
-], ids=["m0", "pkgain", "m0_certify"])
-def test_a_value_that_is_not_finite_is_an_error(capsys, tmp_path, argv):
+def _write_system(path, A, B, C):
+    path.write_text(json.dumps({"version": 1, "system": {
+        "A": _matrix(np.asarray(A)), "B": _matrix(np.asarray(B)),
+        "C": _matrix(np.asarray(C))}}))
+    return path
+
+
+def test_a_badly_scaled_realization_has_its_value(capsys, tmp_path):
     # rand26_n6 of the analyze benchmark's seed-1 suite, with its states
     # scaled by 10^linspace(-5.5, 5.5, 6): the same transfer function, but
-    # its eigenvector basis is too ill-conditioned for the residue form, and
-    # linalg.expm of A t overflows
+    # an eigenvector basis too ill-conditioned for the residue form until
+    # the realization is balanced
     rng = np.random.default_rng(1)
     for k in range(27):
         sys_ = random_stable_statespace(
             rng, 2 + k % 11, p=1 + k % 3, m=1 + (k // 3) % 3,
             margin=0.01 if k % 5 == 4 else 0.3, oscillatory=bool(k % 2))
     d = 10.0 ** np.linspace(-5.5, 5.5, 6)
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps({"version": 1, "system": {
-        "A": _matrix(d[:, None] * sys_.A / d),
-        "B": _matrix(d[:, None] * sys_.B), "C": _matrix(sys_.C / d)}}))
+    path = _write_system(tmp_path / "scaled.json", d[:, None] * sys_.A / d,
+                         d[:, None] * sys_.B, sys_.C / d)
+    code, out, _ = run(capsys, "analyze", path, "--norm", "m0", "--certify")
+    assert code == 0
+    payload = json.loads(out)
+    cert = payload["certification"]
+    assert not cert["oracle_miss"]
+    assert cert["lower"] <= payload["value"] <= cert["upper"]
+    assert payload["value"] == pytest.approx(
+        transient_peak_m0(sys_).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--norm", "m0"], ["--norm", "pkgain"], ["--norm", "m0", "--certify"],
+], ids=["m0", "pkgain", "m0_certify"])
+def test_a_value_that_is_not_finite_is_an_error(capsys, tmp_path, argv):
+    # the response 1e400 e^{-t} + e^{-2t} overflows in every realization
+    path = _write_system(tmp_path / "over.json", np.diag([-1.0, -2.0]),
+                         [[1e200], [1.0]], [[1e200, 1.0]])
     code, out, err = run(capsys, "analyze", path, *argv)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("norm", ["m0", "pkgain"])
+def test_an_exponential_whose_norm_is_not_finite_is_an_error(capsys,
+                                                            tmp_path, norm):
+    # ||A||_F^2 overflows, so the decay envelope's horizon runs to 6.7e40,
+    # where ||A t||_1 is not finite for linalg.expm
+    path = _write_system(tmp_path / "huge.json",
+                         [[-1.0, 1e300], [0.0, -1.0]], [[0.0], [1e10]],
+                         [[1.0, 0.0]])
+    code, out, err = run(capsys, "analyze", path, "--norm", norm)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_analyze_unstable_exit_code(capsys, tmp_path):

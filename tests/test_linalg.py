@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kreisslab.errors import StabilityError
+from kreisslab.errors import NumericalError, StabilityError
 from kreisslab.linalg import (
+    balance,
     block_diag,
     expm,
     is_hurwitz,
@@ -108,6 +109,50 @@ def test_expm_stack_member_is_its_own_call(rng):
     for idx in np.ndindex(4, 6):
         assert np.array_equal(E[idx], expm(A[idx]))
         assert np.array_equal(E[idx], expm(A[idx][None])[0])
+
+
+def test_expm_refuses_a_norm_that_is_not_finite():
+    # finite entries whose column sum overflows, alone and in a stack
+    A = np.array([[-1.0, 1e308], [0.0, 1e308]])
+    for M in (A, np.stack([-np.eye(2), A])):
+        with pytest.raises(NumericalError), np.errstate(over="ignore"):
+            expm(M)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "expm takes its squarings from ||A||_1 alone, which overscales a "
+    "non-normal A: scaling by ||A^k||^{1/k} (Al-Mohy and Higham, SIAM J. "
+    "Matrix Anal. Appl. 31(3), 2009) would take far fewer"))
+@pytest.mark.parametrize("coupling", [1e8, 1e20])
+def test_expm_of_a_scaled_shift_keeps_its_corner(coupling):
+    # e^{2A} = e^{-2} (I + 2 c N + 2 c^2 N^2) for A = -I + c N, N the shift;
+    # the corner reads 0.0 at c = 1e20 and is 7.4e-9 off at c = 1e8
+    A = -np.eye(3) + coupling * np.eye(3, k=1)
+    assert expm(2.0 * A)[0, 2] == pytest.approx(
+        2.0 * coupling ** 2 * np.exp(-2.0), rel=1e-12)
+
+
+def test_balance_undoes_a_diagonal_scaling(rng):
+    for n in range(2, 13):
+        A = rng.standard_normal((n, n))
+        d = 10.0 ** rng.uniform(-5.5, 5.5, n)
+        scaled = A / d[:, None] * d
+        e = balance(scaled)
+        assert np.array_equal(np.frexp(e)[0], np.full(n, 0.5))  # powers of 2
+        M = scaled / e[:, None] * e
+        # exact: the scaled entries are those of a balanced matrix
+        assert np.array_equal(M * e[:, None] / e, scaled)
+        off = np.abs(M - np.diag(np.diag(M)))
+        ratio = off.sum(axis=0) / off.sum(axis=1)
+        assert np.all((ratio > 0.4) & (ratio < 2.5))
+        assert np.linalg.norm(M, 1) <= np.linalg.norm(A, 1) * 4.0 * n
+
+
+def test_balance_keeps_a_state_with_a_zero_column_or_row():
+    # a Jordan block: the first column and last row are zero off the diagonal
+    J = -np.eye(4) + 1e6 * np.eye(4, k=1)
+    assert np.array_equal(balance(J)[[0, -1]], [1.0, 1.0])
+    assert np.array_equal(balance(np.diag([-1.0, -2.0])), [1.0, 1.0])
 
 
 def test_block_diag_places_blocks():
