@@ -30,11 +30,12 @@ log1p(rho c), rho the first window's.  Each point carries its c; its eta =
 2 c / (1 + c) rounds to 2 for c beyond 2^53.
 
 The Kreiss norm and M0 are maxima over one parameter, c and t.  Each
-takes its local maxima on a grid and refines them with exact
-derivatives in ``_refine_maxima``: a safeguarded secant on the slope,
-inside the grid bracket of each maximum, until the bracket is narrower
-than its tolerance.  Every refined value is attained: ``hinf_norm`` of a
-family member, or sigma_max(C e^{At} B) at a time.  One kernel,
+reads only the points of ``_refine_maxima``, one per grid maximum within
+half of the largest, each refined with exact derivatives: a safeguarded
+secant on the slope inside its grid bracket, for M0 in x = log1p(t /
+t_1), t_1 the first nonzero time, which finds an early peak to a fraction
+of its time.  Every refined value is attained: ``hinf_norm`` of a family
+member, or sigma_max(C e^{At} B) at a time.  One kernel,
 ``_peak_point``, polishes a peak for both the Kreiss slope and the
 synthesis subgradient (``subgrad.kreiss_subgradient``): Newton steps on
 d sigma / d omega move a bisection's frequency to the peak (Benner and
@@ -488,9 +489,6 @@ _REFINE_XTOL = 1e-7
 #: a refined point is active when it reaches this fraction of the maximum
 _ACTIVE_RTOL = 1e-6
 
-#: derivative refinement runs from at most this many local maxima
-_MAX_LOCAL_MAXIMA = 8
-
 #: rounds of _refine_maxima; a bracket shrinks to its xtol in far fewer
 _REFINE_MAX_ROUNDS = 100
 
@@ -522,29 +520,35 @@ def _family_hinf(sys: StateSpace, c: np.ndarray, tol: float, imp=None):
                           tol, modal)
 
 
-def _refine_maxima(probe, grid_slopes, grid, vals, payloads, peaks, d,
-                   xtol: float):
+def _refine_maxima(probe, grid_slopes, grid, vals, payloads, xtol: float,
+                   still=None):
     """Local maxima of a function h of one variable, refined in lockstep.
 
-    Maximum j starts at the grid point x = grid[peaks_j], with value
-    vals[peaks_j], payload payloads[peaks_j] and slope d_j (0 where it
-    takes no step).  Its far end is the grid neighbour the slope points
-    to, whose value is no higher, with slope grid_slopes([index]); a
-    boundary maximum whose slope points off the grid has none.  Each round
-    takes one trial point per unfinished maximum between its near end
-    (whose slope points into the bracket) and its far end: the secant root
-    of h' when the slopes of the two ends point at each other, the
-    midpoint otherwise, and never closer than xtol / 2 to an end.  A trial
-    whose slope points onward becomes the near end when the ends' slopes
-    point at each other or when it is at least as high as the near end;
-    otherwise it becomes the far end.  Either way the bracket keeps a
-    local maximum inside, and a maximum is done when its bracket is
-    narrower than xtol or a trial's slope is 0.  An end kept twice in a
-    row halves the other end's slope (the Illinois rule), so the secant
-    closes both sides.  probe(t) returns (values, slopes, payloads) at the
-    points t.  Returns the best point of each maximum, the first of equal
-    values, as (x, value, payload), and the number of probed points.
+    Starts at each maximum of ``_local_maxima(vals)`` within half of the
+    largest: x = grid[i], with value vals[i], payload payloads[i] and
+    slope grid_slopes([i]), or 0 for i = still, which takes no step.  Its
+    far end is the grid neighbour the slope points to, whose value is no
+    higher, with slope grid_slopes([index]); a boundary maximum whose
+    slope points off the grid has none.  Each round takes one trial point
+    per unfinished maximum between its near end (whose slope points into
+    the bracket) and its far end: the secant root of h' when the slopes of
+    the two ends point at each other, the midpoint otherwise, and never
+    closer than xtol / 2 to an end.  A trial whose slope points onward
+    becomes the near end when the ends' slopes point at each other or when
+    it is at least as high as the near end; otherwise it becomes the far
+    end.  Either way the bracket keeps a local maximum inside, and a
+    maximum is done when its bracket is narrower than xtol or a trial's
+    slope is 0.  An end kept twice in a row halves the other end's slope
+    (the Illinois rule), so the secant closes both sides.  probe(t)
+    returns (values, slopes, payloads) at the points t.  Returns the best
+    point of each start's bracket, the start where nothing is higher, as
+    (x, value, payload) in ascending x, and the number of probed points.
     """
+    peaks = _local_maxima(vals)
+    peaks = peaks[vals[peaks] >= 0.5 * vals.max()]
+    moves = peaks != still
+    d = np.zeros(peaks.size)
+    d[moves] = grid_slopes(peaks[moves])
     j = peaks + np.sign(d).astype(int)
     has_far = (d != 0.0) & (j >= 0) & (j < grid.size)
     far = np.where(has_far, grid[np.clip(j, 0, grid.size - 1)], np.nan)
@@ -644,12 +648,12 @@ def _family_slope(sys: StateSpace, c: float, omega: float) -> float:
 
 
 def _local_maxima(vals: np.ndarray) -> np.ndarray:
-    """Indices i, ascending, with vals[i] >= each neighbour it has."""
-    up = np.ones(vals.size, dtype=bool)
-    down = np.ones(vals.size, dtype=bool)
-    up[1:] = vals[1:] >= vals[:-1]
-    down[:-1] = vals[:-1] >= vals[1:]
-    return np.flatnonzero(up & down)
+    """Indices, ascending, of the local maxima of vals: a run of equal
+    values counts once, at its first point, and is a maximum when the
+    runs beside it are lower."""
+    first = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
+    run = np.concatenate([[-np.inf], vals[first], [-np.inf]])
+    return first[(run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])]
 
 
 def _strictly_proper_channel(sys: StateSpace, what: str) -> None:
@@ -690,13 +694,14 @@ def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     omega) / c.  One lockstep call (``_family_hinf``) evaluates the grid of
     ``_time_scales``, each value within tol of hinf_norm of that member,
     sigma_max(CB) exactly at c = 0.  One ``_refine_maxima`` call refines
-    the grid's local maxima in x = log1p(rho c), rho the first window's,
-    with values from hinf_norm and slopes dh/dx = h'(c) (c + 1 / rho) from
-    ``_family_slope``; one at c = 0 with Y_sym_max < 0 (see
-    ``attainment_check``) takes no step.  The maximizer holds the eta and
-    omega of the best point, the least c of equal values, and as "actives"
-    every near-active grid maximum or refined point with its c.  Raises
-    ArgumentError unless tol is positive."""
+    the grid's local maxima within half of the largest in x = log1p(rho
+    c), rho the first window's, with values from hinf_norm and slopes
+    dh/dx = h'(c) (c + 1 / rho) from ``_family_slope``; c = 0 takes no step
+    when Y_sym_max < 0 (see ``attainment_check``).  The maximizer holds
+    the eta and omega of the best refined point, the least c of equal
+    values, and as "actives" every refined point within ``_ACTIVE_RTOL``
+    of it, one per peak, ascending in c.  Raises ArgumentError unless tol
+    is positive, and NumericalError when a grid value is not finite."""
     _strictly_proper_channel(sys, "Kreiss norm")
     sys.require_stable("Kreiss norm")
     sigma_cb = cb_lower_bound(sys)
@@ -723,30 +728,22 @@ def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
             f"Kreiss value {vals[0]:.6g} at eta = 0 fell below the "
             f"sigma_max(CB) lower bound {sigma_cb:.6g}")
     vals[0] = sigma_cb
+    if not np.isfinite(vals).all():
+        raise NumericalError("Kreiss norm: a grid value is not finite")
     at_grid = np.column_stack([c, omegas])
-
-    local_max = _local_maxima(vals)     # largest first, ties in grid order
-    local_max = local_max[np.argsort(-vals[local_max], kind="stable")][
-        :_MAX_LOCAL_MAXIMA]
-    # a maximum at c = 0 takes no step when CB/(s + 1) falls off there
-    falls = (sigma_cb > 0 and 0 in local_max
-             and attainment_check(sys).Y_sym_max < 0)
-    steps = ~((local_max == 0) & falls)
-    d = np.zeros(local_max.size)
-    d[steps] = slopes(at_grid[local_max[steps]])
+    # the member at c = 0 takes no step when CB/(s + 1) falls off there
+    falls = sigma_cb > 0 and attainment_check(sys).Y_sym_max < 0
     _, val_r, at_r, used = _refine_maxima(
         probe, lambda idx: slopes(at_grid[idx]), np.log1p(rho * c), vals,
-        at_grid, local_max, d, _REFINE_XTOL)
-    rows = np.vstack([np.column_stack([at_grid[local_max], vals[local_max]]),
-                      np.column_stack([at_r, val_r])])
-    points = sorted(set(map(tuple, rows.tolist())))     # (c, omega, value)
-    best_c, best_omega, best_val = max(points, key=lambda t: t[2])
+        at_grid, _REFINE_XTOL, 0 if falls else None)
     actives = [{"eta": 2.0 * cp / (1.0 + cp), "c": cp, "value": v,
                 "omega": om}
-               for cp, om, v in points if v >= (1.0 - _ACTIVE_RTOL) * best_val]
-    return NormReport(best_val, {"eta": 2.0 * best_c / (1.0 + best_c),
-                                 "omega": best_omega, "actives": actives},
-                      evaluations=c.size + used)
+               for (cp, om), v in zip(at_r.tolist(), val_r.tolist())
+               if v >= (1.0 - _ACTIVE_RTOL) * val_r.max()]
+    best = max(actives, key=lambda act: act["value"])    # least c of ties
+    maximizer = {"eta": best["eta"], "omega": best["omega"],
+                 "actives": actives}
+    return NormReport(best["value"], maximizer, evaluations=c.size + used)
 
 
 def kreiss_matrix(A, tol: float = 1e-8) -> NormReport:
@@ -954,7 +951,7 @@ _M0_HALF_SAMPLES = 600
 #: the M0 horizon is where the decay envelope falls below this
 _M0_TAIL_EPS = 1e-12
 
-#: M0 derivative refinement stops at brackets this fraction of the horizon
+#: M0 refinement stops at brackets this narrow in x = log1p(t / t_1)
 _M0_XTOL_REL = 1e-9
 
 
@@ -974,10 +971,11 @@ def transient_peak_m0(sys: StateSpace) -> NormReport:
     The horizon is chosen from Van Loan's decay envelope so that the
     remaining tail cannot exceed the sampled maximum.  Every grid maximum
     within half of the largest is then refined inside its grid bracket by
-    ``_refine_maxima``, all in lockstep, with the slope d/dt sigma_max(C
-    e^{At} B) = Re(q^T C A e^{At} B p) for the top singular pair (q, p).
-    Ties report the smallest t.  Raises NumericalError when the impulse
-    response is not finite on the grid.
+    ``_refine_maxima``, all in lockstep, in x = log1p(t / t_1), t_1 the
+    grid's first nonzero time, with the slope (t + t_1) Re(q^T C A e^{At}
+    B p) for the top singular pair (q, p) of C e^{At} B.  The largest
+    refined value is reported, at the least t of equal values.  Raises
+    NumericalError when the impulse response is not finite on the grid.
     """
     _strictly_proper_channel(sys, "transient peak")
     sys.require_stable("transient peak")
@@ -993,20 +991,21 @@ def transient_peak_m0(sys: StateSpace) -> NormReport:
         raise NumericalError("transient peak: the impulse response is not "
                              "finite on the time grid")
 
-    def grid_slopes(idx):
-        return _impulse_slopes(imp, grid[idx])[1]
+    t1 = grid[1]
 
-    best_val, best_t = float(vals.max()), float(grid[int(np.argmax(vals))])
-    peaks = _local_maxima(vals)
-    peaks = peaks[vals[peaks] >= 0.5 * best_val]
-    t_r, v_r, _, used = _refine_maxima(
-        lambda t: (*_impulse_slopes(imp, t), t), grid_slopes, grid, vals,
-        grid, peaks, grid_slopes(peaks), _M0_XTOL_REL * horizon)
-    for t, v in zip(t_r, v_r):
-        if v > best_val * (1 + 1e-12) or (
-                abs(v - best_val) <= 1e-9 * best_val and t < best_t):
-            best_val, best_t = float(v), float(t)
-    return NormReport(best_val, {"t": best_t}, evaluations=grid.size + used)
+    def probe(x):
+        t = np.expm1(x) * t1
+        v, slope = _impulse_slopes(imp, t)
+        return v, slope * (t + t1), t
+
+    def grid_slopes(idx):
+        return _impulse_slopes(imp, grid[idx])[1] * (grid[idx] + t1)
+
+    _, v_r, t_r, used = _refine_maxima(
+        probe, grid_slopes, np.log1p(grid / t1), vals, grid, _M0_XTOL_REL)
+    best = int(np.argmax(v_r))                   # the least t of equal values
+    return NormReport(float(v_r[best]), {"t": float(t_r[best])},
+                      evaluations=grid.size + used)
 
 
 # ---------------------------------------------------------------------------

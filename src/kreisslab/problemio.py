@@ -15,8 +15,9 @@ Problems are JSON documents with explicit-dimension row-major matrices:
     }
 
 A matrix is {"rows": r, "cols": c, "data": [row-major numbers]}; other
-top-level keys are ignored.  Each block must be a JSON object, and
-``constraints.eta`` (default 0) a finite number >= 0.  Reports
+top-level keys are ignored.  Each block must be a JSON object,
+``system.A`` must have at least one state, and ``constraints.eta``
+(default 0) must be a finite number >= 0.  Reports
 are JSON with deterministic content under a fixed seed; timestamps live in
 a separate metadata block.  Trajectories and transient curves export as
 CSV.
@@ -126,9 +127,12 @@ def _block(payload: dict, key: str, parse):
 
 def _parse_system(obj) -> StateSpace:
     D = matrix_from_json(obj["D"], "D") if "D" in obj else None
-    return StateSpace(matrix_from_json(obj["A"], "A"),
-                      matrix_from_json(obj["B"], "B"),
-                      matrix_from_json(obj["C"], "C"), D)
+    sys = StateSpace(matrix_from_json(obj["A"], "A"),
+                     matrix_from_json(obj["B"], "B"),
+                     matrix_from_json(obj["C"], "C"), D)
+    if sys.n == 0:
+        raise SchemaError("A has no states")
+    return sys
 
 
 def _parse_model(obj) -> NonlinearModel:

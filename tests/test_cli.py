@@ -252,7 +252,8 @@ def test_a_badly_scaled_realization_has_its_value(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["--norm", "m0"], ["--norm", "pkgain"], ["--norm", "m0", "--certify"],
-], ids=["m0", "pkgain", "m0_certify"])
+    ["--norm", "kreiss"],
+], ids=["m0", "pkgain", "m0_certify", "kreiss"])
 def test_a_value_that_is_not_finite_is_an_error(capsys, tmp_path, argv):
     # the response 1e400 e^{-t} + e^{-2t} overflows in every realization
     path = _write_system(tmp_path / "over.json", np.diag([-1.0, -2.0]),
@@ -483,6 +484,11 @@ def test_out_of_range_flag_is_a_schema_error(capsys, argv):
 SYNTH_PROBLEM = json.loads((PROBLEMS / "lorenz_chaos_synth.json").read_text())
 SYSTEM_PROBLEM = json.loads((PROBLEMS / "example3.json").read_text())
 SYNTH_ARGS = ("synthesize", "--structure", "static", "--restarts", "1")
+# a system with no states: the library takes n = 0, the CLI refuses it
+NO_STATES = {"version": 1, "system": {
+    "A": {"rows": 0, "cols": 0, "data": []},
+    "B": {"rows": 0, "cols": 1, "data": []},
+    "C": {"rows": 1, "cols": 0, "data": []}}}
 
 
 @pytest.mark.parametrize("problem, argv", [
@@ -496,6 +502,9 @@ SYNTH_ARGS = ("synthesize", "--structure", "static", "--restarts", "1")
     (SYSTEM_PROBLEM, ("analyze",)),
     *((SYSTEM_PROBLEM, ("analyze", "--norm", norm, "--certify"))
       for norm in ("entrywise", "signpattern", "hankel", "cb")),
+    *((NO_STATES, ("analyze", "--norm", norm))
+      for norm in ("m0", "l2peak", "hankel")),
+    (NO_STATES, ("analyze", "--norm", "kreiss", "--certify")),
     (json.loads((PROBLEMS / "brunton2_first_order_certframe.json")
                 .read_text()),
      ("certify", "--method", "yorke", "--samples", "10", "--certificate",
@@ -504,7 +513,8 @@ SYNTH_ARGS = ("synthesize", "--structure", "static", "--restarts", "1")
         "eta_null", "eta_nan", "eta_inf", "eta_negative", "norm_unknown",
         "tol_not_a_number", "norm_missing", "certify_entrywise",
         "certify_signpattern", "certify_hankel", "certify_cb",
-        "certificate_missing"])
+        "no_states_m0", "no_states_l2peak", "no_states_hankel",
+        "no_states_certify", "certificate_missing"])
 def test_bad_input_is_one_schema_error_line(capsys, tmp_path, problem, argv):
     # json.dumps writes NaN and Infinity tokens, and json.load reads them
     path = tmp_path / "problem.json"

@@ -31,7 +31,10 @@ def _scaled_pairs(count=40):
 
 @pytest.mark.parametrize("sys, scaled", list(_scaled_pairs()))
 def test_norms_do_not_move_under_a_diagonal_similarity(sys, scaled):
-    for norm in (kreiss_norm, hinf_norm, transient_peak_m0, peak_gain):
+    # M0 refines in x = log1p(t / t_1), so an early peak is located to a
+    # fraction of its own time, whatever horizon the realization gives
+    for norm, rel in ((kreiss_norm, 1e-9), (hinf_norm, 1e-9),
+                      (transient_peak_m0, 1e-12), (peak_gain, 1e-9)):
         want = norm(sys).value
-        assert norm(scaled).value == pytest.approx(want, rel=1e-9, abs=0.0), \
+        assert norm(scaled).value == pytest.approx(want, rel=rel, abs=0.0), \
             norm.__name__

@@ -261,6 +261,27 @@ def test_kreiss_actives_carry_their_member():
         assert value == pytest.approx(act["value"], rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [9, 74])
+def test_kreiss_reports_one_active_per_peak(k):
+    # systems of the criterion-6 suite with one peak, which the grid
+    # maximum and its refined point, within the active tolerance of each
+    # other, listed twice; only refined points are reported
+    sys = list(random_suite(seed=77, count=100))[k]
+    rep = kreiss_norm(sys)
+    [act] = rep.maximizer["actives"]
+    assert (act["value"], act["eta"], act["omega"]) \
+        == (rep.value, rep.maximizer["eta"], rep.maximizer["omega"])
+
+
+def test_kreiss_of_a_zero_channel_reports_one_active():
+    # every grid value is 0: one run of equal values, one start at c = 0
+    sys = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[0.0, 0.0]])
+    rep = kreiss_norm(sys)
+    assert (rep.value, rep.maximizer["eta"]) == (0.0, 0.0)
+    assert rep.maximizer["actives"] == [
+        {"eta": 0.0, "c": 0.0, "value": 0.0, "omega": 0.0}]
+
+
 def test_kreiss_homogeneity_and_triangle(rng):
     sys = random_stable_statespace(rng, 3, p=1, m=2)
     k0 = kreiss_norm(sys).value
@@ -300,15 +321,24 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
         calls.append((sys_, c, tuple(a.copy() for a in out), tol))
         return out
 
+    def refining(probe, grid_slopes, grid, vals, payloads, xtol,
+                 still=None):
+        refinements.append((vals.copy(), payloads.copy()))
+        return refine_maxima(probe, grid_slopes, grid, vals, payloads, xtol,
+                             still)
+
     monkeypatch.setattr(norms, "_family_hinf", recording)
-    monkeypatch.setattr(norms, "_refine_maxima",
-                        lambda *a: refinements.append(a) or refine_maxima(*a))
+    monkeypatch.setattr(norms, "_refine_maxima", refining)
     kreiss_norm(sys)
     lam = np.linalg.eigvals(sys.A)
     # one grid in one call and one refinement, ascending from c = 0
     # without repeats
     [(sys_, c, (values, omegas, evals), tol)] = calls
-    assert len(refinements) == 1
+    [(refined_vals, refined_at)] = refinements
+    # the refinement reads that grid, with sigma_max(CB) exactly at c = 0
+    assert np.array_equal(refined_vals[1:], values[1:])
+    assert refined_vals[0] == cb_lower_bound(sys)
+    assert np.array_equal(refined_at, np.column_stack([c, omegas]))
     assert sys_ is sys and c[0] == 0.0 and np.all(np.diff(c) > 0.0)
     # each member c > 0 is c' / rho for exactly one c' of the grid and a
     # power of two rho: the c' of equal mantissa (all 47 differ)
@@ -894,13 +924,20 @@ def test_refined_values_reach_their_grid_maxima(monkeypatch):
 
 
 def test_local_maxima_matches_the_neighbour_rule(rng):
-    # small integers give plateaus, where both neighbours tie
+    # small integers give plateaus: a run of equal values is one point, at
+    # its first index, and a maximum when the runs beside it are lower
     for size in (1, 2, 3, 40):
         vals = rng.integers(0, 4, size).astype(float)
-        want = [i for i in range(size)
-                if (i == 0 or vals[i] >= vals[i - 1])
-                and (i == size - 1 or vals[i] >= vals[i + 1])]
+        runs = [(i, v) for i, v in enumerate(vals)
+                if i == 0 or v != vals[i - 1]]
+        want = [i for r, (i, v) in enumerate(runs)
+                if (r == 0 or v > runs[r - 1][1])
+                and (r == len(runs) - 1 or v > runs[r + 1][1])]
         assert norms._local_maxima(vals).tolist() == want
+    # a shoulder is no maximum, a plateau one, a flat grid one at its start
+    assert norms._local_maxima(np.array([1.0, 2, 2, 3])).tolist() == [3]
+    assert norms._local_maxima(np.array([1.0, 3, 3, 2])).tolist() == [1]
+    assert norms._local_maxima(np.zeros(5)).tolist() == [0]
 
 
 def test_time_chunk_leaves_reports_bitwise_identical(monkeypatch, rng):
