@@ -35,17 +35,17 @@ half of the largest, each refined with exact derivatives: a safeguarded
 secant on the slope inside its grid bracket, for M0 in x = log1p(t /
 t_1), t_1 the first nonzero time, which finds an early peak to a fraction
 of its time.  Every refined value is attained: ``hinf_norm`` of a family
-member, or sigma_max(C e^{At} B) at a time.  One kernel,
-``_peak_point``, polishes a peak for both the Kreiss slope and the
-synthesis subgradient (``subgrad.kreiss_subgradient``): Newton steps on
-d sigma / d omega move a bisection's frequency to the peak (Benner and
-Mitchell, SIAM J. Sci. Comput. 40(5), 2018), and the resolvent products
-there give the derivative by A.  The Kreiss slope is the envelope
-derivative at the member's polished peak; at c = 0 its sign is that of
-``attainment_check``'s Y_sym_max, so a maximum there with Y_sym_max < 0
-takes no step.  The M0 slope is Re(q^T C A e^{At} B p), and all local
-maxima of one system step in lockstep, with one impulse evaluation per
-round.
+member, or sigma_max(C e^{At} B) at a time.  One polish per Kreiss
+point, ``_peak_point``, serves both the Kreiss slope and the synthesis
+subgradient: Newton steps on d sigma / d omega move a bisection's
+frequency to the peak (Benner and Mitchell, SIAM J. Sci. Comput. 40(5),
+2018), and the resolvent products there give the derivatives by c and by
+A, which ``kreiss_norm`` hands out for its actives.  The Kreiss slope is
+the envelope derivative at the member's polished peak; at c = 0 its sign
+is that of ``attainment_check``'s Y_sym_max, so a maximum there with
+Y_sym_max < 0 takes no step.  The M0 slope is Re(q^T C A e^{At} B p), and
+all local maxima of one system step in lockstep, with one impulse
+evaluation per round.
 
 Every time-domain value comes from one impulse-response kernel,
 ``_Impulse``: C A^k e^{At} B (k = 0, 1) on a whole batch of times, from
@@ -86,7 +86,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,7 +107,6 @@ __all__ = [
     "hinf_norm",
     "kreiss_norm",
     "kreiss_matrix",
-    "kreiss_family_matrix",
     "transient_peak_m0",
     "cb_lower_bound",
     "attainment_check",
@@ -130,12 +129,14 @@ class NormReport:
     grid plus derivative refinement, not the work inside those norms nor
     the slopes at points already taken (kreiss_norm, summed over subsystems
     by its variants); time samples, grid plus derivative refinement
-    (transient_peak_m0); impulse-response samples (peak_gain).
+    (transient_peak_m0); impulse-response samples (peak_gain).  gradients
+    (kreiss_norm's, left out of as_dict) holds each active's dh/dA.
     """
 
     value: float
     maximizer: dict
     evaluations: int = 0
+    gradients: list = field(default_factory=list, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {"value": self.value, "maximizer": self.maximizer,
@@ -360,8 +361,8 @@ def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     res the residues all members share, from ``_residue_gains``.  Every
     member takes exactly the steps it would take alone, so its value,
     frequency and evaluation count do not depend on the rest of the stack.
-    Returns (values, omegas, evaluations), one entry per member.
-    """
+    Returns (values, omegas, evaluations), one entry per member, and
+    raises NumericalError on a gain that is not finite."""
     if not tol > 0:
         raise ArgumentError("tol", "must be positive")
     E, n = A.shape[0], A.shape[-1]
@@ -374,9 +375,11 @@ def _hinf_lockstep(A: np.ndarray, B: np.ndarray, C: np.ndarray,
     poles, res = (np.linalg.eigvals(A), None) if modal is None else modal
 
     def gains(member, s):
-        if res is None:
-            return _gains(A, member, s, B, C, D)
-        return _residue_gains(s, poles[member], res, D)
+        g = (_gains(A, member, s, B, C, D) if res is None
+             else _residue_gains(s, poles[member], res, D))
+        if not np.isfinite(g).all():
+            raise NumericalError("H-infinity norm: a gain is not finite")
+        return g
 
     # every probe of a member can sit on a transmission zero, a start of 0
     # that no level test raises: such members take a second probe set
@@ -459,7 +462,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     A gain that moves by one ulp can change the bisection's steps, so the
     value and the evaluation count reproduce only to tol, not bitwise,
     across numpy and LAPACK builds.  Raises ArgumentError unless tol is
-    positive.
+    positive, and NumericalError when a gain is not finite.
     """
     sys.require_stable("H-infinity norm")
     value, omega, evals = _hinf_lockstep(sys.A[None], sys.B, sys.C, sys.D,
@@ -494,11 +497,6 @@ _REFINE_MAX_ROUNDS = 100
 
 #: Newton steps of _peak_point that polish a peak frequency
 _POLISH_STEPS = 8
-
-
-def kreiss_family_matrix(A: np.ndarray, eta) -> np.ndarray:
-    """Member (eta/(2-eta)) A - I of the resolvent family; etas stack."""
-    return _family_matrix(A, eta / (2.0 - eta))
 
 
 def _family_matrix(A: np.ndarray, c) -> np.ndarray:
@@ -638,13 +636,14 @@ def _peak_point(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
     return float(omega), float(sigma), u, v, X, Y
 
 
-def _family_slope(sys: StateSpace, c: float, omega: float) -> float:
-    """d/dc of the H-infinity norm h(c) of the member c A - I, whose peak
-    hinf_norm put near omega: at the peak that ``_peak_point`` polishes,
-    d/dc C R B = C R A R B gives h'(c) = Re(u^H C R A R B v)."""
+def _family_slope(sys: StateSpace, c: float, omega: float):
+    """(h'(c), dh/dA) of the H-infinity norm h(c) of the member c A - I,
+    whose peak hinf_norm put near omega: at the peak that ``_peak_point``
+    polishes, h'(c) = Re(u^H C R A R B v) and dh/dA = c Re(X v u^H Y)^T."""
     _, _, u, v, X, Y = _peak_point(_family_matrix(sys.A, c), sys.B, sys.C,
                                    sys.D, omega)
-    return float((u.conj() @ (Y @ sys.A @ X) @ v).real)
+    return (float((u.conj() @ (Y @ sys.A @ X) @ v).real),
+            np.real(c * np.outer(X @ v, u.conj() @ Y)).T)
 
 
 def _local_maxima(vals: np.ndarray) -> np.ndarray:
@@ -700,18 +699,23 @@ def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     when Y_sym_max < 0 (see ``attainment_check``).  The maximizer holds
     the eta and omega of the best refined point, the least c of equal
     values, and as "actives" every refined point within ``_ACTIVE_RTOL``
-    of it, one per peak, ascending in c.  Raises ArgumentError unless tol
-    is positive, and NumericalError when a grid value is not finite."""
+    of it, one per peak, ascending in c, and gradients their dh/dA from the
+    polish of their slopes.  Raises ArgumentError unless tol is positive,
+    and NumericalError when a grid value is not finite."""
     _strictly_proper_channel(sys, "Kreiss norm")
     sys.require_stable("Kreiss norm")
     sigma_cb = cb_lower_bound(sys)
     imp = _Impulse(sys)
     c, rho = _time_scales(imp.lam)
+    grads = {}        # dh/dA at every (c, omega) whose slope was taken
 
     def slopes(at):
         """dh/dx = h'(c) (c + 1 / rho) at the rows (c, omega) of at."""
-        return np.array([_family_slope(sys, ci, w) * (ci + 1.0 / rho)
-                         for ci, w in at])
+        out = []
+        for ci, w in at.tolist():
+            slope, grads[ci, w] = _family_slope(sys, ci, w)
+            out.append(slope * (ci + 1.0 / rho))
+        return np.array(out)
 
     def probe(xs):
         cs = np.expm1(xs) / rho
@@ -731,6 +735,8 @@ def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     if not np.isfinite(vals).all():
         raise NumericalError("Kreiss norm: a grid value is not finite")
     at_grid = np.column_stack([c, omegas])
+    # c = 0 may take no step, and its member -I does not depend on A
+    grads[0.0, float(omegas[0])] = np.zeros_like(sys.A)
     # the member at c = 0 takes no step when CB/(s + 1) falls off there
     falls = sigma_cb > 0 and attainment_check(sys).Y_sym_max < 0
     _, val_r, at_r, used = _refine_maxima(
@@ -743,7 +749,8 @@ def kreiss_norm(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     best = max(actives, key=lambda act: act["value"])    # least c of ties
     maximizer = {"eta": best["eta"], "omega": best["omega"],
                  "actives": actives}
-    return NormReport(best["value"], maximizer, evaluations=c.size + used)
+    return NormReport(best["value"], maximizer, evaluations=c.size + used,
+                      gradients=[grads[a["c"], a["omega"]] for a in actives])
 
 
 def kreiss_matrix(A, tol: float = 1e-8) -> NormReport:

@@ -130,8 +130,10 @@ def _parse_system(obj) -> StateSpace:
     sys = StateSpace(matrix_from_json(obj["A"], "A"),
                      matrix_from_json(obj["B"], "B"),
                      matrix_from_json(obj["C"], "C"), D)
-    if sys.n == 0:
-        raise SchemaError("A has no states")
+    for size, empty in ((sys.n, "A has no states"), (sys.p, "B has no inputs"),
+                        (sys.m, "C has no outputs")):
+        if size == 0:
+            raise SchemaError(empty)
     return sys
 
 

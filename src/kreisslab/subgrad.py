@@ -1,9 +1,9 @@
 """Clarke subgradient of the closed-loop Kreiss norm.
 
 The closed-loop Kreiss norm is a function of structured controller
-parameters; its gradient at each active family member that kreiss_norm
-reports comes by the chain rule through the member's resolvent at its
-polished peak (``norms._peak_point``).
+parameters; at each active family member that kreiss_norm reports, its
+gradient is the member's gradient by A_cl from kreiss_norm's own polished
+peak, pulled back through the controller structure by the chain rule.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .loop import ClosedLoop, ControllerStructure
-from .norms import _family_matrix, _peak_point, kreiss_norm
+from .norms import kreiss_norm
 from .statespace import StateSpace
 
 __all__ = [
@@ -44,27 +44,18 @@ def kreiss_subgradient(plant: StateSpace, structure: ControllerStructure,
     """Clarke subgradient of theta -> K(J^T (sI - A_cl(theta))^{-1} J).
 
     cl is the loop assembled at theta.  kreiss_norm of its channel at tol
-    supplies the active points (eta, c, omega) and raises StabilityError
-    for a non-Hurwitz A_cl.  At each point ``norms._peak_point`` polishes
-    omega to the peak of the member c A_cl - I, so an active's
-    omega and value are the polished peak and sigma_max there; the
-    gradient d sigma / d A_cl = c Re(X v u^H Y)^T is pulled back through
-    the controller structure mask.  The leading gradient belongs to the
-    best active point; the full active list supports max-rule convex
-    combinations.
+    supplies the active points, with their eta, c, omega and value, and
+    raises StabilityError for a non-Hurwitz A_cl.  Its gradients, d sigma
+    / d A_cl = c Re(X v u^H Y)^T at each active's polished peak, are
+    pulled back through the controller structure mask.  The leading
+    gradient belongs to the best active point; the full active list
+    supports max-rule convex combinations.
     """
-    channel = cl.channel()
-    worst = kreiss_norm(channel, tol)
-    actives = []
-    for act in worst.maximizer["actives"]:
-        c = act["c"]
-        omega, val, u, v, X, Y = _peak_point(
-            _family_matrix(channel.A, c), channel.B, channel.C, channel.D,
-            act["omega"])
-        G_A = np.real(c * np.outer(X @ v, u.conj() @ Y)).T
-        grad = structure.grad_from_closed_loop(G_A, plant)
-        actives.append(ActivePoint(eta=act["eta"], c=c, omega=omega,
-                                   value=val, gradient=grad))
+    worst = kreiss_norm(cl.channel(), tol)
+    pull_back = structure.grad_from_closed_loop
+    actives = [ActivePoint(**act, gradient=pull_back(G_A, plant))
+               for act, G_A in zip(worst.maximizer["actives"],
+                                   worst.gradients)]
     best = max(actives, key=lambda a: a.value)
     return KreissSubgradient(value=worst.value, gradient=best.gradient,
                              active=actives)

@@ -252,8 +252,8 @@ def test_a_badly_scaled_realization_has_its_value(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["--norm", "m0"], ["--norm", "pkgain"], ["--norm", "m0", "--certify"],
-    ["--norm", "kreiss"],
-], ids=["m0", "pkgain", "m0_certify", "kreiss"])
+    ["--norm", "kreiss"], ["--norm", "hinf"],
+], ids=["m0", "pkgain", "m0_certify", "kreiss", "hinf"])
 def test_a_value_that_is_not_finite_is_an_error(capsys, tmp_path, argv):
     # the response 1e400 e^{-t} + e^{-2t} overflows in every realization
     path = _write_system(tmp_path / "over.json", np.diag([-1.0, -2.0]),
@@ -489,6 +489,16 @@ NO_STATES = {"version": 1, "system": {
     "A": {"rows": 0, "cols": 0, "data": []},
     "B": {"rows": 0, "cols": 1, "data": []},
     "C": {"rows": 1, "cols": 0, "data": []}}}
+# two states and no inputs or no outputs: the CLI refuses these too
+NO_INPUTS = {"version": 1, "system": {
+    "A": {"rows": 2, "cols": 2, "data": [-1.0, 0.0, 0.0, -2.0]},
+    "B": {"rows": 2, "cols": 0, "data": []},
+    "C": {"rows": 1, "cols": 2, "data": [1.0, 1.0]}}}
+NO_OUTPUTS = {"version": 1, "system": {
+    **NO_INPUTS["system"], "B": {"rows": 2, "cols": 1, "data": [1.0, 1.0]},
+    "C": {"rows": 0, "cols": 2, "data": []}}}
+ANALYZE_NORMS = ("kreiss", "m0", "hinf", "pkgain", "l2peak", "entrywise",
+                 "signpattern", "hankel", "cb")
 
 
 @pytest.mark.parametrize("problem, argv", [
@@ -505,6 +515,8 @@ NO_STATES = {"version": 1, "system": {
     *((NO_STATES, ("analyze", "--norm", norm))
       for norm in ("m0", "l2peak", "hankel")),
     (NO_STATES, ("analyze", "--norm", "kreiss", "--certify")),
+    *((empty, ("analyze", "--norm", norm))
+      for empty in (NO_INPUTS, NO_OUTPUTS) for norm in ANALYZE_NORMS),
     (json.loads((PROBLEMS / "brunton2_first_order_certframe.json")
                 .read_text()),
      ("certify", "--method", "yorke", "--samples", "10", "--certificate",
@@ -514,7 +526,10 @@ NO_STATES = {"version": 1, "system": {
         "tol_not_a_number", "norm_missing", "certify_entrywise",
         "certify_signpattern", "certify_hankel", "certify_cb",
         "no_states_m0", "no_states_l2peak", "no_states_hankel",
-        "no_states_certify", "certificate_missing"])
+        "no_states_certify",
+        *(f"{empty}_{norm}" for empty in ("no_inputs", "no_outputs")
+          for norm in ANALYZE_NORMS),
+        "certificate_missing"])
 def test_bad_input_is_one_schema_error_line(capsys, tmp_path, problem, argv):
     # json.dumps writes NaN and Infinity tokens, and json.load reads them
     path = tmp_path / "problem.json"

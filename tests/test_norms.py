@@ -19,7 +19,6 @@ from kreisslab.norms import (
     entrywise_kreiss,
     hankel_singular_values,
     hinf_norm,
-    kreiss_family_matrix,
     kreiss_matrix,
     kreiss_norm,
     l2_to_peak,
@@ -371,8 +370,8 @@ def test_kreiss_grid_equals_hinf_of_family_member(name, monkeypatch):
         # bitwise the members of the grid on A divided exactly by rho
         ks, idx = map(list, zip(*members))
         assert np.array_equal(norms._family_matrix(sys.A, c[idx]),
-                              kreiss_family_matrix(sys.A / rho,
-                                                   norms._ETA_GRID[ks]))
+                              norms._family_matrix(sys.A / rho,
+                                                   norms._C_GRID[ks]))
     for i, (c_i, value, omega, count) in enumerate(zip(c, values, omegas,
                                                        evals)):
         # bitwise: the stacked kernel takes each member's own steps
@@ -397,8 +396,8 @@ def test_residue_gains_match_dense_gains(rng):
         member = rng.integers(0, grid.size, 40)
         s = 1j * 10.0 ** rng.uniform(-3.0, 3.0, 40)
         got = norms._residue_gains(s, poles[member], imp.res[0], sys.D)
-        want = norms._gains(kreiss_family_matrix(sys.A, grid), member, s,
-                            sys.B, sys.C, sys.D)
+        want = norms._gains(norms._family_matrix(sys.A, grid / (2.0 - grid)),
+                            member, s, sys.B, sys.C, sys.D)
         assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
@@ -418,8 +417,9 @@ def test_residue_path_gate(cond, tol):
     assert cond / 3.0 < imp.cond < 3.0 * cond
     grid = ETA_200
     family = norms._family_hinf(sys, grid / (2.0 - grid), tol)
-    dense = norms._hinf_lockstep(kreiss_family_matrix(sys.A, grid), sys.B,
-                                 sys.C, sys.D, tol)
+    dense = norms._hinf_lockstep(
+        norms._family_matrix(sys.A, grid / (2.0 - grid)), sys.B, sys.C,
+        sys.D, tol)
     if imp.cond * norms._EPS <= 1e-3 * tol:
         assert np.max(np.abs(family[0] - dense[0]) / dense[0]) \
             <= 1e-3 * tol
@@ -861,16 +861,17 @@ def test_family_slope_matches_central_differences(name):
     sys = _slope_cases()[name]
 
     def member(eta, tol):
-        return hinf_norm(StateSpace(kreiss_family_matrix(sys.A, eta), sys.B,
-                                    sys.C), tol=tol)
+        return hinf_norm(StateSpace(
+            norms._family_matrix(sys.A, eta / (2.0 - eta)), sys.B, sys.C),
+            tol=tol)
 
     step = 1e-5
     for eta in (0.3, 0.9, 1.5):
         # from the peak frequency kreiss_norm has, good to about sqrt(tol);
         # d/d eta = d/dc 2 / (2 - eta)^2
-        slope = norms._family_slope(
-            sys, eta / (2.0 - eta), member(eta, 1e-8).maximizer["omega"]) \
-            * 2.0 / (2.0 - eta) ** 2
+        slope, _ = norms._family_slope(
+            sys, eta / (2.0 - eta), member(eta, 1e-8).maximizer["omega"])
+        slope = slope * 2.0 / (2.0 - eta) ** 2
         central = (member(eta + step, 1e-13).value
                    - member(eta - step, 1e-13).value) / (2.0 * step)
         assert slope == pytest.approx(central, rel=1e-5)

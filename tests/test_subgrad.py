@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kreisslab import norms, subgrad
 from kreisslab.errors import StabilityError
 from kreisslab.loop import ControllerStructure, assemble_closed_loop
 from kreisslab.norms import kreiss_norm
@@ -79,6 +80,45 @@ def test_kreiss_subgradient_is_taken_at_the_peak():
                  - kreiss_norm(_loop(st, theta - e).channel(),
                                tol=tight).value) / (2 * h)
     assert np.linalg.norm(ks.gradient - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+SYMMETRIC = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [-1.0]], [[1.0, 1.0]])
+
+
+@pytest.mark.parametrize("plant, structure, theta", [
+    (BRUNTON, ControllerStructure.full(1, 1, 1),
+     np.array([-1.5, 1.0, -2.0, 0.001])),
+    (BRUNTON, ControllerStructure.static(1, 1), np.array([-0.5])),
+    (SYMMETRIC, ControllerStructure.static(1, 1), np.array([0.0])),
+], ids=["dynamic", "static", "active_at_c_zero"])
+def test_kreiss_subgradient_reads_the_polish_of_kreiss_norm(
+        monkeypatch, plant, structure, theta):
+    # the reference polishes each active's member again from its reported
+    # omega; kreiss_subgradient reads kreiss_norm's own polish instead,
+    # bitwise the same, and polishes nothing that kreiss_norm does not (at
+    # c = 0, which takes no step here, nothing at all).  Every polish goes
+    # through the norms module, where it is counted
+    assert "_peak_point" not in vars(subgrad)
+    polish, calls = norms._peak_point, []
+
+    def counting(*args):
+        calls.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(norms, "_peak_point", counting)
+    cl = _loop(structure, theta, plant)
+    channel = cl.channel()
+    kreiss_norm(channel, tol=TOL)
+    bare = len(calls)
+    calls.clear()
+    ks = kreiss_subgradient(plant, structure, cl, tol=TOL)
+    assert len(calls) == bare
+    for act in ks.active:
+        _, _, u, v, X, Y = polish(norms._family_matrix(channel.A, act.c),
+                                  channel.B, channel.C, channel.D, act.omega)
+        G_A = np.real(act.c * np.outer(X @ v, u.conj() @ Y)).T
+        assert np.array_equal(act.gradient,
+                              structure.grad_from_closed_loop(G_A, plant))
 
 
 def test_kreiss_subgradient_double_active_symmetric():
