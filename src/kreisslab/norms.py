@@ -52,11 +52,14 @@ Every time-domain value comes from one impulse-response kernel,
 the residues of a well-conditioned eigenvector basis or, for a system that
 fails that test even once balanced (``linalg.balance``), from one
 propagator that never squares through a transient hump (Moler and Van
-Loan, SIAM Rev. 45(1), 2003).  The horizons of M0 and the peak gain come
-from Van Loan's decay envelope of the balanced A with Henrici's departure
-from normality (``_decay_envelope``).  ``transient_peak_m0`` takes its
-grid values from one call and one stacked SVD; ``peak_gain`` evaluates
-every channel on its grid in one call, polishes all sign changes of all
+Loan, SIAM Rev. 45(1), 2003).  The M0 horizon comes from Van Loan's decay
+envelope of the balanced A with Henrici's departure from normality
+(``_decay_envelope``).  The peak gain's is at most that envelope's, and
+where its grid lies above the floor ``_propagator_horizon`` tightens it
+from computed norms of e^{A h j} and the semigroup property.
+``transient_peak_m0`` takes its grid values from one call and one stacked
+SVD; ``peak_gain`` evaluates every channel on its grid in one call,
+polishes all sign changes of all
 channels in lockstep with safeguarded Newton steps (the derivative is
 k = 1) and integrates each channel's segments from the antiderivative
 C A^{-1} e^{At} B.  The oracles and ``models.transient_curve`` use the
@@ -97,7 +100,8 @@ from .errors import (
     NumericalError,
     PreconditionError,
 )
-from .linalg import _THETA13, balance, expm, solve_lyapunov, svd_triple
+from .linalg import (_THETA13, balance, expm, solve_lyapunov,
+                     spectral_abscissa, svd_triple)
 from .statespace import StateSpace
 
 __all__ = [
@@ -129,7 +133,8 @@ class NormReport:
     grid plus derivative refinement, not the work inside those norms nor
     the slopes at points already taken (kreiss_norm, summed over subsystems
     by its variants); time samples, grid plus derivative refinement
-    (transient_peak_m0); impulse-response samples (peak_gain).  gradients
+    (transient_peak_m0); impulse-response channel samples, grid plus root
+    polish (peak_gain).  gradients
     (kreiss_norm's, left out of as_dict) holds each active's dh/dA.
     """
 
@@ -961,6 +966,16 @@ _M0_TAIL_EPS = 1e-12
 #: M0 refinement stops at brackets this narrow in x = log1p(t / t_1)
 _M0_XTOL_REL = 1e-9
 
+#: the peak-gain grid takes this many samples per half period of the
+#: fastest mode, and at least and at most these many in all
+_PEAK_HALF_PERIOD_SAMPLES = 16
+_PEAK_MIN_SAMPLES = 2000
+_PEAK_MAX_SAMPLES = 200000
+
+#: the propagator horizon's bound on ||e^{At}||_2, as a share of the
+#: envelope's tail tolerance
+_PEAK_TAIL_FACTOR = 1e-4
+
 
 def _impulse_slopes(imp: _Impulse, t: np.ndarray):
     """(sigma, sigma') with sigma = sigma_max(F) for F = C e^{A t_q} B at
@@ -1107,12 +1122,15 @@ def _polish_roots(imp: _Impulse, lo: np.ndarray, hi: np.ndarray,
     """Roots of the impulse-response channels c_q in the brackets
     (lo_q, hi_q) across which they change sign, all polished in lockstep:
     Newton steps from the secant point, with the derivative from k = 1,
-    and a bisection wherever a step would leave the shrinking bracket."""
+    and a bisection wherever a step would leave the shrinking bracket.
+    Returns the roots and the number of channel samples taken."""
     x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
     active = np.arange(x.size)
+    used = 0
     for _ in range(100):
         if active.size == 0:
             break
+        used += active.size
         xa, la, ha = x[active], lo[active], hi[active]
         g, dg = imp.channels(xa, c[active])
         right = (g < 0.0) == (g_lo[active] < 0.0)   # the root lies above xa
@@ -1125,19 +1143,72 @@ def _polish_roots(imp: _Impulse, lo: np.ndarray, hi: np.ndarray,
         x[active] = np.where(g == 0.0, xa, xn)
         lo[active], hi[active] = la, ha
         active = active[~done]
-    return x
+    return x, used
+
+
+def _peak_grid_size(horizon: float, omega_max: float) -> int:
+    """Samples of the peak-gain grid over [0, horizon], omega_max the
+    largest |Im lambda|: ``_PEAK_HALF_PERIOD_SAMPLES`` per half period,
+    within [``_PEAK_MIN_SAMPLES``, ``_PEAK_MAX_SAMPLES``]."""
+    half_periods = math.ceil(horizon * omega_max / math.pi) \
+        if omega_max > 0 else 0
+    return int(max(_PEAK_MIN_SAMPLES,
+                   min(_PEAK_MAX_SAMPLES,
+                       _PEAK_HALF_PERIOD_SAMPLES * half_periods)))
+
+
+def _propagator_horizon(A: np.ndarray, tail_eps: float, cap: float) -> float:
+    """A time T <= cap with ||e^{At}||_2 <= tail_eps for every t >= T, from
+    computed norms of the propagator of the balanced A~ = D^{-1} A D
+    (``linalg.balance``); ||e^{At}||_2 <= kappa ||e^{A~t}||_2, kappa =
+    max d / min d.  The walk X_j = e^{A~ h j}, h = 1 / (32 |alpha|), stops
+    at the first J >= 32 with ||X_J||_F < 1/2, t0 = J h, and S = kappa
+    max_j ||X_j||_F e^{mu h}, mu = max(lambda_max((A~ + A~^T) / 2), 0),
+    bounds ||e^{As}||_2 on [0, t0].  By the semigroup property, and as
+    ||X_J||_F < 1/2, ||e^{A (k t0 + s)}||_2 <= ||X_J^k||_F S for s >= 0, so
+    T = k t0 for the first k with ||X_J^k||_F S <= tail_eps.  cap, Van Loan's horizon,
+    is returned when the walk passes it first or e^{mu h} would overflow."""
+    h = 1.0 / (32.0 * abs(spectral_abscissa(A)))
+    d = balance(A)
+    At = A / d[:, None] * d
+    mu = max(float(np.linalg.eigvalsh(0.5 * (At + At.T))[-1]), 0.0)
+    if mu * h >= math.log(np.finfo(float).max):
+        return cap
+    step = expm(At * h)
+    X = np.eye(A.shape[0])
+    top = f = np.linalg.norm(X)
+    J = 0
+    while J < 32 or not f < 0.5:                 # NaN walks on to the cap
+        J += 1
+        if J * h > cap:
+            return cap
+        X = step @ X
+        f = np.linalg.norm(X)
+        top = max(top, f)
+    S = float(d.max() / d.min()) * top * math.exp(mu * h)
+    t0, P, k = J * h, X, 1
+    while not np.linalg.norm(P) * S <= tail_eps:
+        if k * t0 >= cap:
+            return cap
+        P, k = P @ X, k + 1
+    return min(cap, k * t0)
 
 
 def peak_gain(sys: StateSpace, tol: float = 1e-8) -> NormReport:
     """Peak-to-peak norm: max_i sum_j ||g_ij||_L1 + row sums of |D|.
 
     Impulse-response entries are integrated exactly between their sign
-    changes (resolvent antiderivative) with an exponential tail bound
-    choosing the horizon.  One kernel call evaluates every channel on an
-    oscillation-resolving grid; the sign changes of all channels are then
-    polished together to 1e-14 horizon, and each channel's segments and
-    tail are integrated in one call.  Raises ArgumentError unless tol is
-    positive.
+    changes (resolvent antiderivative), and past the horizon to infinity,
+    so the horizon only sets how far the sign changes are sought.  It is
+    Van Loan's, where ||e^{At}||_2 <= min(tol, 1e-10), unless that grid
+    lies above ``_PEAK_MIN_SAMPLES``: then ``_propagator_horizon`` bounds
+    ||e^{At}||_2 by ``_PEAK_TAIL_FACTOR`` times as much from computed
+    norms, most often far earlier.  One kernel call evaluates every channel
+    on an oscillation-resolving grid (``_peak_grid_size``); the sign changes
+    of all channels are then polished together to 1e-14 horizon, and each
+    channel's segments and tail are integrated in one call.  evaluations
+    counts the grid's and the polish's channel samples.  Raises
+    ArgumentError unless tol is positive.
     """
     if not tol > 0:
         raise ArgumentError("tol", "must be positive")
@@ -1146,18 +1217,22 @@ def peak_gain(sys: StateSpace, tol: float = 1e-8) -> NormReport:
         value = float(np.abs(sys.D).sum(axis=1).max())
         return NormReport(value, {"row": 0}, evaluations=1)
     imp = _Impulse(sys)
-    horizon = _tail_horizon(imp.sys.A, min(tol, 1e-10), imp.lam)
+    tail_eps = min(tol, 1e-10)
+    horizon = _tail_horizon(imp.sys.A, tail_eps, imp.lam)
     omega_max = float(np.abs(imp.lam.imag).max())
-    n_grid = int(max(2000, min(200000, 16 * math.ceil(horizon * omega_max / math.pi)
-                               if omega_max > 0 else 0)))
+    # on the floor a shorter horizon removes no sample
+    if _peak_grid_size(horizon, omega_max) > _PEAK_MIN_SAMPLES:
+        horizon = _propagator_horizon(
+            imp.sys.A, _PEAK_TAIL_FACTOR * tail_eps, horizon)
+    n_grid = _peak_grid_size(horizon, omega_max)
     grid = np.linspace(0.0, horizon, n_grid)
     vals = imp.matrices(grid).reshape(n_grid, -1)    # one column per channel
     live = np.abs(vals).max(axis=0) > 0.0           # the rest integrate to 0
     a, b = vals[:-1], vals[1:]
     on_grid_q, on_grid_c = np.nonzero((a == 0.0) & live)
     q, c = np.nonzero(a * b < 0.0)
-    roots = _polish_roots(imp, grid[q], grid[q + 1], a[q, c], b[q, c], c,
-                          1e-14 * horizon)
+    roots, polished = _polish_roots(imp, grid[q], grid[q + 1], a[q, c],
+                                    b[q, c], c, 1e-14 * horizon)
     totals = np.zeros(vals.shape[1])
     for ch in np.flatnonzero(live):
         knots = np.unique(np.concatenate([
@@ -1168,7 +1243,7 @@ def peak_gain(sys: StateSpace, tol: float = 1e-8) -> NormReport:
         + np.abs(sys.D).sum(axis=1)
     row = int(np.argmax(row_sums))
     return NormReport(float(row_sums[row]), {"row": row},
-                      evaluations=vals.size)
+                      evaluations=vals.size + polished)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,10 +33,12 @@ from kreisslab.oracles import (
     kreiss_halfplane_grid,
     l2_to_peak_sampled,
     m0_time_grid,
+    peak_gain_grid,
 )
 from kreisslab.statespace import StateSpace, tf_to_ss
 
 from conftest import random_stable_statespace, random_suite
+from test_metamorphic import _scaled_pairs
 
 EX3 = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [-1.0]], [[1.0, 1.0]])
 EX3_EPS = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [-0.75]], [[1.0, 1.0]])
@@ -581,6 +584,23 @@ def test_decay_envelope_bounds_the_propagator(rng):
         assert np.all(bound >= gains * (1 - 1e-12)), name
 
 
+def test_propagator_horizon_bounds_the_tail(rng):
+    # system 4 of the metamorphic mix, lightly damped, under its state
+    # scaling: cond(D) of its balancing is 2^25, and its horizon (2,085)
+    # lies far inside the envelope's (7,973)
+    scaled = list(itertools.islice(_scaled_pairs(), 5))[4][1]
+    eps = 1e-12
+    for name, A in [*_henrici_cases(rng), ("rescaled", scaled.A)]:
+        cap = norms._tail_horizon(A, eps)
+        T = norms._propagator_horizon(A, eps, cap)
+        assert T <= cap, name
+        ts = np.linspace(T, 4.0 * T, 201)
+        gains = np.linalg.norm(expm(A * ts[:, None, None]), 2, axis=(1, 2))
+        # the reference e^{At} itself carries rounding of a few ulp
+        assert np.all(gains <= eps * (1 + 1e-12)), name
+    assert T < cap / 3                                 # the rescaled case
+
+
 # ---------------------------------------------------------------------------
 # Lower bound and attainment
 # ---------------------------------------------------------------------------
@@ -750,6 +770,17 @@ def test_peak_gain_matches_grid_oracle(rng):
     sys = random_stable_statespace(rng, 10, p=2, m=2, margin=0.01)
     lo, hi = certification_interval(peak_gain_grid(sys, n_grid=100000))
     assert lo <= peak_gain(sys).value <= hi
+
+
+def test_peak_gain_counts_fewer_samples_on_a_lightly_damped_system():
+    # Van Loan's horizon alone gave this system 688,832 grid samples; the
+    # propagator horizon gives 225,152, and evaluations adds the root polish
+    sys = random_stable_statespace(np.random.default_rng(12345), 10, p=2,
+                                   m=2, margin=0.01)
+    rep = peak_gain(sys)
+    assert rep.evaluations < 688832
+    lo, hi = certification_interval(peak_gain_grid(sys, n_grid=400000))
+    assert lo <= rep.value <= hi
 
 
 def test_peak_gain_grid_jordan_block_matches_closed_form():
