@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, PreconditionError, SchemaError
 from .loop import ControllerRealization
-from .models import Brunton2Params
+from .models import Brunton2Params, _norm
 from .norms import _decay_envelope  # shared with the M0 horizon
 
 __all__ = [
@@ -172,6 +172,27 @@ class YorkeSampleReport:
 _YORKE_ANNULUS = (1e-3, 1e2)
 
 
+def _annulus_states(rng, n, samples):
+    """(n, samples) states r d / ||d|| with d standard normal, log r uniform.
+
+    Each sample draws d, then log r, in that order.  The scaling runs in
+    place on all samples after the draws: bitwise the per-sample
+    (d / ||d||) r, with ||d|| as np.linalg.norm computes it (models._norm).
+    """
+    log_lo, log_hi = (math.log(v) for v in _YORKE_ANNULUS)
+    X = np.empty((n, samples))
+    norms = np.empty(samples)
+    radii = np.empty(samples)
+    for k in range(samples):
+        d = rng.standard_normal(n)
+        X[:, k] = d
+        norms[k] = _norm(d)
+        radii[k] = math.exp(rng.uniform(log_lo, log_hi))
+    X /= norms
+    X *= radii
+    return X
+
+
 def yorke_sample_check(cert: PolyCertificate, field, jacobian,
                        samples: int = 100000,
                        seed: int = 0) -> YorkeSampleReport:
@@ -192,15 +213,7 @@ def yorke_sample_check(cert: PolyCertificate, field, jacobian,
         raise ArgumentError("seed", "must be at least 0")
     S1 = cert.matrix("V1")
     S2 = cert.matrix("V2")
-    rng = np.random.default_rng(seed)
-    n = cert.n_vars
-    lo, hi = _YORKE_ANNULUS
-    X = np.empty((n, samples))
-    for k in range(samples):
-        direction = rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
-        r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-        X[:, k] = r * direction
+    X = _annulus_states(np.random.default_rng(seed), cert.n_vars, samples)
     F = np.asarray(field(X), dtype=float)
     Jf = np.asarray(jacobian(X), dtype=float)
     grad = (2.0 * (S1 @ X) + 2.0 * (S2 @ F)

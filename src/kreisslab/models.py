@@ -8,10 +8,19 @@ integration of that field (an in-house Dormand-Prince 5(4) stepper that
 takes scipy's RK45 steps, restarted exactly at the switch time, whose
 samples stop before the first one beyond the blow-up radius) and
 transient-amplification curves.
+
+The stepper and the single-state field are written for low numpy call
+overhead on vectors of a few entries, under a bitwise contract: every
+reduction is the same BLAS call on the same operands as the plain
+``A @ z`` / ``y + h * np.dot(K, b)`` form (ndarray.dot, not matmul, in
+preallocated buffers), and only exact elementwise operations are
+reordered.  Python float ``x ** 2`` is libm pow like numpy's scalar power;
+``x * x`` is not.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -175,7 +184,13 @@ def brunton2_model(params: Brunton2Params = Brunton2Params()) -> NonlinearModel:
     C_y = np.array([[0.0, 1.0]])
     M = np.array([[-bb, -gg], [gg, -bb]])
 
+    M_dot = M.dot
+
     def phi(x):
+        if x.ndim == 1:     # one state: Python floats, bitwise the array path
+            xy = x[:2]
+            x0, x1 = xy.tolist()
+            return a * (x0 ** 2 + x1 ** 2) * M_dot(xy)
         return a * (x[0] ** 2 + x[1] ** 2) * (M @ x[:2])
 
     def phi_jac(x):
@@ -284,6 +299,7 @@ class Trajectory:
     y: np.ndarray          # measurement, shape (m, len(t))
     diverged: bool
     final_state: np.ndarray
+    nfev: int = 0          # field evaluations of both segments
 
     def final_plant_norm(self) -> float:
         return float(np.linalg.norm(self.x[:, -1]))
@@ -297,7 +313,9 @@ def closed_loop_field(model: NonlinearModel,
     f(z) = A_cl z + B_w_cl phi(x) and J_f(z) = A_cl + B_w_cl phi'(x) J^T;
     controller None is the static zero gain.  z is (n_z,) or a batch
     (n_z, N) with the batch on the last axis: f returns (n_z, N) and J_f
-    (n_z, n_z, N).
+    (n_z, n_z, N).  f is bitwise ``A_cl @ z + B_w_cl @ phi(x)``: it binds
+    A_cl.dot, B_w_cl.dot and phi once and keeps the two products and the
+    one add (merging A_cl and B_w_cl into one map would reorder the sums).
     """
     if controller is None:
         controller = ControllerRealization.static(
@@ -305,9 +323,12 @@ def closed_loop_field(model: NonlinearModel,
     cl = assemble_closed_loop(model.control_channel(), controller,
                               B_w=model.B_w)
     n = model.n
+    A_dot, B_dot, phi = cl.A_cl.dot, cl.B_w_cl.dot, model.phi
 
     def f(z):
-        return cl.A_cl @ z + cl.B_w_cl @ model.phi(z[:n])
+        fz = A_dot(z)
+        fz += B_dot(phi(z[:n]))
+        return fz
 
     def jac(z):
         batch = (np.newaxis,) * (np.ndim(z) - 1)
@@ -378,6 +399,13 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
     the step size fell below 10 ulp(t) or became NaN (an overflowed field,
     on which solve_ivp steps forever).  Raises NumericalError after
     _MAX_STEPS step attempts.
+
+    Every step, solution, error and dense-output value is bitwise that of
+    the plain form ``y + np.dot(K, a) * h``: the same BLAS products
+    (ndarray.dot), with the elementwise scaling and sums in place in
+    preallocated buffers.  Each step with samples keeps (t_old, h, y_old,
+    Q); after the loop the powers ((t - t_old) / h)^k of all samples are
+    formed in one pass, and only y_old + h Q P stays per step.
     """
     rtol = max(rtol, 100 * _EPS)
     n = z0.size
@@ -401,11 +429,22 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
     nfev = 2
 
     K = np.empty((7, n))    # the stages; the last one is f at the step's end
-    stages = [(K[s], K[:s].T, _DP_A[s, :s]) for s in range(1, 6)]
-    K_sol, K_all = K[:-1].T, K.T
+    arg = np.empty(n)       # a stage's argument y + h K a
+    stages = [(K[s], K[:s].T.dot, _DP_A[s, :s]) for s in range(1, 6)]
+    sol_dot, all_dot = K[:-1].T.dot, K.T.dot
+    abs_new, scale, err_v = np.empty(n), np.empty(n), np.empty(n)
+    # 0-d arrays: numpy multiplies by them with less overhead than by floats
+    h_arr, rtol_arr = np.empty(()), np.array(rtol)
+    atol_arr = np.array(atol, dtype=float)
     times = t_eval.tolist()
     i = 0
-    zs = []
+    # the r-th step with samples: its samples end at ends[r], and its dense
+    # output y_old + h Q (x, x^2, x^3, x^4), x = (t - t_old) / h
+    m = len(times)
+    ends, t_olds, hs = np.empty(m, dtype=np.intp), np.empty(m), np.empty(m)
+    y_olds, Qs = np.empty((m, n)), np.empty((m, n, 4))
+    r = 0
+    cut = None      # the first sample of a step that ends beyond the radius
     t = t0
     diverged = False
     steps = 0
@@ -423,16 +462,27 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
+            h_arr[()] = h
             K[0] = f
-            for row, KT, a in stages:
-                row[...] = field(y + np.dot(KT, a) * h)
-            y_new = y + h * np.dot(K_sol, _DP_B)
+            for row, KT_dot, a in stages:
+                KT_dot(a, out=arg)
+                arg *= h_arr
+                arg += y
+                row[...] = field(arg)
+            y_new = sol_dot(_DP_B)
+            y_new *= h_arr
+            y_new += y
             f_new = field(y_new)
             K[6] = f_new
             nfev += 6
-            abs_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_new) * rtol
-            err = _norm(np.dot(K_all, _DP_E) * h / scale) / sqrt_n
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol_arr
+            scale += atol_arr
+            all_dot(_DP_E, out=err_v)
+            err_v *= h_arr
+            err_v /= scale
+            err = _norm(err_v) / sqrt_n
             if err < 1:
                 factor = (_MAX_FACTOR if err == 0 else
                           min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
@@ -444,29 +494,36 @@ def _dopri5(field, t0, t_bound, z0, t_eval, rtol, atol, radius):
             diverged = True
             break
         t_old, y_old = t, y
-        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        t, y, f = t_new, y_new, f_new
+        abs_y, abs_new = abs_new, abs_y
         # every step starts inside the radius, so this is an upward crossing
         diverged = _norm(y) >= radius
-        j = i
-        while j < len(times) and times[j] <= t:
-            j += 1
+        j = bisect.bisect_right(times, t, i)
         if j > i:
-            # dense output y_old + h Q (x, x^2, x^3, x^4)
-            Q = K_all.dot(_DP_P)
-            p = np.empty((4, j - i))
-            p[:] = (t_eval[i:j] - t_old) / h
-            p.cumprod(axis=0, out=p)
-            z = h * np.dot(Q, p)
-            z += y_old[:, None]
-            if diverged:    # stop before the first sample beyond the radius
-                beyond = np.linalg.norm(z, axis=0) > radius
-                if beyond.any():
-                    j = i + int(beyond.argmax())
-                    z = z[:, :j - i]
-            zs.append(z)
+            ends[r], t_olds[r], hs[r] = j, t_old, h
+            y_olds[r] = y_old
+            all_dot(_DP_P, out=Qs[r])
+            r += 1
+            if diverged:
+                cut = i
             i = j
-    return (t_eval[:i], np.hstack(zs) if zs else np.empty((n, 0)), nfev,
-            diverged)
+    # the powers of every sample in one pass, then one product per step
+    counts = np.diff(ends[:r], prepend=0)
+    P = np.empty((4, i))
+    P[:] = (t_eval[:i] - t_olds[:r].repeat(counts)) / hs[:r].repeat(counts)
+    P.cumprod(axis=0, out=P)
+    z = np.empty((n, i))
+    i = 0
+    for j, h, y_old, Q in zip(ends[:r].tolist(), hs[:r].tolist(), y_olds, Qs):
+        zk = z[:, i:j]
+        np.multiply(Q.dot(P[:, i:j]), h, out=zk)
+        zk += y_old[:, None]
+        i = j
+    if cut is not None:     # stop before the first sample beyond the radius
+        beyond = np.linalg.norm(z[:, cut:], axis=0) > radius
+        if beyond.any():
+            z = z[:, :cut + int(beyond.argmax())]
+    return t_eval[:z.shape[1]], z, nfev, diverged
 
 
 def simulate_closed_loop(model: NonlinearModel,
@@ -486,7 +543,8 @@ def simulate_closed_loop(model: NonlinearModel,
     unless x0 and the times are finite, x0 has one entry per plant state,
     0 <= t_on <= t_final, t_final > 0 and ||x0|| < _BLOWUP_RADIUS, and
     NumericalError when a segment needs more than _MAX_STEPS (100,000)
-    step attempts, as a start far out on a fast loop can.
+    step attempts, as a start far out on a fast loop can.  The
+    trajectory's nfev counts the field evaluations of both segments.
     """
     if not (math.isfinite(t_on) and math.isfinite(t_final)):
         raise PreconditionError("t_on and t_final must be finite")
@@ -515,14 +573,16 @@ def simulate_closed_loop(model: NonlinearModel,
     t_grid = np.unique(np.concatenate([t_grid, [t_on]]))
     segs = []
     diverged = False
+    nfev = 0
     z = np.concatenate([x0, np.zeros(n_K)])
     for (a, b, ctrl) in ((0.0, t_on, off), (t_on, t_final, controller)):
         if b <= a:
             continue
         field = closed_loop_field(model, ctrl)[0]
         t_eval = t_grid[(t_grid >= a) & (t_grid <= b)]
-        t_seg, z_seg, _, diverged = _dopri5(
+        t_seg, z_seg, seg_nfev, diverged = _dopri5(
             field, a, b, z, t_eval, _SIM_RTOL, _SIM_ATOL, _BLOWUP_RADIUS)
+        nfev += seg_nfev
         segs.append((t_seg, z_seg))
         if t_seg.size:
             z = z_seg[:, -1]
@@ -545,7 +605,7 @@ def simulate_closed_loop(model: NonlinearModel,
         u[:, after] = (controller.C_K @ xk[:, after]
                        + controller.D_K @ y[:, after])
     return Trajectory(t=t_all, x=x, x_K=xk, u=u, y=y, diverged=diverged,
-                      final_state=z_all[:, -1])
+                      final_state=z_all[:, -1], nfev=nfev)
 
 
 def transient_curve(A_cl, J, t_grid):

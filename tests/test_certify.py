@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from kreisslab.benchmarks import (
     first_order_lyapunov_coefficients,
 )
 from kreisslab.certify import (
+    _YORKE_ANNULUS,
     PolyCertificate,
     bendixson_sign,
     boundedness_bound,
@@ -142,6 +144,43 @@ def test_yorke_needs_a_nonnegative_seed():
     with pytest.raises(PreconditionError, match="seed must be at least 0"):
         yorke_sample_check(cert, lambda x: -x, lambda x: -np.eye(2),
                            samples=10, seed=-1)
+
+
+def _yorke_reference(cert, field, jacobian, samples, seed):
+    """(min_neg_vdot, worst_state) with the states scaled one at a time."""
+    rng = np.random.default_rng(seed)
+    lo, hi = _YORKE_ANNULUS
+    X = np.empty((cert.n_vars, samples))
+    for k in range(samples):
+        direction = rng.standard_normal(cert.n_vars)
+        direction /= np.linalg.norm(direction)
+        r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        X[:, k] = r * direction
+    S1, S2 = cert.matrix("V1"), cert.matrix("V2")
+    F = np.asarray(field(X), dtype=float)
+    Jf = np.asarray(jacobian(X), dtype=float)
+    grad = (2.0 * (S1 @ X) + 2.0 * (S2 @ F)
+            + np.einsum("ij...,i...->j...", Jf, 2.0 * (S2 @ X)))
+    neg_vdot = -np.einsum("ij,ij->j", grad, F)
+    k = int(np.argmin(neg_vdot))
+    return float(neg_vdot[k]), X[:, k]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_yorke_states_are_bitwise_the_per_sample_draws(n, seed):
+    if n == 2:
+        cert = PolyCertificate(V1={(2, 0): 1.0, (0, 2): 0.5}, V2={}, n_vars=2)
+        field, jac = (lambda x: -x), (lambda x: -np.eye(2))
+    else:
+        V1, V2 = first_order_lyapunov_coefficients()
+        cert = PolyCertificate(V1=V1, V2=V2, n_vars=3)
+        field, jac = closed_loop_field(brunton2_model(brunton2_default()),
+                                       first_order_certificate_controller())
+    rep = yorke_sample_check(cert, field, jac, samples=3000, seed=seed)
+    min_neg, worst = _yorke_reference(cert, field, jac, 3000, seed)
+    assert rep.min_neg_vdot == min_neg
+    assert rep.worst_state.tobytes() == worst.tobytes()
 
 
 def test_yorke_determinism_given_seed():

@@ -164,12 +164,14 @@ def _brunton4_synthetic():
     return brunton4_model(params), ControllerRealization.static([[-0.3]])
 
 
-@pytest.mark.parametrize("case", ["lorenz_static", "lorenz_dynamic",
-                                  "lorenz_none", "brunton2_first_order",
-                                  "brunton4"])
-def test_closed_loop_field_batch_equals_columns(case):
+FIELD_CASES = ["lorenz_static", "lorenz_dynamic", "lorenz_none",
+               "brunton2_first_order", "brunton4"]
+
+
+def _field_case(case):
+    """(model, controller) of the closed-loop field comparisons."""
     lorenz = lorenz_model(lorenz_chaos(), measurement="x")
-    model, ctrl = {
+    return {
         "lorenz_static": (lorenz, ControllerRealization.static([[-27.01]])),
         "lorenz_dynamic": (lorenz, LORENZ_CHAOS_KREISS["dynamic_x"].controller),
         "lorenz_none": (lorenz, None),
@@ -177,6 +179,54 @@ def test_closed_loop_field_batch_equals_columns(case):
                                  BRUNTON_CONTROLLERS["first_order"].controller),
         "brunton4": _brunton4_synthetic(),
     }[case]
+
+
+def _phi_reference(model):
+    """model's phi on one state, written with numpy scalars and matmul."""
+    prm = model.params
+    if model.name == "lorenz":
+        return lambda x: np.array([-x[0] * x[2], x[0] * x[1]])
+    if model.name == "brunton2":
+        M = np.array([[-prm.beta_u, -prm.gamma_u], [prm.gamma_u, -prm.beta_u]])
+        return lambda x: prm.alpha_u * (x[0] ** 2 + x[1] ** 2) * (M @ x[:2])
+
+    def damp(key):
+        b, g = prm.beta[key], prm.gamma[key]
+        return np.array([[-b, -g], [g, -b]])
+
+    A5 = np.block([[damp("uu"), np.zeros((2, 2))],
+                   [np.zeros((2, 2)), damp("au")]])
+    A6 = np.block([[damp("ua"), np.zeros((2, 2))],
+                   [np.zeros((2, 2)), damp("aa")]])
+    return lambda x: (prm.alpha_u * (x[0] ** 2 + x[1] ** 2) * (A5 @ x)
+                      + prm.alpha_a * (x[2] ** 2 + x[3] ** 2) * (A6 @ x))
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_closed_loop_field_one_state_is_bitwise_the_matmul_form(case):
+    # the single-state field runs ndarray.dot and Python floats; it must be
+    # bitwise A_cl @ z + B_w_cl @ phi(x) on numpy scalars.  x ** 2 is pow,
+    # which x * x is not in the last bit in about 1 of 1,000 draws, and the
+    # sum x0^2 + x1^2 hides most of those: 20,000 states show it
+    model, ctrl = _field_case(case)
+    cl = assemble_closed_loop(
+        model.control_channel(),
+        ctrl if ctrl is not None else ControllerRealization.static([[0.0]]),
+        B_w=model.B_w)
+    phi_ref = _phi_reference(model)
+    f = closed_loop_field(model, ctrl)[0]
+    n, n_z = model.n, cl.A_cl.shape[0]
+    rng = np.random.default_rng(11)
+    Z = rng.uniform(-2.0, 2.0, size=(20000, n_z)) \
+        * 10.0 ** rng.uniform(-3.0, 3.0, size=(20000, 1))
+    for z in Z:
+        ref = cl.A_cl @ z + cl.B_w_cl @ phi_ref(z[:n])
+        assert f(z).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_closed_loop_field_batch_equals_columns(case):
+    model, ctrl = _field_case(case)
     f, jac = closed_loop_field(model, ctrl)
     n_z = model.n + (ctrl.n_K if ctrl is not None else 0)
     Z = np.random.default_rng(3).uniform(-2.0, 2.0, size=(n_z, 7))
@@ -191,6 +241,27 @@ def test_closed_loop_field_batch_equals_columns(case):
         fd = np.column_stack([(f(z + h * e) - f(z - h * e)) / (2.0 * h)
                               for e in np.eye(n_z)])
         assert np.allclose(jac(z), fd, rtol=1e-6, atol=1e-6)
+
+
+def test_trajectory_nfev_is_solve_ivp_over_both_segments():
+    from scipy.integrate import solve_ivp
+    model = lorenz_model(lorenz_chaos(), measurement="x")
+    ctrl = LORENZ_CHAOS_KREISS["dynamic_x"].controller
+    t_on, t_final = 2.0, 5.0
+    traj = simulate_closed_loop(model, ctrl, [1.0, 1.0, 1.0], t_on=t_on,
+                                t_final=t_final)
+    assert not traj.diverged
+    off = ControllerRealization(np.zeros((1, 1)), np.zeros((1, 1)),
+                                np.zeros((1, 1)), np.zeros((1, 1)))
+    z_on = np.concatenate([traj.x, traj.x_K])[:, traj.t == t_on][:, 0]
+    nfev = 0
+    for (a, b, k, z0) in ((0.0, t_on, off, [1.0, 1.0, 1.0, 0.0]),
+                          (t_on, t_final, ctrl, z_on)):
+        field = closed_loop_field(model, k)[0]
+        sol = solve_ivp(lambda t, z: field(z), (a, b), np.asarray(z0),
+                        method="RK45", rtol=1e-9, atol=1e-12)
+        nfev += sol.nfev
+    assert traj.nfev == nfev
 
 
 def test_controller_state_frozen_before_switch():
