@@ -137,26 +137,71 @@ class FeasibilityResult:
         return self.status == "feasible"
 
 
-def _max_step(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest alpha with X + alpha dX positive semidefinite (X > 0)."""
-    Linv = np.linalg.inv(np.linalg.cholesky(X))
-    lam = np.linalg.eigvalsh(Linv @ dX @ Linv.T)[0]
-    return math.inf if lam >= 0 else -1.0 / lam
+def _by_order(blocks) -> list:
+    """Index lists of the blocks of each order, each in block order."""
+    groups = {}
+    for i, B in enumerate(blocks):
+        groups.setdefault(len(B), []).append(i)
+    return list(groups.values())
+
+
+def _unstack(groups, stacks) -> list:
+    """One entry per block, in block order, from one stack per group."""
+    out = [None] * sum(len(idx) for idx in groups)
+    for idx, S in zip(groups, stacks):
+        for i, S_i in zip(idx, S):
+            out[i] = S_i
+    return out
+
+
+def _chol_inv(S: np.ndarray) -> np.ndarray:
+    """L^{-1} of the Cholesky factor L of each block of a stack."""
+    return np.linalg.inv(np.linalg.cholesky(S))
+
+
+def _max_steps(Linv: np.ndarray, D: np.ndarray) -> list:
+    """Largest alpha with S_b + alpha D_b positive semidefinite, for each
+    block of a stack with S_b = L L^T > 0 and Linv = L^{-1}."""
+    lam = np.linalg.eigvalsh(Linv @ D @ Linv.transpose(0, 2, 1))[:, 0]
+    return [math.inf if lam_b >= 0 else -1.0 / lam_b for lam_b in lam]
+
+
+def _schur_terms(A, X, Zinv) -> np.ndarray:
+    """M_b[i, j] = tr(A_{b,i} X_b A_{b,j} Z_b^-1) for a stack of blocks."""
+    k = A.shape[1]
+    XAZ = X[:, None] @ A @ Zinv[:, None]
+    return A.reshape(len(A), k, -1) @ XAZ.reshape(len(A), k, -1) \
+        .transpose(0, 2, 1)
 
 
 def _predictor_corrector(A, rhs, X, Z):
     """One Mehrotra predictor-corrector step with HKM directions: (dX, dz,
     alpha_p, alpha_d), or None when Z is numerically singular.  The Schur
     complement M_ij = sum_b tr(A_i X A_j Z^-1) is pseudo-inverted, so
-    linearly dependent variables take the least-norm step."""
+    linearly dependent variables take the least-norm step.
+
+    Blocks of one order are stacked.  The Cholesky inverses of X and Z are
+    taken once per step: Z's gives Z^-1, and both serve the step lengths of
+    both directions, each of which takes one eigvalsh per order."""
+    groups = _by_order(X)
+
+    def stacked(blocks):
+        return [np.stack([blocks[i] for i in idx]) for idx in groups]
+
+    A_g, X_g, Z_g = stacked(A), stacked(X), stacked(Z)
     try:
-        Zinv = [np.linalg.inv(np.linalg.cholesky(Zb)) for Zb in Z]
+        LZ = [_chol_inv(S) for S in Z_g]
     except np.linalg.LinAlgError:
         return None
-    Zinv = [L.T @ L for L in Zinv]
-    M = sum(Ab.reshape(len(Ab), -1) @ (Xb @ Ab @ Zi).reshape(len(Ab), -1).T
-            for Ab, Xb, Zi in zip(A, X, Zinv))
+    Zinv_g = [L.transpose(0, 2, 1) @ L for L in LZ]
+    Zinv = _unstack(groups, Zinv_g)
+    M = sum(_unstack(groups, [_schur_terms(*g)
+                              for g in zip(A_g, X_g, Zinv_g)]))
     Minv = np.linalg.pinv(0.5 * (M + M.T), hermitian=True)
+    try:  # X's factors, then Z's, in one stack per order
+        L_XZ = [np.concatenate([_chol_inv(S), L]) for S, L in zip(X_g, LZ)]
+    except np.linalg.LinAlgError:
+        L_XZ = None
 
     def direction(R):
         """Newton step towards X Z = R, symmetrized (HKM)."""
@@ -167,11 +212,17 @@ def _predictor_corrector(A, rhs, X, Z):
         dX = [RZ - Xb - Xb @ dZb @ Zi
               for RZ, Xb, dZb, Zi in zip(RZi, X, dZ, Zinv)]
         dX = [0.5 * (D + D.T) for D in dX]
-        try:
-            a_p = min(_max_step(Xb, D) for Xb, D in zip(X, dX))
-            a_d = min(_max_step(Zb, D) for Zb, D in zip(Z, dZ))
+        a_p = a_d = 0.0
+        try:  # a failed factorization or eigvalsh leaves both at 0
+            if L_XZ is not None:
+                steps = [_max_steps(L, np.concatenate([D, E])) for L, D, E
+                         in zip(L_XZ, stacked(dX), stacked(dZ))]
+                a_p = min(_unstack(groups, [s[:len(idx)] for s, idx
+                                            in zip(steps, groups)]))
+                a_d = min(_unstack(groups, [s[len(idx):] for s, idx
+                                            in zip(steps, groups)]))
         except np.linalg.LinAlgError:
-            a_p = a_d = 0.0
+            pass
         return dX, dz, dZ, a_p, a_d
 
     N = sum(len(Xb) for Xb in X)

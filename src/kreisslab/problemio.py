@@ -238,12 +238,14 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
               + [f"x_K{i + 1}" for i in range(n_K)]
               + ([f"u_{i + 1}" for i in range(p)] if p > 1 else ["u"])
               + ([f"y_{i + 1}" for i in range(m)] if m > 1 else ["y"]))
-    # Python floats format faster than numpy scalars, to the same text
+    # csv.writer's text (no field needs quoting) from one format per row,
+    # written once; "%.12g" % v on a Python float is f"{v:.12g}"
     rows = np.vstack([traj.t, traj.x, traj.x_K, traj.u, traj.y]).T.tolist()
+    line = ",".join(["%.12g"] * len(header)) + "\r\n"
+    text = "".join([",".join(header) + "\r\n"]
+                   + [line % tuple(row) for row in rows])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.12g}" for v in row] for row in rows)
+        fh.write(text)
 
 
 def curve_to_csv(ts, values, path) -> None:

@@ -356,6 +356,126 @@ class _Penalized:
         return out
 
 
+@np.errstate(all="ignore")
+def _decay_pieces(A: np.ndarray, bc: np.ndarray, sigma: float):
+    """(a, n, pieces) for the loop matrices A + K bc, bc = b c of rank one.
+
+    det(sI - A - K bc) = a(s) - K n(s) is affine in K (a and n are
+    coefficients, highest power first), so a root crosses Re s = sigma only
+    at K = a(s)/n(s), s = sigma + jw, w >= 0 a real root of
+    Im(a(s) conj n(s)) (Neimark's D-decomposition).  Between crossings the
+    roots right of the line keep their count, so one eigvals inside each
+    interval, and one at each crossing (within 1e-6), finds the closed
+    pieces [lo, hi] of the K with spectral abscissa <= sigma, in order.
+    pieces is None, undecided, on NaN or inf anywhere or an identically
+    zero crossing polynomial.
+    """
+    a = np.poly(A)
+    num = a - np.poly(A + bc)
+    ks = np.empty(0)
+    if np.any(num):
+        # p(sigma + jw) as a polynomial in w, for p = a and n
+        line = [np.poly1d(p)(np.poly1d([1.0, sigma])).coeffs
+                for p in (a, num)]
+        line = [c * 1j ** np.arange(c.size - 1, -1, -1) for c in line]
+        cross = np.polymul(line[0], np.conj(line[1])).imag
+        if not np.any(cross):
+            return a, num, None
+        # a crossing that rounding moves off the real axis still counts; a
+        # spurious one only splits an interval whose parts are each tested
+        w = np.roots(cross)
+        w = w.real[(abs(w.imag) <= 1e-4 * (1.0 + abs(w)))
+                   & (w.real >= -1e-4 * (1.0 + abs(w)))]
+        s = sigma + 1j * np.maximum(w, 0.0)
+        ks = np.unique((np.polyval(a, s) / np.polyval(num, s)).real)
+    if not np.all(np.isfinite(ks)):
+        return a, num, None
+    ends = np.concatenate([[-math.inf], ks, [math.inf]])
+    inside = (np.concatenate([[ks[0] - max(1.0, abs(ks[0]))],
+                              0.5 * (ks[:-1] + ks[1:]),
+                              [ks[-1] + max(1.0, abs(ks[-1]))]])
+              if ks.size else np.zeros(1))
+    try:
+        alpha = [np.linalg.eigvals(A + K * bc).real.max()
+                 for K in np.concatenate([inside, ks])]
+    except np.linalg.LinAlgError:
+        return a, num, None
+    if not np.all(np.isfinite(alpha)):
+        return a, num, None
+    pieces, prev = [], False
+    for i in range(2 * ks.size + 1):  # interval 0, crossing 0, interval 1
+        j = i // 2
+        if i % 2:
+            lo = hi = ks[j]
+            decays = (alpha[inside.size + j]
+                      <= sigma + 1e-6 * (1.0 + abs(sigma)))
+        else:
+            lo, hi, decays = ends[j], ends[j + 1], alpha[j] <= sigma
+        if decays and prev:
+            pieces[-1][1] = hi
+        elif decays:
+            pieces.append([lo, hi])
+        prev = decays
+    return a, num, pieces
+
+
+@np.errstate(all="ignore")
+def _rolloff_floors(lo: float, hi: float, gain: np.ndarray, g: np.ndarray):
+    """One lower bound per probe w0 on ||W T||_inf over the gains K in
+    [lo, hi], from gain = |W(jw0)| and g = G(jw0): |W T(jw0)| =
+    gain |g| / |1/K - g| grows with |1/K - Re g|, so its infimum is at an
+    end (gain at an infinite one), or 0 when K = 0 is in [lo, hi].  A bound
+    that comes out NaN or inf is -inf, so it never proves anything."""
+    if lo <= 0.0 <= hi:
+        return np.zeros(g.shape)
+    floor = np.min(gain[:, None] * abs(g)[:, None]
+                   / abs(1.0 / np.array([lo, hi]) - g[:, None]), axis=1)
+    return np.where(np.isfinite(floor), floor, -math.inf)
+
+
+def _one_gain_verdict(spec: SynthesisSpec, structure: ControllerStructure):
+    """Raise SynthesisError when no static gain K of a SISO loop u = K y
+    meets the constraints; return None whenever that is not proved.
+
+    The decay pieces come from _decay_pieces at the decay limit plus
+    ConstraintReport's 1e-8.  A piece is excluded when some probe's
+    _rolloff_floors bound exceeds the roll-off limit 1 by 1e-6; the probes
+    w0 are the pole magnitudes of W and of the plant.  A piece no probe
+    excludes, and any undecided input, leaves the descent as it was.
+    """
+    plant, weight = spec.plant, spec.rolloff_weight
+    if (structure.n_K or structure.n_theta != 1 or plant.p != 1
+            or plant.m != 1 or plant.n == 0):
+        return None
+    a, num, pieces = _decay_pieces(plant.A, plant.B @ plant.C,
+                                   spec.alpha_limit + 1e-8)
+    if pieces is None:
+        return None
+    if not pieces:
+        raise SynthesisError(
+            f"proved infeasible: no gain K gives spectral abscissa <= "
+            f"{spec.alpha_limit:.6g}")
+    if weight is None:
+        return None
+    probes = np.unique(np.abs(np.concatenate(
+        [np.linalg.eigvals(weight.A), np.linalg.eigvals(plant.A)])))
+    with np.errstate(all="ignore"):
+        g = np.polyval(num, 1j * probes) / np.polyval(a, 1j * probes)
+    gain = np.array([np.linalg.norm(weight.transfer(1j * w0))
+                     for w0 in probes])
+    found = []
+    for lo, hi in pieces:
+        floor = _rolloff_floors(lo, hi, gain, g)
+        best = int(np.argmax(floor))
+        if not floor[best] > 1.0 + 1e-6:
+            return None
+        found.append(f"[{lo:.6g}, {hi:.6g}] where "
+                     f"|W T(j{probes[best]:.6g})| >= {floor[best]:.6g}")
+    raise SynthesisError(
+        f"proved infeasible: spectral abscissa <= {spec.alpha_limit:.6g} "
+        f"only for K in {', '.join(found)}")
+
+
 def _descend(pen, theta0: np.ndarray):
     """Armijo descent on the objective pen (a _Violation or a _Penalized)
     from one start; each trial point is screened by pen.quick first, and
@@ -408,8 +528,11 @@ def minimize_kreiss(spec: SynthesisSpec,
     restart at the floor _KREISS_FLOOR ends the search, and restarts_used
     counts the restarts that ran.  The winner is re-evaluated at
     kreiss_norm's default tol; constraint satisfaction is mandatory.
-    history holds the F sequence of each phase II.
+    history holds the F sequence of each phase II.  A single free static
+    gain on a SISO plant is first decided exactly by _one_gain_verdict,
+    which raises on a proof that no gain meets the constraints.
     """
+    _one_gain_verdict(spec, structure)
     rng = np.random.default_rng(spec.seed)
     n_theta = structure.n_theta
     viol = _Violation(spec, structure, -(spec.eta_rate * 0.5 + _STAB_MARGIN))

@@ -383,8 +383,9 @@ def test_minimize_monotone_history():
 
 
 def test_minimize_runs_one_descent_per_restart(monkeypatch):
-    # Brunton with decay rate 0.1 and roll-off is infeasible for a static
-    # gain: no restart may retry its phase-II descent from where it ended
+    # Brunton with decay rate 0.1 and roll-off under a first-order
+    # controller: at seed 4 both restarts reach phase II and end infeasible,
+    # and no restart may retry its phase-II descent from where it ended
     calls = []
     descend = synth._descend
 
@@ -396,10 +397,81 @@ def test_minimize_runs_one_descent_per_restart(monkeypatch):
     monkeypatch.setattr(synth, "_descend", counting)
     spec = SynthesisSpec(plant=brunton_plant(), eta_rate=0.1,
                          rolloff_weight=rolloff_weight(),
-                         restarts=2, seed=0)
-    with pytest.raises(SynthesisError):
-        minimize_kreiss(spec, ControllerStructure.static(1, 1))
+                         restarts=2, seed=4)
+    with pytest.raises(SynthesisError, match="within the restart cap"):
+        minimize_kreiss(spec, ControllerStructure.full(1, 1, 1))
     assert 1 <= len(calls) <= spec.restarts
+
+
+def test_one_gain_verdict_proves_the_brunton_static_spec(monkeypatch):
+    # no static gain meets the decay rate 0.1 and the roll-off bound: the
+    # decay holds on K in [-5.2, -0.4] only, where |W T(j5000)| >= 100 |K|
+    calls = []
+    monkeypatch.setattr(synth, "_descend",
+                        lambda pen, theta0: calls.append(pen))
+    spec = SynthesisSpec(plant=brunton_plant(), eta_rate=0.1,
+                         rolloff_weight=rolloff_weight(),
+                         restarts=2, seed=0)
+    with pytest.raises(SynthesisError) as err:
+        minimize_kreiss(spec, ControllerStructure.static(1, 1))
+    assert str(err.value) == (
+        "proved infeasible: spectral abscissa <= -0.1 only for K in "
+        "[-5.2, -0.4] where |W T(j5000)| >= 40")
+    assert calls == []
+
+
+def _scan_abscissa(A, bc, ks):
+    """Spectral abscissa of A + K bc at each K of ks."""
+    return np.linalg.eigvals(A + ks[:, None, None] * bc).real.max(axis=1)
+
+
+def test_decay_pieces_match_a_dense_scan():
+    plant = brunton_plant()
+    bc = plant.B @ plant.C
+    sigma = -0.1  # crossings at K = a(s)/n(s) = -5.2 (s = -0.1), -0.4
+    _, _, pieces = synth._decay_pieces(plant.A, bc, sigma)
+    assert len(pieces) == 1
+    assert pieces[0] == pytest.approx([-5.2, -0.4], rel=0, abs=1e-9)
+    ks = np.linspace(-8.0, 2.0, 10001)
+    inside = (ks >= pieces[0][0]) & (ks <= pieces[0][1])
+    clear = np.min(np.abs(ks[:, None] - pieces[0]), axis=1) > 1e-6
+    decays = _scan_abscissa(plant.A, bc, ks) <= sigma
+    assert np.array_equal(decays[clear], inside[clear])
+    # random SISO plants: every scanned gain that decays lies in a piece
+    rng = np.random.default_rng(41)
+    ks = np.linspace(-30.0, 30.0, 6001)
+    decided = 0
+    for k in range(60):
+        n = int(rng.integers(2, 7))
+        A = rng.standard_normal((n, n))
+        bc = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+        sigma = -float(rng.uniform(0.01, 1.0)) + 1e-8
+        _, _, pieces = synth._decay_pieces(A, bc, sigma)
+        if pieces is None:
+            continue
+        decided += 1
+        decays = _scan_abscissa(A, bc, ks) <= sigma
+        covered = np.zeros(ks.size, dtype=bool)
+        for lo, hi in pieces:
+            covered |= (ks >= lo - 1e-9 * (1.0 + abs(lo))) \
+                & (ks <= hi + 1e-9 * (1.0 + abs(hi)))
+        assert not np.any(decays & ~covered), (k, pieces)
+    assert decided == 60
+
+
+def test_a_nan_or_infinite_probe_never_proves():
+    floors = synth._rolloff_floors(
+        -5.2, -0.4, np.array([1e6, 1e6, np.inf, np.nan, 1e6]),
+        np.array([np.nan, np.inf, 1.0, 1.0, complex(np.inf, np.nan)]))
+    assert np.all(floors == -np.inf)
+    # an undamped plant's only probe w0 = 1 sits on its poles +-j, where g
+    # is not finite: no proof, although |W T(j)| = 10 for every K != 0
+    plant = StateSpace([[0.0, -1.0], [1.0, 0.0]], [[0.0], [1.0]],
+                       [[0.0, 1.0]])
+    spec = SynthesisSpec(plant=plant, rolloff_weight=StateSpace(
+        np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[10.0]]))
+    assert synth._one_gain_verdict(
+        spec, ControllerStructure.static(1, 1)) is None
 
 
 @pytest.mark.parametrize("restarts", [0, -2])
@@ -416,9 +488,10 @@ def test_spec_needs_a_nonnegative_seed():
 
 
 def test_minimize_infeasible_actuation_fails():
+    # no gain moves the pole 0.5: the one-gain verdict proves it
     plant = StateSpace([[0.5]], [[0.0]], [[1.0]])  # zero control channel
     spec = SynthesisSpec(plant=plant, restarts=2, seed=0)
-    with pytest.raises(SynthesisError):
+    with pytest.raises(SynthesisError, match="proved infeasible: no gain"):
         minimize_kreiss(spec, ControllerStructure.static(1, 1))
 
 
